@@ -28,6 +28,7 @@ from .errors import (
     EmptyCorpus,
     ExternalScorerError,
     LengthMismatch,
+    MalformedFile,
     NonterminatingGrammar,
     SingleClassInput,
     TreeSyntaxError,
@@ -77,6 +78,7 @@ _DATA_ERRORS = (
     EmptyCorpus,
     YieldMismatch,
     LengthMismatch,
+    MalformedFile,
     NonterminatingGrammar,
     SingleClassInput,
     FileNotFoundError,
@@ -345,13 +347,17 @@ def cmd_parse(args) -> int:
 
 
 def _read_predictions(path):
+    """One binary tree per non-empty line; MalformedFile names path:line."""
     preds = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for index, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
-            preds.append(binary_from_tree(parse_bracketed(line, lineno)))
+            try:
+                preds.append(binary_from_tree(parse_bracketed(line, index)))
+            except (TreeSyntaxError, ValueError) as exc:
+                raise MalformedFile(f"{path}:{index + 1}: {exc}") from exc
     return preds
 
 

@@ -53,6 +53,13 @@ class ExternalScorerError(BootparseError):
     """An external scorer process timed out, died, or wrote garbage."""
 
 
+class MalformedFile(BootparseError, ValueError):
+    """A seed set, saved model or prediction file is not in its format.
+
+    The message names the file, and the line where there is one.
+    """
+
+
 class ConfigError(BootparseError):
     """Invalid run configuration: bad file, unknown key, or bad value."""
 

@@ -5,10 +5,19 @@ view reads only the bordering tokens (x_{i-1}, x_{j+1}) with sentinels
 at the sentence edges, never the material in between.  Both are scored
 with a regularized logistic model over sparse indicator features, and
 combined multiplicatively at decode time.
+
+Training builds the features of each example span (featurize) and fits
+the weights over a sparse matrix.  Scoring never builds per-span
+features: the model is linear over indicators, so a span's logit is a
+sum of weights that each depend on one token position or one length.
+SpanScorer.score_spans looks those weights up once per position of the
+sentence and sums them per span with numpy, using prefix sums for the
+unigram and bigram counts (see score_spans).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 import zlib
@@ -21,6 +30,7 @@ from scipy.special import expit
 from .decoder import ScoreChart
 from .errors import (
     LengthMismatch,
+    MalformedFile,
     PoolExhaustedWarning,
     SingleClassInput,
     UndefinedMccWarning,
@@ -163,9 +173,6 @@ class FeatureSpace:
                         self.names.append(name)
         return self
 
-    def features(self, sentence: Sentence, span: Span) -> dict[str, float]:
-        return featurize(sentence, span, self.view, self.inside_context)
-
     def transform(self, feature_dicts) -> sparse.csr_matrix:
         data: list[float] = []
         indices: list[int] = []
@@ -210,10 +217,65 @@ class SpanScorer:
     val_metrics: dict[str, float] = field(default_factory=dict)
 
     def score_spans(self, sentence: Sentence, spans) -> np.ndarray:
-        dicts = [self.space.features(sentence, sp) for sp in spans]
-        matrix = self.space.transform(dicts)
-        z = matrix @ self.weights + self.bias
+        """P(constituent) of each span, in closed form from per-token weights.
+
+        With w[name] the weight of a feature (0 when the space does not
+        know it), U and B the prefix sums of w[u=x_k] and w[b=x_k|x_k+1],
+        L_i the token before position i and R_j the token after j
+        (sentinels at the edges), the logit of span (i, j) is the bias plus
+
+          inside   U[j+1] - U[i] + B[j] - B[i] + w[first=x_i] + w[last=x_j]
+                   + w[len=bin(j-i+1)] + w[pos=bucket(i)]
+                   (+ w[prev=L_i] + w[next=R_j] with inside_context)
+          outside  w[left=L_i] + w[right=R_j] + w[lr=L_i|R_j]
+                   + w[bos] [L_i = <s>] + w[eos] [R_j = </s>]
+
+        and the concat view adds both.  This equals the dot product of
+        the weights with featurize's features for the span; only the
+        order of the floating-point additions differs.
+        """
+        if self.view not in (INSIDE, OUTSIDE, CONCAT):
+            raise ValueError(f"unknown view {self.view!r}")
+        spans = list(spans)
+        n = len(sentence)
+        i = np.fromiter((sp.i for sp in spans), dtype=np.intp, count=len(spans))
+        j = np.fromiter((sp.j for sp in spans), dtype=np.intp, count=len(spans))
+        if len(spans) and j.max() >= n:
+            raise ValueError(f"span beyond the {n} tokens of sentence {sentence.id}")
+        toks = sentence.tokens
+        before = (BOS,) + toks[:-1]
+        after = toks[1:] + (EOS,)
+        lookup = self._lookup
+        z = np.full(len(spans), self.bias, dtype=float)
+        if self.view in (INSIDE, CONCAT):
+            u = np.cumsum(lookup([f"u={t}" for t in toks]))
+            b = np.cumsum(lookup([f"b={x}|{y}" for x, y in zip(toks, toks[1:])]))
+            unigrams = np.concatenate(([0.0], u))
+            bigrams = np.concatenate(([0.0], b))
+            z += unigrams[j + 1] - unigrams[i] + bigrams[j] - bigrams[i]
+            z += lookup([f"first={t}" for t in toks])[i]
+            z += lookup([f"last={t}" for t in toks])[j]
+            z += lookup([f"len={_length_bin(k)}" for k in range(1, n + 1)])[j - i]
+            z += lookup([f"pos={min(3, 4 * k // n)}" for k in range(n)])[i]
+            if self.space.inside_context:
+                z += lookup([f"prev={t}" for t in before])[i]
+                z += lookup([f"next={t}" for t in after])[j]
+        if self.view in (OUTSIDE, CONCAT):
+            z += lookup([f"left={t}" for t in before])[i]
+            z += lookup([f"right={t}" for t in after])[j]
+            pairs = zip(i.tolist(), j.tolist())
+            z += lookup([f"lr={before[a]}|{after[c]}" for a, c in pairs])
+            bos_w, eos_w = lookup(["bos", "eos"])
+            z += np.where(np.array([t == BOS for t in before])[i], bos_w, 0.0)
+            z += np.where(np.array([t == EOS for t in after])[j], eos_w, 0.0)
         return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
+
+    def _lookup(self, names: list[str]) -> np.ndarray:
+        """The weight of each named feature; 0 for names the space drops."""
+        cols = [self.space._column(name) for name in names]
+        return np.array(
+            [0.0 if col is None else self.weights[col] for col in cols], dtype=float
+        )
 
 
 @dataclass
@@ -350,10 +412,16 @@ def train(
     )
 
 
-def _all_spans(n: int, min_len: int = 2):
-    for i in range(n):
-        for j in range(i + max(0, min_len - 1), n):
-            yield Span(i, j)
+@functools.lru_cache(maxsize=256)
+def _all_spans(n: int, min_len: int = 2) -> tuple[Span, ...]:
+    """Spans of at least min_len tokens in row-major order (by i, then j).
+
+    Cached per length: the tuple and its frozen spans are immutable, so
+    every sentence of that length can share them.
+    """
+    return tuple(
+        Span(i, j) for i in range(n) for j in range(i + max(0, min_len - 1), n)
+    )
 
 
 def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) -> ScoreChart:
@@ -363,7 +431,7 @@ def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) ->
     which leaves a pair with a constant-1/2 partner unchanged.
     """
     n = len(sentence)
-    spans = [Span(i, j) for i in range(n) for j in range(i, n)]
+    spans = _all_spans(n, min_len=1)
     if isinstance(model_or_pair, (tuple, list)):
         inside_model, outside_model = model_or_pair
         if (inside_model.view, outside_model.view) != (INSIDE, OUTSIDE):
@@ -379,8 +447,7 @@ def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) ->
     else:
         probs = np.asarray(model_or_pair.score_spans(sentence, spans))
     chart = ScoreChart(n=n)
-    for sp, p in zip(spans, probs):
-        chart.cells[sp.i, sp.j] = p
+    chart.cells[np.triu_indices(n)] = probs
     return chart
 
 
@@ -408,19 +475,18 @@ def confidence_pools(
     const_pool: list[LabeledSpanExample] = []
     dist_pool: list[LabeledSpanExample] = []
     for sent in corpus:
-        spans = list(_all_spans(len(sent)))
+        spans = _all_spans(len(sent))
         if not spans:
             continue
-        probs = model.score_spans(sent, spans)
-        for sp, p in zip(spans, probs):
-            if p > thresholds.tau_max:
-                const_pool.append(
-                    LabeledSpanExample(sent.id, sp, CONSTITUENT, model.view)
-                )
-            elif p < thresholds.tau_min:
-                dist_pool.append(
-                    LabeledSpanExample(sent.id, sp, DISTITUENT, model.view)
-                )
+        probs = np.asarray(model.score_spans(sent, spans))
+        const_pool.extend(
+            LabeledSpanExample(sent.id, spans[k], CONSTITUENT, model.view)
+            for k in np.flatnonzero(probs > thresholds.tau_max).tolist()
+        )
+        dist_pool.extend(
+            LabeledSpanExample(sent.id, spans[k], DISTITUENT, model.view)
+            for k in np.flatnonzero(probs < thresholds.tau_min).tolist()
+        )
     return const_pool, dist_pool
 
 
@@ -518,23 +584,62 @@ def save_model(model: SpanScorer, path) -> None:
 
 
 def load_model(path) -> SpanScorer:
+    """Read a model written by save_model.
+
+    Raises MalformedFile for anything else, including weights that do
+    not line up with the feature space: scoring indexes the weights by
+    feature column.
+    """
+
+    def bad(why: str) -> MalformedFile:
+        return MalformedFile(f"model file {path}: {why}")
+
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise bad(f"not JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise bad("not a JSON object")
     version = payload.get("format_version")
     if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {version!r}")
-    fs = payload["feature_space"]
-    space = FeatureSpace(
-        view=payload["view"],
-        inside_context=fs["inside_context"],
-        hash_dim=fs["hash_dim"],
-        names=list(fs["names"]),
-    )
+        raise bad(f"unsupported model format {version!r}")
+    keys = {"view", "feature_space", "weights", "bias", "meta", "val_metrics"}
+    missing = sorted(keys - payload.keys())
+    if missing:
+        raise bad(f"missing keys {missing}")
+    view = payload["view"]
+    if view not in (INSIDE, OUTSIDE, CONCAT):
+        raise bad(f"unknown view {view!r}")
+    try:
+        fs = payload["feature_space"]
+        space = FeatureSpace(
+            view=view,
+            inside_context=fs["inside_context"],
+            hash_dim=fs["hash_dim"],
+            names=list(fs["names"]),
+        )
+        weights = np.asarray(payload["weights"], dtype=float)
+        bias = float(payload["bias"])
+        meta = TrainingMeta(**payload["meta"])
+        val_metrics = dict(payload["val_metrics"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise bad(f"bad field: {exc!r}") from exc
+    if not isinstance(space.inside_context, bool):
+        raise bad(f"inside_context must be true or false, got {space.inside_context!r}")
+    if space.hash_dim is not None and (
+        type(space.hash_dim) is not int or space.hash_dim < 1
+    ):
+        raise bad(f"hash_dim must be a positive integer, got {space.hash_dim!r}")
+    if weights.shape != (space.dim,):
+        raise bad(f"{weights.size} weights for {space.dim} feature columns")
+    if not (np.all(np.isfinite(weights)) and np.isfinite(bias)):
+        raise bad("non-finite weights")
     return SpanScorer(
-        view=payload["view"],
+        view=view,
         space=space,
-        weights=np.asarray(payload["weights"], dtype=float),
-        bias=float(payload["bias"]),
-        meta=TrainingMeta(**payload["meta"]),
-        val_metrics=dict(payload["val_metrics"]),
+        weights=weights,
+        bias=bias,
+        meta=meta,
+        val_metrics=val_metrics,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyCorpus
+from .errors import EmptyCorpus, MalformedFile
 from .treebank import Sentence, Span
 
 INSIDE = "inside"
@@ -246,6 +246,7 @@ def write_seed_file(examples, path) -> None:
 
 
 def read_seed_file(path) -> list[LabeledSpanExample]:
+    """Read a file written by write_seed_file; MalformedFile names path:line."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -254,16 +255,23 @@ def read_seed_file(path) -> list[LabeledSpanExample]:
                 continue
             parts = line.split("\t")
             if len(parts) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 columns")
-            sid, i, j, label, view = parts
-            out.append(
-                LabeledSpanExample(
-                    sentence_id=int(sid),
-                    span=Span(int(i), int(j)),
-                    label=_LABEL_VALUES[label],
-                    view=view,
+                raise MalformedFile(
+                    f"{path}:{lineno}: expected 5 columns, got {len(parts)}"
                 )
-            )
+            sid, i, j, label, view = parts
+            if label not in _LABEL_VALUES:
+                raise MalformedFile(f"{path}:{lineno}: unknown label {label!r}")
+            try:
+                out.append(
+                    LabeledSpanExample(
+                        sentence_id=int(sid),
+                        span=Span(int(i), int(j)),
+                        label=_LABEL_VALUES[label],
+                        view=view,
+                    )
+                )
+            except ValueError as exc:
+                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     return out
 
 

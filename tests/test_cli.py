@@ -306,3 +306,70 @@ def test_selftrain_model_hash_stable(tmp_path):
             .hexdigest()
         )
     assert digests[0] == digests[1]
+
+
+def _break_model(payload: dict, case: str):
+    """A broken copy of a saved model's JSON, or raw text for non-JSON."""
+    if case == "not_json":
+        return "{not json"
+    if case == "truncated_weights":
+        payload["weights"] = payload["weights"][:-1]
+    elif case == "extra_weights":
+        payload["weights"] = payload["weights"] + [0.0]
+    elif case == "format_version":
+        payload["format_version"] = 99
+    elif case == "missing_key":
+        del payload["bias"]
+    elif case == "unknown_view":
+        payload["view"] = "sideways"
+    elif case == "bad_hash_dim":
+        payload["feature_space"]["hash_dim"] = 0
+    elif case == "nan_weight":
+        payload["weights"][0] = float("nan")
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["not_json", "truncated_weights", "extra_weights", "format_version",
+     "missing_key", "unknown_view", "bad_hash_dim", "nan_weight"],
+)
+def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
+    root, _ = pipeline
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("co_in.json", "co_out.json"):
+        (models / name).write_bytes((root / "models" / name).read_bytes())
+    payload = json.loads((models / "co_in.json").read_text())
+    (models / "co_in.json").write_text(_break_model(payload, case))
+    cfg = write_config(tmp_path)
+    (tmp_path / "in.txt").write_text("the dog sees a cat\n")
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
+        "--out", str(tmp_path / "out.txt"),
+    ]) == 2
+    assert "co_in.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["0\t0\t1\tbogus\tinside", "0\tx\t1\tconstituent\tinside",
+     "0\t3\t1\tconstituent\tinside", "0\t0\t1\tconstituent\tsideways",
+     "0\t0\t1\tconstituent"],
+)
+def test_train_bad_seed_file_is_exit_2(tmp_path, capsys, bad_line):
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path)
+    seeds = tmp_path / "bad_seeds.tsv"
+    seeds.write_text("0\t0\t4\tconstituent\tinside\n" + bad_line + "\n")
+    assert main(["train", "--config", str(cfg), "--seeds", str(seeds)]) == 2
+    assert f"{seeds}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_tree", ["(S (A a) (B b) (C c))", "(X a"])
+def test_eval_bad_prediction_is_exit_2(pipeline, tmp_path, capsys, bad_tree):
+    root, cfg = pipeline
+    pred = tmp_path / "pred.txt"
+    pred.write_text("(X (X a) (X b))\n" + bad_tree + "\n")
+    assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 2
+    assert f"{pred}:2:" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from bootparse.errors import (
     ExternalScorerError,
@@ -19,6 +20,7 @@ from bootparse.scorer import (
     BOS,
     CONCAT,
     EOS,
+    PROB_EPS,
     ConstantScorer,
     FeatureSpace,
     InsideString,
@@ -317,6 +319,92 @@ def test_outside_permutation_property(tokens, data):
     permuted = tokens[:i] + interior + tokens[j + 1 :]
     s2 = Sentence(id=1, tokens=tuple(permuted))
     assert featurize(s1, Span(i, j), OUTSIDE) == featurize(s2, Span(i, j), OUTSIDE)
+
+
+# --- closed-form scoring against the per-span feature path ---
+
+# "|" and "=" inside tokens make feature names like b=a|b|c ambiguous;
+# literal sentinel tokens switch on the bos/eos features mid-sentence
+PARITY_VOCAB = ["a", "b", "c", "a|b", "b|c", "|", "=", "x=y", BOS, EOS]
+
+
+def reference_scores(model, sentence, spans):
+    """The per-span path: featurize -> sparse row -> dot product."""
+    feats = [
+        featurize(sentence, sp, model.view, model.space.inside_context)
+        for sp in spans
+    ]
+    z = model.space.transform(feats) @ model.weights + model.bias
+    return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
+
+
+def random_tokens(rng, vocab, n):
+    return tuple(vocab[k] for k in rng.integers(0, len(vocab), n))
+
+
+def random_model(view, inside_context=False, hash_dim=None, seed=0):
+    """Random weights over the features of a small random corpus."""
+    rng = np.random.default_rng(seed)
+    space = FeatureSpace(view=view, inside_context=inside_context, hash_dim=hash_dim)
+    for k in range(30):
+        s = Sentence(id=k, tokens=random_tokens(rng, PARITY_VOCAB, rng.integers(1, 13)))
+        space.fit(
+            featurize(s, Span(i, j), view, inside_context)
+            for i in range(len(s))
+            for j in range(i, len(s))
+        )
+    return SpanScorer(
+        view=view,
+        space=space,
+        weights=rng.normal(scale=0.3, size=space.dim),
+        bias=float(rng.normal()),
+        meta=TrainingMeta(),
+    )
+
+
+def parity_sentences():
+    """Lengths 1 to 40, with tokens the models never saw."""
+    rng = np.random.default_rng(7)
+    vocab = PARITY_VOCAB + ["unseen", "un|seen", "un=seen"]
+    return [
+        Sentence(id=n, tokens=random_tokens(rng, vocab, n)) for n in range(1, 41)
+    ]
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+@pytest.mark.parametrize("inside_context", [False, True])
+@pytest.mark.parametrize("hash_dim", [None, 16])
+def test_score_spans_matches_feature_path(view, inside_context, hash_dim):
+    model = random_model(view, inside_context, hash_dim)
+    for s in parity_sentences():
+        n = len(s)
+        spans = [Span(i, j) for i in range(n) for j in range(i, n)]
+        got = model.score_spans(s, spans)
+        assert np.max(np.abs(got - reference_scores(model, s, spans))) <= 1e-12
+        assert model.score_spans(s, []).shape == (0,)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_score_chart_pair_matches_feature_path(renormalize):
+    m_in = random_model(INSIDE, seed=1)
+    m_out = random_model(OUTSIDE, seed=2)
+    for s in parity_sentences():
+        n = len(s)
+        spans = [Span(i, j) for i in range(n) for j in range(i, n)]
+        p1 = reference_scores(m_in, s, spans)
+        p2 = reference_scores(m_out, s, spans)
+        want = p1 * p2
+        if renormalize:
+            want = want / (want + (1.0 - p1) * (1.0 - p2))
+        cells = score_chart((m_in, m_out), s, renormalize=renormalize).cells
+        assert np.max(np.abs(cells[np.triu_indices(n)] - want)) <= 1e-12
+        assert not np.any(np.tril(cells, -1))
+
+
+def test_score_spans_rejects_span_beyond_sentence():
+    model = random_model(INSIDE)
+    with pytest.raises(ValueError):
+        model.score_spans(sent(0, "a b"), [Span(1, 2)])
 
 
 # --- external scorer protocol ---
