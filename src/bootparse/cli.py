@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,7 @@ from .evaluation import (
 from .external import ExternalScorer
 from .loops import LoopTrace, co_train, self_train
 from .scorer import INSIDE, load_model, save_model, score_chart, train
-from .seeds import generate_seeds, read_seed_file, write_seed_file
+from .seeds import casing_copy_sentences, generate_seeds, read_seed_file, write_seed_file
 from .synth import SyntheticGrammar, builtin_grammar, generate_corpus
 from .treebank import (
     binary_from_tree,
@@ -104,14 +105,8 @@ def _load(args) -> PipelineConfig:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
 
 
-def _model_dir(cfg: PipelineConfig) -> Path:
-    path = Path(cfg.paths.model_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _report_dir(cfg: PipelineConfig) -> Path:
-    path = Path(cfg.paths.report_dir)
+def _output_dir(path: str) -> Path:
+    path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -172,7 +167,7 @@ def cmd_bootstrap(args) -> int:
     cfg = _load(args)
     corpus = _corpus(cfg)
     examples = generate_seeds(corpus, cfg.seeds)
-    out = Path(args.out) if args.out else _model_dir(cfg) / SEED_FILE
+    out = Path(args.out) if args.out else _output_dir(cfg.paths.model_dir) / SEED_FILE
     write_seed_file(examples, out)
     print(f"wrote {len(examples)} seed examples to {out}")
     return 0
@@ -181,12 +176,28 @@ def cmd_bootstrap(args) -> int:
 # ---------------------------------------------------------------- train
 
 
-def _has_explicit_stats(h: HeuristicConfig) -> bool:
-    return (
+def _heuristic_stats(cfg: PipelineConfig, corpus) -> HeuristicConfig:
+    """The refinement statistics, resolved the same way for train and parse.
+
+    Statistics set in the config win, with the bundled stopwords unless
+    the config lists its own; without any, they are counted from the
+    training corpus, which parse (corpus None) does not have.
+    """
+    h = cfg.heuristics
+    if (
         h.comma_successor_word is not None
         or h.common_start_word is not None
-        or bool(h.top_frequency_set)
-    )
+        or h.top_frequency_set
+    ):
+        if h.stopword_set:
+            return h
+        return dataclasses.replace(h, stopword_set=load_stopwords())
+    if corpus is None:
+        raise ConfigError(
+            "heuristics are enabled but no statistics are available; "
+            "run the train subcommand first or set them in the config"
+        )
+    return heuristics_from_corpus(corpus)
 
 
 def _heuristics_to_file(h: HeuristicConfig, path: Path) -> None:
@@ -213,28 +224,41 @@ def _heuristics_from_file(path: Path) -> HeuristicConfig:
     )
 
 
-def cmd_train(args) -> int:
+def _training_inputs(args):
+    """Config, corpus, casing carriers and model directory of a stage.
+
+    The carrier sentences that bootstrap's lower-cased run copies refer
+    to are a pure function of the corpus and the seed config; each
+    training stage rebuilds them.
+    """
     cfg = _load(args)
     corpus = _corpus(cfg)
-    model_dir = _model_dir(cfg)
+    carriers = casing_copy_sentences(corpus, cfg.seeds)
+    return cfg, corpus, carriers, _output_dir(cfg.paths.model_dir)
+
+
+def _read_examples(path, sentences):
+    """Read a seed file whose every span lies inside a known sentence."""
+    examples = read_seed_file(path)
+    lengths = {sent.id: len(sent) for sent in sentences}
+    for ex in examples:
+        if ex.span.j >= lengths.get(ex.sentence_id, 0):
+            raise MalformedFile(
+                f"{path}: span ({ex.span.i}, {ex.span.j}) is not inside "
+                f"sentence {ex.sentence_id} of the corpus"
+            )
+    return examples
+
+
+def cmd_train(args) -> int:
+    cfg, corpus, carriers, model_dir = _training_inputs(args)
     seed_path = Path(args.seeds) if args.seeds else model_dir / SEED_FILE
-    examples = read_seed_file(seed_path)
-    model = train(examples, corpus, INSIDE, cfg.training)
+    examples = _read_examples(seed_path, corpus + carriers)
+    model = train(examples, corpus + carriers, INSIDE, cfg.training)
     save_model(model, model_dir / INSIDE_SEED_MODEL)
 
     if cfg.heuristics.enabled:
-        if _has_explicit_stats(cfg.heuristics):
-            stats = cfg.heuristics
-            if not stats.stopword_set:
-                stats = HeuristicConfig(
-                    enabled=True,
-                    comma_successor_word=stats.comma_successor_word,
-                    common_start_word=stats.common_start_word,
-                    top_frequency_set=stats.top_frequency_set,
-                    stopword_set=load_stopwords(),
-                )
-        else:
-            stats = heuristics_from_corpus(corpus)
+        stats = _heuristic_stats(cfg, corpus)
         _heuristics_to_file(stats, model_dir / HEURISTICS_FILE)
 
     log = {
@@ -254,18 +278,20 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------- selftrain etc.
 
 
+def _save_loop(result, model_dir: Path, in_model, out_model, trace) -> None:
+    save_model(result.m_in, model_dir / in_model)
+    save_model(result.m_out, model_dir / out_model)
+    (model_dir / trace).write_text(result.trace.to_jsonl(), encoding="utf-8")
+
+
 def cmd_selftrain(args) -> int:
-    cfg = _load(args)
-    corpus = _corpus(cfg)
-    model_dir = _model_dir(cfg)
+    cfg, corpus, carriers, model_dir = _training_inputs(args)
     seed_path = Path(args.seeds) if args.seeds else model_dir / SEED_FILE
-    examples = read_seed_file(seed_path)
-    result = self_train(examples, corpus, cfg.self_train, meta=cfg.training)
-    save_model(result.m_in, model_dir / SELF_IN_MODEL)
-    save_model(result.m_out, model_dir / SELF_OUT_MODEL)
-    (model_dir / SELF_TRACE).write_text(
-        result.trace.to_jsonl(), encoding="utf-8"
+    examples = _read_examples(seed_path, corpus + carriers)
+    result = self_train(
+        examples, corpus, cfg.self_train, lookup=carriers, meta=cfg.training
     )
+    _save_loop(result, model_dir, SELF_IN_MODEL, SELF_OUT_MODEL, SELF_TRACE)
     write_seed_file(result.inside_examples, model_dir / SELF_INSIDE_SET)
     write_seed_file(result.outside_examples, model_dir / SELF_OUTSIDE_SET)
     print(f"self-training done: K={cfg.self_train.K}, "
@@ -274,15 +300,13 @@ def cmd_selftrain(args) -> int:
 
 
 def cmd_cotrain(args) -> int:
-    cfg = _load(args)
-    corpus = _corpus(cfg)
-    model_dir = _model_dir(cfg)
-    inside = read_seed_file(model_dir / SELF_INSIDE_SET)
-    outside = read_seed_file(model_dir / SELF_OUTSIDE_SET)
-    result = co_train(inside, outside, corpus, cfg.co_train, meta=cfg.training)
-    save_model(result.m_in, model_dir / CO_IN_MODEL)
-    save_model(result.m_out, model_dir / CO_OUT_MODEL)
-    (model_dir / CO_TRACE).write_text(result.trace.to_jsonl(), encoding="utf-8")
+    cfg, corpus, carriers, model_dir = _training_inputs(args)
+    inside = _read_examples(model_dir / SELF_INSIDE_SET, corpus + carriers)
+    outside = _read_examples(model_dir / SELF_OUTSIDE_SET, corpus + carriers)
+    result = co_train(
+        inside, outside, corpus, cfg.co_train, lookup=carriers, meta=cfg.training
+    )
+    _save_loop(result, model_dir, CO_IN_MODEL, CO_OUT_MODEL, CO_TRACE)
     print(f"co-training done: K={cfg.co_train.K}, "
           f"|I|={len(result.inside_examples)}, "
           f"|O|={len(result.outside_examples)} -> {model_dir / CO_IN_MODEL}")
@@ -313,17 +337,12 @@ def _load_heuristics(cfg: PipelineConfig, model_dir: Path) -> HeuristicConfig:
     stats_file = model_dir / HEURISTICS_FILE
     if stats_file.exists():
         return _heuristics_from_file(stats_file)
-    if _has_explicit_stats(cfg.heuristics):
-        return cfg.heuristics
-    raise ConfigError(
-        "heuristics are enabled but no statistics are available; "
-        "run the train subcommand first or set them in the config"
-    )
+    return _heuristic_stats(cfg, None)
 
 
 def cmd_parse(args) -> int:
     cfg = _load(args)
-    model_dir = _model_dir(cfg)
+    model_dir = _output_dir(cfg.paths.model_dir)
     scorer = _parse_scorer(cfg, args.stage, model_dir)
     heuristics = _load_heuristics(cfg, model_dir)
     sentences = read_corpus(args.input)
@@ -388,7 +407,7 @@ def cmd_eval(args) -> int:
         raise YieldMismatch(f"{len(mismatches)} sentences with mismatched tokens")
 
     report = corpus_eval(preds, golds, cfg.eval)
-    report_dir = _report_dir(cfg)
+    report_dir = _output_dir(cfg.paths.report_dir)
     lines = [render_report(report)]
     if args.baselines:
         for which in (LEFT, RIGHT, BALANCED, RANDOM):

@@ -169,26 +169,31 @@ def _as_plain(obj):
     return obj
 
 
-def _loop_config(data: dict, rng_seed: int, section: str) -> LoopConfig:
-    data = dict(data)
+# Short spellings of LoopConfig fields: the file form writes accumulate,
+# and environment overrides lower-case every name, so K arrives as k.
+_LOOP_ALIASES = {"k": "K", "accumulate": "accumulate_self_train"}
+
+
+def _loop_config(raw: dict, section: str, rng_seed: int) -> LoopConfig:
+    """The section's keys over the top-level rng_seed over PipelineConfig's
+    default for the section, merged by canonical field name."""
+    default = _as_plain(getattr(PipelineConfig(), section))
+    merged = {}
+    for part in (default, {"rng_seed": rng_seed}, raw.get(section, {})):
+        for key, value in part.items():
+            merged[_LOOP_ALIASES.get(key, key)] = value
     try:
         thresholds = Thresholds(
-            tau_min=data.pop("tau_min", 0.0005),
-            tau_max=data.pop("tau_max", 0.995),
+            tau_min=merged.pop("tau_min"), tau_max=merged.pop("tau_max")
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section} thresholds: {exc}") from exc
-    if "k" in data:
-        data["K"] = data.pop("k")
-    if "accumulate" in data:
-        data["accumulate_self_train"] = data.pop("accumulate")
-    data.setdefault("rng_seed", rng_seed)
     allowed = {f.name for f in dataclasses.fields(LoopConfig)} - {"thresholds"}
-    unknown = set(data) - allowed
+    unknown = set(merged) - allowed
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     try:
-        return LoopConfig(thresholds=thresholds, **data)
+        return LoopConfig(thresholds=thresholds, **merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
@@ -261,17 +266,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     training_data = dict(raw.get("training", {}))
     training_data.setdefault("rng_seed", rng_seed)
 
-    self_data = dict(raw.get("self_train", {}))
-    self_data.setdefault("K", 5)
-    self_data.setdefault("c", 500)
-    self_data.setdefault("d", 5000)
-    self_data.setdefault("pool_cap", 5000)
-    co_data = dict(raw.get("co_train", {}))
-    co_data.setdefault("K", 2)
-    co_data.setdefault("c", 500)
-    co_data.setdefault("d", 5000)
-    co_data.setdefault("pool_cap", 5000)
-
     renormalize = raw.get("renormalize", False)
     if not isinstance(renormalize, bool):
         raise ConfigError("renormalize must be a boolean")
@@ -280,8 +274,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         paths=_dataclass_section(Paths, raw.get("paths", {}), "paths"),
         rng_seed=rng_seed,
         seeds=_dataclass_section(SeedConfig, seeds_data, "seeds"),
-        self_train=_loop_config(self_data, rng_seed, "self_train"),
-        co_train=_loop_config(co_data, rng_seed, "co_train"),
+        self_train=_loop_config(raw, "self_train", rng_seed),
+        co_train=_loop_config(raw, "co_train", rng_seed),
         training=_dataclass_section(TrainingMeta, training_data, "training"),
         heuristics=_heuristic_config(raw.get("heuristics", {"enabled": True})),
         eval=_dataclass_section(EvalConfig, raw.get("eval", {}), "eval"),

@@ -42,13 +42,6 @@ class ScoreChart:
         if not np.all(np.isfinite(self.cells)):
             raise ValueError("chart contains non-finite scores")
 
-    def get(self, i: int, j: int) -> float:
-        return float(self.cells[i, j])
-
-    def set(self, i: int, j: int, value: float) -> None:
-        Span(i, j)  # bounds sanity
-        self.cells[i, j] = value
-
     def copy(self) -> "ScoreChart":
         return ScoreChart(n=self.n, cells=self.cells.copy())
 

@@ -113,9 +113,14 @@ class LoopResult:
         return iter((self.m_in, self.m_out, self.trace))
 
 
-def _scoring_pool(unlabeled, cap: int):
-    ordered = sorted(unlabeled, key=lambda s: s.id)
-    return ordered[:cap]
+def _loop_sentences(unlabeled, lookup, cfg: LoopConfig, loop: str):
+    """Sentences to resolve example ids in, and the ones scored each
+    iteration: the first pool_cap unlabeled sentences by id."""
+    unlabeled = list(unlabeled)
+    if not unlabeled:
+        raise EmptyCorpus(f"{loop} needs at least one unlabeled sentence")
+    pool_sents = sorted(unlabeled, key=lambda s: s.id)[: cfg.pool_cap]
+    return _merge_corpora(lookup or [], unlabeled), pool_sents
 
 
 def _merge_corpora(*corpora):
@@ -130,6 +135,26 @@ def _with_view(example: LabeledSpanExample, view: str) -> LabeledSpanExample:
     if example.view == view:
         return example
     return LabeledSpanExample(example.sentence_id, example.span, example.label, view)
+
+
+def _harvest(model, pool_sents, cfg: LoopConfig, stream: int, k: int):
+    """Sample c confident constituents and d confident distituents.
+
+    Returns both samples and the pool sizes, keyed by the model's view
+    and the class.  Each harvest site draws from its own RNG stream,
+    (rng_seed, stream, iteration k).
+    """
+    const_pool, dist_pool = confidence_pools(model, pool_sents, cfg.thresholds)
+    rng = np.random.default_rng((cfg.rng_seed, stream, k))
+    pools = {
+        f"{model.view}_constituent": len(const_pool),
+        f"{model.view}_distituent": len(dist_pool),
+    }
+    return (
+        sample_pool(const_pool, cfg.c, rng, "constituent"),
+        sample_pool(dist_pool, cfg.d, rng, "distituent"),
+        pools,
+    )
 
 
 def _union(existing, new):
@@ -166,34 +191,24 @@ def self_train(
     them.  With c = d = 0 the labeled set empties out and training the
     outside model raises SingleClassInput.
     """
-    unlabeled = list(unlabeled)
-    if not unlabeled:
-        raise EmptyCorpus("self_train needs at least one unlabeled sentence")
-    sentences = _merge_corpora(lookup or [], unlabeled)
-    pool_sents = _scoring_pool(unlabeled, cfg.pool_cap)
+    sentences, pool_sents = _loop_sentences(unlabeled, lookup, cfg, "self_train")
 
     current = list(inside_examples)
     records = []
     m_in = None
     for k in range(cfg.K):
         m_in = trainer(current, sentences, INSIDE, meta)
-        const_pool, dist_pool = confidence_pools(m_in, pool_sents, cfg.thresholds)
-        rng = np.random.default_rng((cfg.rng_seed, 1, k))
-        harvested_c = sample_pool(const_pool, cfg.c, rng, "constituent")
-        harvested_d = sample_pool(dist_pool, cfg.d, rng, "distituent")
+        harvested_c, harvested_d, pools = _harvest(m_in, pool_sents, cfg, 1, k)
         if cfg.accumulate_self_train:
             current = _union(current, harvested_c + harvested_d)
         else:
-            current = list(harvested_c) + list(harvested_d)
+            current = harvested_c + harvested_d
         records.append(
             IterationRecord(
                 iteration=k,
                 inside_size=len(current),
                 outside_size=0,
-                pools={
-                    "inside_constituent": len(const_pool),
-                    "inside_distituent": len(dist_pool),
-                },
+                pools=pools,
                 selected={
                     "constituent": len(harvested_c),
                     "distituent": len(harvested_d),
@@ -231,11 +246,7 @@ def co_train(
     retrained.  Both sets only grow; models are re-trained from scratch
     each time so runs are reproducible.
     """
-    unlabeled = list(unlabeled)
-    if not unlabeled:
-        raise EmptyCorpus("co_train needs at least one unlabeled sentence")
-    sentences = _merge_corpora(lookup or [], unlabeled)
-    pool_sents = _scoring_pool(unlabeled, cfg.pool_cap)
+    sentences, pool_sents = _loop_sentences(unlabeled, lookup, cfg, "co_train")
 
     inside_set = [_with_view(ex, INSIDE) for ex in inside_examples]
     outside_set = [_with_view(ex, OUTSIDE) for ex in outside_examples]
@@ -243,21 +254,15 @@ def co_train(
     m_in = None
     records = []
     for k in range(cfg.K):
-        out_const, out_dist = confidence_pools(m_out, pool_sents, cfg.thresholds)
-        rng = np.random.default_rng((cfg.rng_seed, 2, k))
-        from_outside = sample_pool(
-            out_const, cfg.c, rng, "constituent"
-        ) + sample_pool(out_dist, cfg.d, rng, "distituent")
+        out_c, out_d, out_pools = _harvest(m_out, pool_sents, cfg, 2, k)
+        from_outside = out_c + out_d
         inside_set = _union(
             inside_set, [_with_view(ex, INSIDE) for ex in from_outside]
         )
         m_in = trainer(inside_set, sentences, INSIDE, meta)
 
-        in_const, in_dist = confidence_pools(m_in, pool_sents, cfg.thresholds)
-        rng = np.random.default_rng((cfg.rng_seed, 3, k))
-        from_inside = sample_pool(in_const, cfg.c, rng, "constituent") + sample_pool(
-            in_dist, cfg.d, rng, "distituent"
-        )
+        in_c, in_d, in_pools = _harvest(m_in, pool_sents, cfg, 3, k)
+        from_inside = in_c + in_d
         outside_set = _union(
             outside_set, [_with_view(ex, OUTSIDE) for ex in from_inside]
         )
@@ -268,12 +273,7 @@ def co_train(
                 iteration=k,
                 inside_size=len(inside_set),
                 outside_size=len(outside_set),
-                pools={
-                    "outside_constituent": len(out_const),
-                    "outside_distituent": len(out_dist),
-                    "inside_constituent": len(in_const),
-                    "inside_distituent": len(in_dist),
-                },
+                pools={**out_pools, **in_pools},
                 selected={
                     "from_outside": len(from_outside),
                     "from_inside": len(from_inside),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import json
 import warnings
-import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,42 +39,11 @@ from .treebank import Sentence, Span
 
 BOS = "<s>"
 EOS = "</s>"
-HOLE = "<mask>"
 
 # scores are clipped into the open interval (0, 1)
 PROB_EPS = 1e-12
 
 MODEL_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class InsideString:
-    """The token sequence a span covers."""
-
-    tokens: tuple[str, ...]
-
-    @classmethod
-    def from_span(cls, sentence: Sentence, span: Span) -> "InsideString":
-        if span.j >= len(sentence):
-            raise ValueError(f"span {span} outside sentence {sentence.id}")
-        return cls(tokens=sentence.tokens[span.i : span.j + 1])
-
-
-@dataclass(frozen=True)
-class OutsideTriple:
-    """Bordering context of a span: (left, hole, right) with sentinels."""
-
-    left: str
-    right: str
-    hole: str = HOLE
-
-    @classmethod
-    def from_span(cls, sentence: Sentence, span: Span) -> "OutsideTriple":
-        if span.j >= len(sentence):
-            raise ValueError(f"span {span} outside sentence {sentence.id}")
-        left = sentence.tokens[span.i - 1] if span.i > 0 else BOS
-        right = sentence.tokens[span.j + 1] if span.j + 1 < len(sentence) else EOS
-        return cls(left=left, right=right)
 
 
 def _length_bin(length: int) -> str:
@@ -88,39 +56,37 @@ def _length_bin(length: int) -> str:
     return "13+"
 
 
-def featurize(
-    sentence: Sentence, span: Span, view: str, inside_context: bool = False
-) -> dict[str, float]:
+def featurize(sentence: Sentence, span: Span, view: str) -> dict[str, float]:
     """Sparse feature map for one span under one view.
 
-    The outside view depends only on the bordering tokens, so any two
-    spans with the same outside triple get identical features.  The
-    inside view reads the covered tokens; inside_context additionally
-    exposes the bordering tokens to it (off by default: with seeds whose
-    positives all touch the sentence end, a next-token sentinel feature
-    separates the classes on its own and the model learns nothing about
-    the span content).
+    The inside view reads the covered tokens x_i .. x_j.  The outside
+    view reads only the bordering tokens x_{i-1} and x_{j+1}, with the
+    sentinels <s> and </s> at the sentence edges, so any two spans with
+    the same borders get identical features.  The concat view joins both.
     """
+    if span.j >= len(sentence):
+        raise ValueError(f"span {span} outside sentence {sentence.id}")
     if view == CONCAT:
-        feats = featurize(sentence, span, INSIDE, inside_context)
+        feats = featurize(sentence, span, INSIDE)
         feats.update(featurize(sentence, span, OUTSIDE))
         return feats
 
     feats: dict[str, float] = {}
     if view == OUTSIDE:
-        triple = OutsideTriple.from_span(sentence, span)
-        feats[f"left={triple.left}"] = 1.0
-        feats[f"right={triple.right}"] = 1.0
-        feats[f"lr={triple.left}|{triple.right}"] = 1.0
-        if triple.left == BOS:
+        left = sentence.tokens[span.i - 1] if span.i > 0 else BOS
+        right = sentence.tokens[span.j + 1] if span.j + 1 < len(sentence) else EOS
+        feats[f"left={left}"] = 1.0
+        feats[f"right={right}"] = 1.0
+        feats[f"lr={left}|{right}"] = 1.0
+        if left == BOS:
             feats["bos"] = 1.0
-        if triple.right == EOS:
+        if right == EOS:
             feats["eos"] = 1.0
         return feats
     if view != INSIDE:
         raise ValueError(f"unknown view {view!r}")
 
-    toks = InsideString.from_span(sentence, span).tokens
+    toks = sentence.tokens[span.i : span.j + 1]
     for tok in toks:
         key = f"u={tok}"
         feats[key] = feats.get(key, 0.0) + 1.0
@@ -131,10 +97,6 @@ def featurize(
     feats[f"last={toks[-1]}"] = 1.0
     feats[f"len={_length_bin(span.length)}"] = 1.0
     feats[f"pos={min(3, 4 * span.i // len(sentence))}"] = 1.0
-    if inside_context:
-        triple = OutsideTriple.from_span(sentence, span)
-        feats[f"prev={triple.left}"] = 1.0
-        feats[f"next={triple.right}"] = 1.0
     return feats
 
 
@@ -142,14 +104,11 @@ def featurize(
 class FeatureSpace:
     """Maps feature dicts to column indices.
 
-    Vocabulary mode (default) enumerates features seen while fitting and
-    drops unseen ones at transform time; hashing mode buckets every name
-    with crc32 into a fixed dimension and needs no fit.
+    Enumerates the features seen while fitting and drops unseen ones at
+    transform time.
     """
 
     view: str
-    inside_context: bool = False
-    hash_dim: int | None = None
     names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -157,20 +116,14 @@ class FeatureSpace:
 
     @property
     def dim(self) -> int:
-        return self.hash_dim if self.hash_dim is not None else len(self.names)
-
-    def _column(self, name: str) -> int | None:
-        if self.hash_dim is not None:
-            return zlib.crc32(name.encode("utf-8")) % self.hash_dim
-        return self._index.get(name)
+        return len(self.names)
 
     def fit(self, feature_dicts) -> "FeatureSpace":
-        if self.hash_dim is None:
-            for feats in feature_dicts:
-                for name in feats:
-                    if name not in self._index:
-                        self._index[name] = len(self.names)
-                        self.names.append(name)
+        for feats in feature_dicts:
+            for name in feats:
+                if name not in self._index:
+                    self._index[name] = len(self.names)
+                    self.names.append(name)
         return self
 
     def transform(self, feature_dicts) -> sparse.csr_matrix:
@@ -180,7 +133,7 @@ class FeatureSpace:
         for feats in feature_dicts:
             cols: dict[int, float] = {}
             for name, value in feats.items():
-                col = self._column(name)
+                col = self._index.get(name)
                 if col is not None:
                     cols[col] = cols.get(col, 0.0) + value
             for col in sorted(cols):
@@ -226,7 +179,6 @@ class SpanScorer:
 
           inside   U[j+1] - U[i] + B[j] - B[i] + w[first=x_i] + w[last=x_j]
                    + w[len=bin(j-i+1)] + w[pos=bucket(i)]
-                   (+ w[prev=L_i] + w[next=R_j] with inside_context)
           outside  w[left=L_i] + w[right=R_j] + w[lr=L_i|R_j]
                    + w[bos] [L_i = <s>] + w[eos] [R_j = </s>]
 
@@ -257,9 +209,6 @@ class SpanScorer:
             z += lookup([f"last={t}" for t in toks])[j]
             z += lookup([f"len={_length_bin(k)}" for k in range(1, n + 1)])[j - i]
             z += lookup([f"pos={min(3, 4 * k // n)}" for k in range(n)])[i]
-            if self.space.inside_context:
-                z += lookup([f"prev={t}" for t in before])[i]
-                z += lookup([f"next={t}" for t in after])[j]
         if self.view in (OUTSIDE, CONCAT):
             z += lookup([f"left={t}" for t in before])[i]
             z += lookup([f"right={t}" for t in after])[j]
@@ -272,25 +221,10 @@ class SpanScorer:
 
     def _lookup(self, names: list[str]) -> np.ndarray:
         """The weight of each named feature; 0 for names the space drops."""
-        cols = [self.space._column(name) for name in names]
+        cols = [self.space._index.get(name) for name in names]
         return np.array(
             [0.0 if col is None else self.weights[col] for col in cols], dtype=float
         )
-
-
-@dataclass
-class ConstantScorer:
-    """Test double / fusion identity: the same score for every span."""
-
-    value: float
-    view: str = OUTSIDE
-
-    def score_spans(self, sentence: Sentence, spans) -> np.ndarray:
-        return np.full(len(list(spans)), self.value)
-
-
-def score_span(model, sentence: Sentence, span: Span) -> float:
-    return float(model.score_spans(sentence, [span])[0])
 
 
 def _log_loss(probs: np.ndarray, y: np.ndarray) -> float:
@@ -303,8 +237,6 @@ def train(
     corpus,
     view: str,
     meta: TrainingMeta | None = None,
-    inside_context: bool = False,
-    hash_dim: int | None = None,
 ) -> SpanScorer:
     """Fit a logistic span classifier on labeled examples.
 
@@ -340,16 +272,14 @@ def train(
         y = np.empty(len(idx))
         for row, k in enumerate(idx):
             ex = examples[k]
-            dicts.append(
-                featurize(by_id[ex.sentence_id], ex.span, view, inside_context)
-            )
+            dicts.append(featurize(by_id[ex.sentence_id], ex.span, view))
             y[row] = float(ex.label)
         return dicts, y
 
     train_dicts, y_train = build(train_idx)
     val_dicts, y_val = build(val_idx)
 
-    space = FeatureSpace(view=view, inside_context=inside_context, hash_dim=hash_dim)
+    space = FeatureSpace(view=view)
     space.fit(train_dicts)
     x_train = space.transform(train_dicts)
     x_val = space.transform(val_dicts)
@@ -561,9 +491,11 @@ def save_model(model: SpanScorer, path) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "view": model.view,
+        # model format 1 has slots for two feature-space options; only
+        # their off values are supported
         "feature_space": {
-            "inside_context": model.space.inside_context,
-            "hash_dim": model.space.hash_dim,
+            "inside_context": False,
+            "hash_dim": None,
             "names": model.space.names,
         },
         "weights": [float(x) for x in model.weights],
@@ -613,24 +545,20 @@ def load_model(path) -> SpanScorer:
         raise bad(f"unknown view {view!r}")
     try:
         fs = payload["feature_space"]
-        space = FeatureSpace(
-            view=view,
-            inside_context=fs["inside_context"],
-            hash_dim=fs["hash_dim"],
-            names=list(fs["names"]),
-        )
+        retired = (fs["inside_context"], fs["hash_dim"])
+        space = FeatureSpace(view=view, names=list(fs["names"]))
         weights = np.asarray(payload["weights"], dtype=float)
         bias = float(payload["bias"])
         meta = TrainingMeta(**payload["meta"])
         val_metrics = dict(payload["val_metrics"])
     except (KeyError, TypeError, ValueError) as exc:
         raise bad(f"bad field: {exc!r}") from exc
-    if not isinstance(space.inside_context, bool):
-        raise bad(f"inside_context must be true or false, got {space.inside_context!r}")
-    if space.hash_dim is not None and (
-        type(space.hash_dim) is not int or space.hash_dim < 1
-    ):
-        raise bad(f"hash_dim must be a positive integer, got {space.hash_dim!r}")
+    # compared by identity, since 0 == False
+    if retired[0] is not False or retired[1] is not None:
+        raise bad(
+            f"unsupported feature space inside_context={retired[0]!r} "
+            f"hash_dim={retired[1]!r}"
+        )
     if weights.shape != (space.dim,):
         raise bad(f"{weights.size} weights for {space.dim} feature columns")
     if not (np.all(np.isfinite(weights)) and np.isfinite(bias)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,24 +81,6 @@ class SeedConfig:
         if self.num_slices is not None:
             return self.num_slices
         return 6 if self.branching == "right" else 4
-
-
-@dataclass(frozen=True)
-class ClassBalance:
-    constituents: int
-    distituents: int
-
-    @property
-    def ratio(self) -> float | None:
-        """Constituents per distituent; None when there are no distituents."""
-        if self.distituents == 0:
-            return None
-        return self.constituents / self.distituents
-
-
-def class_balance(examples) -> ClassBalance:
-    pos = sum(1 for ex in examples if ex.label == CONSTITUENT)
-    return ClassBalance(constituents=pos, distituents=len(examples) - pos)
 
 
 def most_common_first_word(corpus) -> str | None:
@@ -273,66 +255,3 @@ def read_seed_file(path) -> list[LabeledSpanExample]:
             except ValueError as exc:
                 raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     return out
-
-
-def tune_slice_count(corpus, cfg: SeedConfig, validation_seeds, evaluate=None) -> SeedConfig:
-    """Hill-climb num_slices against a labeled validation seed set.
-
-    Starting at cfg's slice count, step by +1 while the validation F1
-    strictly improves; if the first upward step does not improve, probe
-    downward instead.  Returns cfg with the best count found.
-    """
-    if evaluate is None:
-        evaluate = _default_slice_evaluator
-
-    start = cfg.slices
-    cache: dict[int, float] = {}
-
-    def f1_at(count: int) -> float:
-        if count not in cache:
-            cache[count] = evaluate(corpus, replace(cfg, num_slices=count), validation_seeds)
-        return cache[count]
-
-    best, best_f1 = start, f1_at(start)
-    for direction in (1, -1):
-        cur, cur_f1 = start, best_f1
-        moved = False
-        for _ in range(64):
-            nxt = cur + direction
-            if nxt < 1:
-                break
-            nxt_f1 = f1_at(nxt)
-            if nxt_f1 > cur_f1:
-                cur, cur_f1 = nxt, nxt_f1
-                moved = True
-            else:
-                break
-        if cur_f1 > best_f1:
-            best, best_f1 = cur, cur_f1
-        if moved:
-            break  # the climb found an uphill direction; do not probe the other
-    return replace(cfg, num_slices=best)
-
-
-def _default_slice_evaluator(corpus, cfg: SeedConfig, validation_seeds) -> float:
-    """Train an inside scorer on the candidate seeds, F1 on validation."""
-    from . import scorer  # local import, scorer depends on this module
-
-    corpus = list(corpus)
-    train_corpus = corpus + casing_copy_sentences(corpus, cfg)
-    examples = generate_seeds(corpus, cfg)
-    model = scorer.train(examples, train_corpus, view=INSIDE)
-    by_id = {sent.id: sent for sent in corpus}
-    tp = fp = fn = 0
-    for ex in validation_seeds:
-        prob = scorer.score_span(model, by_id[ex.sentence_id], ex.span)
-        pred = CONSTITUENT if prob >= 0.5 else DISTITUENT
-        if pred == CONSTITUENT and ex.label == CONSTITUENT:
-            tp += 1
-        elif pred == CONSTITUENT:
-            fp += 1
-        elif ex.label == CONSTITUENT:
-            fn += 1
-    if tp == 0:
-        return 0.0
-    return 2 * tp / (2 * tp + fp + fn)

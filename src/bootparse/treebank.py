@@ -7,7 +7,6 @@ transformation returns a new tree.
 
 from __future__ import annotations
 
-import string
 import warnings
 from dataclasses import dataclass
 
@@ -369,14 +368,6 @@ def binary_from_tree(tree: GoldTree) -> BinaryTree:
     return BinaryTree(sentence=tree.sentence, spans=frozenset(spans))
 
 
-def strip_trailing_punctuation(tokens: tuple[str, ...]) -> tuple[str, ...]:
-    """Drop sentence-final tokens made only of punctuation characters."""
-    out = list(tokens)
-    while out and all(ch in string.punctuation for ch in out[-1]):
-        out.pop()
-    return tuple(out)
-
-
 def _split_balanced(text: str):
     """Split concatenated bracketed trees on top-level balance points."""
     depth = 0
@@ -397,75 +388,57 @@ def _split_balanced(text: str):
         raise UnbalancedBrackets("unclosed '(' at end of input")
 
 
-def read_treebank(path, drop_traces: bool = True) -> list[GoldTree]:
+def read_treebank(path) -> list[GoldTree]:
     """Read a file of bracketed trees (trees may span multiple lines).
 
-    Traces are dropped here so yields match raw-text conventions; full
-    normalization (punctuation, unary chains) is a separate step.
+    Traces are dropped here so yields match raw-text conventions; a tree
+    of nothing but traces is skipped with a warning.  Full normalization
+    (punctuation, unary chains) is a separate step.  Ids are assigned
+    0..N-1 over the kept trees.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        return _parse_trees(fh.read(), path)
+
+
+def _parse_trees(text: str, path) -> list[GoldTree]:
     trees: list[GoldTree] = []
     for chunk in _split_balanced(text):
         tree = parse_bracketed(chunk, sentence_id=len(trees))
-        if drop_traces:
-            try:
-                tree = normalize(
-                    tree,
-                    punct_tags=frozenset(),
-                    drop_traces=True,
-                    collapse_unary=False,
-                )
-            except AllTokensRemoved:
-                warnings.warn(f"tree {len(trees)} in {path} is all traces; skipped")
-                continue
+        try:
+            tree = normalize(
+                tree,
+                punct_tags=frozenset(),
+                drop_traces=True,
+                collapse_unary=False,
+            )
+        except AllTokensRemoved:
+            warnings.warn(f"tree {len(trees)} in {path} is all traces; skipped")
+            continue
         trees.append(tree)
     if not trees:
         raise EmptyCorpus(str(path))
     return trees
 
 
-def read_corpus(
-    path,
-    strip_trailing_punct: bool = False,
-    drop_traces: bool = True,
-) -> list[Sentence]:
+def read_corpus(path) -> list[Sentence]:
     """Read sentences from plain text (one per line) or a treebank file.
 
-    Bracketed input is detected by a leading '('.  Ids are assigned
-    0..N-1 in file order.
+    Bracketed input is detected by a leading '(' and read as in
+    read_treebank, traces dropped; its sentences are the tree yields.
+    Ids are assigned 0..N-1 in file order.
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if not stripped:
         raise EmptyCorpus(str(path))
-    sentences: list[Sentence] = []
     if stripped[0] == "(":
-        for chunk in _split_balanced(text):
-            tree = parse_bracketed(chunk)
-            if drop_traces:
-                try:
-                    tree = normalize(
-                        tree,
-                        punct_tags=frozenset(),
-                        drop_traces=True,
-                        collapse_unary=False,
-                    )
-                except AllTokensRemoved:
-                    continue
-            tokens = tree.sentence.tokens
-            if strip_trailing_punct:
-                tokens = strip_trailing_punctuation(tokens)
-            if tokens:
-                sentences.append(Sentence(id=len(sentences), tokens=tokens))
-    else:
-        for line in text.splitlines():
-            tokens = tuple(line.split())
-            if strip_trailing_punct:
-                tokens = strip_trailing_punctuation(tokens)
-            if tokens:
-                sentences.append(Sentence(id=len(sentences), tokens=tokens))
+        return [tree.sentence for tree in _parse_trees(text, path)]
+    sentences: list[Sentence] = []
+    for line in text.splitlines():
+        tokens = tuple(line.split())
+        if tokens:
+            sentences.append(Sentence(id=len(sentences), tokens=tokens))
     if not sentences:
         raise EmptyCorpus(str(path))
     return sentences

@@ -324,6 +324,12 @@ def _break_model(payload: dict, case: str):
         payload["view"] = "sideways"
     elif case == "bad_hash_dim":
         payload["feature_space"]["hash_dim"] = 0
+    elif case == "hash_dim_16":
+        payload["feature_space"]["hash_dim"] = 16
+    elif case == "inside_context_true":
+        payload["feature_space"]["inside_context"] = True
+    elif case == "inside_context_zero":
+        payload["feature_space"]["inside_context"] = 0
     elif case == "nan_weight":
         payload["weights"][0] = float("nan")
     return json.dumps(payload)
@@ -332,7 +338,8 @@ def _break_model(payload: dict, case: str):
 @pytest.mark.parametrize(
     "case",
     ["not_json", "truncated_weights", "extra_weights", "format_version",
-     "missing_key", "unknown_view", "bad_hash_dim", "nan_weight"],
+     "missing_key", "unknown_view", "bad_hash_dim", "nan_weight",
+     "hash_dim_16", "inside_context_true", "inside_context_zero"],
 )
 def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
     root, _ = pipeline
@@ -373,3 +380,67 @@ def test_eval_bad_prediction_is_exit_2(pipeline, tmp_path, capsys, bad_tree):
     pred.write_text("(X (X a) (X b))\n" + bad_tree + "\n")
     assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 2
     assert f"{pred}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_line", ["0\t0\t9\tdistituent\tinside", "77\t0\t1\tconstituent\tinside"]
+)
+def test_train_seed_outside_corpus_is_exit_2(tmp_path, capsys, bad_line):
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path)
+    seeds = tmp_path / "bad_seeds.tsv"
+    seeds.write_text("0\t0\t4\tconstituent\tinside\n" + bad_line + "\n")
+    assert main(["train", "--config", str(cfg), "--seeds", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    sid, i, j = bad_line.split("\t")[:3]
+    assert str(seeds) in err and f"({i}, {j})" in err and f"sentence {sid}" in err
+
+
+def test_casing_carriers_reach_every_stage(tmp_path, capsys):
+    # "The" opens most sentences and two capitalized runs, so bootstrap
+    # writes examples on two carrier sentences after the corpus
+    (tmp_path / "corpus.txt").write_text(
+        "The New York Times reported it\nThe Big Apple is a city\n"
+        "the cat sat down\nThe man ran home quickly\n"
+    )
+    cfg = write_config(
+        tmp_path,
+        seeds={"casing_augmentation": True},
+        self_train={"K": 1, "c": 2, "d": 4, "tau_min": 0.4, "tau_max": 0.6,
+                    "accumulate": True},
+        co_train={"K": 1, "c": 2, "d": 4, "tau_min": 0.4, "tau_max": 0.6},
+    )
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    seeds = (tmp_path / "models" / "seeds.tsv").read_text()
+    assert "4\t0\t3\tconstituent\tinside" in seeds
+    for stage in ("train", "selftrain", "cotrain"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    for stage in ("seed", "self", "co"):
+        assert main([
+            "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+            "--out", str(tmp_path / f"pred_{stage}.txt"), "--stage", stage,
+        ]) == 0, stage
+    capsys.readouterr()
+
+
+def test_parse_resolves_config_stats_like_train(tmp_path):
+    (tmp_path / "corpus.txt").write_text(
+        "the of cat sat\nthe dog ran home\nthe of dog ran\nthe cat is here now\n"
+    )
+    cfg = write_config(
+        tmp_path, heuristics={"enabled": True, "common_start_word": "the"}
+    )
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    preds = []
+    for name in ("with_file.txt", "without_file.txt"):
+        out = tmp_path / name
+        assert main([
+            "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+            "--out", str(out), "--stage", "seed",
+        ]) == 0
+        preds.append(out.read_text())
+        (tmp_path / "models" / "heuristics.json").unlink(missing_ok=True)
+    # "of" is a bundled stopword, so the start-word rule leaves it alone
+    assert preds[0].splitlines()[0] == "(X the (X of (X cat sat)))"
+    assert preds[1] == preds[0]

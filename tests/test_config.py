@@ -145,3 +145,11 @@ def test_heuristic_lists_become_frozensets():
 def test_synthetic_profile_distinct_seeds_differ():
     assert synthetic_profile(0) != synthetic_profile(1)
     assert synthetic_profile(1).training.rng_seed == 1
+
+
+def test_loop_key_spellings_override_defaults():
+    cfg = config_from_dict({"self_train": {"accumulate_self_train": True, "k": 3}})
+    assert cfg.self_train.accumulate_self_train is True
+    assert cfg.self_train.K == 3
+    assert cfg.self_train.d == 5000  # the rest keeps the recipe default
+    assert cfg.co_train == PipelineConfig().co_train

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,10 +22,7 @@ from bootparse.scorer import (
     CONCAT,
     EOS,
     PROB_EPS,
-    ConstantScorer,
     FeatureSpace,
-    InsideString,
-    OutsideTriple,
     SpanScorer,
     Thresholds,
     TrainingMeta,
@@ -33,7 +31,6 @@ from bootparse.scorer import (
     load_model,
     save_model,
     score_chart,
-    score_span,
     select_confident,
     train,
 )
@@ -45,13 +42,36 @@ def sent(sid, text):
     return Sentence(id=sid, tokens=tuple(text.split()))
 
 
+@dataclass
+class ConstantScorer:
+    """Test double / fusion identity: the same score for every span."""
+
+    value: float
+    view: str = OUTSIDE
+
+    def score_spans(self, sentence, spans):
+        return np.full(len(list(spans)), self.value)
+
+
+def score_span(model, sentence, span):
+    return float(model.score_spans(sentence, [span])[0])
+
+
 def test_inside_string_and_outside_triple():
     s = sent(0, "a b c d")
-    assert InsideString.from_span(s, Span(1, 2)).tokens == ("b", "c")
-    triple = OutsideTriple.from_span(s, Span(1, 2))
-    assert (triple.left, triple.right) == ("a", "d")
-    edge = OutsideTriple.from_span(s, Span(0, 3))
-    assert (edge.left, edge.right) == (BOS, EOS)
+    inside = featurize(s, Span(1, 2), INSIDE)
+    assert {k for k in inside if k.startswith("u=")} == {"u=b", "u=c"}
+    assert (inside["first=b"], inside["last=c"]) == (1.0, 1.0)
+    assert featurize(s, Span(1, 2), OUTSIDE) == {
+        "left=a": 1.0, "right=d": 1.0, "lr=a|d": 1.0,
+    }
+    assert featurize(s, Span(0, 3), OUTSIDE) == {
+        f"left={BOS}": 1.0, f"right={EOS}": 1.0, f"lr={BOS}|{EOS}": 1.0,
+        "bos": 1.0, "eos": 1.0,
+    }
+    for view in (INSIDE, OUTSIDE, CONCAT):
+        with pytest.raises(ValueError):
+            featurize(s, Span(2, 4), view)
 
 
 def test_inside_features_one_token_span():
@@ -92,18 +112,13 @@ def test_concat_features_union():
     assert "u=a" in feats and "left=<s>" in feats
 
 
-def test_feature_space_vocab_and_hashing():
+def test_feature_space_vocab():
     dicts = [{"u=a": 1.0, "len=2": 1.0}, {"u=b": 2.0}]
     space = FeatureSpace(view=INSIDE).fit(dicts)
     assert space.dim == 3
     m = space.transform([{"u=b": 2.0, "unseen": 5.0}])
     assert m.shape == (1, 3)
     assert m.toarray()[0].tolist() == [0.0, 0.0, 2.0]
-
-    hashed = FeatureSpace(view=INSIDE, hash_dim=16)
-    mh = hashed.transform(dicts)
-    assert mh.shape == (2, 16)
-    assert mh.sum() == 4.0
 
 
 def make_toy_examples(n_each=40):
@@ -330,10 +345,7 @@ PARITY_VOCAB = ["a", "b", "c", "a|b", "b|c", "|", "=", "x=y", BOS, EOS]
 
 def reference_scores(model, sentence, spans):
     """The per-span path: featurize -> sparse row -> dot product."""
-    feats = [
-        featurize(sentence, sp, model.view, model.space.inside_context)
-        for sp in spans
-    ]
+    feats = [featurize(sentence, sp, model.view) for sp in spans]
     z = model.space.transform(feats) @ model.weights + model.bias
     return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
 
@@ -342,14 +354,14 @@ def random_tokens(rng, vocab, n):
     return tuple(vocab[k] for k in rng.integers(0, len(vocab), n))
 
 
-def random_model(view, inside_context=False, hash_dim=None, seed=0):
+def random_model(view, seed=0):
     """Random weights over the features of a small random corpus."""
     rng = np.random.default_rng(seed)
-    space = FeatureSpace(view=view, inside_context=inside_context, hash_dim=hash_dim)
+    space = FeatureSpace(view=view)
     for k in range(30):
         s = Sentence(id=k, tokens=random_tokens(rng, PARITY_VOCAB, rng.integers(1, 13)))
         space.fit(
-            featurize(s, Span(i, j), view, inside_context)
+            featurize(s, Span(i, j), view)
             for i in range(len(s))
             for j in range(i, len(s))
         )
@@ -372,10 +384,8 @@ def parity_sentences():
 
 
 @pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
-@pytest.mark.parametrize("inside_context", [False, True])
-@pytest.mark.parametrize("hash_dim", [None, 16])
-def test_score_spans_matches_feature_path(view, inside_context, hash_dim):
-    model = random_model(view, inside_context, hash_dim)
+def test_score_spans_matches_feature_path(view):
+    model = random_model(view)
     for s in parity_sentences():
         n = len(s)
         spans = [Span(i, j) for i in range(n) for j in range(i, n)]

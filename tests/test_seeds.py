@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,16 +7,13 @@ from bootparse.seeds import (
     CONSTITUENT,
     DISTITUENT,
     INSIDE,
-    ClassBalance,
     LabeledSpanExample,
     SeedConfig,
     cased_runs,
     casing_copy_sentences,
-    class_balance,
     generate_seeds,
     most_common_first_word,
     read_seed_file,
-    tune_slice_count,
     write_seed_file,
 )
 from bootparse.treebank import Sentence, Span
@@ -146,14 +142,6 @@ def test_random_slices_stay_proper():
     assert other != generate_seeds(corpus, cfg)
 
 
-def test_class_balance():
-    corpus = [sent(0, "t0 t1 t2 t3 t4 t5 t6 t7 t8 t9")]
-    balance = class_balance(generate_seeds(corpus, SeedConfig()))
-    assert balance == ClassBalance(constituents=1, distituents=6)
-    assert balance.ratio == pytest.approx(1 / 6)
-    assert ClassBalance(constituents=3, distituents=0).ratio is None
-
-
 def test_seed_file_round_trip(tmp_path):
     corpus = [sent(0, "a b c d"), sent(1, "e f g")]
     examples = generate_seeds(corpus, SeedConfig())
@@ -162,40 +150,6 @@ def test_seed_file_round_trip(tmp_path):
     assert read_seed_file(path) == examples
     first = path.read_text().splitlines()[0]
     assert first == "0\t0\t3\tconstituent\tinside"
-
-
-def test_tune_slice_count_hill_climb():
-    table = {4: 0.80, 5: 0.85, 6: 0.91, 7: 0.88}
-
-    def fake_eval(corpus, cfg, validation):
-        return table[cfg.slices]
-
-    out = tune_slice_count([], SeedConfig(num_slices=5), [], evaluate=fake_eval)
-    assert out.num_slices == 6
-
-
-def test_tune_slice_count_flat_stays_put():
-    out = tune_slice_count(
-        [], SeedConfig(num_slices=5), [], evaluate=lambda c, cfg, v: 0.5
-    )
-    assert out.num_slices == 5
-
-
-def test_tune_slice_count_monotone_decreasing():
-    # strictly worse in both directions away from the start
-    def decreasing(corpus, cfg, validation):
-        return 1.0 - abs(cfg.slices - 5)
-
-    out = tune_slice_count([], SeedConfig(num_slices=5), [], evaluate=decreasing)
-    assert out.num_slices == 5
-
-
-def test_tune_slice_count_probes_downward():
-    table = {2: 0.5, 3: 0.9, 4: 0.8, 5: 0.7, 6: 0.6}
-    out = tune_slice_count(
-        [], SeedConfig(num_slices=5), [], evaluate=lambda c, cfg, v: table[cfg.slices]
-    )
-    assert out.num_slices == 3
 
 
 @settings(max_examples=50, deadline=None)

@@ -24,7 +24,6 @@ from bootparse.treebank import (
     read_corpus,
     read_treebank,
     serialize,
-    strip_trailing_punctuation,
 )
 
 DOG = "(S (NP (DT the) (NN dog)) (VP (VBD ran)))"
@@ -159,19 +158,12 @@ def test_binary_round_trip_through_text():
     assert back.spans == tree.spans
 
 
-def test_strip_trailing_punctuation():
-    assert strip_trailing_punctuation(("hello", "world", ".")) == ("hello", "world")
-    assert strip_trailing_punctuation(("hi", "!", "''")) == ("hi",)
-    assert strip_trailing_punctuation(("a", ".", "b")) == ("a", ".", "b")
-    assert strip_trailing_punctuation((".", "!")) == ()
-
-
 def test_read_corpus_plain(tmp_path):
     p = tmp_path / "corpus.txt"
     p.write_text("the dog ran .\n\nanother sentence here\n")
-    sents = read_corpus(p, strip_trailing_punct=True)
+    sents = read_corpus(p)
     assert [s.tokens for s in sents] == [
-        ("the", "dog", "ran"),
+        ("the", "dog", "ran", "."),
         ("another", "sentence", "here"),
     ]
     assert [s.id for s in sents] == [0, 1]
