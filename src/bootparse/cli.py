@@ -214,14 +214,29 @@ def _heuristics_to_file(h: HeuristicConfig, path: Path) -> None:
 
 
 def _heuristics_from_file(path: Path) -> HeuristicConfig:
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    return HeuristicConfig(
-        enabled=raw["enabled"],
-        comma_successor_word=raw["comma_successor_word"],
-        common_start_word=raw["common_start_word"],
-        top_frequency_set=frozenset(raw["top_frequency_set"]),
-        stopword_set=frozenset(raw["stopword_set"]),
-    )
+    """Read a file written by _heuristics_to_file; MalformedFile names it."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise TypeError("not a JSON object")
+        words = {k: raw[k] for k in ("comma_successor_word", "common_start_word")}
+        sets = {k: raw[k] for k in ("top_frequency_set", "stopword_set")}
+        if not (
+            isinstance(raw["enabled"], bool)
+            and all(w is None or isinstance(w, str) for w in words.values())
+            and all(
+                isinstance(s, list) and all(isinstance(w, str) for w in s)
+                for s in sets.values()
+            )
+        ):
+            raise TypeError("a field has the wrong type")
+        return HeuristicConfig(
+            enabled=raw["enabled"],
+            **words,
+            **{k: frozenset(s) for k, s in sets.items()},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"heuristics file {path}: {exc!r}") from exc
 
 
 def _training_inputs(args):

@@ -252,6 +252,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for section in _SECTIONS:
+        scalar = section in ("rng_seed", "renormalize")
+        if not scalar and not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"config section {section} must be an object")
     rng_seed = raw.get("rng_seed", 0)
     if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
         raise ConfigError(f"rng_seed must be an integer, got {rng_seed!r}")

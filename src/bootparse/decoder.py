@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import TooLarge
-from .treebank import BinaryTree, Sentence, Span
+from .treebank import BinaryTree, Sentence, Span, token_runs
 
 # enumerate_trees(13) would yield 208012 trees; stop before that.
 MAX_ENUMERATION = 12
@@ -157,27 +157,14 @@ class HeuristicConfig:
             raise ValueError("top_frequency_set is capped at 100 tokens")
 
 
-def _is_cased_run_token(token: str) -> bool:
-    # title-case or upper-case shape: leading uppercase letter
-    return token[:1].isupper()
-
-
 def rare_cased_runs(sentence: Sentence, top_frequency_set) -> list[Span]:
     """Maximal runs (length >= 2) of capitalized tokens outside the
-    frequency list."""
-    runs = []
-    start = None
-    for pos, tok in enumerate(sentence.tokens):
-        if _is_cased_run_token(tok) and tok not in top_frequency_set:
-            if start is None:
-                start = pos
-        else:
-            if start is not None and pos - start >= 2:
-                runs.append(Span(start, pos - 1))
-            start = None
-    if start is not None and len(sentence) - start >= 2:
-        runs.append(Span(start, len(sentence) - 1))
-    return runs
+    frequency list.  Unlike the seeds' ASCII pattern, any Unicode capital
+    opens a run."""
+    return token_runs(
+        sentence.tokens,
+        lambda tok: tok[:1].isupper() and tok not in top_frequency_set,
+    )
 
 
 def load_stopwords() -> frozenset[str]:

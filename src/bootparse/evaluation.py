@@ -90,19 +90,18 @@ class EvalReport:
 
 def _pred_spans(pred: BinaryTree, cfg: EvalConfig) -> Counter:
     n = len(pred.sentence)
-    spans = [sp for sp in sorted(pred.spans) if sp.length >= 2]
+    spans = [sp for sp in pred.spans if sp.length >= 2]
     if cfg.exclude_trivial:
         spans = [sp for sp in spans if sp.length < n]
     return Counter(spans)
 
 
-def _gold_span_counts(gold: GoldTree, cfg: EvalConfig) -> Counter:
-    n = len(gold.sentence)
-    occurrences = [sp for _, sp in labeled_spans(gold) if sp.length >= 2]
+def _gold_span_counts(labeled, n: int, cfg: EvalConfig) -> Counter:
+    occurrences = [sp for _, sp in labeled if sp.length >= 2]
     if cfg.exclude_trivial:
         occurrences = [sp for sp in occurrences if sp.length < n]
     if cfg.dedup_spans:
-        occurrences = sorted(set(occurrences))
+        occurrences = set(occurrences)
     return Counter(occurrences)
 
 
@@ -117,42 +116,26 @@ def _prf(matched: int, pred_total: int, gold_total: int) -> tuple[float, float, 
 
 
 def _sentence_counts(
-    pred: BinaryTree, gold: GoldTree, cfg: EvalConfig
+    pred: BinaryTree, gold: GoldTree, labeled, cfg: EvalConfig
 ) -> tuple[int, int, int]:
+    """Matched, predicted and gold span counts; labeled is labeled_spans(gold)."""
     if pred.sentence.tokens != gold.sentence.tokens:
         raise YieldMismatch(
             f"prediction tokens {pred.sentence.tokens} differ from gold "
             f"{gold.sentence.tokens}"
         )
     pred_counts = _pred_spans(pred, cfg)
-    gold_counts = _gold_span_counts(gold, cfg)
+    gold_counts = _gold_span_counts(labeled, len(gold.sentence), cfg)
     matched = sum((pred_counts & gold_counts).values())
     return matched, sum(pred_counts.values()), sum(gold_counts.values())
 
 
 def sentence_f1(pred: BinaryTree, gold: GoldTree, cfg: EvalConfig) -> float:
     """Unlabeled span F1 for one sentence; 1.0 when both sets are empty."""
-    matched, pred_total, gold_total = _sentence_counts(pred, gold, cfg)
+    matched, pred_total, gold_total = _sentence_counts(
+        pred, gold, labeled_spans(gold), cfg
+    )
     return _prf(matched, pred_total, gold_total)[2]
-
-
-def label_recall(preds, golds, labels=None) -> dict[str, float]:
-    """Fraction of gold spans per label that the predictions recover.
-
-    Counts phrasal gold spans of length >= 2 (whole-sentence spans
-    included); a label absent from the gold side is omitted.
-    """
-    found: dict[str, int] = defaultdict(int)
-    total: dict[str, int] = defaultdict(int)
-    for pred, gold in zip(preds, golds):
-        pred_set = {sp for sp in pred.spans if sp.length >= 2}
-        for label, sp in labeled_spans(gold):
-            if sp.length < 2 or (labels is not None and label not in labels):
-                continue
-            total[label] += 1
-            if sp in pred_set:
-                found[label] += 1
-    return {label: found[label] / total[label] for label in sorted(total)}
 
 
 def _bucket_key(length: int, width: int) -> str:
@@ -178,8 +161,13 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
     per_sentence = []
     pooled = np.zeros(3, dtype=int)
     cutoff_pooled = np.zeros(3, dtype=int)
+    # per-label recall counts phrasal gold spans of length >= 2, whole
+    # sentences included
+    label_found = Counter()
+    label_total = Counter()
     for index, (pred, gold) in enumerate(pairs):
-        counts = _sentence_counts(pred, gold, cfg)
+        labeled = labeled_spans(gold)
+        counts = _sentence_counts(pred, gold, labeled, cfg)
         precision, recall, f1 = _prf(*counts)
         per_sentence.append(
             {
@@ -193,6 +181,11 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
         pooled += counts
         if len(gold.sentence) <= CUTOFF_LEN:
             cutoff_pooled += counts
+        for label, sp in labeled:
+            if sp.length >= 2:
+                label_total[label] += 1
+                if sp in pred.spans:
+                    label_found[label] += 1
 
     if cfg.mode == MACRO_SENTENCE:
         precision = statistics.fmean(row["precision"] for row in per_sentence)
@@ -228,9 +221,10 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
         precision=precision,
         recall=recall,
         per_sentence=tuple(per_sentence),
-        per_label_recall=label_recall(
-            [p for p, _ in pairs], [g for _, g in pairs]
-        ),
+        per_label_recall={
+            label: label_found[label] / label_total[label]
+            for label in sorted(label_total)
+        },
         length_buckets=length_buckets,
         cutoff_section=cutoff_section,
     )
@@ -248,7 +242,8 @@ def left_branching_spans(n: int) -> frozenset[Span]:
     return frozenset(Span(0, j) for j in range(1, n))
 
 
-def balanced_spans(n: int) -> frozenset[Span]:
+def _split_spans(n: int, pick) -> frozenset[Span]:
+    """The binary tree that splits each span (i, j) after token pick(i, j)."""
     if n == 1:
         return frozenset({Span(0, 0)})
     spans: set[Span] = set()
@@ -257,29 +252,20 @@ def balanced_spans(n: int) -> frozenset[Span]:
         if i == j:
             return
         spans.add(Span(i, j))
-        mid = (i + j) // 2
-        split(i, mid)
-        split(mid + 1, j)
-
-    split(0, n - 1)
-    return frozenset(spans)
-
-
-def random_spans(n: int, rng) -> frozenset[Span]:
-    if n == 1:
-        return frozenset({Span(0, 0)})
-    spans: set[Span] = set()
-
-    def split(i: int, j: int):
-        if i == j:
-            return
-        spans.add(Span(i, j))
-        k = int(rng.integers(i, j))
+        k = pick(i, j)
         split(i, k)
         split(k + 1, j)
 
     split(0, n - 1)
     return frozenset(spans)
+
+
+def balanced_spans(n: int) -> frozenset[Span]:
+    return _split_spans(n, lambda i, j: (i + j) // 2)
+
+
+def random_spans(n: int, rng) -> frozenset[Span]:
+    return _split_spans(n, lambda i, j: int(rng.integers(i, j)))
 
 
 def trivial_baselines(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, MalformedFile
-from .treebank import Sentence, Span
+from .treebank import Sentence, Span, token_runs
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -93,34 +93,7 @@ def most_common_first_word(corpus) -> str | None:
 
 def cased_runs(sentence: Sentence) -> list[Span]:
     """Maximal runs (length >= 2) of capitalized tokens."""
-    runs = []
-    start = None
-    for pos, tok in enumerate(sentence.tokens):
-        if _CASED_TOKEN.fullmatch(tok):
-            if start is None:
-                start = pos
-        else:
-            if start is not None and pos - start >= 2:
-                runs.append(Span(start, pos - 1))
-            start = None
-    if start is not None and len(sentence) - start >= 2:
-        runs.append(Span(start, len(sentence) - 1))
-    return runs
-
-
-def _star_fragments(sentence: Sentence, min_len: int) -> list[Span]:
-    frags = []
-    start = None
-    for pos, tok in enumerate(sentence.tokens):
-        if tok == "*":
-            if start is not None and pos - start >= min_len:
-                frags.append(Span(start, pos - 1))
-            start = None
-        elif start is None:
-            start = pos
-    if start is not None and len(sentence) - start >= min_len:
-        frags.append(Span(start, len(sentence) - 1))
-    return frags
+    return token_runs(sentence.tokens, _CASED_TOKEN.fullmatch)
 
 
 def casing_copy_sentences(corpus, cfg: SeedConfig) -> list[Sentence]:
@@ -203,7 +176,8 @@ def generate_seeds(corpus, cfg: SeedConfig) -> list[LabeledSpanExample]:
         for span in _slice_distituents(sent, cfg):
             emit(sent.id, span, DISTITUENT)
         if cfg.star_split:
-            for span in _star_fragments(sent, cfg.min_span_len):
+            stars = token_runs(sent.tokens, lambda tok: tok != "*", cfg.min_span_len)
+            for span in stars:
                 emit(sent.id, span, CONSTITUENT)
         if cfg.casing_augmentation:
             for run in cased_runs(sent):

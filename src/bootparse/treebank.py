@@ -8,6 +8,7 @@ transformation returns a new tree.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -204,7 +205,6 @@ def serialize(tree: GoldTree) -> str:
 def normalize(
     tree: GoldTree,
     punct_tags: frozenset[str] = PUNCT_TAGS,
-    drop_traces: bool = True,
     collapse_unary: bool = True,
 ) -> GoldTree:
     """Strip punctuation / traces, collapse unary chains, re-number tokens.
@@ -223,7 +223,7 @@ def normalize(
             return node
         if node.is_preterminal:
             tag = node.label
-            if tag in punct_tags or (drop_traces and tag == TRACE_TAG):
+            if tag in punct_tags or tag == TRACE_TAG:
                 return None
             return node
         new_children = [c for c in (prune(child) for child in node.children) if c]
@@ -262,16 +262,14 @@ def normalize(
     return GoldTree(sentence=sent, root=rebuild(root))
 
 
-def labeled_spans(
-    tree: GoldTree, include_preterminals: bool = False
-) -> list[tuple[str, Span]]:
-    """(label, span) for internal nodes, in pre-order, duplicates kept."""
+def labeled_spans(tree: GoldTree) -> list[tuple[str, Span]]:
+    """(label, span) for phrasal nodes, in pre-order, duplicates kept."""
     order: list[tuple[str, Span] | None] = []
 
     def walk(node: TreeNode) -> Span:
         if node.is_leaf:
             return Span(node.index, node.index)
-        emit = include_preterminals or not node.is_preterminal
+        emit = not node.is_preterminal
         slot = len(order)
         if emit:
             order.append(None)  # reserve the pre-order position
@@ -285,17 +283,18 @@ def labeled_spans(
     return order
 
 
-def gold_spans(tree: GoldTree, exclude_trivial: bool = True) -> set[Span]:
-    """Spans of internal (phrasal) nodes.
-
-    With exclude_trivial, single-token spans and the whole-sentence span
-    are removed; those carry no signal for unlabeled bracketing scores.
-    """
-    n = len(tree.sentence)
-    spans = {sp for _, sp in labeled_spans(tree)}
-    if exclude_trivial:
-        spans = {sp for sp in spans if 1 < sp.length < n}
-    return spans
+def token_runs(tokens, keep, min_len: int = 2) -> list[Span]:
+    """Maximal runs of at least min_len consecutive tokens that keep accepts."""
+    runs = []
+    start = 0
+    for pos, tok in enumerate(tokens):
+        if not keep(tok):
+            if pos - start >= min_len:
+                runs.append(Span(start, pos - 1))
+            start = pos + 1
+    if len(tokens) - start >= min_len:
+        runs.append(Span(start, len(tokens) - 1))
+    return runs
 
 
 @dataclass(frozen=True)
@@ -326,36 +325,25 @@ class BinaryTree:
             raise ValueError(
                 f"expected {n - 1} spans for {n} tokens, got {sorted(self.spans)}"
             )
-        for sp in self.spans:
+        # n-1 nested spans of length >= 2 under the whole-sentence span
+        # form a tree in which every node has two children
+        enclosing = [Span(0, n - 1)]
+        for sp in sorted(self.spans, key=lambda s: (s.i, -s.j)):
             if sp.j >= n:
                 raise ValueError(f"span {sp} exceeds sentence length {n}")
-            if self.split_point(sp) is None:
-                raise ValueError(f"span {sp} has no unique split point")
-
-    def split_point(self, sp: Span) -> int | None:
-        """The unique k such that (i, k) and (k+1, j) are constituents."""
-        found = None
-        for k in range(sp.i, sp.j):
-            left_ok = k == sp.i or Span(sp.i, k) in self.spans
-            right_ok = k + 1 == sp.j or Span(k + 1, sp.j) in self.spans
-            if left_ok and right_ok:
-                if found is not None:
-                    return None
-                found = k
-        return found
+            while enclosing[-1].j < sp.i:
+                enclosing.pop()
+            if sp.j > enclosing[-1].j:
+                raise ValueError(f"span {sp} crosses {enclosing[-1]}")
+            enclosing.append(sp)
 
     def to_bracketed(self, label: str = "X") -> str:
-        toks = self.sentence.tokens
-
-        def render(i: int, j: int) -> str:
-            if i == j:
-                return toks[i]
-            k = self.split_point(Span(i, j))
-            return f"({label} {render(i, k)} {render(k + 1, j)})"
-
-        if len(toks) == 1:
-            return f"({label} {toks[0]})"
-        return render(0, len(toks) - 1)
+        opens = Counter(sp.i for sp in self.spans)
+        closes = Counter(sp.j for sp in self.spans)
+        return " ".join(
+            f"({label} " * opens[k] + tok + ")" * closes[k]
+            for k, tok in enumerate(self.sentence.tokens)
+        )
 
 
 def binary_from_tree(tree: GoldTree) -> BinaryTree:
@@ -408,7 +396,6 @@ def _parse_trees(text: str, path) -> list[GoldTree]:
             tree = normalize(
                 tree,
                 punct_tags=frozenset(),
-                drop_traces=True,
                 collapse_unary=False,
             )
         except AllTokensRemoved:

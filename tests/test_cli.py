@@ -111,6 +111,18 @@ def test_unknown_config_section_is_exit_1(tmp_path):
     assert main(["bootstrap", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize(
+    "section",
+    ["self_train", "co_train", "seeds", "paths", "training", "heuristics",
+     "eval", "scorer"],
+)
+def test_non_object_config_section_is_exit_1(tmp_path, capsys, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: 5}))
+    assert main(["bootstrap", "--config", str(cfg)]) == 1
+    assert f"config section {section} must be an object" in capsys.readouterr().err
+
+
 def test_bad_loop_value_is_exit_1(tmp_path):
     write_tiny_corpus(tmp_path)
     cfg = write_config(tmp_path, self_train={"K": 0})
@@ -356,6 +368,48 @@ def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
         "--out", str(tmp_path / "out.txt"),
     ]) == 2
     assert "co_in.json" in capsys.readouterr().err
+
+
+def _break_heuristics(case: str) -> str:
+    """A broken heuristics.json, built from a valid one."""
+    payload = {
+        "enabled": True,
+        "comma_successor_word": None,
+        "common_start_word": "the",
+        "top_frequency_set": ["the", "dog"],
+        "stopword_set": ["of"],
+    }
+    if case == "not_json":
+        return "nope"
+    if case == "not_object":
+        return "[1, 2]"
+    if case == "missing_key":
+        payload = {"enabled": True}
+    elif case == "wrong_type":
+        payload["top_frequency_set"] = 5
+    elif case == "too_many_words":
+        payload["top_frequency_set"] = [f"w{k}" for k in range(101)]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["not_json", "not_object", "missing_key", "wrong_type", "too_many_words"],
+)
+def test_parse_bad_heuristics_file_is_exit_2(pipeline, tmp_path, capsys, case):
+    root, _ = pipeline
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("co_in.json", "co_out.json"):
+        (models / name).write_bytes((root / "models" / name).read_bytes())
+    (models / "heuristics.json").write_text(_break_heuristics(case))
+    cfg = write_config(tmp_path, heuristics={"enabled": True})
+    (tmp_path / "in.txt").write_text("the dog sees a cat\n")
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
+        "--out", str(tmp_path / "out.txt"),
+    ]) == 2
+    assert "heuristics.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

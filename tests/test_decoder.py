@@ -140,6 +140,9 @@ def test_rare_cased_run_spans():
         id=0, tokens=("the", "Shearson", "Lehman", "Hutton", "Inc.", "fell")
     )
     assert rare_cased_runs(sent, frozenset({"the"})) == [Span(1, 4)]
+    # any Unicode capital opens a run, unlike the seeds' cased_runs
+    umlaut = Sentence(id=1, tokens=("Über", "Alles", "here"))
+    assert rare_cased_runs(umlaut, frozenset()) == [Span(0, 1)]
 
 
 def test_heuristic_rare_run_zeroes_proper_subspans():

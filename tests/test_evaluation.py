@@ -20,7 +20,6 @@ from bootparse.evaluation import (
     EvalReport,
     balanced_spans,
     corpus_eval,
-    label_recall,
     left_branching_spans,
     oracle_binary,
     oracle_tree,
@@ -236,12 +235,10 @@ def test_label_recall_hand_cases():
         binary("(S (X a b) (Y c (Z d e)))"),  # both NP spans present
         binary("(S q (W w (V e r)))"),  # misses SBAR, catches NP
     ]
-    recall = label_recall(preds, golds)
-    assert recall["NP"] == 1.0
-    assert recall["SBAR"] == 0.0
-    assert recall["S"] == 1.0  # whole-sentence spans always in pred
-    only = label_recall(preds, golds, labels={"NP"})
-    assert set(only) == {"NP"}
+    recall = corpus_eval(preds, golds).per_label_recall
+    # whole-sentence spans always in pred; labels come sorted
+    assert recall == {"NP": 1.0, "S": 1.0, "SBAR": 0.0, "VP": 1.0}
+    assert list(recall) == ["NP", "S", "SBAR", "VP"]
 
 
 def test_baseline_span_builders():

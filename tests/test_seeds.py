@@ -70,6 +70,12 @@ def test_star_split_fragments():
     assert Span(7, 7) not in const
     no_star = generate_seeds(corpus, SeedConfig(star_split=False))
     assert Span(3, 5) not in spans_by_label(no_star)[0]
+    # fragments shorter than min_span_len are skipped too
+    corpus = [sent(0, "* a b c * * d e * f g h i")]
+    cfg = SeedConfig(star_split=True, min_span_len=3, num_slices=1)
+    const, dist = spans_by_label(generate_seeds(corpus, cfg))
+    assert const == {Span(0, 12), Span(1, 3), Span(9, 12)}
+    assert dist == {Span(0, 11)}
 
 
 def test_cased_runs():
@@ -79,6 +85,8 @@ def test_cased_runs():
     assert cased_runs(sent(2, "nothing cased here")) == []
     # length-1 runs are skipped
     assert cased_runs(sent(3, "He lost")) == []
+    # an ASCII capital only; the decoder's rare_cased_runs takes any
+    assert cased_runs(sent(4, "Über Alles here")) == []
 
 
 def test_casing_augmentation_spans():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootparse.decoder import enumerate_trees
 from bootparse.errors import (
     AllTokensRemoved,
     EmptyCorpus,
@@ -17,13 +20,13 @@ from bootparse.treebank import (
     Sentence,
     Span,
     binary_from_tree,
-    gold_spans,
     labeled_spans,
     normalize,
     parse_bracketed,
     read_corpus,
     read_treebank,
     serialize,
+    token_runs,
 )
 
 DOG = "(S (NP (DT the) (NN dog)) (VP (VBD ran)))"
@@ -80,8 +83,7 @@ def test_normalize_drops_punct_and_collapses():
     spans = {sp for _, sp in labeled_spans(out)}
     assert Span(0, 1) in spans
     # VP -> VBD chain collapsed into a preterminal keeping the top label
-    labels = dict((sp, lbl) for lbl, sp in labeled_spans(out, include_preterminals=True))
-    assert labels[Span(2, 2)] == "VP"
+    assert serialize(out) == "(S (NP (DT the) (NN dog)) (VP ran))"
 
 
 def test_normalize_removes_traces_and_renumbers():
@@ -90,13 +92,7 @@ def test_normalize_removes_traces_and_renumbers():
     )
     out = normalize(tree)
     assert out.sentence.tokens == ("fell", "5", "%")
-    assert gold_spans(out, exclude_trivial=False) == {Span(0, 2), Span(1, 2)}
-
-
-def test_normalize_trace_kept_when_disabled():
-    tree = parse_bracketed("(S (NP (-NONE- *)) (VP ran))")
-    out = normalize(tree, drop_traces=False)
-    assert out.sentence.tokens == ("*", "ran")
+    assert {sp for _, sp in labeled_spans(out)} == {Span(0, 2), Span(1, 2)}
 
 
 def test_normalize_all_removed():
@@ -112,12 +108,6 @@ def test_normalize_idempotent():
     twice = normalize(once)
     assert serialize(once) == serialize(twice)
     assert once == twice
-
-
-def test_gold_spans_excludes_trivial():
-    tree = parse_bracketed(DOG)
-    assert gold_spans(tree) == {Span(0, 1)}
-    assert gold_spans(tree, exclude_trivial=False) == {Span(0, 2), Span(0, 1), Span(2, 2)}
 
 
 def test_labeled_spans_keeps_duplicates():
@@ -156,6 +146,108 @@ def test_binary_round_trip_through_text():
     )
     back = binary_from_tree(parse_bracketed(tree.to_bracketed()))
     assert back.spans == tree.spans
+
+
+# reference: each span must have exactly one split point k with (i, k)
+# and (k+1, j) both constituents or single tokens
+
+
+def _split_point(spans, sp):
+    found = None
+    for k in range(sp.i, sp.j):
+        left_ok = k == sp.i or Span(sp.i, k) in spans
+        right_ok = k + 1 == sp.j or Span(k + 1, sp.j) in spans
+        if left_ok and right_ok:
+            if found is not None:
+                return None
+            found = k
+    return found
+
+
+def _reference_accepts(n, spans):
+    if n == 1:
+        return spans == frozenset({Span(0, 0)})
+    return (
+        Span(0, n - 1) in spans
+        and all(sp.length >= 2 for sp in spans)
+        and len(spans) == n - 1
+        and all(sp.j < n and _split_point(spans, sp) is not None for sp in spans)
+    )
+
+
+def _reference_bracketed(tokens, spans, label):
+    def render(i, j):
+        if i == j:
+            return tokens[i]
+        k = _split_point(spans, Span(i, j))
+        return f"({label} {render(i, k)} {render(k + 1, j)})"
+
+    if len(tokens) == 1:
+        return f"({label} {tokens[0]})"
+    return render(0, len(tokens) - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_binary_tree_check_matches_split_point_reference(n):
+    sent = Sentence(id=0, tokens=tuple(f"w{k}" for k in range(n)))
+    # spans may reach one token past the end of the sentence
+    candidates = [Span(i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    accepted = 0
+    for size in range(n + 1):
+        for combo in itertools.combinations(candidates, size):
+            spans = frozenset(combo)
+            try:
+                BinaryTree(sentence=sent, spans=spans)
+                ok = True
+            except ValueError:
+                ok = False
+            assert ok == _reference_accepts(n, spans), sorted(spans)
+            accepted += ok
+    # Catalan(n - 1) bracketings
+    assert accepted == len(enumerate_trees(n))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_to_bracketed_matches_recursive_reference(n):
+    tokens = tuple(f"w{k}" for k in range(n))
+    sent = Sentence(id=0, tokens=tokens)
+    for spans in enumerate_trees(n):
+        tree = BinaryTree(sentence=sent, spans=spans)
+        for label in ("X", "NP"):
+            assert tree.to_bracketed(label) == _reference_bracketed(
+                tokens, spans, label
+            )
+
+
+def _runs_reference(tokens, keep, min_len):
+    runs = []
+    pos = 0
+    for kept, group in itertools.groupby(tokens, key=lambda tok: bool(keep(tok))):
+        length = len(list(group))
+        if kept and length >= min_len:
+            runs.append(Span(pos, pos + length - 1))
+        pos += length
+    return runs
+
+
+_RUN_PREDICATES = {
+    "not_star": lambda tok: tok != "*",
+    "isupper": lambda tok: tok[:1].isupper(),
+    "ascii_cased": lambda tok: "A" <= tok[:1] <= "Z",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["Über", "*", "X'", "the", "New", "a", "ÉTÉ"]), max_size=12
+    ),
+    st.sampled_from(sorted(_RUN_PREDICATES)),
+    st.integers(min_value=1, max_value=3),
+)
+def test_token_runs_matches_groupby(tokens, predicate, min_len):
+    keep = _RUN_PREDICATES[predicate]
+    assert token_runs(tokens, keep, min_len) == _runs_reference(tokens, keep, min_len)
 
 
 def test_read_corpus_plain(tmp_path):
