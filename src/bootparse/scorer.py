@@ -6,19 +6,21 @@ at the sentence edges, never the material in between.  Both are scored
 with a regularized logistic model over sparse indicator features, and
 combined multiplicatively at decode time.
 
-Training builds the features of each example span (featurize) and fits
-the weights over a sparse matrix.  Scoring never builds per-span
-features: the model is linear over indicators, so a span's logit is a
-sum of weights that each depend on one token position or one length.
-SpanScorer.score_spans looks those weights up once per position of the
-sentence and sums them per span with numpy, using prefix sums for the
-unigram and bigram counts (see score_spans).
+Training builds the features of each example span (featurize) into a
+sparse matrix and runs minibatch gradient steps on its CSR arrays (see
+train).  Scoring never builds per-span features: the model is linear
+over indicators, so a span's logit is a sum of weights that each depend
+on one token position or one length.  SpanScorer.score_spans looks
+those weights up once per position of the sentence and sums them per
+span with numpy, using prefix sums for the unigram and bigram counts
+(see score_spans).
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -157,6 +159,28 @@ class TrainingMeta:
     rng_seed: int = 0
     example_count: int = 0
 
+    def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (_finite_number(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be a finite number > 0, got {self.learning_rate!r}"
+            )
+        if not (_finite_number(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2!r}")
+
+
+def _finite_number(value) -> bool:
+    """An int or a float, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
 
 @dataclass
 class SpanScorer:
@@ -289,17 +313,37 @@ def train(
     best = (np.inf, w.copy(), b)
     stale = 0
     n = x_train.shape[0]
-    batch = max(1, meta.batch_size)
+    batch = meta.batch_size
+    row_len = np.diff(x_train.indptr)
+    # position of each row within its minibatch
+    batch_pos = np.arange(n) % batch
 
     for _ in range(meta.epochs):
+        # Lay the rows out in this epoch's order, so that each minibatch
+        # is one contiguous slice of entries [ptr[lo], ptr[hi]).
         order = rng.permutation(n)
+        counts = row_len[order]
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        entry = np.repeat(x_train.indptr[order] - ptr[:-1], counts) + np.arange(ptr[-1])
+        cols = x_train.indices[entry]
+        vals = x_train.data[entry]
+        rows = np.repeat(batch_pos, counts)
+        y = y_train[order]
         for lo in range(0, n, batch):
-            rows = order[lo : lo + batch]
-            xb = x_train[rows]
-            yb = y_train[rows]
-            p = expit(xb @ w + b)
-            resid = p - yb
-            grad_w = xb.T @ resid / len(rows) + meta.l2 * w
+            hi = min(lo + batch, n)
+            c, v, r = (a[ptr[lo] : ptr[hi]] for a in (cols, vals, rows))
+            # Row sums and column sums with np.bincount, which adds its
+            # weights one at a time in input order: within a row in stored
+            # order, and into each column row by row.  scipy's product of
+            # the batch's CSR rows with w, and of their transpose with the
+            # residuals, add in that same order, so the weights are the
+            # same bits.
+            p = expit(np.bincount(r, v * w[c], minlength=hi - lo) + b)
+            resid = p - y[lo:hi]
+            grad_w = (
+                np.bincount(c, v * resid[r], minlength=space.dim) / (hi - lo)
+                + meta.l2 * w
+            )
             grad_b = float(np.mean(resid))
             w -= meta.learning_rate * grad_w
             b -= meta.learning_rate * grad_b
@@ -393,36 +437,61 @@ class Thresholds:
             raise ValueError(f"bad thresholds ({self.tau_min}, {self.tau_max})")
 
 
-def confidence_pools(
-    model, corpus, thresholds: Thresholds
-) -> tuple[list[LabeledSpanExample], list[LabeledSpanExample]]:
+@dataclass(frozen=True)
+class SpanPool:
+    """Confident spans of one class, as (sentence position, span index) pairs.
+
+    span_idx indexes _all_spans of the sentence at corpus[sent_pos], so
+    a pool costs two integers per span; examples are built only for the
+    spans a sample keeps.
+    """
+
+    corpus: list[Sentence]
+    sent_pos: np.ndarray
+    span_idx: np.ndarray
+    label: int
+    view: str
+
+    def __len__(self) -> int:
+        return len(self.sent_pos)
+
+    def examples(self, picks) -> list[LabeledSpanExample]:
+        """The pool's spans at positions picks, in that order."""
+        out = []
+        for pos, k in zip(self.sent_pos[picks].tolist(), self.span_idx[picks].tolist()):
+            sent = self.corpus[pos]
+            out.append(
+                LabeledSpanExample(sent.id, _all_spans(len(sent))[k], self.label, self.view)
+            )
+        return out
+
+
+def confidence_pools(model, corpus, thresholds: Thresholds) -> tuple[SpanPool, SpanPool]:
     """Split every multi-token span into confident pools by score.
 
     Scores strictly above tau_max go to the constituent pool, strictly
     below tau_min to the distituent pool; everything between is dropped.
-    Single-token spans carry no bracketing signal and are skipped.
+    Single-token spans carry no bracketing signal and are skipped.  Each
+    pool lists its spans in corpus order, then in _all_spans order.
     """
-    const_pool: list[LabeledSpanExample] = []
-    dist_pool: list[LabeledSpanExample] = []
+    corpus = list(corpus)
+    hits: dict[int, list[np.ndarray]] = {CONSTITUENT: [], DISTITUENT: []}
     for sent in corpus:
         spans = _all_spans(len(sent))
-        if not spans:
-            continue
-        probs = np.asarray(model.score_spans(sent, spans))
-        const_pool.extend(
-            LabeledSpanExample(sent.id, spans[k], CONSTITUENT, model.view)
-            for k in np.flatnonzero(probs > thresholds.tau_max).tolist()
-        )
-        dist_pool.extend(
-            LabeledSpanExample(sent.id, spans[k], DISTITUENT, model.view)
-            for k in np.flatnonzero(probs < thresholds.tau_min).tolist()
-        )
-    return const_pool, dist_pool
+        probs = np.asarray(model.score_spans(sent, spans)) if spans else np.empty(0)
+        hits[CONSTITUENT].append(np.flatnonzero(probs > thresholds.tau_max))
+        hits[DISTITUENT].append(np.flatnonzero(probs < thresholds.tau_min))
+
+    def pool(label: int) -> SpanPool:
+        per_sent = hits[label]
+        sent_pos = np.repeat(np.arange(len(corpus)), [len(k) for k in per_sent])
+        span_idx = np.concatenate(per_sent) if per_sent else np.empty(0, dtype=np.intp)
+        return SpanPool(corpus, sent_pos, span_idx, label, model.view)
+
+    return pool(CONSTITUENT), pool(DISTITUENT)
 
 
-def sample_pool(
-    pool: list[LabeledSpanExample], want: int, rng, what: str
-) -> list[LabeledSpanExample]:
+def sample_pool(pool: SpanPool, want: int, rng, what: str) -> list[LabeledSpanExample]:
     """Uniform sample without replacement, preserving pool order.
 
     Takes the whole pool (with a PoolExhaustedWarning) when it is
@@ -437,7 +506,7 @@ def sample_pool(
     if take == 0:
         return []
     chosen = rng.choice(len(pool), size=take, replace=False)
-    return [pool[k] for k in sorted(chosen)]
+    return pool.examples(np.sort(chosen))
 
 
 def select_confident(

@@ -129,6 +129,19 @@ def test_bad_loop_value_is_exit_1(tmp_path):
     assert main(["selftrain", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", "x"), ("epochs", 2.5), ("epochs", -1), ("epochs", True),
+     ("l2", -1), ("batch_size", 0)],
+)
+def test_bad_training_value_is_exit_1(tmp_path, capsys, field, value):
+    write_tiny_corpus(tmp_path)
+    assert main(["bootstrap", "--config", str(write_config(tmp_path))]) == 0
+    cfg = write_config(tmp_path, training={field: value})
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert field in capsys.readouterr().err
+
+
 def test_missing_corpus_is_exit_2(tmp_path):
     cfg = write_config(tmp_path)  # corpus.txt never written
     assert main(["bootstrap", "--config", str(cfg)]) == 2
@@ -344,6 +357,8 @@ def _break_model(payload: dict, case: str):
         payload["feature_space"]["inside_context"] = 0
     elif case == "nan_weight":
         payload["weights"][0] = float("nan")
+    elif case == "batch_size_zero":
+        payload["meta"]["batch_size"] = 0
     return json.dumps(payload)
 
 
@@ -351,7 +366,8 @@ def _break_model(payload: dict, case: str):
     "case",
     ["not_json", "truncated_weights", "extra_weights", "format_version",
      "missing_key", "unknown_view", "bad_hash_dim", "nan_weight",
-     "hash_dim_16", "inside_context_true", "inside_context_zero"],
+     "hash_dim_16", "inside_context_true", "inside_context_zero",
+     "batch_size_zero"],
 )
 def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
     root, _ = pipeline

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bootparse.errors import (
     UndefinedMccWarning,
 )
 from bootparse.external import ExternalScorer
+from bootparse.loops import LoopConfig, _harvest
 from bootparse.scorer import (
     BOS,
     CONCAT,
@@ -415,6 +417,175 @@ def test_score_spans_rejects_span_beyond_sentence():
     model = random_model(INSIDE)
     with pytest.raises(ValueError):
         model.score_spans(sent(0, "a b"), [Span(1, 2)])
+
+
+# --- minibatch SGD against the sparse-matrix loop ---
+
+
+def reference_train(examples, corpus, view, meta):
+    """train() with its minibatches cut by scipy row indexing.
+
+    Returns the weights, the bias and the training matrix.
+    """
+    by_id = {s.id: s for s in corpus}
+    rng = np.random.default_rng(meta.rng_seed)
+    perm = rng.permutation(len(examples))
+    n_val = len(examples) // 5
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+
+    def build(idx):
+        dicts = [
+            featurize(by_id[examples[k].sentence_id], examples[k].span, view)
+            for k in idx
+        ]
+        return dicts, np.array([float(examples[k].label) for k in idx])
+
+    train_dicts, y_train = build(train_idx)
+    val_dicts, y_val = build(val_idx)
+    space = FeatureSpace(view=view).fit(train_dicts)
+    x_train = space.transform(train_dicts)
+    x_val = space.transform(val_dicts)
+
+    w = np.zeros(space.dim)
+    b = 0.0
+    best = (np.inf, w.copy(), b)
+    stale = 0
+    n = x_train.shape[0]
+    for _ in range(meta.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, meta.batch_size):
+            rows = order[lo : lo + meta.batch_size]
+            xb = x_train[rows]
+            p = expit(xb @ w + b)
+            resid = p - y_train[rows]
+            grad_w = xb.T @ resid / len(rows) + meta.l2 * w
+            grad_b = float(np.mean(resid))
+            w -= meta.learning_rate * grad_w
+            b -= meta.learning_rate * grad_b
+        if n_val == 0:
+            continue
+        p_val = np.clip(expit(x_val @ w + b), PROB_EPS, 1.0 - PROB_EPS)
+        val_loss = float(
+            -np.mean(y_val * np.log(p_val) + (1.0 - y_val) * np.log(1.0 - p_val))
+        )
+        if val_loss < best[0]:
+            best = (val_loss, w.copy(), b)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= 2:
+                break
+    if n_val > 0 and np.isfinite(best[0]):
+        _, w, b = best
+    return w, b, x_train
+
+
+def repetitive_examples(view, count, seed=0):
+    """Noisy labels over spans of three-token sentences: inside features
+    repeat unigrams and bigrams, so feature values of 2 and 3 occur."""
+    rng = np.random.default_rng(seed)
+    corpus, examples = [], []
+    for k in range(count):
+        s = Sentence(id=k, tokens=random_tokens(rng, ["a", "b", "c"], rng.integers(2, 10)))
+        i = int(rng.integers(0, len(s) - 1))
+        j = int(rng.integers(i + 1, len(s)))
+        label = CONSTITUENT if (s.tokens[i] == "a") ^ (rng.random() < 0.2) else DISTITUENT
+        corpus.append(s)
+        examples.append(LabeledSpanExample(k, Span(i, j), label, view))
+    # both classes, whatever the draw
+    examples[0] = replace(examples[0], label=CONSTITUENT)
+    examples[1] = replace(examples[1], label=DISTITUENT)
+    return corpus, examples
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 500])
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
+def test_train_matches_sparse_minibatch_loop(view, batch_size):
+    corpus, examples = repetitive_examples(view, 150)
+    meta = TrainingMeta(batch_size=batch_size, rng_seed=2)
+    model = train(examples, corpus, view, meta)
+    w, b, x_train = reference_train(examples, corpus, view, meta)
+    assert np.array_equal(model.weights, w)
+    assert model.bias == b
+    if view == INSIDE:
+        assert {2.0, 3.0} <= set(x_train.data.tolist())
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 64])
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
+def test_train_matches_sparse_minibatch_loop_without_validation(view, batch_size):
+    corpus, examples = repetitive_examples(view, 4, seed=5)
+    meta = TrainingMeta(batch_size=batch_size, epochs=7)
+    model = train(examples, corpus, view, meta)
+    assert model.val_metrics == {}
+    w, b, _ = reference_train(examples, corpus, view, meta)
+    assert np.array_equal(model.weights, w)
+    assert model.bias == b
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 0), ("epochs", 2.5), ("epochs", True), ("batch_size", 0),
+     ("batch_size", "64"), ("learning_rate", 0), ("learning_rate", "x"),
+     ("learning_rate", float("inf")), ("learning_rate", 10**400), ("l2", -1e-9),
+     ("l2", float("nan")), ("l2", False)],
+)
+def test_training_meta_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainingMeta(**{field: value})
+    TrainingMeta(learning_rate=1, l2=0)  # ints and a zero penalty are fine
+
+
+# --- confident pools against list-building pools ---
+
+
+def reference_harvest(model, corpus, thresholds, c, d, rng):
+    """Confident examples sampled from pools of built examples."""
+    pools = {CONSTITUENT: [], DISTITUENT: []}
+    for s in corpus:
+        n = len(s)
+        spans = [Span(i, j) for i in range(n) for j in range(i + 1, n)]
+        if not spans:
+            continue
+        for sp, p in zip(spans, model.score_spans(s, spans)):
+            if p > thresholds.tau_max:
+                pools[CONSTITUENT].append(LabeledSpanExample(s.id, sp, CONSTITUENT, model.view))
+            elif p < thresholds.tau_min:
+                pools[DISTITUENT].append(LabeledSpanExample(s.id, sp, DISTITUENT, model.view))
+
+    def sample(pool, want):
+        take = min(want, len(pool))
+        if take == 0:
+            return []
+        return [pool[k] for k in sorted(rng.choice(len(pool), size=take, replace=False))]
+
+    sizes = {label: len(pool) for label, pool in pools.items()}
+    return sample(pools[CONSTITUENT], c), sample(pools[DISTITUENT], d), sizes
+
+
+@pytest.mark.parametrize("c, d", [(40, 300), (5000, 7), (0, 5000)])
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
+def test_harvest_matches_list_pools(view, c, d):
+    model = random_model(view, seed=3)
+    corpus = parity_sentences()[::-1]  # ids out of order; one 1-token sentence
+    th = Thresholds(tau_min=0.3, tau_max=0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoolExhaustedWarning)
+        want_c, want_d, sizes = reference_harvest(
+            model, corpus, th, c, d, np.random.default_rng(11)
+        )
+        assert 0 < sizes[CONSTITUENT] and 0 < sizes[DISTITUENT]
+        assert select_confident(model, corpus, th, c, d, rng_seed=11) == (want_c, want_d)
+
+        cfg = LoopConfig(K=1, c=c, d=d, thresholds=th, rng_seed=4)
+        want_c, want_d, _ = reference_harvest(
+            model, corpus, th, c, d, np.random.default_rng((4, 2, 1))
+        )
+        assert _harvest(model, corpus, cfg, 2, 1) == (
+            want_c,
+            want_d,
+            {f"{view}_constituent": sizes[CONSTITUENT], f"{view}_distituent": sizes[DISTITUENT]},
+        )
 
 
 # --- external scorer protocol ---
