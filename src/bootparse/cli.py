@@ -4,7 +4,7 @@ parse, eval, report.
 Every subcommand is a pure function of its config, input files, and rng
 seed; outputs carry no timestamps, so re-runs are byte-identical.  Exit
 codes: 0 success, 1 usage or config error, 2 data error, 3 internal
-error.
+error, 141 (128 + SIGPIPE) when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -74,6 +75,9 @@ CO_IN_MODEL = "co_in.json"
 CO_OUT_MODEL = "co_out.json"
 CO_TRACE = "co_trace.jsonl"
 
+# 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
+EXIT_STDOUT_CLOSED = 141
+
 _DATA_ERRORS = (
     TreeSyntaxError,
     EmptyCorpus,
@@ -122,8 +126,9 @@ def _corpus(cfg: PipelineConfig):
 
 def _grammar_from_file(path) -> SyntheticGrammar:
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        text = fh.read()
     try:
+        raw = json.loads(text)
         rules = {
             lhs: tuple((float(p), tuple(rhs)) for p, rhs in prods)
             for lhs, prods in raw["rules"].items()
@@ -135,7 +140,7 @@ def _grammar_from_file(path) -> SyntheticGrammar:
             lexicon=lexicon,
             max_depth=raw.get("max_depth", 40),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grammar file {path}: {exc}") from exc
 
 
@@ -458,7 +463,11 @@ def cmd_report(args) -> int:
         path = model_dir / trace_file
         if not path.exists():
             continue
-        trace = LoopTrace.from_jsonl(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        try:
+            trace = LoopTrace.from_jsonl(text)
+        except ValueError as exc:
+            raise MalformedFile(f"trace file {path}: {exc}") from exc
         rows = [f"{name} trace ({len(trace)} iterations):"]
         for rec in trace:
             metrics = json.dumps(rec.metrics, sort_keys=True)
@@ -470,11 +479,15 @@ def cmd_report(args) -> int:
         sections.append("\n".join(rows))
     report_json = report_dir / "report.json"
     if report_json.exists():
-        raw = json.loads(report_json.read_text(encoding="utf-8"))
-        sections.append(
-            f"evaluation ({raw['mode']}): F1 {raw['f1']:.4f} "
-            f"P {raw['precision']:.4f} R {raw['recall']:.4f}"
-        )
+        text = report_json.read_text(encoding="utf-8")
+        try:
+            raw = json.loads(text)
+            sections.append(
+                f"evaluation ({raw['mode']}): F1 {raw['f1']:.4f} "
+                f"P {raw['precision']:.4f} R {raw['recall']:.4f}"
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedFile(f"report file {report_json}: {exc!r}") from exc
     if not sections:
         print("nothing to report: no trace or report files found")
         return 0
@@ -545,7 +558,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flushed here, so a closed stdout is handled below, not at exit
+        sys.stdout.flush()
+        return code
     except (ConfigError, UsageError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -558,6 +574,14 @@ def main(argv=None) -> int:
     except BootparseError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader of stdout left early (`bootparse eval ... | head -1`)
+        # and the output files are complete.  What is still buffered goes
+        # to /dev/null, so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_STDOUT_CLOSED
     except Exception as exc:  # anything unforeseen is an internal error
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -8,6 +8,7 @@ guarded accordingly.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -50,48 +51,90 @@ def _placeholder_sentence(n: int) -> Sentence:
     return Sentence(id=-1, tokens=tuple(f"w{k}" for k in range(n)))
 
 
+@functools.lru_cache(maxsize=256)
+def _fill_plan(n: int) -> tuple:
+    """Flat chart offsets for filling span lengths 2..n of an n-token chart.
+
+    For span length L, row r holds the cell (r, r + L - 1) at flat index
+    base[r] + L - 1, with base[r] = r * (n + 1).  Its split after token
+    r + k reads best(r, r + k) at base[r] + left[k] and
+    best(r + k + 1, r + L - 1) at base[r] + right[k].  Only these O(n)
+    offsets are kept per length, about n^2 ints per chart size in all;
+    they are broadcast against the row bases on each call.
+    """
+    idx = np.arange(n)
+    base = idx * (n + 1)
+    plan = []
+    for length in range(2, n + 1):
+        rows = n - length + 1
+        left = idx[: length - 1]
+        entry = (
+            base[:rows, None],
+            left,
+            (left + 1) * n + length - 1,
+            base[:rows] + length - 1,
+            idx[:rows],
+        )
+        for arr in entry:
+            arr.setflags(write=False)
+        plan.append(entry)
+    return tuple(plan)
+
+
 def cyk_decode(chart: ScoreChart, sentence: Sentence | None = None) -> BinaryTree:
     """Best binary tree under the span-score sum, ties to the smallest split.
 
     best(i, j) = s(i, j) + max_k [best(i, k) + best(k+1, j)], with
     best(i, i) = s(i, i).  Leaf scores shift every tree's total by the
     same amount, so they never change the argmax.
+
+    All cells of one span length are filled at once.  Each cell still
+    takes the same two additions, best(i, k) + best(k+1, j) and then
+    s(i, j) + that candidate, and argmax keeps the first (smallest k)
+    of tied candidates, so the chart and the tree are those of a
+    cell-by-cell loop.
     """
     n = chart.n
     if sentence is None:
         sentence = _placeholder_sentence(n)
     if len(sentence) != n:
         raise ValueError(f"sentence has {len(sentence)} tokens, chart has {n}")
+
+    s = chart.cells.ravel()
+    # cells of length >= 2 are overwritten before any longer span reads them
+    best = s.copy()
+    split = np.zeros(n * n, dtype=np.intp)
+    for base, left, right, cells, rows in _fill_plan(n):
+        cand = best.take(base + left) + best.take(base + right)
+        k = cand.argmax(axis=1)
+        best[cells] = s.take(cells) + cand[rows, k]
+        split[cells] = rows + k
+
+    split = split.tolist()
+    return BinaryTree(
+        sentence=sentence, spans=split_spans(n, lambda i, j: split[i * n + j])
+    )
+
+
+def split_spans(n: int, pick) -> frozenset[Span]:
+    """The binary tree that splits each span (i, j) after token pick(i, j).
+
+    Spans are visited in pre-order, left subtree first, so a pick that
+    draws random numbers draws them in a fixed order.
+    """
     if n == 1:
-        return BinaryTree(sentence=sentence, spans=frozenset({Span(0, 0)}))
-
-    s = chart.cells
-    best = np.zeros((n, n))
-    split = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        best[i, i] = s[i, i]
-    for length in range(2, n + 1):
-        for i in range(0, n - length + 1):
-            j = i + length - 1
-            # candidate totals for k = i .. j-1; argmax takes the first
-            # (smallest k) on ties.
-            cand = best[i, i:j] + best[i + 1 : j + 1, j]
-            k_rel = int(np.argmax(cand))
-            split[i, j] = i + k_rel
-            best[i, j] = s[i, j] + cand[k_rel]
-
-    spans = set()
-
-    def backtrace(i: int, j: int):
-        if i == j:
-            return
-        spans.add(Span(i, j))
-        k = split[i, j]
-        backtrace(i, k)
-        backtrace(k + 1, j)
-
-    backtrace(0, n - 1)
-    return BinaryTree(sentence=sentence, spans=frozenset(spans))
+        return frozenset({Span(0, 0)})
+    spans = []
+    stack = [(0, n - 1)]
+    while stack:
+        i, j = stack.pop()
+        spans.append(Span(i, j))
+        k = pick(i, j)
+        if k + 1 < j:
+            stack.append((k + 1, j))
+        if k > i:
+            stack.append((i, k))
+    return frozenset(spans)
 
 
 def enumerate_trees(n: int) -> list[frozenset[Span]]:

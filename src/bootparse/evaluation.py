@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import ScoreChart, cyk_decode
+from .decoder import ScoreChart, cyk_decode, split_spans
 from .errors import EmptyCorpus, LengthMismatch, YieldMismatch
-from .treebank import BinaryTree, GoldTree, Span, labeled_spans
+from .treebank import BinaryTree, GoldTree, Span
 
 MACRO_SENTENCE = "macro_sentence"
 MICRO_CORPUS = "micro_corpus"
@@ -116,26 +116,23 @@ def _prf(matched: int, pred_total: int, gold_total: int) -> tuple[float, float, 
 
 
 def _sentence_counts(
-    pred: BinaryTree, gold: GoldTree, labeled, cfg: EvalConfig
+    pred: BinaryTree, gold: GoldTree, cfg: EvalConfig
 ) -> tuple[int, int, int]:
-    """Matched, predicted and gold span counts; labeled is labeled_spans(gold)."""
+    """Matched, predicted and gold span counts."""
     if pred.sentence.tokens != gold.sentence.tokens:
         raise YieldMismatch(
             f"prediction tokens {pred.sentence.tokens} differ from gold "
             f"{gold.sentence.tokens}"
         )
     pred_counts = _pred_spans(pred, cfg)
-    gold_counts = _gold_span_counts(labeled, len(gold.sentence), cfg)
+    gold_counts = _gold_span_counts(gold.labeled, len(gold.sentence), cfg)
     matched = sum((pred_counts & gold_counts).values())
     return matched, sum(pred_counts.values()), sum(gold_counts.values())
 
 
 def sentence_f1(pred: BinaryTree, gold: GoldTree, cfg: EvalConfig) -> float:
     """Unlabeled span F1 for one sentence; 1.0 when both sets are empty."""
-    matched, pred_total, gold_total = _sentence_counts(
-        pred, gold, labeled_spans(gold), cfg
-    )
-    return _prf(matched, pred_total, gold_total)[2]
+    return _prf(*_sentence_counts(pred, gold, cfg))[2]
 
 
 def _bucket_key(length: int, width: int) -> str:
@@ -166,8 +163,7 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
     label_found = Counter()
     label_total = Counter()
     for index, (pred, gold) in enumerate(pairs):
-        labeled = labeled_spans(gold)
-        counts = _sentence_counts(pred, gold, labeled, cfg)
+        counts = _sentence_counts(pred, gold, cfg)
         precision, recall, f1 = _prf(*counts)
         per_sentence.append(
             {
@@ -181,7 +177,7 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
         pooled += counts
         if len(gold.sentence) <= CUTOFF_LEN:
             cutoff_pooled += counts
-        for label, sp in labeled:
+        for label, sp in gold.labeled:
             if sp.length >= 2:
                 label_total[label] += 1
                 if sp in pred.spans:
@@ -242,30 +238,12 @@ def left_branching_spans(n: int) -> frozenset[Span]:
     return frozenset(Span(0, j) for j in range(1, n))
 
 
-def _split_spans(n: int, pick) -> frozenset[Span]:
-    """The binary tree that splits each span (i, j) after token pick(i, j)."""
-    if n == 1:
-        return frozenset({Span(0, 0)})
-    spans: set[Span] = set()
-
-    def split(i: int, j: int):
-        if i == j:
-            return
-        spans.add(Span(i, j))
-        k = pick(i, j)
-        split(i, k)
-        split(k + 1, j)
-
-    split(0, n - 1)
-    return frozenset(spans)
-
-
 def balanced_spans(n: int) -> frozenset[Span]:
-    return _split_spans(n, lambda i, j: (i + j) // 2)
+    return split_spans(n, lambda i, j: (i + j) // 2)
 
 
 def random_spans(n: int, rng) -> frozenset[Span]:
-    return _split_spans(n, lambda i, j: int(rng.integers(i, j)))
+    return split_spans(n, lambda i, j: int(rng.integers(i, j)))
 
 
 def trivial_baselines(
@@ -295,7 +273,7 @@ def oracle_tree(gold: GoldTree) -> BinaryTree:
     """Best achievable binary bracketing: decode a 0/1 gold-span chart."""
     n = len(gold.sentence)
     chart = ScoreChart(n=n)
-    for _, sp in labeled_spans(gold):
+    for _, sp in gold.labeled:
         chart.cells[sp.i, sp.j] = 1.0
     return cyk_decode(chart, gold.sentence)
 

@@ -87,11 +87,15 @@ class LoopTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "LoopTrace":
+        """Parse to_jsonl output; a bad record is a ValueError naming its line."""
         records = []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            records.append(IterationRecord(**json.loads(line)))
+            try:
+                records.append(IterationRecord(**json.loads(line)))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {number}: {exc!r}") from exc
         return cls(records=tuple(records))
 
 

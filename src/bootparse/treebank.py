@@ -7,6 +7,7 @@ transformation returns a new tree.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -117,6 +118,13 @@ class GoldTree:
                 f"tree leaves {indices} do not cover sentence "
                 f"{self.sentence.id} of length {len(self.sentence)}"
             )
+
+    @functools.cached_property
+    def labeled(self) -> tuple[tuple[str, Span], ...]:
+        """labeled_spans of this tree.  The tree is immutable, so it is
+        walked once, however many scores (the parse, each baseline, the
+        oracle) an evaluation computes against it."""
+        return tuple(labeled_spans(self))
 
 
 def _tokenize_sexpr(text: str) -> list[str]:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,28 @@ def test_synth_custom_grammar(tmp_path):
         "--grammar", str(tmp_path / "g.json"), "--min-len", "2",
     ]) == 0
     assert (tmp_path / "c.txt").read_text() == "left right\n" * 5
+
+
+@pytest.mark.parametrize(
+    "case", ["probabilities_halved", "not_json", "rules_not_object"]
+)
+def test_bad_grammar_file_is_exit_1(tmp_path, capsys, case):
+    grammar = {
+        "start": "S",
+        "rules": {"S": [[0.5, ["A", "B"]]]},
+        "lexicon": {"A": ["left"], "B": ["right"]},
+    }
+    text = {
+        "probabilities_halved": json.dumps(grammar),
+        "not_json": "nope",
+        "rules_not_object": json.dumps({**grammar, "rules": []}),
+    }[case]
+    (tmp_path / "g.json").write_text(text)
+    assert main([
+        "synth", "--out", str(tmp_path / "c.txt"),
+        "--grammar", str(tmp_path / "g.json"),
+    ]) == 1
+    assert f"bad grammar file {tmp_path / 'g.json'}" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_exit_1(tmp_path):
@@ -514,3 +539,43 @@ def test_parse_resolves_config_stats_like_train(tmp_path):
     # "of" is a bundled stopword, so the start-word rule leaves it alone
     assert preds[0].splitlines()[0] == "(X the (X of (X cat sat)))"
     assert preds[1] == preds[0]
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("co_trace.jsonl", '{"x": 1}\n', "line 1"),
+        ("report.json", "{}", "KeyError"),
+        ("report.json", "nope", "JSONDecodeError"),
+    ],
+)
+def test_report_bad_input_file_is_exit_2(tmp_path, capsys, name, text, where):
+    cfg = write_config(tmp_path)
+    folder = tmp_path / ("models" if name.endswith(".jsonl") else "reports")
+    folder.mkdir()
+    (folder / name).write_text(text)
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(folder / name) in err and where in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_is_not_an_internal_error(tmp_path, buffered):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from bootparse.cli import main; sys.exit(main())",
+         "synth", "--out", str(tmp_path / "c.txt"), "--count", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # the reader goes away before the stage prints its line
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
+    assert len((tmp_path / "c.txt").read_text().splitlines()) == 5

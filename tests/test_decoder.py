@@ -203,3 +203,67 @@ def test_top_frequency_cap():
             enabled=True,
             top_frequency_set=frozenset(f"w{k}" for k in range(101)),
         )
+
+
+def _cyk_loop_reference(cells: np.ndarray) -> frozenset[Span]:
+    """The cell-by-cell CYK fill that cyk_decode's per-length fill replaced."""
+    n = cells.shape[0]
+    if n == 1:
+        return frozenset({Span(0, 0)})
+    best = np.zeros((n, n))
+    split = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        best[i, i] = cells[i, i]
+    for length in range(2, n + 1):
+        for i in range(0, n - length + 1):
+            j = i + length - 1
+            cand = best[i, i:j] + best[i + 1 : j + 1, j]
+            k_rel = int(np.argmax(cand))
+            split[i, j] = i + k_rel
+            best[i, j] = cells[i, j] + cand[k_rel]
+    spans = set()
+
+    def backtrace(i: int, j: int):
+        if i == j:
+            return
+        spans.add(Span(i, j))
+        k = split[i, j]
+        backtrace(i, k)
+        backtrace(k + 1, j)
+
+    backtrace(0, n - 1)
+    return frozenset(spans)
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [120])
+def test_cyk_matches_loop_reference(n):
+    rng = np.random.default_rng(n)
+    charts = []
+    for _ in range(6):
+        charts.append(rng.normal(size=(n, n)))
+        # values 0-2: most candidates tie, so the tie-break decides
+        charts.append(rng.integers(0, 3, size=(n, n)).astype(float))
+    # a column-major array exercises the flat indexing on a copy
+    charts.append(np.asfortranarray(rng.uniform(size=(n, n))))
+    for cells in charts:
+        assert cyk_decode(chart_from(cells)).spans == _cyk_loop_reference(cells)
+
+
+def test_cyk_matches_loop_reference_after_heuristics():
+    rng = np.random.default_rng(29)
+    vocab = ["the", ",", "and", "of", "Big", "Apple", "Co.", "runs", "fast"]
+    cfg = HeuristicConfig(
+        enabled=True,
+        comma_successor_word="and",
+        common_start_word="the",
+        top_frequency_set=frozenset({"the", "and", "of"}),
+        stopword_set=frozenset({"of"}),
+    )
+    for n in list(range(2, 41)) + [100]:
+        tokens = ["the"] + [str(rng.choice(vocab)) for _ in range(n - 1)]
+        sent = Sentence(id=n, tokens=tuple(tokens))
+        cells = np.triu(rng.integers(0, 2, size=(n, n))).astype(float)
+        chart = apply_heuristics(chart_from(cells), sent, cfg)
+        tree = cyk_decode(chart, sent)
+        assert tree.sentence == sent
+        assert tree.spans == _cyk_loop_reference(chart.cells)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from bootparse.treebank import (
     Sentence,
     Span,
     binary_from_tree,
+    labeled_spans,
     parse_bracketed,
 )
 
@@ -351,3 +354,137 @@ def test_render_report_and_tsv():
     assert buckets.splitlines()[0] == "bucket\tf1"
     per = render_per_sentence_tsv(report)
     assert len(per.splitlines()) == 3
+
+
+# gold trees with flat nodes, unary nodes over one token, a unary chain
+# that repeats a span, and one- and two-token sentences
+SHARED_GOLDS = (
+    "(S (NP (DT the) (NN dog)) (VP (VBD ran) (ADVP (RB fast))))",
+    "(S (A a) (B b) (C c) (D d) (E e))",
+    "(S (NP (NP (DT a) (NN b))) (VP (V c) (NP (N d))))",
+    "(S (X hi))",
+    "(S (NP x y z) (VP (V w)))",
+    "(S (A a) (B b))",
+    TREE_C,
+)
+
+
+def _shared_golds():
+    return [parse_bracketed(text, k) for k, text in enumerate(SHARED_GOLDS)]
+
+
+def _reference_eval(preds, golds, cfg):
+    """Headline (p, r, f1), per-sentence rows and label recall, walking
+    each gold tree with labeled_spans at every use."""
+    rows = []
+    pooled = [0, 0, 0]
+    found, total = Counter(), Counter()
+    for pred, gold in zip(preds, golds):
+        n = len(gold.sentence)
+
+        def keep(sp):
+            return sp.length >= 2 and not (cfg.exclude_trivial and sp.length == n)
+
+        gold_spans = [sp for _, sp in labeled_spans(gold) if keep(sp)]
+        if cfg.dedup_spans:
+            gold_spans = list(set(gold_spans))
+        pred_spans = [sp for sp in pred.spans if keep(sp)]
+        matched = sum((Counter(pred_spans) & Counter(gold_spans)).values())
+        counts = (matched, len(pred_spans), len(gold_spans))
+        pooled = [a + b for a, b in zip(pooled, counts)]
+        rows.append(_reference_prf(*counts))
+        for label, sp in labeled_spans(gold):
+            if sp.length >= 2:
+                total[label] += 1
+                found[label] += sp in pred.spans
+    if cfg.mode == MACRO_SENTENCE:
+        headline = tuple(statistics.fmean(col) for col in zip(*rows))
+    else:
+        headline = _reference_prf(*pooled)
+    return headline, rows, {label: found[label] / total[label] for label in total}
+
+
+def _reference_prf(matched, pred_total, gold_total):
+    if pred_total == 0 and gold_total == 0:
+        return 1.0, 1.0, 1.0
+    p = matched / pred_total if pred_total else 0.0
+    r = matched / gold_total if gold_total else 0.0
+    return p, r, (2 * p * r / (p + r) if p + r else 0.0)
+
+
+def _assert_matches_reference(report, preds, golds, cfg):
+    headline, rows, label_recall = _reference_eval(preds, golds, cfg)
+    assert (report.precision, report.recall, report.f1) == pytest.approx(
+        headline, abs=1e-12
+    )
+    got = [(r["precision"], r["recall"], r["f1"]) for r in report.per_sentence]
+    assert got == pytest.approx(rows, abs=1e-12)
+    assert report.per_label_recall == pytest.approx(label_recall, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        EvalConfig(),
+        EvalConfig(mode=MICRO_CORPUS),
+        EvalConfig(mode=EVALB_STYLE),
+        EvalConfig(exclude_trivial=False, dedup_spans=False),
+    ],
+    ids=["macro", "micro", "evalb", "keep_all"],
+)
+def test_shared_gold_spans_match_per_use_reference(cfg):
+    golds = _shared_golds()
+    rng = np.random.default_rng(5)
+    preds = [
+        BinaryTree(sentence=g.sentence, spans=random_spans(len(g.sentence), rng))
+        for g in golds
+    ]
+    # the same gold objects serve every score, in the order eval runs them
+    _assert_matches_reference(corpus_eval(preds, golds, cfg), preds, golds, cfg)
+    builders = {
+        LEFT: left_branching_spans,
+        RIGHT: right_branching_spans,
+        BALANCED: balanced_spans,
+    }
+    for which in (LEFT, RIGHT, BALANCED, RANDOM):
+        base = []
+        for k, g in enumerate(golds):
+            n = len(g.sentence)
+            if which == RANDOM:
+                spans = random_spans(n, np.random.default_rng((2, k)))
+            else:
+                spans = builders[which](n)
+            base.append(BinaryTree(sentence=g.sentence, spans=spans))
+        report = trivial_baselines(golds, which, cfg, rng_seed=2)
+        _assert_matches_reference(report, base, golds, cfg)
+    oracle_preds = []
+    for g in golds:
+        n = len(g.sentence)
+        cells = np.zeros((n, n))
+        for _, sp in labeled_spans(g):
+            cells[sp.i, sp.j] = 1.0
+        oracle_preds.append(cyk_decode(ScoreChart(n=n, cells=cells), g.sentence))
+    _assert_matches_reference(oracle_binary(golds, cfg), oracle_preds, golds, cfg)
+
+
+def test_eval_walks_each_gold_tree_once(monkeypatch):
+    import bootparse.evaluation
+    import bootparse.treebank
+
+    calls = Counter()
+    original = bootparse.treebank.labeled_spans
+
+    def counting(tree):
+        calls[id(tree)] += 1
+        return original(tree)
+
+    monkeypatch.setattr(bootparse.treebank, "labeled_spans", counting)
+    monkeypatch.setattr(bootparse.evaluation, "labeled_spans", counting, raising=False)
+    golds = _shared_golds()
+    preds = [oracle_tree(g) for g in golds]
+    corpus_eval(preds, golds)
+    for which in (LEFT, RIGHT, BALANCED, RANDOM):
+        trivial_baselines(golds, which)
+    oracle_binary(golds)
+    assert sorted(calls.values()) == [1] * len(golds)
+    assert set(calls) == {id(g) for g in golds}
