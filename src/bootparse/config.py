@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from .decoder import HeuristicConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .evaluation import EvalConfig
 from .loops import LoopConfig
 from .scorer import Thresholds, TrainingMeta
@@ -257,8 +257,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         if not scalar and not isinstance(raw.get(section, {}), dict):
             raise ConfigError(f"config section {section} must be an object")
     rng_seed = raw.get("rng_seed", 0)
-    if not isinstance(rng_seed, int) or isinstance(rng_seed, bool):
-        raise ConfigError(f"rng_seed must be an integer, got {rng_seed!r}")
+    try:
+        check_int("rng_seed", rng_seed, 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     seeds_data = dict(raw.get("seeds", {}))
     seeds_data.setdefault("rng_seed", rng_seed)

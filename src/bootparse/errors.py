@@ -1,4 +1,4 @@
-"""Exception types and warning categories shared across the package."""
+"""Exception types, warning categories and value checks shared across the package."""
 
 
 class BootparseError(Exception):
@@ -62,6 +62,18 @@ class MalformedFile(BootparseError, ValueError):
 
 class ConfigError(BootparseError):
     """Invalid run configuration: bad file, unknown key, or bad value."""
+
+
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, in [low, high]."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 class PoolExhaustedWarning(UserWarning):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import ScoreChart, cyk_decode, split_spans
-from .errors import EmptyCorpus, LengthMismatch, YieldMismatch
+from .errors import EmptyCorpus, LengthMismatch, YieldMismatch, check_int
 from .treebank import BinaryTree, GoldTree, Span
 
 MACRO_SENTENCE = "macro_sentence"
@@ -56,10 +56,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
-        if self.bucket_width < 1:
-            raise ValueError(f"bucket_width must be >= 1, got {self.bucket_width}")
+        if self.max_len is not None:
+            check_int("max_len", self.max_len, 1)
+        check_int("bucket_width", self.bucket_width, 1)
         if self.mode == EVALB_STYLE:
             object.__setattr__(self, "exclude_trivial", False)
             object.__setattr__(self, "dedup_spans", False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpus
+from .errors import EmptyCorpus, check_int
 from .scorer import (
     Thresholds,
     TrainingMeta,
@@ -47,12 +47,15 @@ class LoopConfig:
     accumulate_self_train: bool = False
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.c < 0 or self.d < 0:
-            raise ValueError(f"c and d must be >= 0, got c={self.c} d={self.d}")
-        if self.pool_cap < 1:
-            raise ValueError(f"pool_cap must be >= 1, got {self.pool_cap}")
+        check_int("K", self.K, 1)
+        check_int("c", self.c, 0)
+        check_int("d", self.d, 0)
+        check_int("pool_cap", self.pool_cap, 1)
+        check_int("rng_seed", self.rng_seed, 0)
+        if not isinstance(self.accumulate_self_train, bool):
+            raise ValueError(
+                f"accumulate must be true or false, got {self.accumulate_self_train!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,14 @@ at the sentence edges, never the material in between.  Both are scored
 with a regularized logistic model over sparse indicator features, and
 combined multiplicatively at decode time.
 
-Training builds the features of each example span (featurize) into a
-sparse matrix and runs minibatch gradient steps on its CSR arrays (see
-train).  Scoring never builds per-span features: the model is linear
-over indicators, so a span's logit is a sum of weights that each depend
-on one token position or one length.  SpanScorer.score_spans looks
-those weights up once per position of the sentence and sums them per
-span with numpy, using prefix sums for the unigram and bigram counts
-(see score_spans).
+Training builds the features of each example span (featurize) into
+CSR arrays (FeatureSpace.transform) and runs minibatch gradient steps
+on them with numpy alone (see train).  Scoring never builds per-span
+features: the model is linear over indicators, so a span's logit is a
+sum of weights that each depend on one token position or one length.
+SpanScorer.score_spans looks those weights up once per position of the
+sentence and sums them per span with numpy, using prefix sums for the
+unigram and bigram counts (see score_spans).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from .decoder import ScoreChart
 from .errors import (
@@ -35,6 +33,7 @@ from .errors import (
     PoolExhaustedWarning,
     SingleClassInput,
     UndefinedMccWarning,
+    check_int,
 )
 from .seeds import CONCAT, CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSpanExample
 from .treebank import Sentence, Span
@@ -46,6 +45,30 @@ EOS = "</s>"
 PROB_EPS = 1e-12
 
 MODEL_FORMAT_VERSION = 1
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-z)) of a 1-d array.
+
+    exp comes from math.exp, the C library's, so the results are the
+    same bits as scipy.special.expit's; numpy's vectorized exp differs
+    from it in the last place on about 2% of inputs.  Where exp(-z)
+    overflows (z below about -709.78) the result is 0.
+    """
+    neg = (-z).tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), dtype=float, count=len(neg))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, neg), dtype=float, count=len(neg))
+    e += 1.0
+    return np.divide(1.0, e, out=e)
 
 
 def _length_bin(length: int) -> str:
@@ -102,6 +125,30 @@ def featurize(sentence: Sentence, span: Span, view: str) -> dict[str, float]:
     return feats
 
 
+@dataclass(frozen=True)
+class CsrRows:
+    """Feature rows in compressed sparse row form.
+
+    Row r holds the values data[indptr[r]:indptr[r+1]] in the columns
+    indices[indptr[r]:indptr[r+1]], in increasing column order; shape is
+    (rows, columns).
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _logits(rows, cols, vals, n_rows: int, w: np.ndarray, b: float) -> np.ndarray:
+    """w . x + b for n_rows rows given as (row, column, value) entries.
+
+    np.bincount adds its weights one at a time in input order, so each
+    row's products are summed in the order its entries are listed.
+    """
+    return np.bincount(rows, vals * w[cols], minlength=n_rows) + b
+
+
 @dataclass
 class FeatureSpace:
     """Maps feature dicts to column indices.
@@ -128,7 +175,7 @@ class FeatureSpace:
                     self.names.append(name)
         return self
 
-    def transform(self, feature_dicts) -> sparse.csr_matrix:
+    def transform(self, feature_dicts) -> CsrRows:
         data: list[float] = []
         indices: list[int] = []
         indptr = [0]
@@ -142,9 +189,11 @@ class FeatureSpace:
                 indices.append(col)
                 data.append(cols[col])
             indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-            shape=(len(indptr) - 1, self.dim),
+        return CsrRows(
+            np.asarray(data, dtype=float),
+            np.asarray(indices, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64),
+            (len(indptr) - 1, self.dim),
         )
 
 
@@ -160,10 +209,10 @@ class TrainingMeta:
     example_count: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("rng_seed", self.rng_seed, 0)
+        check_int("example_count", self.example_count, 0)
         if not (_finite_number(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be a finite number > 0, got {self.learning_rate!r}"
@@ -241,7 +290,7 @@ class SpanScorer:
             bos_w, eos_w = lookup(["bos", "eos"])
             z += np.where(np.array([t == BOS for t in before])[i], bos_w, 0.0)
             z += np.where(np.array([t == EOS for t in after])[j], eos_w, 0.0)
-        return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
+        return np.clip(sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
 
     def _lookup(self, names: list[str]) -> np.ndarray:
         """The weight of each named feature; 0 for names the space drops."""
@@ -317,6 +366,10 @@ def train(
     row_len = np.diff(x_train.indptr)
     # position of each row within its minibatch
     batch_pos = np.arange(n) % batch
+    val_rows = np.repeat(np.arange(n_val), np.diff(x_val.indptr))
+
+    def val_probs(w, b):
+        return sigmoid(_logits(val_rows, x_val.indices, x_val.data, n_val, w, b))
 
     for _ in range(meta.epochs):
         # Lay the rows out in this epoch's order, so that each minibatch
@@ -334,22 +387,22 @@ def train(
             c, v, r = (a[ptr[lo] : ptr[hi]] for a in (cols, vals, rows))
             # Row sums and column sums with np.bincount, which adds its
             # weights one at a time in input order: within a row in stored
-            # order, and into each column row by row.  scipy's product of
-            # the batch's CSR rows with w, and of their transpose with the
-            # residuals, add in that same order, so the weights are the
-            # same bits.
-            p = expit(np.bincount(r, v * w[c], minlength=hi - lo) + b)
+            # order, and into each column row by row.  A CSR product with
+            # w, and of the transpose with the residuals, adds in that same
+            # order, so the weights are the same bits as scipy's.
+            p = sigmoid(_logits(r, c, v, hi - lo, w, b))
             resid = p - y[lo:hi]
             grad_w = (
                 np.bincount(c, v * resid[r], minlength=space.dim) / (hi - lo)
                 + meta.l2 * w
             )
-            grad_b = float(np.mean(resid))
+            # np.mean's bits, without its dispatch cost
+            grad_b = float(resid.sum()) / (hi - lo)
             w -= meta.learning_rate * grad_w
             b -= meta.learning_rate * grad_b
-        if len(val_idx) == 0:
+        if n_val == 0:
             continue
-        val_loss = _log_loss(expit(x_val @ w + b), y_val)
+        val_loss = _log_loss(val_probs(w, b), y_val)
         if val_loss < best[0]:
             best = (val_loss, w.copy(), b)
             stale = 0
@@ -358,12 +411,12 @@ def train(
             if stale >= 2:
                 break
 
-    if len(val_idx) > 0 and np.isfinite(best[0]):
+    if n_val > 0 and np.isfinite(best[0]):
         _, w, b = best
 
     metrics: dict[str, float] = {}
-    if len(val_idx) > 0:
-        p_val = np.clip(expit(x_val @ w + b), PROB_EPS, 1.0 - PROB_EPS)
+    if n_val > 0:
+        p_val = np.clip(val_probs(w, b), PROB_EPS, 1.0 - PROB_EPS)
         pred = (p_val >= 0.5).astype(int)
         yv = y_val.astype(int)
         metrics["val_loss"] = _log_loss(p_val, y_val)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedFile
+from .errors import EmptyCorpus, MalformedFile, check_int
 from .treebank import Sentence, Span, token_runs
 
 INSIDE = "inside"
@@ -71,10 +71,11 @@ class SeedConfig:
     def __post_init__(self):
         if self.branching not in ("right", "left"):
             raise ValueError(f"branching must be right or left, got {self.branching!r}")
-        if self.num_slices is not None and self.num_slices < 1:
-            raise ValueError("num_slices must be positive")
-        if self.min_span_len < 1:
-            raise ValueError("min_span_len must be positive")
+        if self.num_slices is not None:
+            check_int("num_slices", self.num_slices, 1)
+        check_int("min_span_len", self.min_span_len, 1)
+        check_int("lowercase_copy_label", self.lowercase_copy_label, 0, 1)
+        check_int("rng_seed", self.rng_seed, 0)
 
     @property
     def slices(self) -> int:

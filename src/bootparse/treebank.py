@@ -96,12 +96,17 @@ class TreeNode:
         )
 
 
-def iter_leaves(node: TreeNode):
-    if node.is_leaf:
-        yield node
-    else:
-        for child in node.children:
-            yield from iter_leaves(child)
+def leaf_indices(node: TreeNode) -> list[int]:
+    """The token indices of the leaves under node, left to right."""
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append(node.index)
+        else:
+            stack.extend(reversed(node.children))
+    return out
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class GoldTree:
     root: TreeNode
 
     def __post_init__(self):
-        indices = [leaf.index for leaf in iter_leaves(self.root)]
+        indices = leaf_indices(self.root)
         if indices != list(range(len(self.sentence))):
             raise ValueError(
                 f"tree leaves {indices} do not cover sentence "
@@ -255,7 +260,7 @@ def normalize(
     if collapse_unary:
         root = collapse(root)
 
-    old_indices = [leaf.index for leaf in iter_leaves(root)]
+    old_indices = leaf_indices(root)
     renumber = {old: new for new, old in enumerate(old_indices)}
     kept_tokens = tuple(tokens[i] for i in old_indices)
 
@@ -400,6 +405,10 @@ def _parse_trees(text: str, path) -> list[GoldTree]:
     trees: list[GoldTree] = []
     for chunk in _split_balanced(text):
         tree = parse_bracketed(chunk, sentence_id=len(trees))
+        if TRACE_TAG not in chunk:
+            # nothing to drop: normalize would rebuild the same tree
+            trees.append(tree)
+            continue
         try:
             tree = normalize(
                 tree,

@@ -167,6 +167,33 @@ def test_bad_training_value_is_exit_1(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("self_train", "K", 1.5), ("self_train", "K", True), ("self_train", "c", 2.5),
+     ("self_train", "pool_cap", 10.5), ("self_train", "rng_seed", "x"),
+     ("self_train", "accumulate", "yes"), ("seeds", "num_slices", 2.5),
+     ("seeds", "min_span_len", 2.5), ("seeds", "rng_seed", "x"),
+     ("seeds", "lowercase_copy_label", 2), ("training", "rng_seed", "x"),
+     ("eval", "bucket_width", 2.5), ("eval", "max_len", 7.5), (None, "rng_seed", -1)],
+)
+def test_bad_integer_config_value_is_exit_1(tmp_path, capsys, section, field, value):
+    write_tiny_corpus(tmp_path)
+    overrides = {section: {field: value}} if section else {field: value}
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["bootstrap", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "internal error" not in err
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, bootparse.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 def test_missing_corpus_is_exit_2(tmp_path):
     cfg = write_config(tmp_path)  # corpus.txt never written
     assert main(["bootstrap", "--config", str(cfg)]) == 2

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.special import expit
 
 from bootparse.errors import (
@@ -34,6 +35,7 @@ from bootparse.scorer import (
     save_model,
     score_chart,
     select_confident,
+    sigmoid,
     train,
 )
 from bootparse.seeds import CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSpanExample
@@ -114,11 +116,16 @@ def test_concat_features_union():
     assert "u=a" in feats and "left=<s>" in feats
 
 
+def csr(rows):
+    """FeatureSpace.transform's CSR arrays as a scipy matrix."""
+    return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
+
+
 def test_feature_space_vocab():
     dicts = [{"u=a": 1.0, "len=2": 1.0}, {"u=b": 2.0}]
     space = FeatureSpace(view=INSIDE).fit(dicts)
     assert space.dim == 3
-    m = space.transform([{"u=b": 2.0, "unseen": 5.0}])
+    m = csr(space.transform([{"u=b": 2.0, "unseen": 5.0}]))
     assert m.shape == (1, 3)
     assert m.toarray()[0].tolist() == [0.0, 0.0, 2.0]
 
@@ -166,6 +173,20 @@ def test_train_deterministic():
     assert m1.bias == m2.bias
     m3 = train(examples, corpus, INSIDE, TrainingMeta(rng_seed=4))
     assert not np.array_equal(m1.weights, m3.weights)
+
+
+@pytest.mark.parametrize("scale", [1, 10, 100, 400])
+def test_sigmoid_matches_expit_bits(scale):
+    z = np.random.default_rng(scale).normal(scale=scale, size=200_000)
+    assert np.array_equal(sigmoid(z).view(np.int64), expit(z).view(np.int64))
+
+
+def test_sigmoid_matches_expit_at_edges():
+    z = np.array([-1000, -745.2, -709.79, -709.78, -0.0, 0.0, 37, 38, 1000])
+    got = sigmoid(z)
+    assert np.array_equal(got.view(np.int64), expit(z).view(np.int64))
+    assert got[0] == 0.0 and 0.0 < got[3] < 1e-300 and got[-1] == 1.0
+    assert sigmoid(np.empty(0)).shape == (0,)
 
 
 def test_untrained_model_scores_half():
@@ -348,7 +369,7 @@ PARITY_VOCAB = ["a", "b", "c", "a|b", "b|c", "|", "=", "x=y", BOS, EOS]
 def reference_scores(model, sentence, spans):
     """The per-span path: featurize -> sparse row -> dot product."""
     feats = [featurize(sentence, sp, model.view) for sp in spans]
-    z = model.space.transform(feats) @ model.weights + model.bias
+    z = csr(model.space.transform(feats)) @ model.weights + model.bias
     return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -443,8 +464,8 @@ def reference_train(examples, corpus, view, meta):
     train_dicts, y_train = build(train_idx)
     val_dicts, y_val = build(val_idx)
     space = FeatureSpace(view=view).fit(train_dicts)
-    x_train = space.transform(train_dicts)
-    x_val = space.transform(val_dicts)
+    x_train = csr(space.transform(train_dicts))
+    x_val = csr(space.transform(val_dicts))
 
     w = np.zeros(space.dim)
     b = 0.0

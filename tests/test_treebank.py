@@ -288,6 +288,35 @@ def test_read_treebank(tmp_path):
     assert trees[1].sentence.tokens == ("the", "dog", "ran")
 
 
+MIXED_TREES = [
+    DOG,
+    "( (S (NP-SBJ (-NONE- *T*-1)) (VP (VBD fell) (NP (CD 5) (NN %)))) )",
+    "(S (-NONE- *) (-NONE- *?*))",  # all traces: skipped
+    "(S (X (A a b) c) (. .))",
+    "(S (NN -NONE-) (VP (VB x) (-NONE- *U*)))",
+    "(S (NP (NNP Ed) (-NONE- 0)) (VP (VBZ naps)))",
+    "(S c d)",
+]
+
+
+def test_read_treebank_mixed_traces_matches_normalize(tmp_path):
+    p = tmp_path / "gold.mrg"
+    p.write_text("\n".join(MIXED_TREES) + "\n")
+    want = []
+    for text in MIXED_TREES:
+        tree = parse_bracketed(text, sentence_id=len(want))
+        try:
+            want.append(normalize(tree, punct_tags=frozenset(), collapse_unary=False))
+        except AllTokensRemoved:
+            pass
+    with pytest.warns(UserWarning, match="all traces"):
+        got = read_treebank(p)
+    assert got == want
+    assert [t.sentence.id for t in got] == list(range(6))
+    assert got[1].sentence.tokens == ("fell", "5", "%")
+    assert got[3].sentence.tokens == ("-NONE-", "x")
+
+
 # property: parse . serialize round-trips on random trees
 
 _token = st.text(alphabet="abcdef'-", min_size=1, max_size=4).filter(
