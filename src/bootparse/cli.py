@@ -64,7 +64,6 @@ from .treebank import (
 
 SEED_FILE = "seeds.tsv"
 INSIDE_SEED_MODEL = "inside_seed.json"
-HEURISTICS_FILE = "heuristics.json"
 TRAIN_LOG = "train_log.json"
 SELF_IN_MODEL = "self_in.json"
 SELF_OUT_MODEL = "self_out.json"
@@ -100,6 +99,21 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_from(low: int):
+    """An argparse type: an integer of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load(args) -> PipelineConfig:
@@ -181,69 +195,6 @@ def cmd_bootstrap(args) -> int:
 # ---------------------------------------------------------------- train
 
 
-def _heuristic_stats(cfg: PipelineConfig, corpus) -> HeuristicConfig:
-    """The refinement statistics, resolved the same way for train and parse.
-
-    Statistics set in the config win, with the bundled stopwords unless
-    the config lists its own; without any, they are counted from the
-    training corpus, which parse (corpus None) does not have.
-    """
-    h = cfg.heuristics
-    if (
-        h.comma_successor_word is not None
-        or h.common_start_word is not None
-        or h.top_frequency_set
-    ):
-        if h.stopword_set:
-            return h
-        return dataclasses.replace(h, stopword_set=load_stopwords())
-    if corpus is None:
-        raise ConfigError(
-            "heuristics are enabled but no statistics are available; "
-            "run the train subcommand first or set them in the config"
-        )
-    return heuristics_from_corpus(corpus)
-
-
-def _heuristics_to_file(h: HeuristicConfig, path: Path) -> None:
-    payload = {
-        "enabled": h.enabled,
-        "comma_successor_word": h.comma_successor_word,
-        "common_start_word": h.common_start_word,
-        "top_frequency_set": sorted(h.top_frequency_set),
-        "stopword_set": sorted(h.stopword_set),
-    }
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _heuristics_from_file(path: Path) -> HeuristicConfig:
-    """Read a file written by _heuristics_to_file; MalformedFile names it."""
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise TypeError("not a JSON object")
-        words = {k: raw[k] for k in ("comma_successor_word", "common_start_word")}
-        sets = {k: raw[k] for k in ("top_frequency_set", "stopword_set")}
-        if not (
-            isinstance(raw["enabled"], bool)
-            and all(w is None or isinstance(w, str) for w in words.values())
-            and all(
-                isinstance(s, list) and all(isinstance(w, str) for w in s)
-                for s in sets.values()
-            )
-        ):
-            raise TypeError("a field has the wrong type")
-        return HeuristicConfig(
-            enabled=raw["enabled"],
-            **words,
-            **{k: frozenset(s) for k, s in sets.items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedFile(f"heuristics file {path}: {exc!r}") from exc
-
-
 def _training_inputs(args):
     """Config, corpus, casing carriers and model directory of a stage.
 
@@ -276,11 +227,6 @@ def cmd_train(args) -> int:
     examples = _read_examples(seed_path, corpus + carriers)
     model = train(examples, corpus + carriers, INSIDE, cfg.training)
     save_model(model, model_dir / INSIDE_SEED_MODEL)
-
-    if cfg.heuristics.enabled:
-        stats = _heuristic_stats(cfg, corpus)
-        _heuristics_to_file(stats, model_dir / HEURISTICS_FILE)
-
     log = {
         "stage": "train",
         "view": INSIDE,
@@ -351,20 +297,36 @@ def _parse_scorer(cfg: PipelineConfig, stage: str, model_dir: Path):
     )
 
 
-def _load_heuristics(cfg: PipelineConfig, model_dir: Path) -> HeuristicConfig:
-    if not cfg.heuristics.enabled:
-        return cfg.heuristics
-    stats_file = model_dir / HEURISTICS_FILE
-    if stats_file.exists():
-        return _heuristics_from_file(stats_file)
-    return _heuristic_stats(cfg, None)
+def _heuristic_stats(cfg: PipelineConfig) -> HeuristicConfig:
+    """The decode statistics, a pure function of the config and its corpus.
+
+    Statistics set in the config win, with the bundled stopwords unless
+    the config lists its own; without any, they are counted from the
+    training corpus at paths.corpus.
+    """
+    h = cfg.heuristics
+    if not h.enabled:
+        return h
+    if (
+        h.comma_successor_word is not None
+        or h.common_start_word is not None
+        or h.top_frequency_set
+    ):
+        if h.stopword_set:
+            return h
+        return dataclasses.replace(h, stopword_set=load_stopwords())
+    if cfg.paths.corpus is None:
+        raise ConfigError(
+            "heuristics are enabled but no statistics are available; "
+            "set them in the heuristics section or set paths.corpus"
+        )
+    return heuristics_from_corpus(read_corpus(cfg.paths.corpus))
 
 
 def cmd_parse(args) -> int:
     cfg = _load(args)
-    model_dir = _output_dir(cfg.paths.model_dir)
-    scorer = _parse_scorer(cfg, args.stage, model_dir)
-    heuristics = _load_heuristics(cfg, model_dir)
+    heuristics = _heuristic_stats(cfg)
+    scorer = _parse_scorer(cfg, args.stage, _output_dir(cfg.paths.model_dir))
     sentences = read_corpus(args.input)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -511,8 +473,8 @@ def _parser() -> _Parser:
     p = add("synth", cmd_synth, "sample a corpus from a toy grammar")
     p.add_argument("--out", required=True, help="corpus output (text lines)")
     p.add_argument("--gold", default=None, help="gold treebank output")
-    p.add_argument("--count", type=int, default=2000)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--count", type=_int_from(1), default=2000)
+    p.add_argument("--rng-seed", type=_int_from(0), default=0)
     p.add_argument("--min-len", type=int, default=3)
     p.add_argument("--max-len", type=int, default=12)
     p.add_argument("--grammar", default=None, help="grammar JSON file")

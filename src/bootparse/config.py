@@ -16,13 +16,15 @@ import os
 from dataclasses import dataclass, field
 
 from .decoder import HeuristicConfig
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_bool, check_int
 from .evaluation import EvalConfig
 from .loops import LoopConfig
 from .scorer import Thresholds, TrainingMeta
 from .seeds import SeedConfig
 
 ENV_PREFIX = "BOOTPARSE_"
+# Names the treebank of the data-gated PTB test; it is not a config override.
+PTB_TEST_ENV = "BOOTPARSE_PTB_TEST"
 
 BUILTIN_BACKEND = "builtin"
 EXTERNAL_BACKEND = "external"
@@ -174,14 +176,21 @@ def _as_plain(obj):
 _LOOP_ALIASES = {"k": "K", "accumulate": "accumulate_self_train"}
 
 
-def _loop_config(raw: dict, section: str, rng_seed: int) -> LoopConfig:
-    """The section's keys over the top-level rng_seed over PipelineConfig's
-    default for the section, merged by canonical field name."""
+def _merged(section: str, data: dict, rng_seed: int, aliases=None) -> dict:
+    """data over the top-level rng_seed (in sections that have one) over
+    PipelineConfig's default for the section, merged by canonical name."""
     default = _as_plain(getattr(PipelineConfig(), section))
-    merged = {}
-    for part in (default, {"rng_seed": rng_seed}, raw.get(section, {})):
-        for key, value in part.items():
-            merged[_LOOP_ALIASES.get(key, key)] = value
+    seed = {"rng_seed": rng_seed} if "rng_seed" in default else {}
+    aliases = aliases or {}
+    return {
+        aliases.get(key, key): value
+        for part in (default, seed, data)
+        for key, value in part.items()
+    }
+
+
+def _loop_config(raw: dict, section: str, rng_seed: int) -> LoopConfig:
+    merged = _merged(section, raw.get(section, {}), rng_seed, _LOOP_ALIASES)
     try:
         thresholds = Thresholds(
             tau_min=merged.pop("tau_min"), tau_max=merged.pop("tau_max")
@@ -198,10 +207,9 @@ def _loop_config(raw: dict, section: str, rng_seed: int) -> LoopConfig:
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
-def _dataclass_section(cls, data: dict, section: str, **extra):
-    data = {**data, **extra}
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+def _dataclass_section(cls, raw: dict, section: str, rng_seed: int):
+    data = _merged(section, raw.get(section, {}), rng_seed)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
     try:
@@ -210,21 +218,11 @@ def _dataclass_section(cls, data: dict, section: str, **extra):
         raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
-def _heuristic_config(data: dict) -> HeuristicConfig:
-    data = dict(data)
-    for key in ("top_frequency_set", "stopword_set"):
-        if key in data and data[key] is not None:
-            data[key] = frozenset(data[key])
-        elif key in data:
-            del data[key]
-    return _dataclass_section(HeuristicConfig, data, "heuristics")
-
-
 def _apply_env(raw: dict, env) -> dict:
     """BOOTPARSE_SECTION__FIELD=value overrides; values parse as JSON."""
     out = json.loads(json.dumps(raw))
     for key in sorted(env):
-        if not key.startswith(ENV_PREFIX):
+        if not key.startswith(ENV_PREFIX) or key == PTB_TEST_ENV:
             continue
         spec = key[len(ENV_PREFIX):].lower()
         try:
@@ -256,36 +254,24 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         scalar = section in ("rng_seed", "renormalize")
         if not scalar and not isinstance(raw.get(section, {}), dict):
             raise ConfigError(f"config section {section} must be an object")
-    rng_seed = raw.get("rng_seed", 0)
+    rng_seed = raw.get("rng_seed", PipelineConfig.rng_seed)
+    renormalize = raw.get("renormalize", PipelineConfig.renormalize)
     try:
         check_int("rng_seed", rng_seed, 0)
+        check_bool("renormalize", renormalize)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    seeds_data = dict(raw.get("seeds", {}))
-    seeds_data.setdefault("rng_seed", rng_seed)
-
-    scorer_data = dict(raw.get("scorer", {}))
-    if "command" in scorer_data and scorer_data["command"] is not None:
-        scorer_data["command"] = tuple(scorer_data["command"])
-
-    training_data = dict(raw.get("training", {}))
-    training_data.setdefault("rng_seed", rng_seed)
-
-    renormalize = raw.get("renormalize", False)
-    if not isinstance(renormalize, bool):
-        raise ConfigError("renormalize must be a boolean")
-
     return PipelineConfig(
-        paths=_dataclass_section(Paths, raw.get("paths", {}), "paths"),
+        paths=_dataclass_section(Paths, raw, "paths", rng_seed),
         rng_seed=rng_seed,
-        seeds=_dataclass_section(SeedConfig, seeds_data, "seeds"),
+        seeds=_dataclass_section(SeedConfig, raw, "seeds", rng_seed),
         self_train=_loop_config(raw, "self_train", rng_seed),
         co_train=_loop_config(raw, "co_train", rng_seed),
-        training=_dataclass_section(TrainingMeta, training_data, "training"),
-        heuristics=_heuristic_config(raw.get("heuristics", {"enabled": True})),
-        eval=_dataclass_section(EvalConfig, raw.get("eval", {}), "eval"),
-        scorer=_dataclass_section(ScorerBackend, scorer_data, "scorer"),
+        training=_dataclass_section(TrainingMeta, raw, "training", rng_seed),
+        heuristics=_dataclass_section(HeuristicConfig, raw, "heuristics", rng_seed),
+        eval=_dataclass_section(EvalConfig, raw, "eval", rng_seed),
+        scorer=_dataclass_section(ScorerBackend, raw, "scorer", rng_seed),
         renormalize=renormalize,
     )
 

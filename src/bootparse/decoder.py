@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import TooLarge, check_bool
 from .treebank import BinaryTree, Sentence, Span, token_runs
 
 # enumerate_trees(13) would yield 208012 trees; stop before that.
@@ -196,6 +196,18 @@ class HeuristicConfig:
     stopword_set: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        check_bool("enabled", self.enabled)
+        for name in ("comma_successor_word", "common_start_word"):
+            word = getattr(self, name)
+            if word is not None and not isinstance(word, str):
+                raise ValueError(f"{name} must be a string or null, got {word!r}")
+        for name in ("top_frequency_set", "stopword_set"):
+            words = getattr(self, name)
+            if not isinstance(words, (list, set, frozenset)) or not all(
+                isinstance(w, str) for w in words
+            ):
+                raise ValueError(f"{name} must be a list of strings, got {words!r}")
+            object.__setattr__(self, name, frozenset(words))
         if len(self.top_frequency_set) > 100:
             raise ValueError("top_frequency_set is capped at 100 tokens")
 
@@ -220,15 +232,14 @@ def load_stopwords() -> frozenset[str]:
     return frozenset(line for line in text.splitlines() if line)
 
 
-def heuristics_from_corpus(
-    sentences, stopword_set=None, enabled: bool = True
-) -> HeuristicConfig:
+def heuristics_from_corpus(sentences) -> HeuristicConfig:
     """Collect the refinement statistics from training text.
 
     Statistics never come from the text being parsed: the word most
     often following a comma, the most common sentence-start word, and
-    the 100 most frequent tokens.  Count ties break toward the
-    lexicographically smaller token so the result is deterministic.
+    the 100 most frequent tokens, with the bundled stopwords.  Count
+    ties break toward the lexicographically smaller token so the result
+    is deterministic.
     """
     comma_succ = Counter()
     starts = Counter()
@@ -249,13 +260,11 @@ def heuristics_from_corpus(
 
     top = sorted(freq, key=lambda tok: (-freq[tok], tok))[:100]
     return HeuristicConfig(
-        enabled=enabled,
+        enabled=True,
         comma_successor_word=best(comma_succ),
         common_start_word=best(starts),
         top_frequency_set=frozenset(top),
-        stopword_set=(
-            load_stopwords() if stopword_set is None else frozenset(stopword_set)
-        ),
+        stopword_set=load_stopwords(),
     )
 
 

@@ -76,6 +76,12 @@ def check_int(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
+def check_bool(name: str, value) -> None:
+    """Raise ValueError unless value is True or False."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 class PoolExhaustedWarning(UserWarning):
     """A confidence pool held fewer spans than were requested from it."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoder import ScoreChart, cyk_decode, split_spans
-from .errors import EmptyCorpus, LengthMismatch, YieldMismatch, check_int
+from .errors import EmptyCorpus, LengthMismatch, YieldMismatch, check_bool, check_int
 from .treebank import BinaryTree, GoldTree, Span
 
 MACRO_SENTENCE = "macro_sentence"
@@ -59,6 +59,8 @@ class EvalConfig:
         if self.max_len is not None:
             check_int("max_len", self.max_len, 1)
         check_int("bucket_width", self.bucket_width, 1)
+        check_bool("exclude_trivial", self.exclude_trivial)
+        check_bool("dedup_spans", self.dedup_spans)
         if self.mode == EVALB_STYLE:
             object.__setattr__(self, "exclude_trivial", False)
             object.__setattr__(self, "dedup_spans", False)

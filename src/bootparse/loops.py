@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpus, check_int
+from .errors import EmptyCorpus, check_bool, check_int
 from .scorer import (
     Thresholds,
     TrainingMeta,
@@ -52,10 +52,7 @@ class LoopConfig:
         check_int("d", self.d, 0)
         check_int("pool_cap", self.pool_cap, 1)
         check_int("rng_seed", self.rng_seed, 0)
-        if not isinstance(self.accumulate_self_train, bool):
-            raise ValueError(
-                f"accumulate must be true or false, got {self.accumulate_self_train!r}"
-            )
+        check_bool("accumulate", self.accumulate_self_train)
 
 
 @dataclass(frozen=True)

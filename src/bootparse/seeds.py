@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedFile, check_int
+from .errors import EmptyCorpus, MalformedFile, check_bool, check_int
 from .treebank import Sentence, Span, token_runs
 
 INSIDE = "inside"
@@ -76,6 +76,8 @@ class SeedConfig:
         check_int("min_span_len", self.min_span_len, 1)
         check_int("lowercase_copy_label", self.lowercase_copy_label, 0, 1)
         check_int("rng_seed", self.rng_seed, 0)
+        for name in ("casing_augmentation", "star_split", "random_slices"):
+            check_bool(name, getattr(self, name))
 
     @property
     def slices(self) -> int:

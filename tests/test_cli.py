@@ -8,6 +8,9 @@ from pathlib import Path
 import pytest
 
 from bootparse.cli import main
+from bootparse.config import PipelineConfig
+from bootparse.decoder import heuristics_from_corpus
+from bootparse.treebank import read_corpus
 
 GOLDEN_RIGHT = (
     "0\t0\t4\tconstituent\tinside\n"
@@ -104,6 +107,14 @@ def test_synth_custom_grammar(tmp_path):
     assert (tmp_path / "c.txt").read_text() == "left right\n" * 5
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "0"), ("--rng-seed", "-1")])
+def test_synth_bad_count_or_seed_is_exit_1(tmp_path, capsys, flag, value):
+    assert main(["synth", "--out", str(tmp_path / "c.txt"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "internal error" not in err
+    assert not (tmp_path / "c.txt").exists()
+
+
 @pytest.mark.parametrize(
     "case", ["probabilities_halved", "not_json", "rules_not_object"]
 )
@@ -183,6 +194,50 @@ def test_bad_integer_config_value_is_exit_1(tmp_path, capsys, section, field, va
     assert main(["bootstrap", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert field in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+@pytest.mark.parametrize(
+    "section, field",
+    [("seeds", "casing_augmentation"), ("seeds", "star_split"),
+     ("seeds", "random_slices"), ("eval", "exclude_trivial"),
+     ("eval", "dedup_spans"), ("heuristics", "enabled"),
+     ("self_train", "accumulate"), (None, "renormalize")],
+)
+def test_non_bool_config_value_is_exit_1(tmp_path, capsys, section, field, value):
+    write_tiny_corpus(tmp_path)
+    overrides = {section: {field: value}} if section else {field: value}
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["bootstrap", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("top_frequency_set", "the"), ("top_frequency_set", 5),
+     ("top_frequency_set", [f"w{k}" for k in range(101)]),
+     ("comma_successor_word", 5), ("stopword_set", [1])],
+)
+def test_bad_heuristics_value_is_exit_1(tmp_path, capsys, field, value):
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path, heuristics={field: value})
+    assert main(["bootstrap", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "key, code",
+    [("BOOTPARSE_PTB_TEST", 0), ("BOOTPARSE_NOPE", 1), ("BOOTPARSE_NOPE__X", 1)],
+)
+def test_env_override_names(tmp_path, monkeypatch, capsys, key, code):
+    # BOOTPARSE_PTB_TEST names the treebank of a test, not a config field
+    write_tiny_corpus(tmp_path)
+    monkeypatch.setenv(key, "1")
+    assert main(["bootstrap", "--config", str(write_config(tmp_path))]) == code
+    err = capsys.readouterr().err
+    assert (key in err) if code else err == ""
 
 
 def test_cli_import_leaves_scipy_out():
@@ -342,27 +397,64 @@ def test_report_consolidates(pipeline, capsys):
     assert "co-training trace" in out
 
 
-def test_train_writes_heuristics_when_enabled(tmp_path):
-    write_tiny_corpus(tmp_path)
-    cfg = write_config(tmp_path, heuristics={"enabled": True})
+# "the" opens most sentences, and the start-word rule brackets "the dog"
+START_WORD_CORPUS = (
+    "the dog ran home now\nthe cat sat\nthe dog sat down\nalice ran home\n"
+)
+
+
+def _train_seed_model(tmp_path, corpus: str, **overrides) -> None:
+    (tmp_path / "corpus.txt").write_text(corpus)
+    cfg = write_config(tmp_path, **overrides)
     assert main(["bootstrap", "--config", str(cfg)]) == 0
     assert main(["train", "--config", str(cfg)]) == 0
-    stats = json.loads((tmp_path / "models" / "heuristics.json").read_text())
-    assert stats["enabled"] is True
-    assert stats["common_start_word"] in {"the", "alice", "North"}
-    assert len(stats["stopword_set"]) == 179
 
 
-def test_parse_heuristics_need_stats(tmp_path):
+def _parse_seed(tmp_path, name: str, **overrides) -> list[str]:
+    """Parse the corpus with the seed model under a config of overrides."""
+    cfg = write_config(tmp_path, **overrides)
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+        "--out", str(tmp_path / name), "--stage", "seed",
+    ]) == 0
+    return (tmp_path / name).read_text().splitlines()
+
+
+def test_parse_counts_heuristics_from_corpus(tmp_path):
+    _train_seed_model(tmp_path, START_WORD_CORPUS)
+    stats = heuristics_from_corpus(read_corpus(tmp_path / "corpus.txt"))
+    given = json.loads(PipelineConfig(heuristics=stats).to_json())["heuristics"]
+    counted = _parse_seed(tmp_path, "counted.txt", heuristics={"enabled": True})
+    assert counted == _parse_seed(tmp_path, "given.txt", heuristics=given)
+    assert counted[0] == "(X (X the dog) (X ran (X home now)))"
+    assert counted != _parse_seed(tmp_path, "off.txt")
+
+
+def test_parse_follows_config_after_train(tmp_path):
+    on = {"enabled": True}
+    _train_seed_model(tmp_path, START_WORD_CORPUS, heuristics=on)
+    counted = _parse_seed(tmp_path, "counted.txt", heuristics=on)
+    assert counted[0] == "(X (X the dog) (X ran (X home now)))"
+    # a start word that never occurs leaves the seed model's trees alone
+    zzz = {"enabled": True, "common_start_word": "zzz"}
+    assert _parse_seed(tmp_path, "zzz.txt", heuristics=zzz) == (
+        _parse_seed(tmp_path, "off.txt")
+    )
+
+
+def test_parse_heuristics_need_stats(tmp_path, capsys):
     write_tiny_corpus(tmp_path)
     plain = write_config(tmp_path)
     assert main(["bootstrap", "--config", str(plain)]) == 0
     assert main(["train", "--config", str(plain)]) == 0
-    cfg = write_config(tmp_path, heuristics={"enabled": True})
+    paths = {"model_dir": str(tmp_path / "models")}
+    cfg = write_config(tmp_path, paths=paths, heuristics={"enabled": True})
     assert main([
         "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
         "--out", str(tmp_path / "p.txt"), "--stage", "seed",
     ]) == 1
+    err = capsys.readouterr().err
+    assert "heuristics section" in err and "paths.corpus" in err
 
 
 def test_selftrain_model_hash_stable(tmp_path):
@@ -438,48 +530,6 @@ def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
     assert "co_in.json" in capsys.readouterr().err
 
 
-def _break_heuristics(case: str) -> str:
-    """A broken heuristics.json, built from a valid one."""
-    payload = {
-        "enabled": True,
-        "comma_successor_word": None,
-        "common_start_word": "the",
-        "top_frequency_set": ["the", "dog"],
-        "stopword_set": ["of"],
-    }
-    if case == "not_json":
-        return "nope"
-    if case == "not_object":
-        return "[1, 2]"
-    if case == "missing_key":
-        payload = {"enabled": True}
-    elif case == "wrong_type":
-        payload["top_frequency_set"] = 5
-    elif case == "too_many_words":
-        payload["top_frequency_set"] = [f"w{k}" for k in range(101)]
-    return json.dumps(payload)
-
-
-@pytest.mark.parametrize(
-    "case",
-    ["not_json", "not_object", "missing_key", "wrong_type", "too_many_words"],
-)
-def test_parse_bad_heuristics_file_is_exit_2(pipeline, tmp_path, capsys, case):
-    root, _ = pipeline
-    models = tmp_path / "models"
-    models.mkdir()
-    for name in ("co_in.json", "co_out.json"):
-        (models / name).write_bytes((root / "models" / name).read_bytes())
-    (models / "heuristics.json").write_text(_break_heuristics(case))
-    cfg = write_config(tmp_path, heuristics={"enabled": True})
-    (tmp_path / "in.txt").write_text("the dog sees a cat\n")
-    assert main([
-        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
-        "--out", str(tmp_path / "out.txt"),
-    ]) == 2
-    assert "heuristics.json" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "bad_line",
     ["0\t0\t1\tbogus\tinside", "0\tx\t1\tconstituent\tinside",
@@ -546,26 +596,12 @@ def test_casing_carriers_reach_every_stage(tmp_path, capsys):
 
 
 def test_parse_resolves_config_stats_like_train(tmp_path):
-    (tmp_path / "corpus.txt").write_text(
-        "the of cat sat\nthe dog ran home\nthe of dog ran\nthe cat is here now\n"
-    )
-    cfg = write_config(
-        tmp_path, heuristics={"enabled": True, "common_start_word": "the"}
-    )
-    assert main(["bootstrap", "--config", str(cfg)]) == 0
-    assert main(["train", "--config", str(cfg)]) == 0
-    preds = []
-    for name in ("with_file.txt", "without_file.txt"):
-        out = tmp_path / name
-        assert main([
-            "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
-            "--out", str(out), "--stage", "seed",
-        ]) == 0
-        preds.append(out.read_text())
-        (tmp_path / "models" / "heuristics.json").unlink(missing_ok=True)
+    corpus = "the of cat sat\nthe dog ran home\nthe of dog ran\nthe cat is here now\n"
+    heuristics = {"enabled": True, "common_start_word": "the"}
+    _train_seed_model(tmp_path, corpus, heuristics=heuristics)
     # "of" is a bundled stopword, so the start-word rule leaves it alone
-    assert preds[0].splitlines()[0] == "(X the (X of (X cat sat)))"
-    assert preds[1] == preds[0]
+    pred = _parse_seed(tmp_path, "pred.txt", heuristics=heuristics)
+    assert pred[0] == "(X the (X of (X cat sat)))"
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,20 @@ def test_heuristic_lists_become_frozensets():
     assert cfg.heuristics.top_frequency_set == frozenset({"the", "a"})
 
 
+@pytest.mark.parametrize(
+    "raw, env",
+    [({"heuristics": {}}, {}),
+     ({"heuristics": {"common_start_word": "the"}}, {}),
+     ({}, {"BOOTPARSE_HEURISTICS__COMMON_START_WORD": "the"})],
+)
+def test_partial_heuristics_keep_the_defaults(tmp_path, raw, env):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cfg = load_config(path, env=env)
+    assert cfg.heuristics.enabled is True
+    assert cfg.heuristics.top_frequency_set == frozenset()
+
+
 def test_synthetic_profile_distinct_seeds_differ():
     assert synthetic_profile(0) != synthetic_profile(1)
     assert synthetic_profile(1).training.rng_seed == 1
