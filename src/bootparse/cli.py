@@ -475,8 +475,8 @@ def _parser() -> _Parser:
     p.add_argument("--gold", default=None, help="gold treebank output")
     p.add_argument("--count", type=_int_from(1), default=2000)
     p.add_argument("--rng-seed", type=_int_from(0), default=0)
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=12)
+    p.add_argument("--min-len", type=_int_from(1), default=3)
+    p.add_argument("--max-len", type=_int_from(1), default=12)
     p.add_argument("--grammar", default=None, help="grammar JSON file")
 
     p = add("bootstrap", cmd_bootstrap, "generate template seed examples")
@@ -516,6 +516,8 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "synth" and args.min_len > args.max_len:
+            parser.error(f"--min-len {args.min_len} is above --max-len {args.max_len}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,10 +16,10 @@ import os
 from dataclasses import dataclass, field
 
 from .decoder import HeuristicConfig
-from .errors import ConfigError, check_bool, check_int
+from .errors import ConfigError, check_bool, check_int, check_number
 from .evaluation import EvalConfig
 from .loops import LoopConfig
-from .scorer import Thresholds, TrainingMeta
+from .scorer import TrainingMeta
 from .seeds import SeedConfig
 
 ENV_PREFIX = "BOOTPARSE_"
@@ -39,6 +39,13 @@ class Paths:
     model_dir: str = "models"
     report_dir: str = "reports"
 
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            optional = name in ("corpus", "gold")
+            if not (isinstance(value, str) or (optional and value is None)):
+                kind = "a string or null" if optional else "a string"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ScorerBackend:
@@ -50,12 +57,19 @@ class ScorerBackend:
 
     def __post_init__(self):
         if self.backend not in (BUILTIN_BACKEND, EXTERNAL_BACKEND):
-            raise ConfigError(
+            raise ValueError(
                 f"scorer backend must be builtin or external, got {self.backend!r}"
             )
+        if not isinstance(self.command, (list, tuple)) or not all(
+            isinstance(arg, str) and arg for arg in self.command
+        ):
+            raise ValueError(
+                f"command must be a list of non-empty strings, got {self.command!r}"
+            )
         object.__setattr__(self, "command", tuple(self.command))
+        check_number("timeout", self.timeout, 0, inclusive=False)
         if self.backend == EXTERNAL_BACKEND and not self.command:
-            raise ConfigError("external scorer backend needs a command")
+            raise ValueError("external scorer backend needs a command")
 
 
 @dataclass(frozen=True)
@@ -65,24 +79,8 @@ class PipelineConfig:
     paths: Paths = field(default_factory=Paths)
     rng_seed: int = 0
     seeds: SeedConfig = field(default_factory=SeedConfig)
-    self_train: LoopConfig = field(
-        default_factory=lambda: LoopConfig(
-            K=5,
-            c=500,
-            d=5000,
-            thresholds=Thresholds(tau_min=0.0005, tau_max=0.995),
-            pool_cap=5000,
-        )
-    )
-    co_train: LoopConfig = field(
-        default_factory=lambda: LoopConfig(
-            K=2,
-            c=500,
-            d=5000,
-            thresholds=Thresholds(tau_min=0.0005, tau_max=0.995),
-            pool_cap=5000,
-        )
-    )
+    self_train: LoopConfig = field(default_factory=lambda: LoopConfig(K=5, c=500, d=5000))
+    co_train: LoopConfig = field(default_factory=lambda: LoopConfig(K=2, c=500, d=5000))
     training: TrainingMeta = field(default_factory=TrainingMeta)
     heuristics: HeuristicConfig = field(
         default_factory=lambda: HeuristicConfig(enabled=True)
@@ -92,7 +90,9 @@ class PipelineConfig:
     renormalize: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(_as_plain(self), sort_keys=True, indent=2) + "\n"
+        # sets are written as sorted lists
+        plain = dataclasses.asdict(self)
+        return json.dumps(plain, default=sorted, sort_keys=True, indent=2) + "\n"
 
 
 def synthetic_profile(rng_seed: int = 0) -> PipelineConfig:
@@ -113,16 +113,18 @@ def synthetic_profile(rng_seed: int = 0) -> PipelineConfig:
             K=2,
             c=0,
             d=1200,
-            thresholds=Thresholds(tau_min=0.005, tau_max=0.9),
+            tau_min=0.005,
+            tau_max=0.9,
             pool_cap=1000,
             rng_seed=rng_seed,
-            accumulate_self_train=True,
+            accumulate=True,
         ),
         co_train=LoopConfig(
             K=3,
             c=0,
             d=2400,
-            thresholds=Thresholds(tau_min=0.1, tau_max=0.9),
+            tau_min=0.1,
+            tau_max=0.9,
             pool_cap=1000,
             rng_seed=rng_seed,
         ),
@@ -131,91 +133,32 @@ def synthetic_profile(rng_seed: int = 0) -> PipelineConfig:
     )
 
 
-# Sections of the config file, in the order they are merged.
-_SECTIONS = (
-    "paths",
-    "rng_seed",
-    "seeds",
-    "self_train",
-    "co_train",
-    "training",
-    "heuristics",
-    "eval",
-    "scorer",
-    "renormalize",
-)
+# Top-level keys of the config file: a section per PipelineConfig field,
+# of which these two are plain values.
+_SECTIONS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+_SCALARS = ("rng_seed", "renormalize")
 
 
-def _as_plain(obj):
-    if isinstance(obj, LoopConfig):
-        # flat file form: thresholds inline, short accumulate key
-        return {
-            "K": obj.K,
-            "c": obj.c,
-            "d": obj.d,
-            "tau_min": obj.thresholds.tau_min,
-            "tau_max": obj.thresholds.tau_max,
-            "pool_cap": obj.pool_cap,
-            "rng_seed": obj.rng_seed,
-            "accumulate": obj.accumulate_self_train,
-        }
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {}
-        for f in dataclasses.fields(obj):
-            out[f.name] = _as_plain(getattr(obj, f.name))
-        return out
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
-    return obj
-
-
-# Short spellings of LoopConfig fields: the file form writes accumulate,
-# and environment overrides lower-case every name, so K arrives as k.
-_LOOP_ALIASES = {"k": "K", "accumulate": "accumulate_self_train"}
-
-
-def _merged(section: str, data: dict, rng_seed: int, aliases=None) -> dict:
-    """data over the top-level rng_seed (in sections that have one) over
-    PipelineConfig's default for the section, merged by canonical name."""
-    default = _as_plain(getattr(PipelineConfig(), section))
-    seed = {"rng_seed": rng_seed} if "rng_seed" in default else {}
-    aliases = aliases or {}
-    return {
-        aliases.get(key, key): value
-        for part in (default, seed, data)
-        for key, value in part.items()
-    }
-
-
-def _loop_config(raw: dict, section: str, rng_seed: int) -> LoopConfig:
-    merged = _merged(section, raw.get(section, {}), rng_seed, _LOOP_ALIASES)
-    try:
-        thresholds = Thresholds(
-            tau_min=merged.pop("tau_min"), tau_max=merged.pop("tau_max")
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} thresholds: {exc}") from exc
-    allowed = {f.name for f in dataclasses.fields(LoopConfig)} - {"thresholds"}
-    unknown = set(merged) - allowed
+def _section(raw: dict, name: str, rng_seed: int):
+    """The name section: raw's keys over the top-level rng_seed (in sections
+    that have one) over PipelineConfig's default for the section."""
+    data = raw.get(name, {})
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {name} must be an object")
+    default = getattr(PipelineConfig(), name)
+    merged = dataclasses.asdict(default)
+    if "rng_seed" in merged:
+        merged["rng_seed"] = rng_seed
+    # environment overrides lower-case every key, so LoopConfig's K arrives as k
+    spelling = {key.lower(): key for key in merged}
+    merged.update((spelling.get(key, key), value) for key, value in data.items())
+    unknown = set(merged) - set(spelling.values())
     if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     try:
-        return LoopConfig(thresholds=thresholds, **merged)
+        return type(default)(**merged)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from exc
-
-
-def _dataclass_section(cls, raw: dict, section: str, rng_seed: int):
-    data = _merged(section, raw.get(section, {}), rng_seed)
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section} section: {exc}") from exc
+        raise ConfigError(f"bad {name} section: {exc}") from exc
 
 
 def _apply_env(raw: dict, env) -> dict:
@@ -238,7 +181,7 @@ def _apply_env(raw: dict, env) -> dict:
                 raise ConfigError(f"{key} overrides a non-section value")
             out[section][field_name] = value
         else:
-            if spec not in ("rng_seed", "renormalize"):
+            if spec not in _SCALARS:
                 raise ConfigError(f"unknown top-level override {key}")
             out[spec] = value
     return out
@@ -250,30 +193,18 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for section in _SECTIONS:
-        scalar = section in ("rng_seed", "renormalize")
-        if not scalar and not isinstance(raw.get(section, {}), dict):
-            raise ConfigError(f"config section {section} must be an object")
-    rng_seed = raw.get("rng_seed", PipelineConfig.rng_seed)
-    renormalize = raw.get("renormalize", PipelineConfig.renormalize)
+    top = {name: raw.get(name, getattr(PipelineConfig, name)) for name in _SCALARS}
     try:
-        check_int("rng_seed", rng_seed, 0)
-        check_bool("renormalize", renormalize)
+        check_int("rng_seed", top["rng_seed"], 0)
+        check_bool("renormalize", top["renormalize"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return PipelineConfig(
-        paths=_dataclass_section(Paths, raw, "paths", rng_seed),
-        rng_seed=rng_seed,
-        seeds=_dataclass_section(SeedConfig, raw, "seeds", rng_seed),
-        self_train=_loop_config(raw, "self_train", rng_seed),
-        co_train=_loop_config(raw, "co_train", rng_seed),
-        training=_dataclass_section(TrainingMeta, raw, "training", rng_seed),
-        heuristics=_dataclass_section(HeuristicConfig, raw, "heuristics", rng_seed),
-        eval=_dataclass_section(EvalConfig, raw, "eval", rng_seed),
-        scorer=_dataclass_section(ScorerBackend, raw, "scorer", rng_seed),
-        renormalize=renormalize,
-    )
+    sections = {
+        name: _section(raw, name, top["rng_seed"])
+        for name in _SECTIONS
+        if name not in _SCALARS
+    }
+    return PipelineConfig(**top, **sections)
 
 
 def load_config(path=None, env=None) -> PipelineConfig:

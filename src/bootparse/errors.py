@@ -1,5 +1,7 @@
 """Exception types, warning categories and value checks shared across the package."""
 
+import math
+
 
 class BootparseError(Exception):
     """Base class for errors raised by this package."""
@@ -74,6 +76,23 @@ def check_int(name: str, value, low: int, high: int | None = None) -> None:
     ):
         bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def check_number(name: str, value, low: float, inclusive: bool = True) -> None:
+    """Raise ValueError unless value is a finite int or float, not a bool,
+    of at least low (above low when not inclusive)."""
+    try:
+        ok = (
+            not isinstance(value, bool)
+            and isinstance(value, (int, float))
+            and math.isfinite(value)
+            and (value >= low if inclusive else value > low)
+        )
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        bound = f"{'>=' if inclusive else '>'} {low}"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 def check_bool(name: str, value) -> None:

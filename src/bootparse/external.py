@@ -1,7 +1,8 @@
 """Protocol adapter for out-of-process span scorers.
 
-Lets a stronger model (e.g. a fine-tuned encoder served elsewhere) plug
-into chart scoring and the bootstrap loops.  The wire format is
+Lets a stronger model (e.g. a fine-tuned encoder served elsewhere)
+score the inside view of ``parse``'s charts; training and the bootstrap
+loops always use the builtin classifiers.  The wire format is
 line-delimited: one JSON request per span,
 
     {"view": "inside", "tokens": ["the", "dog"], "i": 0, "j": 1}

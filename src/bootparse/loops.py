@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,19 +32,21 @@ class LoopConfig:
 
     c and d are the per-iteration harvest sizes; their ratio sets the
     class balance of the pseudo-labeled data (roughly 1:10 constituent
-    to distituent in the reference setup).  pool_cap bounds how many
-    corpus sentences are scored each iteration.
+    to distituent in the reference setup).  tau_min and tau_max are the
+    strict confidence cutoffs of the harvest, and pool_cap bounds how
+    many corpus sentences are scored each iteration.
     """
 
     K: int
     c: int
     d: int
-    thresholds: Thresholds = field(default_factory=Thresholds)
+    tau_min: float = Thresholds.tau_min
+    tau_max: float = Thresholds.tau_max
     pool_cap: int = 5000
     rng_seed: int = 0
     # Alternative reading of the self-training update: keep earlier
     # examples instead of replacing the labeled set each iteration.
-    accumulate_self_train: bool = False
+    accumulate: bool = False
 
     def __post_init__(self):
         check_int("K", self.K, 1)
@@ -52,7 +54,12 @@ class LoopConfig:
         check_int("d", self.d, 0)
         check_int("pool_cap", self.pool_cap, 1)
         check_int("rng_seed", self.rng_seed, 0)
-        check_bool("accumulate", self.accumulate_self_train)
+        check_bool("accumulate", self.accumulate)
+        self.thresholds  # checks the pair
+
+    @property
+    def thresholds(self) -> Thresholds:
+        return Thresholds(self.tau_min, self.tau_max)
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,7 @@ def self_train(
     and the outside classifier is trained on them once.
 
     The replacement update means seed examples are gone after one
-    iteration; pass a config with accumulate_self_train=True to keep
+    iteration; pass a config with accumulate=True to keep
     them.  With c = d = 0 the labeled set empties out and training the
     outside model raises SingleClassInput.
     """
@@ -203,7 +210,7 @@ def self_train(
     for k in range(cfg.K):
         m_in = trainer(current, sentences, INSIDE, meta)
         harvested_c, harvested_d, pools = _harvest(m_in, pool_sents, cfg, 1, k)
-        if cfg.accumulate_self_train:
+        if cfg.accumulate:
             current = _union(current, harvested_c + harvested_d)
         else:
             current = harvested_c + harvested_d

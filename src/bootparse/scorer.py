@@ -22,7 +22,7 @@ import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
     SingleClassInput,
     UndefinedMccWarning,
     check_int,
+    check_number,
 )
 from .seeds import CONCAT, CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSpanExample
 from .treebank import Sentence, Span
@@ -206,29 +207,13 @@ class TrainingMeta:
     batch_size: int = 64
     l2: float = 1e-5
     rng_seed: int = 0
-    example_count: int = 0
 
     def __post_init__(self):
         check_int("epochs", self.epochs, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("rng_seed", self.rng_seed, 0)
-        check_int("example_count", self.example_count, 0)
-        if not (_finite_number(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be a finite number > 0, got {self.learning_rate!r}"
-            )
-        if not (_finite_number(self.l2) and self.l2 >= 0):
-            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2!r}")
-
-
-def _finite_number(value) -> bool:
-    """An int or a float, not a bool, that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+        check_number("learning_rate", self.learning_rate, 0, inclusive=False)
+        check_number("l2", self.l2, 0)
 
 
 @dataclass
@@ -240,6 +225,8 @@ class SpanScorer:
     weights: np.ndarray
     bias: float
     meta: TrainingMeta
+    # how many labeled examples the model was trained on
+    example_count: int = 0
     val_metrics: dict[str, float] = field(default_factory=dict)
 
     def score_spans(self, sentence: Sentence, spans) -> np.ndarray:
@@ -434,7 +421,8 @@ def train(
         space=space,
         weights=w,
         bias=float(b),
-        meta=replace(meta, example_count=len(examples)),
+        meta=meta,
+        example_count=len(examples),
         val_metrics=metrics,
     )
 
@@ -622,14 +610,7 @@ def save_model(model: SpanScorer, path) -> None:
         },
         "weights": [float(x) for x in model.weights],
         "bias": model.bias,
-        "meta": {
-            "epochs": model.meta.epochs,
-            "learning_rate": model.meta.learning_rate,
-            "batch_size": model.meta.batch_size,
-            "l2": model.meta.l2,
-            "rng_seed": model.meta.rng_seed,
-            "example_count": model.meta.example_count,
-        },
+        "meta": {**asdict(model.meta), "example_count": model.example_count},
         "val_metrics": model.val_metrics,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -671,7 +652,10 @@ def load_model(path) -> SpanScorer:
         space = FeatureSpace(view=view, names=list(fs["names"]))
         weights = np.asarray(payload["weights"], dtype=float)
         bias = float(payload["bias"])
-        meta = TrainingMeta(**payload["meta"])
+        settings = {**payload["meta"]}
+        example_count = settings.pop("example_count")
+        check_int("example_count", example_count, 0)
+        meta = TrainingMeta(**settings)
         val_metrics = dict(payload["val_metrics"])
     except (KeyError, TypeError, ValueError) as exc:
         raise bad(f"bad field: {exc!r}") from exc
@@ -691,5 +675,6 @@ def load_model(path) -> SpanScorer:
         weights=weights,
         bias=bias,
         meta=meta,
+        example_count=example_count,
         val_metrics=val_metrics,
     )

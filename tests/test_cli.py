@@ -116,6 +116,17 @@ def test_synth_bad_count_or_seed_is_exit_1(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["--max-len", "0"], ["--min-len", "0"], ["--min-len", "5", "--max-len", "3"]],
+)
+def test_synth_bad_length_window_is_exit_1(tmp_path, capsys, argv):
+    assert main(["synth", "--out", str(tmp_path / "c.txt"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and argv[-2] in err
+    assert not (tmp_path / "c.txt").exists()
+
+
+@pytest.mark.parametrize(
     "case", ["probabilities_halved", "not_json", "rules_not_object"]
 )
 def test_bad_grammar_file_is_exit_1(tmp_path, capsys, case):
@@ -225,6 +236,54 @@ def test_bad_heuristics_value_is_exit_1(tmp_path, capsys, field, value):
     assert main(["bootstrap", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert field in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("training", "example_count", 5), ("self_train", "accumulate_self_train", True)],
+)
+def test_removed_config_key_is_exit_1(tmp_path, capsys, section, field, value):
+    # a model file records its example count; accumulate is the only spelling
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path, **{section: {field: value}})
+    assert main(["bootstrap", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown {section} keys" in err and field in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("corpus", ["c.txt"]), ("corpus", 5), ("gold", 5), ("gold", ["g.txt"]),
+     ("model_dir", 5), ("model_dir", None), ("report_dir", 5), ("report_dir", None)],
+)
+def test_bad_paths_value_is_exit_1(tmp_path, capsys, field, value):
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["paths"][field] = value
+    cfg.write_text(json.dumps(raw))
+    assert main(["bootstrap", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("command", "python3 x.py"), ("command", ["cat", ""]), ("command", ["cat", 1]),
+     ("timeout", "x"), ("timeout", -1), ("timeout", 0), ("timeout", None),
+     ("timeout", True)],
+)
+def test_bad_scorer_value_is_exit_1(tmp_path, capsys, field, value):
+    write_tiny_corpus(tmp_path)
+    scorer = {"backend": "external", "command": ["cat"], field: value}
+    cfg = write_config(tmp_path, scorer=scorer)
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+        "--out", str(tmp_path / "p.txt"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert field in err and "internal error" not in err
+    assert not (tmp_path / "p.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -503,6 +562,13 @@ def _break_model(payload: dict, case: str):
         payload["weights"][0] = float("nan")
     elif case == "batch_size_zero":
         payload["meta"]["batch_size"] = 0
+    elif case == "example_count_missing":
+        del payload["meta"]["example_count"]
+    elif case.startswith("example_count_"):
+        payload["meta"]["example_count"] = {
+            "example_count_negative": -1, "example_count_true": True,
+            "example_count_float": 1.5,
+        }[case]
     return json.dumps(payload)
 
 
@@ -511,7 +577,8 @@ def _break_model(payload: dict, case: str):
     ["not_json", "truncated_weights", "extra_weights", "format_version",
      "missing_key", "unknown_view", "bad_hash_dim", "nan_weight",
      "hash_dim_16", "inside_context_true", "inside_context_zero",
-     "batch_size_zero"],
+     "batch_size_zero", "example_count_missing", "example_count_negative",
+     "example_count_true", "example_count_float"],
 )
 def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
     root, _ = pipeline

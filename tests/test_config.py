@@ -162,8 +162,8 @@ def test_synthetic_profile_distinct_seeds_differ():
 
 
 def test_loop_key_spellings_override_defaults():
-    cfg = config_from_dict({"self_train": {"accumulate_self_train": True, "k": 3}})
-    assert cfg.self_train.accumulate_self_train is True
+    cfg = config_from_dict({"self_train": {"accumulate": True, "k": 3}})
+    assert cfg.self_train.accumulate is True
     assert cfg.self_train.K == 3
     assert cfg.self_train.d == 5000  # the rest keeps the recipe default
     assert cfg.co_train == PipelineConfig().co_train

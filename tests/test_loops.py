@@ -14,7 +14,7 @@ from bootparse.loops import (
     concat_baseline,
     self_train,
 )
-from bootparse.scorer import Thresholds, score_chart, train
+from bootparse.scorer import score_chart, train
 from bootparse.seeds import (
     CONSTITUENT,
     DISTITUENT,
@@ -126,7 +126,7 @@ def test_self_train_accumulate_keeps_seeds():
     marker = LabeledSpanExample(0, Span(0, 3), DISTITUENT, INSIDE)
     seeds = [LabeledSpanExample(0, Span(0, 4), CONSTITUENT, INSIDE), marker]
     trainer = scripted_trainer(whole_vs_pair)
-    cfg = LoopConfig(K=2, c=3, d=3, accumulate_self_train=True)
+    cfg = LoopConfig(K=2, c=3, d=3, accumulate=True)
     result = self_train(seeds, corpus, cfg, trainer=trainer)
     assert marker in result.inside_examples
 
@@ -305,8 +305,9 @@ def test_real_self_train_runs_and_is_deterministic():
         K=2,
         c=5,
         d=10,
-        thresholds=Thresholds(tau_min=0.3, tau_max=0.7),
-        accumulate_self_train=True,
+        tau_min=0.3,
+        tau_max=0.7,
+        accumulate=True,
         rng_seed=11,
     )
     with warnings.catch_warnings():
@@ -326,7 +327,7 @@ def test_real_co_train_runs_and_is_deterministic():
         LabeledSpanExample(e.sentence_id, e.span, e.label, OUTSIDE) for e in seeds
     ]
     cfg = LoopConfig(
-        K=1, c=5, d=10, thresholds=Thresholds(tau_min=0.3, tau_max=0.7), rng_seed=4
+        K=1, c=5, d=10, tau_min=0.3, tau_max=0.7, rng_seed=4
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PoolExhaustedWarning)

@@ -323,6 +323,7 @@ def test_model_round_trip(tmp_path):
     assert np.array_equal(again.weights, model.weights)
     assert again.space.names == model.space.names
     assert again.meta == model.meta
+    assert again.example_count == model.example_count == len(examples)
     s = Sentence(id=700, tokens=("A", "w3"))
     assert score_span(again, s, Span(0, 1)) == score_span(model, s, Span(0, 1))
 
@@ -598,7 +599,7 @@ def test_harvest_matches_list_pools(view, c, d):
         assert 0 < sizes[CONSTITUENT] and 0 < sizes[DISTITUENT]
         assert select_confident(model, corpus, th, c, d, rng_seed=11) == (want_c, want_d)
 
-        cfg = LoopConfig(K=1, c=c, d=d, thresholds=th, rng_seed=4)
+        cfg = LoopConfig(K=1, c=c, d=d, tau_min=th.tau_min, tau_max=th.tau_max, rng_seed=4)
         want_c, want_d, _ = reference_harvest(
             model, corpus, th, c, d, np.random.default_rng((4, 2, 1))
         )
