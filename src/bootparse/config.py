@@ -47,6 +47,10 @@ class Paths:
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
+# An external scorer's reply timeout in seconds, at most one day: the
+# selector that waits for a reply cannot take a much larger value.
+MAX_SCORER_TIMEOUT = 86400
+
 @dataclass(frozen=True)
 class ScorerBackend:
     """Which classifier implementation the pipeline drives."""
@@ -67,7 +71,9 @@ class ScorerBackend:
                 f"command must be a list of non-empty strings, got {self.command!r}"
             )
         object.__setattr__(self, "command", tuple(self.command))
-        check_number("timeout", self.timeout, 0, inclusive=False)
+        check_number(
+            "timeout", self.timeout, 0, inclusive=False, high=MAX_SCORER_TIMEOUT
+        )
         if self.backend == EXTERNAL_BACKEND and not self.command:
             raise ValueError("external scorer backend needs a command")
 

@@ -78,20 +78,25 @@ def check_int(name: str, value, low: int, high: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
-def check_number(name: str, value, low: float, inclusive: bool = True) -> None:
+def check_number(
+    name: str, value, low: float, inclusive: bool = True, high: float | None = None
+) -> None:
     """Raise ValueError unless value is a finite int or float, not a bool,
-    of at least low (above low when not inclusive)."""
+    of at least low (above low when not inclusive) and at most high."""
     try:
         ok = (
             not isinstance(value, bool)
             and isinstance(value, (int, float))
             and math.isfinite(value)
             and (value >= low if inclusive else value > low)
+            and (high is None or value <= high)
         )
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
         bound = f"{'>=' if inclusive else '>'} {low}"
+        if high is not None:
+            bound += f" and <= {high}"
         raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 

@@ -6,22 +6,35 @@ at the sentence edges, never the material in between.  Both are scored
 with a regularized logistic model over sparse indicator features, and
 combined multiplicatively at decode time.
 
-Training builds the features of each example span (featurize) into
-CSR arrays (FeatureSpace.transform) and runs minibatch gradient steps
-on them with numpy alone (see train).  Scoring never builds per-span
-features: the model is linear over indicators, so a span's logit is a
-sum of weights that each depend on one token position or one length.
-SpanScorer.score_spans looks those weights up once per position of the
-sentence and sums them per span with numpy, using prefix sums for the
-unigram and bigram counts (see score_spans).
+Feature names are interned once per process, and each sentence trained
+on is featurized once (featurize, kept as long as the sentence
+object): a table of feature ids, one column per token position, that
+covers every feature but the outside view's pair lr=x_{i-1}|x_{j+1}.
+Training gathers each example row from those tables with numpy
+(example_rows) and interns the pair of each example.  FeatureSpace.fit
+numbers the columns by first occurrence over the training rows in
+their shuffled order, so the columns, the saved names and the weights
+never depend on the interned ids; FeatureSpace.transform gives CSR
+arrays, and train runs minibatch gradient steps on them with numpy
+alone.  Scoring never builds per-span features: the model is linear
+over indicators, so a span's logit is a sum of weights that each
+depend on one token position or one length.  SpanScorer.score_spans
+gathers those weights through a weight-by-id array once per position
+of the sentence and sums them per span with numpy, using prefix sums
+for the unigram and bigram counts; only the pair is looked up once per
+span, by name, among the model's own features.  A sentence never
+featurized is scored from a table of name lookups that interns nothing
+(see score_spans).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import warnings
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -82,48 +95,204 @@ def _length_bin(length: int) -> str:
     return "13+"
 
 
-def featurize(sentence: Sentence, span: Span, view: str) -> dict[str, float]:
-    """Sparse feature map for one span under one view.
+class _Interner:
+    """Feature names numbered in the order the process first asks for them.
 
-    The inside view reads the covered tokens x_i .. x_j.  The outside
-    view reads only the bordering tokens x_{i-1} and x_{j+1}, with the
-    sentinels <s> and </s> at the sentence edges, so any two spans with
-    the same borders get identical features.  The concat view joins both.
+    The ids only index arrays inside the process: columns, saved names
+    and weights never depend on them (see FeatureSpace).  It never
+    forgets a name: it grows with the vocabulary and bigrams of the
+    sentences trained on and with the names of the models scored.
     """
-    if span.j >= len(sentence):
-        raise ValueError(f"span {span} outside sentence {sentence.id}")
-    if view == CONCAT:
-        feats = featurize(sentence, span, INSIDE)
-        feats.update(featurize(sentence, span, OUTSIDE))
-        return feats
 
-    feats: dict[str, float] = {}
-    if view == OUTSIDE:
-        left = sentence.tokens[span.i - 1] if span.i > 0 else BOS
-        right = sentence.tokens[span.j + 1] if span.j + 1 < len(sentence) else EOS
-        feats[f"left={left}"] = 1.0
-        feats[f"right={right}"] = 1.0
-        feats[f"lr={left}|{right}"] = 1.0
-        if left == BOS:
-            feats["bos"] = 1.0
-        if right == EOS:
-            feats["eos"] = 1.0
-        return feats
-    if view != INSIDE:
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self.names: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def ids(self, names: list[str]) -> np.ndarray:
+        index = self.index
+        out = [index.setdefault(name, len(index)) for name in names]
+        # the names just added are the last keys of the index
+        added = len(index) - len(self.names)
+        if added:
+            self.names.extend(reversed(list(itertools.islice(reversed(index), added))))
+        return np.array(out, dtype=np.intp)
+
+    def known(self, names: list[str]) -> np.ndarray:
+        """The ids of names, -1 for a name never interned; interns none."""
+        get = self.index.get
+        return np.array([get(name, -1) for name in names], dtype=np.intp)
+
+
+_FEATURE_IDS = _Interner()
+
+# Rows of the table featurize returns.  Column k of a row is the feature
+# of token position k: its unigram, the bigram it starts (-1 in the last
+# column), the span's first or last token when the span starts or ends
+# there, the length bin of a span of k + 1 tokens, the position bucket
+# of a span starting at k, the token before k and the token after k
+# (sentinels at the edges), and the bos and eos flags of those (-1 where
+# the flag is off).
+(_UNIGRAM, _BIGRAM, _FIRST, _LAST, _LENGTH, _POSITION,
+ _LEFT, _RIGHT, _BOS, _EOS) = range(10)
+
+
+# each live sentence's featurize table
+_TABLES: weakref.WeakKeyDictionary[Sentence, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def featurize(sentence: Sentence) -> np.ndarray:
+    """Interned feature ids of a sentence's token positions, as a table.
+
+    A span (i, j) has, under the inside view, the unigrams and bigrams
+    of x_i .. x_j and the first, last, length and position features of
+    its bounds; under the outside view the left and right borders
+    x_{i-1} and x_{j+1}, the bos and eos flags, and the pair feature
+    lr=x_{i-1}|x_{j+1}; the concat view has both.  Every feature but the
+    pair is one entry of the table (rows as listed above), so a span's
+    features are a few slices of it.  The table is read-only and kept
+    for as long as the sentence object lives, so a corpus is featurized
+    once however often it is trained on and rescored, and its tables go
+    when it goes.  SpanScorer.score_spans reads the kept table if there
+    is one.
+    """
+    table = _TABLES.get(sentence)
+    if table is None:
+        table = _TABLES[sentence] = _feature_table(sentence.tokens, _FEATURE_IDS.ids)
+    return table
+
+
+def _feature_table(tokens: tuple[str, ...], ids_of) -> np.ndarray:
+    """featurize's table of tokens, with ids_of giving the ids of names."""
+    n = len(tokens)
+    before = (BOS,) + tokens[:-1]
+    after = tokens[1:] + (EOS,)
+    names = [f"u={t}" for t in tokens]
+    names += [f"b={x}|{y}" for x, y in zip(tokens, tokens[1:])]
+    names += [f"first={t}" for t in tokens]
+    names += [f"last={t}" for t in tokens]
+    names += [f"len={_length_bin(k)}" for k in range(1, n + 1)]
+    names += [f"pos={min(3, 4 * k // n)}" for k in range(n)]
+    names += [f"left={t}" for t in before]
+    names += [f"right={t}" for t in after]
+    ids = ids_of(names)
+    bos, eos = ids_of(["bos", "eos"])
+    table = np.empty((_EOS + 1, n), dtype=np.intp)
+    table[_UNIGRAM] = ids[:n]
+    table[_BIGRAM, : n - 1] = ids[n : 2 * n - 1]
+    table[_BIGRAM, n - 1] = -1
+    table[_FIRST : _RIGHT + 1] = ids[2 * n - 1 :].reshape(_RIGHT + 1 - _FIRST, n)
+    table[_BOS] = np.where([t == BOS for t in before], bos, -1)
+    table[_EOS] = np.where([t == EOS for t in after], eos, -1)
+    table.flags.writeable = False
+    return table
+
+
+# the sentence _looked_up built a table for last, the interner's size
+# then, and the table
+_last_looked_up: tuple = (None, 0, None)
+
+
+def _looked_up(sentence: Sentence) -> np.ndarray:
+    """featurize's table of a sentence never featurized, from lookups.
+
+    For parse input: the names are looked up, so the interner does not
+    grow with the text scored, and only the last sentence's table is
+    kept, for the second model of a pair.  A name the interner lacks is
+    no feature of a model whose names it holds, and its id -1 reads
+    weight 0, so the scores are the same bits as from featurize's table.
+    The table is reused only while the interner has not grown, so it
+    holds every model name interned before the call.
+    """
+    global _last_looked_up
+    last, size, table = _last_looked_up
+    if last is not sentence or size != len(_FEATURE_IDS):
+        table = _feature_table(sentence.tokens, _FEATURE_IDS.known)
+        _last_looked_up = (sentence, len(_FEATURE_IDS), table)
+    return table
+
+
+@dataclass(frozen=True)
+class IdRows:
+    """Feature rows as interned ids, before any column numbering.
+
+    Row r lists the ids ids[indptr[r]:indptr[r+1]] in featurize's
+    order (unigrams, bigrams, first, last, length, position, then left,
+    right, pair, bos, eos), an id once per occurrence.
+    """
+
+    ids: np.ndarray
+    indptr: np.ndarray
+
+
+def _gather_rows(pieces) -> IdRows:
+    """Rows laid out piece by piece: row r's piece p is
+    source[start[r] : start[r] + length[r]] of pieces[p] = (source, start, length)."""
+    lengths = np.column_stack([length for _, _, length in pieces])
+    ends = np.cumsum(lengths.ravel()).reshape(lengths.shape)
+    ids = np.empty(ends[-1, -1], dtype=np.intp)
+    for p, (source, start, length) in enumerate(pieces):
+        # position of each id within its piece
+        step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+        into = np.repeat(ends[:, p] - length, length) + step
+        ids[into] = source[np.repeat(start, length) + step]
+    return IdRows(ids, np.concatenate(([0], ends[:, -1])))
+
+
+def example_rows(examples, by_id, view: str) -> IdRows:
+    """The feature-id rows of labeled examples under one view, in order.
+
+    by_id maps each example's sentence id to its sentence.  The pair
+    feature of each example is interned here, one name per example.
+    """
+    if view not in (INSIDE, OUTSIDE, CONCAT):
         raise ValueError(f"unknown view {view!r}")
+    slots: dict[int, int] = {}
+    tables, bounds, pairs = [], [], []
+    for ex in examples:
+        sent = by_id[ex.sentence_id]
+        slot = slots.get(sent.id)
+        if slot is None:
+            slot = slots[sent.id] = len(tables)
+            tables.append(featurize(sent))
+        i, j = ex.span.i, ex.span.j
+        if j >= len(sent):
+            raise ValueError(f"span {ex.span} outside sentence {sent.id}")
+        bounds.append((slot, i, j))
+        if view != INSIDE:
+            toks = sent.tokens
+            left = toks[i - 1] if i > 0 else BOS
+            right = toks[j + 1] if j + 1 < len(toks) else EOS
+            pairs.append(f"lr={left}|{right}")
+    if not bounds:
+        return IdRows(np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.int64))
 
-    toks = sentence.tokens[span.i : span.j + 1]
-    for tok in toks:
-        key = f"u={tok}"
-        feats[key] = feats.get(key, 0.0) + 1.0
-    for a, b in zip(toks, toks[1:]):
-        key = f"b={a}|{b}"
-        feats[key] = feats.get(key, 0.0) + 1.0
-    feats[f"first={toks[0]}"] = 1.0
-    feats[f"last={toks[-1]}"] = 1.0
-    feats[f"len={_length_bin(span.length)}"] = 1.0
-    feats[f"pos={min(3, 4 * span.i // len(sentence))}"] = 1.0
-    return feats
+    slot, i, j = np.array(bounds, dtype=np.intp).T
+    offsets = np.cumsum([0] + [t.shape[1] for t in tables[:-1]])[slot]
+    table = np.concatenate(tables, axis=1)
+    first, last = offsets + i, offsets + j
+    one = np.ones_like(i)
+    pieces = []
+    if view != OUTSIDE:
+        pieces += [
+            (table[_UNIGRAM], first, j - i + 1),
+            (table[_BIGRAM], first, j - i),
+            (table[_FIRST], first, one),
+            (table[_LAST], last, one),
+            (table[_LENGTH], offsets + j - i, one),
+            (table[_POSITION], first, one),
+        ]
+    if view != INSIDE:
+        pieces += [
+            (table[_LEFT], first, one),
+            (table[_RIGHT], last, one),
+            (_FEATURE_IDS.ids(pairs), np.arange(len(i)), one),
+            (table[_BOS], first, (table[_BOS, first] >= 0).astype(np.intp)),
+            (table[_EOS], last, (table[_EOS, last] >= 0).astype(np.intp)),
+        ]
+    return _gather_rows(pieces)
 
 
 @dataclass(frozen=True)
@@ -152,50 +321,47 @@ def _logits(rows, cols, vals, n_rows: int, w: np.ndarray, b: float) -> np.ndarra
 
 @dataclass
 class FeatureSpace:
-    """Maps feature dicts to column indices.
+    """Maps features to column indices.
 
-    Enumerates the features seen while fitting and drops unseen ones at
-    transform time.
+    fit numbers the features it has not seen in order of first
+    occurrence; transform drops the features without a column.  Columns
+    are named, so a space depends only on the names and order of the
+    rows it was fit on, never on interned ids.
     """
 
     view: str
     names: list[str] = field(default_factory=list)
 
-    def __post_init__(self):
-        self._index = {name: k for k, name in enumerate(self.names)}
-
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    def fit(self, feature_dicts) -> "FeatureSpace":
-        for feats in feature_dicts:
-            for name in feats:
-                if name not in self._index:
-                    self._index[name] = len(self.names)
-                    self.names.append(name)
+    @property
+    def ids(self) -> np.ndarray:
+        """The interned id of each column's name, in column order."""
+        return _FEATURE_IDS.ids(self.names)
+
+    def fit(self, rows: IdRows) -> "FeatureSpace":
+        seen, first = np.unique(rows.ids, return_index=True)
+        fresh = seen[np.argsort(first)]
+        fresh = fresh[~np.isin(fresh, self.ids)]
+        self.names.extend(map(_FEATURE_IDS.names.__getitem__, fresh.tolist()))
         return self
 
-    def transform(self, feature_dicts) -> CsrRows:
-        data: list[float] = []
-        indices: list[int] = []
-        indptr = [0]
-        for feats in feature_dicts:
-            cols: dict[int, float] = {}
-            for name, value in feats.items():
-                col = self._index.get(name)
-                if col is not None:
-                    cols[col] = cols.get(col, 0.0) + value
-            for col in sorted(cols):
-                indices.append(col)
-                data.append(cols[col])
-            indptr.append(len(indices))
-        return CsrRows(
-            np.asarray(data, dtype=float),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64),
-            (len(indptr) - 1, self.dim),
-        )
+    def transform(self, rows: IdRows) -> CsrRows:
+        """Each row's count of each column, in column order."""
+        known = self.ids
+        column = np.full(len(_FEATURE_IDS), -1, dtype=np.int64)
+        column[known] = np.arange(self.dim)
+        n_rows = len(rows.indptr) - 1
+        cols = column[rows.ids]
+        row = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
+        keep = cols >= 0
+        stride = max(self.dim, 1)
+        cells, counts = np.unique(row[keep] * stride + cols[keep], return_counts=True)
+        row, cols = np.divmod(cells, stride)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_rows))))
+        return CsrRows(counts.astype(float), cols, indptr, (n_rows, self.dim))
 
 
 @dataclass(frozen=True)
@@ -218,7 +384,11 @@ class TrainingMeta:
 
 @dataclass
 class SpanScorer:
-    """A trained logistic model over one view's features."""
+    """A trained logistic model over one view's features.
+
+    Scoring reads the weights through arrays built on first use, so the
+    space and weights must not change after a model has scored.
+    """
 
     view: str
     space: FeatureSpace
@@ -228,11 +398,17 @@ class SpanScorer:
     # how many labeled examples the model was trained on
     example_count: int = 0
     val_metrics: dict[str, float] = field(default_factory=dict)
+    _by_id: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _pairs: dict[str, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def score_spans(self, sentence: Sentence, spans) -> np.ndarray:
         """P(constituent) of each span, in closed form from per-token weights.
 
-        With w[name] the weight of a feature (0 when the space does not
+        With w[f] the weight of a feature (0 when the space does not
         know it), U and B the prefix sums of w[u=x_k] and w[b=x_k|x_k+1],
         L_i the token before position i and R_j the token after j
         (sentinels at the edges), the logit of span (i, j) is the bias plus
@@ -242,48 +418,77 @@ class SpanScorer:
           outside  w[left=L_i] + w[right=R_j] + w[lr=L_i|R_j]
                    + w[bos] [L_i = <s>] + w[eos] [R_j = </s>]
 
-        and the concat view adds both.  This equals the dot product of
-        the weights with featurize's features for the span; only the
-        order of the floating-point additions differs.
+        and the concat view adds both.  Every term but the pair is a
+        per-position weight, gathered from featurize's table; the pair
+        is looked up once per span among the model's own names.  This
+        equals the dot product of the weights with the span's feature
+        row; only the order of the floating-point additions differs.
         """
         if self.view not in (INSIDE, OUTSIDE, CONCAT):
             raise ValueError(f"unknown view {self.view!r}")
-        spans = list(spans)
         n = len(sentence)
+        spans = list(spans)
         i = np.fromiter((sp.i for sp in spans), dtype=np.intp, count=len(spans))
         j = np.fromiter((sp.j for sp in spans), dtype=np.intp, count=len(spans))
-        if len(spans) and j.max() >= n:
+        if len(i) and j.max() >= n:
             raise ValueError(f"span beyond the {n} tokens of sentence {sentence.id}")
+        # interns the model's names, so a table of lookups finds them all
+        w = self._weights_by_id()
+        ids = _TABLES.get(sentence)
+        if ids is None:
+            ids = _looked_up(sentence)
+        z = np.full(len(i), self.bias, dtype=float)
+        if self.view in (INSIDE, CONCAT):
+            unigrams = np.concatenate(([0.0], np.cumsum(w[ids[_UNIGRAM]])))
+            bigrams = np.concatenate(([0.0], np.cumsum(w[ids[_BIGRAM, :-1]])))
+            z += unigrams[j + 1] - unigrams[i] + bigrams[j] - bigrams[i]
+            z += w[ids[_FIRST]][i]
+            z += w[ids[_LAST]][j]
+            z += w[ids[_LENGTH]][j - i]
+            z += w[ids[_POSITION]][i]
+        if self.view in (OUTSIDE, CONCAT):
+            z += w[ids[_LEFT]][i]
+            z += w[ids[_RIGHT]][j]
+            z += self._pair_weights(sentence, i, j)
+            # id -1, a flag that is off, reads weight 0
+            z += w[ids[_BOS]][i]
+            z += w[ids[_EOS]][j]
+        return np.clip(sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
+
+    def _weights_by_id(self) -> np.ndarray:
+        """The weight of each interned id: 0 for ids that are no column.
+
+        At least one slot longer than the interner, so the last slot, the
+        one id -1 reads, is 0.  Ids interned after the first call are no
+        column of the space, so the array grows by zeros.
+        """
+        if self._by_id is None:
+            known = self.space.ids
+            self._by_id = np.zeros(2 * len(_FEATURE_IDS) + 1)
+            self._by_id[known] = self.weights
+        elif len(self._by_id) <= len(_FEATURE_IDS):
+            grown = np.zeros(2 * len(_FEATURE_IDS) + 1)
+            grown[: len(self._by_id)] = self._by_id
+            self._by_id = grown
+        return self._by_id
+
+    def _pair_weights(self, sentence: Sentence, i, j) -> np.ndarray:
+        """w[lr=L_i|R_j] of each span."""
+        if self._pairs is None:
+            self._pairs = {
+                name: weight
+                for name, weight in zip(self.space.names, self.weights.tolist())
+                if name.startswith("lr=")
+            }
+        weight = self._pairs.get
         toks = sentence.tokens
         before = (BOS,) + toks[:-1]
         after = toks[1:] + (EOS,)
-        lookup = self._lookup
-        z = np.full(len(spans), self.bias, dtype=float)
-        if self.view in (INSIDE, CONCAT):
-            u = np.cumsum(lookup([f"u={t}" for t in toks]))
-            b = np.cumsum(lookup([f"b={x}|{y}" for x, y in zip(toks, toks[1:])]))
-            unigrams = np.concatenate(([0.0], u))
-            bigrams = np.concatenate(([0.0], b))
-            z += unigrams[j + 1] - unigrams[i] + bigrams[j] - bigrams[i]
-            z += lookup([f"first={t}" for t in toks])[i]
-            z += lookup([f"last={t}" for t in toks])[j]
-            z += lookup([f"len={_length_bin(k)}" for k in range(1, n + 1)])[j - i]
-            z += lookup([f"pos={min(3, 4 * k // n)}" for k in range(n)])[i]
-        if self.view in (OUTSIDE, CONCAT):
-            z += lookup([f"left={t}" for t in before])[i]
-            z += lookup([f"right={t}" for t in after])[j]
-            pairs = zip(i.tolist(), j.tolist())
-            z += lookup([f"lr={before[a]}|{after[c]}" for a, c in pairs])
-            bos_w, eos_w = lookup(["bos", "eos"])
-            z += np.where(np.array([t == BOS for t in before])[i], bos_w, 0.0)
-            z += np.where(np.array([t == EOS for t in after])[j], eos_w, 0.0)
-        return np.clip(sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
-
-    def _lookup(self, names: list[str]) -> np.ndarray:
-        """The weight of each named feature; 0 for names the space drops."""
-        cols = [self.space._index.get(name) for name in names]
-        return np.array(
-            [0.0 if col is None else self.weights[col] for col in cols], dtype=float
+        pairs = zip(i.tolist(), j.tolist())
+        return np.fromiter(
+            (weight(f"lr={before[a]}|{after[c]}", 0.0) for a, c in pairs),
+            dtype=float,
+            count=len(i),
         )
 
 
@@ -327,22 +532,14 @@ def train(
     n_val = len(examples) // 5
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    def build(idx):
-        dicts = []
-        y = np.empty(len(idx))
-        for row, k in enumerate(idx):
-            ex = examples[k]
-            dicts.append(featurize(by_id[ex.sentence_id], ex.span, view))
-            y[row] = float(ex.label)
-        return dicts, y
+    train_ids = example_rows([examples[k] for k in train_idx], by_id, view)
+    val_ids = example_rows([examples[k] for k in val_idx], by_id, view)
+    y_train = np.array([examples[k].label for k in train_idx], dtype=float)
+    y_val = np.array([examples[k].label for k in val_idx], dtype=float)
 
-    train_dicts, y_train = build(train_idx)
-    val_dicts, y_val = build(val_idx)
-
-    space = FeatureSpace(view=view)
-    space.fit(train_dicts)
-    x_train = space.transform(train_dicts)
-    x_val = space.transform(val_dicts)
+    space = FeatureSpace(view=view).fit(train_ids)
+    x_train = space.transform(train_ids)
+    x_val = space.transform(val_ids)
 
     w = np.zeros(space.dim)
     b = 0.0
@@ -427,16 +624,19 @@ def train(
     )
 
 
-@functools.lru_cache(maxsize=256)
 def _all_spans(n: int, min_len: int = 2) -> tuple[Span, ...]:
     """Spans of at least min_len tokens in row-major order (by i, then j).
 
-    Cached per length: the tuple and its frozen spans are immutable, so
-    every sentence of that length can share them.
+    Cached per length and minimum, one entry for all spellings of the
+    same minimum: the tuple and its frozen spans are immutable, so every
+    sentence of that length can share them.
     """
-    return tuple(
-        Span(i, j) for i in range(n) for j in range(i + max(0, min_len - 1), n)
-    )
+    return _span_tuple(n, max(1, min_len))
+
+
+@functools.lru_cache(maxsize=256)
+def _span_tuple(n: int, min_len: int) -> tuple[Span, ...]:
+    return tuple(Span(i, j) for i in range(n) for j in range(i + min_len - 1, n))
 
 
 def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) -> ScoreChart:
@@ -622,8 +822,9 @@ def load_model(path) -> SpanScorer:
     """Read a model written by save_model.
 
     Raises MalformedFile for anything else, including weights that do
-    not line up with the feature space: scoring indexes the weights by
-    feature column.
+    not line up with the feature space and a feature name listed twice:
+    scoring indexes the weights by feature column, and by the id of each
+    column's name.
     """
 
     def bad(why: str) -> MalformedFile:
@@ -665,6 +866,8 @@ def load_model(path) -> SpanScorer:
             f"unsupported feature space inside_context={retired[0]!r} "
             f"hash_dim={retired[1]!r}"
         )
+    if len(set(space.names)) != space.dim:
+        raise bad("repeated feature names")
     if weights.shape != (space.dim,):
         raise bad(f"{weights.size} weights for {space.dim} feature columns")
     if not (np.all(np.isfinite(weights)) and np.isfinite(bias)):

@@ -286,6 +286,38 @@ def test_bad_scorer_value_is_exit_1(tmp_path, capsys, field, value):
     assert not (tmp_path / "p.txt").exists()
 
 
+# answers every span with 0.5, and leaves a file behind once it runs
+MARKED_HALF_SCORER = """
+import sys
+open("scorer_started", "w").close()
+for line in sys.stdin:
+    print(0.5, flush=True)
+"""
+
+
+@pytest.mark.parametrize("timeout, code", [(1e300, 1), (86400.5, 1), (86400, 0)])
+def test_scorer_timeout_bound(tmp_path, monkeypatch, capsys, timeout, code):
+    # a timeout the reply selector cannot take is a config error, found
+    # before any scorer process starts
+    monkeypatch.chdir(tmp_path)
+    write_tiny_corpus(tmp_path)
+    scorer = {
+        "backend": "external",
+        "command": [sys.executable, "-c", MARKED_HALF_SCORER],
+        "timeout": timeout,
+    }
+    cfg = write_config(tmp_path, scorer=scorer)
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+        "--out", str(tmp_path / "p.txt"),
+    ]) == code
+    err = capsys.readouterr().err
+    assert (tmp_path / "scorer_started").exists() == (code == 0)
+    assert (tmp_path / "p.txt").exists() == (code == 0)
+    if code:
+        assert "timeout" in err and "86400" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize(
     "key, code",
     [("BOOTPARSE_PTB_TEST", 0), ("BOOTPARSE_NOPE", 1), ("BOOTPARSE_NOPE__X", 1)],
@@ -560,6 +592,8 @@ def _break_model(payload: dict, case: str):
         payload["feature_space"]["inside_context"] = 0
     elif case == "nan_weight":
         payload["weights"][0] = float("nan")
+    elif case == "repeated_name":
+        payload["feature_space"]["names"][1] = payload["feature_space"]["names"][0]
     elif case == "batch_size_zero":
         payload["meta"]["batch_size"] = 0
     elif case == "example_count_missing":
@@ -578,7 +612,7 @@ def _break_model(payload: dict, case: str):
      "missing_key", "unknown_view", "bad_hash_dim", "nan_weight",
      "hash_dim_16", "inside_context_true", "inside_context_zero",
      "batch_size_zero", "example_count_missing", "example_count_negative",
-     "example_count_true", "example_count_float"],
+     "example_count_true", "example_count_float", "repeated_name"],
 )
 def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
     root, _ = pipeline

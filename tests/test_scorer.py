@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import expit
 
+from bootparse import scorer
 from bootparse.errors import (
     ExternalScorerError,
     LengthMismatch,
@@ -21,16 +25,20 @@ from bootparse.errors import (
 from bootparse.external import ExternalScorer
 from bootparse.loops import LoopConfig, _harvest
 from bootparse.scorer import (
+    _FEATURE_IDS,
     BOS,
     CONCAT,
     EOS,
     PROB_EPS,
     FeatureSpace,
+    IdRows,
     SpanScorer,
     Thresholds,
     TrainingMeta,
+    _all_spans,
+    _length_bin,
     compute_mcc,
-    featurize,
+    example_rows,
     load_model,
     save_model,
     score_chart,
@@ -59,6 +67,89 @@ class ConstantScorer:
 
 def score_span(model, sentence, span):
     return float(model.score_spans(sentence, [span])[0])
+
+
+# --- the per-span feature dicts, the reference for the id path ---
+
+
+def featurize(sentence, span, view):
+    """Sparse feature map for one span under one view.
+
+    The inside view reads the covered tokens x_i .. x_j.  The outside
+    view reads only the bordering tokens x_{i-1} and x_{j+1}, with the
+    sentinels <s> and </s> at the sentence edges, so any two spans with
+    the same borders get identical features.  The concat view joins both.
+    """
+    if span.j >= len(sentence):
+        raise ValueError(f"span {span} outside sentence {sentence.id}")
+    if view == CONCAT:
+        feats = featurize(sentence, span, INSIDE)
+        feats.update(featurize(sentence, span, OUTSIDE))
+        return feats
+
+    feats = {}
+    if view == OUTSIDE:
+        left = sentence.tokens[span.i - 1] if span.i > 0 else BOS
+        right = sentence.tokens[span.j + 1] if span.j + 1 < len(sentence) else EOS
+        feats[f"left={left}"] = 1.0
+        feats[f"right={right}"] = 1.0
+        feats[f"lr={left}|{right}"] = 1.0
+        if left == BOS:
+            feats["bos"] = 1.0
+        if right == EOS:
+            feats["eos"] = 1.0
+        return feats
+    if view != INSIDE:
+        raise ValueError(f"unknown view {view!r}")
+
+    toks = sentence.tokens[span.i : span.j + 1]
+    for tok in toks:
+        key = f"u={tok}"
+        feats[key] = feats.get(key, 0.0) + 1.0
+    for a, b in zip(toks, toks[1:]):
+        key = f"b={a}|{b}"
+        feats[key] = feats.get(key, 0.0) + 1.0
+    feats[f"first={toks[0]}"] = 1.0
+    feats[f"last={toks[-1]}"] = 1.0
+    feats[f"len={_length_bin(span.length)}"] = 1.0
+    feats[f"pos={min(3, 4 * span.i // len(sentence))}"] = 1.0
+    return feats
+
+
+class DictFeatureSpace:
+    """Maps feature dicts to columns: numbered in order of first
+    occurrence, unseen features dropped."""
+
+    def __init__(self, names=()):
+        self.names = list(names)
+        self.index = {name: k for k, name in enumerate(self.names)}
+
+    def fit(self, feature_dicts):
+        for feats in feature_dicts:
+            for name in feats:
+                if name not in self.index:
+                    self.index[name] = len(self.names)
+                    self.names.append(name)
+        return self
+
+    def transform(self, feature_dicts):
+        """The rows as a scipy CSR matrix, columns sorted within each row."""
+        data, indices, indptr = [], [], [0]
+        for feats in feature_dicts:
+            cols = {}
+            for name, value in feats.items():
+                col = self.index.get(name)
+                if col is not None:
+                    cols[col] = cols.get(col, 0.0) + value
+            for col in sorted(cols):
+                indices.append(col)
+                data.append(cols[col])
+            indptr.append(len(indices))
+        return sparse.csr_matrix(
+            (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int64),
+             np.asarray(indptr, dtype=np.int64)),
+            shape=(len(indptr) - 1, len(self.names)),
+        )
 
 
 def test_inside_string_and_outside_triple():
@@ -121,13 +212,21 @@ def csr(rows):
     return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
 
 
+def id_rows(*rows):
+    """IdRows of rows given as lists of feature names."""
+    ids = [_FEATURE_IDS.ids(row) for row in rows]
+    return IdRows(np.concatenate(ids), np.cumsum([0] + [len(r) for r in ids]))
+
+
 def test_feature_space_vocab():
-    dicts = [{"u=a": 1.0, "len=2": 1.0}, {"u=b": 2.0}]
-    space = FeatureSpace(view=INSIDE).fit(dicts)
-    assert space.dim == 3
-    m = csr(space.transform([{"u=b": 2.0, "unseen": 5.0}]))
-    assert m.shape == (1, 3)
-    assert m.toarray()[0].tolist() == [0.0, 0.0, 2.0]
+    # columns by first occurrence over the rows, repeats counted
+    space = FeatureSpace(view=INSIDE).fit(id_rows(["u=a", "len=2"], ["u=b", "u=b", "u=a"]))
+    assert space.names == ["u=a", "len=2", "u=b"]
+    m = csr(space.transform(id_rows(["u=b", "unseen", "u=b"], [], ["len=2"])))
+    assert m.shape == (3, 3)
+    assert m.toarray().tolist() == [[0.0, 0.0, 2.0], [0.0] * 3, [0.0, 1.0, 0.0]]
+    space.fit(id_rows(["u=c", "u=a"]))
+    assert space.names == ["u=a", "len=2", "u=b", "u=c"]
 
 
 def make_toy_examples(n_each=40):
@@ -190,7 +289,7 @@ def test_sigmoid_matches_expit_at_edges():
 
 
 def test_untrained_model_scores_half():
-    space = FeatureSpace(view=INSIDE).fit([{"u=a": 1.0}])
+    space = FeatureSpace(view=INSIDE, names=["u=a"])
     model = SpanScorer(
         view=INSIDE,
         space=space,
@@ -202,7 +301,7 @@ def test_untrained_model_scores_half():
 
 
 def test_scores_stay_in_open_interval():
-    space = FeatureSpace(view=INSIDE).fit([{"u=a": 1.0}])
+    space = FeatureSpace(view=INSIDE, names=["u=a"])
     model = SpanScorer(
         view=INSIDE,
         space=space,
@@ -370,7 +469,7 @@ PARITY_VOCAB = ["a", "b", "c", "a|b", "b|c", "|", "=", "x=y", BOS, EOS]
 def reference_scores(model, sentence, spans):
     """The per-span path: featurize -> sparse row -> dot product."""
     feats = [featurize(sentence, sp, model.view) for sp in spans]
-    z = csr(model.space.transform(feats)) @ model.weights + model.bias
+    z = DictFeatureSpace(model.space.names).transform(feats) @ model.weights + model.bias
     return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -381,7 +480,7 @@ def random_tokens(rng, vocab, n):
 def random_model(view, seed=0):
     """Random weights over the features of a small random corpus."""
     rng = np.random.default_rng(seed)
-    space = FeatureSpace(view=view)
+    space = DictFeatureSpace()
     for k in range(30):
         s = Sentence(id=k, tokens=random_tokens(rng, PARITY_VOCAB, rng.integers(1, 13)))
         space.fit(
@@ -391,8 +490,8 @@ def random_model(view, seed=0):
         )
     return SpanScorer(
         view=view,
-        space=space,
-        weights=rng.normal(scale=0.3, size=space.dim),
+        space=FeatureSpace(view=view, names=space.names),
+        weights=rng.normal(scale=0.3, size=len(space.names)),
         bias=float(rng.normal()),
         meta=TrainingMeta(),
     )
@@ -418,6 +517,39 @@ def test_score_spans_matches_feature_path(view):
         assert model.score_spans(s, []).shape == (0,)
 
 
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_featurized_and_looked_up_tables_score_alike(view):
+    # a sentence no training featurized is scored from name lookups that
+    # intern nothing; once featurized, from its kept table
+    model = random_model(view, seed=8)
+    for s in parity_sentences():
+        novel = f"novel{view}{s.id}"
+        s = Sentence(id=s.id, tokens=s.tokens + (novel, f"{novel}|a"))
+        spans = _all_spans(len(s), 1)
+        looked_up = model.score_spans(s, spans)
+        size = len(_FEATURE_IDS)
+        assert np.array_equal(model.score_spans(s, spans), looked_up)
+        assert len(_FEATURE_IDS) == size
+        assert f"u={novel}" not in _FEATURE_IDS.index
+        scorer.featurize(s)
+        assert len(_FEATURE_IDS) > size
+        assert np.array_equal(model.score_spans(s, spans), looked_up)
+        assert np.max(np.abs(looked_up - reference_scores(model, s, spans))) <= 1e-12
+
+
+def test_first_scoring_finds_names_never_interned():
+    # a loaded model's names reach the interner on its first scoring,
+    # before the sentence's names are looked up, also when another model
+    # has just scored the same sentence
+    s = sent(0, "firstuse")
+    random_model(INSIDE).score_spans(s, [Span(0, 0)])
+    space = FeatureSpace(view=INSIDE, names=["u=firstuse", "len=1"])
+    model = SpanScorer(INSIDE, space, np.array([2.0, -0.5]), 0.25, TrainingMeta())
+    assert "u=firstuse" not in _FEATURE_IDS.index
+    got = model.score_spans(s, [Span(0, 0)])
+    assert got.tolist() == sigmoid(np.array([1.75])).tolist()
+
+
 @pytest.mark.parametrize("renormalize", [False, True])
 def test_score_chart_pair_matches_feature_path(renormalize):
     m_in = random_model(INSIDE, seed=1)
@@ -439,6 +571,181 @@ def test_score_spans_rejects_span_beyond_sentence():
     model = random_model(INSIDE)
     with pytest.raises(ValueError):
         model.score_spans(sent(0, "a b"), [Span(1, 2)])
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_score_spans_span_list_matches_chart_order(view):
+    # an unsorted span list with repeats, against the chart's span order
+    model = random_model(view, seed=4)
+    rng = np.random.default_rng(5)
+    for s in parity_sentences():
+        table = _all_spans(len(s), min_len=1)
+        picks = rng.integers(0, len(table), 2 * len(table))
+        got = model.score_spans(s, [table[k] for k in picks])
+        assert np.array_equal(got, model.score_spans(s, table)[picks])
+
+
+def test_all_spans_one_cache_entry_per_table():
+    assert _all_spans(5) is _all_spans(5, 2) is _all_spans(5, min_len=2)
+    assert _all_spans(5, min_len=1) is _all_spans(5, 1) is _all_spans(5, 0)
+    assert _all_spans(3) == (Span(0, 1), Span(0, 2), Span(1, 2))
+    assert _all_spans(3, 1) == (
+        Span(0, 0), Span(0, 1), Span(0, 2), Span(1, 1), Span(1, 2), Span(2, 2)
+    )
+
+
+def test_feature_table_lives_as_long_as_its_sentence():
+    s = sent(0, "x y z")
+    table = scorer.featurize(s)
+    assert scorer.featurize(s) is table
+    assert not table.flags.writeable
+    gone = weakref.ref(table)
+    del s, table
+    assert gone() is None
+
+
+# --- feature-id rows against the feature dicts ---
+
+# b=a|b|c twice from two different bigrams, and literal sentinels
+AMBIGUOUS = ("a|b", "c", "a", "b|c")
+SENTINELS = (BOS, "a", EOS, "b")
+
+
+def parity_examples(view):
+    """Training and validation examples over the parity sentences.
+
+    Every span of the short sentences and of the two above, spans at both
+    edges and random ones of the long sentences; validation also reads a
+    sentence of tokens no training example sees.
+    """
+    rng = np.random.default_rng(9)
+    corpus = parity_sentences() + [
+        Sentence(id=100, tokens=AMBIGUOUS),
+        Sentence(id=101, tokens=SENTINELS),
+        Sentence(id=102, tokens=("never", "seen", "a|b")),
+    ]
+    examples = []
+    for s in corpus:
+        n = len(s)
+        if n <= 6:
+            spans = [Span(i, j) for i in range(n) for j in range(i, n)]
+        else:
+            spans = [Span(0, n - 1), Span(0, 0), Span(n - 1, n - 1), Span(0, n - 2)]
+            spans += [Span(*sorted(rng.integers(0, n, 2).tolist())) for _ in range(4)]
+        label = [CONSTITUENT, DISTITUENT]
+        examples += [LabeledSpanExample(s.id, sp, label[k % 2], view) for k, sp in enumerate(spans)]
+    unseen = [ex for ex in examples if ex.sentence_id == 102]
+    examples = [ex for ex in examples if ex.sentence_id != 102]
+    order = rng.permutation(len(examples))
+    examples = [examples[k] for k in order]
+    cut = 4 * len(examples) // 5
+    return corpus, examples[:cut], examples[cut:] + unseen
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_example_rows_match_feature_dicts(view):
+    corpus, train_ex, val_ex = parity_examples(view)
+    by_id = {s.id: s for s in corpus}
+
+    def dicts(examples):
+        return [featurize(by_id[ex.sentence_id], ex.span, view) for ex in examples]
+
+    reference = DictFeatureSpace().fit(dicts(train_ex))
+    train_rows = example_rows(train_ex, by_id, view)
+    space = FeatureSpace(view=view).fit(train_rows)
+    assert space.names == reference.names
+    assert any(name not in reference.index for feats in dicts(val_ex) for name in feats)
+    for examples, rows in ((train_ex, train_rows), (val_ex, example_rows(val_ex, by_id, view))):
+        got = space.transform(rows)
+        want = reference.transform(dicts(examples))
+        assert got.shape == want.shape
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
+    if view != OUTSIDE:
+        assert featurize(Sentence(0, AMBIGUOUS), Span(0, 3), INSIDE)["b=a|b|c"] == 2.0
+        assert 2.0 in space.transform(train_rows).data
+
+
+def test_example_rows_reject_span_beyond_sentence():
+    s = sent(0, "a b")
+    with pytest.raises(ValueError, match="outside sentence 0"):
+        example_rows([LabeledSpanExample(0, Span(1, 2), CONSTITUENT, INSIDE)], {0: s}, INSIDE)
+
+
+# Trains a model per view, interns an unrelated corpus (featurizing it
+# and training on it) and trains the same models again.  With argv[2]
+# "late" it interns the unrelated corpus first, so every id differs.
+# argv[1] is the output directory.
+RETRAIN_SCRIPT = """
+import sys
+import numpy as np
+from bootparse.scorer import featurize, save_model, train
+from bootparse.seeds import CONCAT, INSIDE, OUTSIDE, LabeledSpanExample
+from bootparse.treebank import Sentence, Span
+
+def corpus_and_examples(vocab, seed):
+    rng = np.random.default_rng(seed)
+    corpus, examples = [], []
+    for k in range(60):
+        toks = tuple(vocab[t] for t in rng.integers(0, len(vocab), rng.integers(2, 9)))
+        i = int(rng.integers(0, len(toks) - 1))
+        j = int(rng.integers(i + 1, len(toks)))
+        corpus.append(Sentence(id=k, tokens=toks))
+        examples.append((k, Span(i, j), k % 2))
+    return corpus, examples
+
+def fit_all(corpus, examples, tag=None):
+    for view in (INSIDE, OUTSIDE, CONCAT):
+        exs = [LabeledSpanExample(k, span, label, view) for k, span, label in examples]
+        model = train(exs, corpus, view)
+        if tag:
+            save_model(model, f"{sys.argv[1]}/{view}_{sys.argv[2]}_{tag}.json")
+
+def intern_unrelated():
+    other, other_examples = corpus_and_examples(["z", "c", "b", "y", "a", "b|c"], 1)
+    for s in other:
+        featurize(Sentence(id=s.id, tokens=s.tokens[::-1]))
+    fit_all(other, other_examples)
+
+corpus, examples = corpus_and_examples(["a", "b", "c", "a|b", "<s>"], 0)
+if sys.argv[2] == "late":
+    intern_unrelated()
+fit_all(corpus, examples, "first")
+intern_unrelated()
+fit_all(corpus, examples, "again")
+"""
+
+
+def test_interner_state_never_reaches_saved_models(tmp_path):
+    # fresh processes, so the first training of one sees an empty interner
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for order in ("early", "late"):
+        subprocess.run(
+            [sys.executable, "-c", RETRAIN_SCRIPT, str(tmp_path), order],
+            env=env, check=True,
+        )
+    for view in (INSIDE, OUTSIDE, CONCAT):
+        first = (tmp_path / f"{view}_early_first.json").read_bytes()
+        for name in ("early_again", "late_first", "late_again"):
+            assert (tmp_path / f"{view}_{name}.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_scores_unchanged_when_interner_grows(view):
+    model = random_model(view, seed=6)
+    sentences = parity_sentences()
+    before = [model.score_spans(s, _all_spans(len(s), 1)) for s in sentences]
+    slots = len(model._by_id)
+    _FEATURE_IDS.ids([f"u=grow{view}{k}" for k in range(slots + 1)])
+    fresh = Sentence(id=99, tokens=(f"fresh{view}", "a", f"fresh{view}|a"))
+    spans = _all_spans(len(fresh), 1)
+    assert np.max(np.abs(
+        model.score_spans(fresh, spans) - reference_scores(model, fresh, spans)
+    )) <= 1e-12
+    assert len(model._by_id) > slots
+    for s, want in zip(sentences, before):
+        assert np.array_equal(model.score_spans(s, _all_spans(len(s), 1)), want)
 
 
 # --- minibatch SGD against the sparse-matrix loop ---
@@ -464,11 +771,11 @@ def reference_train(examples, corpus, view, meta):
 
     train_dicts, y_train = build(train_idx)
     val_dicts, y_val = build(val_idx)
-    space = FeatureSpace(view=view).fit(train_dicts)
-    x_train = csr(space.transform(train_dicts))
-    x_val = csr(space.transform(val_dicts))
+    space = DictFeatureSpace().fit(train_dicts)
+    x_train = space.transform(train_dicts)
+    x_val = space.transform(val_dicts)
 
-    w = np.zeros(space.dim)
+    w = np.zeros(len(space.names))
     b = 0.0
     best = (np.inf, w.copy(), b)
     stale = 0
