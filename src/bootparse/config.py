@@ -224,6 +224,6 @@ def load_config(path=None, env=None) -> PipelineConfig:
                 raw = json.load(fh)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
     return config_from_dict(_apply_env(raw, env))

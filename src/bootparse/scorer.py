@@ -6,31 +6,23 @@ at the sentence edges, never the material in between.  Both are scored
 with a regularized logistic model over sparse indicator features, and
 combined multiplicatively at decode time.
 
-Feature names are interned once per process, and each sentence trained
-on is featurized once (featurize, kept as long as the sentence
-object): a table of feature ids, one column per token position, that
-covers every feature but the outside view's pair lr=x_{i-1}|x_{j+1}.
-Training gathers each example row from those tables with numpy
-(example_rows) and interns the pair of each example.  FeatureSpace.fit
-numbers the columns by first occurrence over the training rows in
-their shuffled order, so the columns, the saved names and the weights
-never depend on the interned ids; FeatureSpace.transform gives CSR
-arrays, and train runs minibatch gradient steps on them with numpy
-alone.  Scoring never builds per-span features: the model is linear
-over indicators, so a span's logit is a sum of weights that each
-depend on one token position or one length.  SpanScorer.score_spans
-gathers those weights through a weight-by-id array once per position
-of the sentence and sums them per span with numpy, using prefix sums
-for the unigram and bigram counts; only the pair is looked up once per
-span, by name, among the model's own features.  A sentence never
-featurized is scored from a table of name lookups that interns nothing
-(see score_spans).
+A feature is one integer code: its template and the process-wide id of
+its token, or of its two tokens for the bigram b=x|y and the outside
+view's pair lr=x_{i-1}|x_{j+1}; _name and _codes are the only places a
+name is built or read.  A sentence trained on is featurized once, into
+a table of codes per token position (featurize).  Training gathers the
+example rows from those tables (example_rows) and numbers the columns
+by the names of the codes (FeatureSpace), so the columns, the saved
+names and the weights never depend on the ids; train runs minibatch
+gradient steps with numpy alone.  Scoring builds no name: the model is
+linear over indicators, so SpanScorer.score_spans looks each weight up
+by code once per token position, the pair's once per span, and sums
+them per span with numpy.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import warnings
@@ -95,48 +87,111 @@ def _length_bin(length: int) -> str:
     return "13+"
 
 
-class _Interner:
-    """Feature names numbered in the order the process first asks for them.
-
-    The ids only index arrays inside the process: columns, saved names
-    and weights never depend on them (see FeatureSpace).  It never
-    forgets a name: it grows with the vocabulary and bigrams of the
-    sentences trained on and with the names of the models scored.
-    """
-
-    def __init__(self):
-        self.index: dict[str, int] = {}
-        self.names: list[str] = []
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def ids(self, names: list[str]) -> np.ndarray:
-        index = self.index
-        out = [index.setdefault(name, len(index)) for name in names]
-        # the names just added are the last keys of the index
-        added = len(index) - len(self.names)
-        if added:
-            self.names.extend(reversed(list(itertools.islice(reversed(index), added))))
-        return np.array(out, dtype=np.intp)
-
-    def known(self, names: list[str]) -> np.ndarray:
-        """The ids of names, -1 for a name never interned; interns none."""
-        get = self.index.get
-        return np.array([get(name, -1) for name in names], dtype=np.intp)
+# Token ids in the order the process first sees the tokens.  The
+# sentinels come first, so a literal <s> or </s> token shares their id,
+# their feature names and their bos and eos flags.  The table never
+# forgets a token: it grows with the vocabulary of the text featurized
+# and scored and of the feature names of the models scored.
+_TOKEN_IDS: dict[str, int] = {BOS: 0, EOS: 1}
+_TOKENS: list[str] = [BOS, EOS]
 
 
-_FEATURE_IDS = _Interner()
+def _token_id(token: str) -> int:
+    """The id of a token, numbering it if it is new."""
+    tid = _TOKEN_IDS.get(token)
+    if tid is None:
+        tid = _TOKEN_IDS[token] = len(_TOKENS)
+        _TOKENS.append(token)
+    return tid
 
-# Rows of the table featurize returns.  Column k of a row is the feature
-# of token position k: its unigram, the bigram it starts (-1 in the last
-# column), the span's first or last token when the span starts or ends
-# there, the length bin of a span of k + 1 tokens, the position bucket
-# of a span starting at k, the token before k and the token after k
-# (sentinels at the edges), and the bos and eos flags of those (-1 where
-# the flag is off).
+
+# Feature templates, each also the row of featurize's table that holds
+# its codes.  Column k of a row is the feature of token position k: its
+# unigram, the bigram it starts (-1 in the last column), the span's
+# first or last token when the span starts or ends there, the length
+# bin of a span of k + 1 tokens, the position bucket of a span starting
+# at k, the token before k and the token after k (sentinels at the
+# edges), the bos and eos flags of those (-1 where the flag is off),
+# and the pair of the token before k with token id 0.  Row _AFTER, no
+# template, holds the id of the token after k, so the pair code of span
+# (i, j) is table[_PAIR, i] + table[_AFTER, j].
 (_UNIGRAM, _BIGRAM, _FIRST, _LAST, _LENGTH, _POSITION,
- _LEFT, _RIGHT, _BOS, _EOS) = range(10)
+ _LEFT, _RIGHT, _BOS, _EOS, _PAIR, _AFTER) = range(12)
+# how the names of each template start; bos and eos are whole names
+_PREFIXES = (
+    "u=", "b=", "first=", "last=", "len=", "pos=", "left=", "right=", "bos", "eos", "lr="
+)
+_TEMPLATES = {prefix: template for template, prefix in enumerate(_PREFIXES)}
+# A code is (template * _BASE + first token id) * _BASE + second token
+# id, with first 0 for a one-token template.  For len= the second slot
+# holds the span length, 13 for longer spans, and for pos= the bucket.
+_BASE = 1 << 29
+
+
+def _name(code: int) -> str:
+    """The name of the feature with this code."""
+    template, tokens = divmod(code, _BASE * _BASE)
+    first, second = divmod(tokens, _BASE)
+    prefix = _PREFIXES[template]
+    if template in (_BOS, _EOS):
+        return prefix
+    if template == _LENGTH:
+        return prefix + _length_bin(second)
+    if template == _POSITION:
+        return f"{prefix}{second}"
+    if template in (_BIGRAM, _PAIR):
+        return f"{prefix}{_TOKENS[first]}|{_TOKENS[second]}"
+    return prefix + _TOKENS[second]
+
+
+def _codes(name: str) -> list[int]:
+    """The codes of the features named name.
+
+    A bigram or pair name splits at each "|" of its key, since tokens
+    may hold "|": b=a|b|c is the bigram of a and b|c and the bigram of
+    a|b and c.  A len= name has a code per length in its bin.  The
+    tokens named are numbered here if they are new.
+    """
+    prefix, eq, key = name.partition("=")
+    template = _TEMPLATES.get(prefix + eq)
+    if template is None:
+        return []
+    base = template * _BASE * _BASE
+    if template in (_BOS, _EOS):
+        return [base]
+    if template in (_LENGTH, _POSITION):
+        return [base + m for m in range(14) if _name(base + m) == name]
+    if template in (_BIGRAM, _PAIR):
+        parts = key.split("|")
+        return [
+            base + _token_id("|".join(parts[:k])) * _BASE + _token_id("|".join(parts[k:]))
+            for k in range(1, len(parts))
+        ]
+    return [base + _token_id(key)]
+
+
+def _feature_table(tokens: tuple[str, ...]) -> np.ndarray:
+    """featurize's table of tokens, read-only."""
+    n = len(tokens)
+    ids = np.array(list(map(_token_id, tokens)), dtype=np.int64)
+    before = np.concatenate(([0], ids[:-1]))
+    after = np.concatenate((ids[1:], [1]))
+    k = np.arange(n)
+    table = np.zeros((_AFTER + 1, n), dtype=np.int64)
+    table[[_UNIGRAM, _FIRST, _LAST]] = ids
+    table[_BIGRAM, :-1] = ids[:-1] * _BASE + ids[1:]
+    table[_LENGTH] = np.minimum(k + 1, 13)
+    table[_POSITION] = np.minimum(3, 4 * k // n)
+    table[_LEFT] = before
+    table[_RIGHT] = after
+    table[_PAIR] = before * _BASE
+    table[:_AFTER] += np.arange(_AFTER)[:, None] * (_BASE * _BASE)
+    table[_AFTER] = after
+    table[_BIGRAM, -1] = -1
+    table[_BOS, before != 0] = -1
+    table[_EOS, after != 1] = -1
+    table.flags.writeable = False
+    return table
 
 
 # each live sentence's featurize table
@@ -144,130 +199,77 @@ _TABLES: weakref.WeakKeyDictionary[Sentence, np.ndarray] = weakref.WeakKeyDictio
 
 
 def featurize(sentence: Sentence) -> np.ndarray:
-    """Interned feature ids of a sentence's token positions, as a table.
+    """Feature codes of a sentence's token positions, as a table.
 
     A span (i, j) has, under the inside view, the unigrams and bigrams
     of x_i .. x_j and the first, last, length and position features of
     its bounds; under the outside view the left and right borders
     x_{i-1} and x_{j+1}, the bos and eos flags, and the pair feature
-    lr=x_{i-1}|x_{j+1}; the concat view has both.  Every feature but the
-    pair is one entry of the table (rows as listed above), so a span's
-    features are a few slices of it.  The table is read-only and kept
-    for as long as the sentence object lives, so a corpus is featurized
-    once however often it is trained on and rescored, and its tables go
-    when it goes.  SpanScorer.score_spans reads the kept table if there
-    is one.
+    lr=x_{i-1}|x_{j+1}; the concat view has both.  The table's rows are
+    listed above.  It is kept for as long as the sentence object lives,
+    so a corpus is featurized once however often it is trained on and
+    rescored, and its tables go when it goes.  SpanScorer.score_spans
+    reads the kept table if there is one.
     """
     table = _TABLES.get(sentence)
     if table is None:
-        table = _TABLES[sentence] = _feature_table(sentence.tokens, _FEATURE_IDS.ids)
+        table = _TABLES[sentence] = _feature_table(sentence.tokens)
     return table
 
 
-def _feature_table(tokens: tuple[str, ...], ids_of) -> np.ndarray:
-    """featurize's table of tokens, with ids_of giving the ids of names."""
-    n = len(tokens)
-    before = (BOS,) + tokens[:-1]
-    after = tokens[1:] + (EOS,)
-    names = [f"u={t}" for t in tokens]
-    names += [f"b={x}|{y}" for x, y in zip(tokens, tokens[1:])]
-    names += [f"first={t}" for t in tokens]
-    names += [f"last={t}" for t in tokens]
-    names += [f"len={_length_bin(k)}" for k in range(1, n + 1)]
-    names += [f"pos={min(3, 4 * k // n)}" for k in range(n)]
-    names += [f"left={t}" for t in before]
-    names += [f"right={t}" for t in after]
-    ids = ids_of(names)
-    bos, eos = ids_of(["bos", "eos"])
-    table = np.empty((_EOS + 1, n), dtype=np.intp)
-    table[_UNIGRAM] = ids[:n]
-    table[_BIGRAM, : n - 1] = ids[n : 2 * n - 1]
-    table[_BIGRAM, n - 1] = -1
-    table[_FIRST : _RIGHT + 1] = ids[2 * n - 1 :].reshape(_RIGHT + 1 - _FIRST, n)
-    table[_BOS] = np.where([t == BOS for t in before], bos, -1)
-    table[_EOS] = np.where([t == EOS for t in after], eos, -1)
-    table.flags.writeable = False
-    return table
-
-
-# the sentence _looked_up built a table for last, the interner's size
-# then, and the table
-_last_looked_up: tuple = (None, 0, None)
-
-
-def _looked_up(sentence: Sentence) -> np.ndarray:
-    """featurize's table of a sentence never featurized, from lookups.
-
-    For parse input: the names are looked up, so the interner does not
-    grow with the text scored, and only the last sentence's table is
-    kept, for the second model of a pair.  A name the interner lacks is
-    no feature of a model whose names it holds, and its id -1 reads
-    weight 0, so the scores are the same bits as from featurize's table.
-    The table is reused only while the interner has not grown, so it
-    holds every model name interned before the call.
-    """
-    global _last_looked_up
-    last, size, table = _last_looked_up
-    if last is not sentence or size != len(_FEATURE_IDS):
-        table = _feature_table(sentence.tokens, _FEATURE_IDS.known)
-        _last_looked_up = (sentence, len(_FEATURE_IDS), table)
-    return table
+# The table of the last sentence scored that was never featurized, such
+# as parse input, for the second model of a pair; it is not kept past
+# the next one.  Token ids never change, so it never goes stale.
+_unkept_table = functools.lru_cache(maxsize=1)(_feature_table)
 
 
 @dataclass(frozen=True)
-class IdRows:
-    """Feature rows as interned ids, before any column numbering.
+class CodeRows:
+    """Feature rows as feature codes, before any column numbering.
 
-    Row r lists the ids ids[indptr[r]:indptr[r+1]] in featurize's
+    Row r lists the codes codes[indptr[r]:indptr[r+1]] in featurize's
     order (unigrams, bigrams, first, last, length, position, then left,
-    right, pair, bos, eos), an id once per occurrence.
+    right, pair, bos, eos), a code once per occurrence.
     """
 
-    ids: np.ndarray
+    codes: np.ndarray
     indptr: np.ndarray
 
 
-def _gather_rows(pieces) -> IdRows:
+def _gather_rows(pieces) -> CodeRows:
     """Rows laid out piece by piece: row r's piece p is
     source[start[r] : start[r] + length[r]] of pieces[p] = (source, start, length)."""
     lengths = np.column_stack([length for _, _, length in pieces])
     ends = np.cumsum(lengths.ravel()).reshape(lengths.shape)
-    ids = np.empty(ends[-1, -1], dtype=np.intp)
+    codes = np.empty(ends[-1, -1], dtype=np.int64)
     for p, (source, start, length) in enumerate(pieces):
-        # position of each id within its piece
+        # position of each code within its piece
         step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
         into = np.repeat(ends[:, p] - length, length) + step
-        ids[into] = source[np.repeat(start, length) + step]
-    return IdRows(ids, np.concatenate(([0], ends[:, -1])))
+        codes[into] = source[np.repeat(start, length) + step]
+    return CodeRows(codes, np.concatenate(([0], ends[:, -1])))
 
 
-def example_rows(examples, by_id, view: str) -> IdRows:
-    """The feature-id rows of labeled examples under one view, in order.
+def example_rows(examples, by_id, view: str) -> CodeRows:
+    """The feature-code rows of labeled examples under one view, in order.
 
-    by_id maps each example's sentence id to its sentence.  The pair
-    feature of each example is interned here, one name per example.
+    by_id maps each example's sentence id to its sentence.
     """
     if view not in (INSIDE, OUTSIDE, CONCAT):
         raise ValueError(f"unknown view {view!r}")
     slots: dict[int, int] = {}
-    tables, bounds, pairs = [], [], []
+    tables, bounds = [], []
     for ex in examples:
         sent = by_id[ex.sentence_id]
         slot = slots.get(sent.id)
         if slot is None:
             slot = slots[sent.id] = len(tables)
             tables.append(featurize(sent))
-        i, j = ex.span.i, ex.span.j
-        if j >= len(sent):
+        if ex.span.j >= len(sent):
             raise ValueError(f"span {ex.span} outside sentence {sent.id}")
-        bounds.append((slot, i, j))
-        if view != INSIDE:
-            toks = sent.tokens
-            left = toks[i - 1] if i > 0 else BOS
-            right = toks[j + 1] if j + 1 < len(toks) else EOS
-            pairs.append(f"lr={left}|{right}")
+        bounds.append((slot, ex.span.i, ex.span.j))
     if not bounds:
-        return IdRows(np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.int64))
+        return CodeRows(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
     slot, i, j = np.array(bounds, dtype=np.intp).T
     offsets = np.cumsum([0] + [t.shape[1] for t in tables[:-1]])[slot]
@@ -288,7 +290,7 @@ def example_rows(examples, by_id, view: str) -> IdRows:
         pieces += [
             (table[_LEFT], first, one),
             (table[_RIGHT], last, one),
-            (_FEATURE_IDS.ids(pairs), np.arange(len(i)), one),
+            (table[_PAIR, first] + table[_AFTER, last], np.arange(len(i)), one),
             (table[_BOS], first, (table[_BOS, first] >= 0).astype(np.intp)),
             (table[_EOS], last, (table[_EOS, last] >= 0).astype(np.intp)),
         ]
@@ -324,37 +326,51 @@ class FeatureSpace:
     """Maps features to column indices.
 
     fit numbers the features it has not seen in order of first
-    occurrence; transform drops the features without a column.  Columns
-    are named, so a space depends only on the names and order of the
-    rows it was fit on, never on interned ids.
+    occurrence, naming each distinct code of its rows once; transform
+    drops the features without a column.  Columns are named, and
+    features with one name share a column, so a space depends only on
+    the names and order of the rows it was fit on, never on token ids.
     """
 
     view: str
     names: list[str] = field(default_factory=list)
+    # the names' codes, sorted, then a sentinel above every code, and the
+    # column of each (-1 for the sentinel); built on first use after a fit
+    _by_code: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
         return len(self.names)
 
-    @property
-    def ids(self) -> np.ndarray:
-        """The interned id of each column's name, in column order."""
-        return _FEATURE_IDS.ids(self.names)
-
-    def fit(self, rows: IdRows) -> "FeatureSpace":
-        seen, first = np.unique(rows.ids, return_index=True)
-        fresh = seen[np.argsort(first)]
-        fresh = fresh[~np.isin(fresh, self.ids)]
-        self.names.extend(map(_FEATURE_IDS.names.__getitem__, fresh.tolist()))
+    def fit(self, rows: CodeRows) -> "FeatureSpace":
+        seen, first = np.unique(rows.codes, return_index=True)
+        fresh = map(_name, seen[np.argsort(first)].tolist())
+        self.names = list({**dict.fromkeys(self.names), **dict.fromkeys(fresh)})
+        self._by_code = None
         return self
 
-    def transform(self, rows: IdRows) -> CsrRows:
+    def columns(self, codes: np.ndarray) -> np.ndarray:
+        """The column of each feature code, -1 for a code that is no column."""
+        if self._by_code is None:
+            pairs = np.fromiter(
+                ((code, column) for column, name in enumerate(self.names) for code in _codes(name)),
+                dtype=np.dtype((np.int64, 2)),
+            )
+            pairs = pairs[np.argsort(pairs[:, 0])]
+            self._by_code = (
+                np.append(pairs[:, 0], np.iinfo(np.int64).max),
+                np.append(pairs[:, 1], -1),
+            )
+        keys, columns = self._by_code
+        at = np.searchsorted(keys, codes)
+        return np.where(keys[at] == codes, columns[at], -1)
+
+    def transform(self, rows: CodeRows) -> CsrRows:
         """Each row's count of each column, in column order."""
-        known = self.ids
-        column = np.full(len(_FEATURE_IDS), -1, dtype=np.int64)
-        column[known] = np.arange(self.dim)
         n_rows = len(rows.indptr) - 1
-        cols = column[rows.ids]
+        cols = self.columns(rows.codes)
         row = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
         keep = cols >= 0
         stride = max(self.dim, 1)
@@ -398,12 +414,8 @@ class SpanScorer:
     # how many labeled examples the model was trained on
     example_count: int = 0
     val_metrics: dict[str, float] = field(default_factory=dict)
-    _by_id: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _pairs: dict[str, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # the weights and then a 0, which column -1 reads; built on first use
+    _padded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def score_spans(self, sentence: Sentence, spans) -> np.ndarray:
         """P(constituent) of each span, in closed form from per-token weights.
@@ -418,11 +430,13 @@ class SpanScorer:
           outside  w[left=L_i] + w[right=R_j] + w[lr=L_i|R_j]
                    + w[bos] [L_i = <s>] + w[eos] [R_j = </s>]
 
-        and the concat view adds both.  Every term but the pair is a
-        per-position weight, gathered from featurize's table; the pair
-        is looked up once per span among the model's own names.  This
-        equals the dot product of the weights with the span's feature
-        row; only the order of the floating-point additions differs.
+        and the concat view adds both.  Every term but the pair is the
+        weight of one entry of featurize's table, looked up once per
+        token position; the pair's code is the sum of two entries, looked
+        up once per span.  A sentence never featurized gets a table that
+        is not kept.  This equals the dot product of the weights with the
+        span's feature row; only the order of the floating-point
+        additions differs.
         """
         if self.view not in (INSIDE, OUTSIDE, CONCAT):
             raise ValueError(f"unknown view {self.view!r}")
@@ -432,64 +446,36 @@ class SpanScorer:
         j = np.fromiter((sp.j for sp in spans), dtype=np.intp, count=len(spans))
         if len(i) and j.max() >= n:
             raise ValueError(f"span beyond the {n} tokens of sentence {sentence.id}")
-        # interns the model's names, so a table of lookups finds them all
-        w = self._weights_by_id()
-        ids = _TABLES.get(sentence)
-        if ids is None:
-            ids = _looked_up(sentence)
+        table = _TABLES.get(sentence)
+        if table is None:
+            table = _unkept_table(sentence.tokens)
         z = np.full(len(i), self.bias, dtype=float)
         if self.view in (INSIDE, CONCAT):
-            unigrams = np.concatenate(([0.0], np.cumsum(w[ids[_UNIGRAM]])))
-            bigrams = np.concatenate(([0.0], np.cumsum(w[ids[_BIGRAM, :-1]])))
+            unigram, bigram, first, last, length, position = self._weights(
+                table[_UNIGRAM : _POSITION + 1]
+            )
+            unigrams = np.concatenate(([0.0], np.cumsum(unigram)))
+            bigrams = np.concatenate(([0.0], np.cumsum(bigram[:-1])))
             z += unigrams[j + 1] - unigrams[i] + bigrams[j] - bigrams[i]
-            z += w[ids[_FIRST]][i]
-            z += w[ids[_LAST]][j]
-            z += w[ids[_LENGTH]][j - i]
-            z += w[ids[_POSITION]][i]
+            z += first[i]
+            z += last[j]
+            z += length[j - i]
+            z += position[i]
         if self.view in (OUTSIDE, CONCAT):
-            z += w[ids[_LEFT]][i]
-            z += w[ids[_RIGHT]][j]
-            z += self._pair_weights(sentence, i, j)
-            # id -1, a flag that is off, reads weight 0
-            z += w[ids[_BOS]][i]
-            z += w[ids[_EOS]][j]
+            left, right, bos, eos = self._weights(table[_LEFT : _EOS + 1])
+            z += left[i]
+            z += right[j]
+            z += self._weights(table[_PAIR, i] + table[_AFTER, j])
+            # a flag that is off, code -1, reads weight 0
+            z += bos[i]
+            z += eos[j]
         return np.clip(sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
 
-    def _weights_by_id(self) -> np.ndarray:
-        """The weight of each interned id: 0 for ids that are no column.
-
-        At least one slot longer than the interner, so the last slot, the
-        one id -1 reads, is 0.  Ids interned after the first call are no
-        column of the space, so the array grows by zeros.
-        """
-        if self._by_id is None:
-            known = self.space.ids
-            self._by_id = np.zeros(2 * len(_FEATURE_IDS) + 1)
-            self._by_id[known] = self.weights
-        elif len(self._by_id) <= len(_FEATURE_IDS):
-            grown = np.zeros(2 * len(_FEATURE_IDS) + 1)
-            grown[: len(self._by_id)] = self._by_id
-            self._by_id = grown
-        return self._by_id
-
-    def _pair_weights(self, sentence: Sentence, i, j) -> np.ndarray:
-        """w[lr=L_i|R_j] of each span."""
-        if self._pairs is None:
-            self._pairs = {
-                name: weight
-                for name, weight in zip(self.space.names, self.weights.tolist())
-                if name.startswith("lr=")
-            }
-        weight = self._pairs.get
-        toks = sentence.tokens
-        before = (BOS,) + toks[:-1]
-        after = toks[1:] + (EOS,)
-        pairs = zip(i.tolist(), j.tolist())
-        return np.fromiter(
-            (weight(f"lr={before[a]}|{after[c]}", 0.0) for a, c in pairs),
-            dtype=float,
-            count=len(i),
-        )
+    def _weights(self, codes: np.ndarray) -> np.ndarray:
+        """The weight of each feature code: 0 for a code that is no column."""
+        if self._padded is None:
+            self._padded = np.append(self.weights, 0.0)
+        return self._padded[self.space.columns(codes)]
 
 
 def _log_loss(probs: np.ndarray, y: np.ndarray) -> float:
@@ -532,14 +518,14 @@ def train(
     n_val = len(examples) // 5
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    train_ids = example_rows([examples[k] for k in train_idx], by_id, view)
-    val_ids = example_rows([examples[k] for k in val_idx], by_id, view)
+    train_codes = example_rows([examples[k] for k in train_idx], by_id, view)
+    val_codes = example_rows([examples[k] for k in val_idx], by_id, view)
     y_train = np.array([examples[k].label for k in train_idx], dtype=float)
     y_val = np.array([examples[k].label for k in val_idx], dtype=float)
 
-    space = FeatureSpace(view=view).fit(train_ids)
-    x_train = space.transform(train_ids)
-    x_val = space.transform(val_ids)
+    space = FeatureSpace(view=view).fit(train_codes)
+    x_train = space.transform(train_codes)
+    x_val = space.transform(val_codes)
 
     w = np.zeros(space.dim)
     b = 0.0
@@ -823,8 +809,8 @@ def load_model(path) -> SpanScorer:
 
     Raises MalformedFile for anything else, including weights that do
     not line up with the feature space and a feature name listed twice:
-    scoring indexes the weights by feature column, and by the id of each
-    column's name.
+    scoring indexes the weights by feature column, and by the codes of
+    each column's name.
     """
 
     def bad(why: str) -> MalformedFile:
@@ -833,8 +819,8 @@ def load_model(path) -> SpanScorer:
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise bad(f"not JSON ({exc})") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise bad(f"not UTF-8 JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise bad("not a JSON object")
     version = payload.get("format_version")

@@ -152,6 +152,16 @@ def test_missing_config_file_is_exit_1(tmp_path):
     assert main(["bootstrap", "--config", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "text", [b'{"rng_seed": 0\xff}', b'{"rng_seed": 0'], ids=["not_utf8", "not_json"]
+)
+def test_unreadable_config_file_is_exit_1(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert main(["bootstrap", "--config", str(cfg)]) == 1
+    assert f"config file {cfg} is not UTF-8 JSON" in capsys.readouterr().err
+
+
 def test_unknown_config_section_is_exit_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"bogus": 1}')
@@ -629,6 +639,24 @@ def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
         "--out", str(tmp_path / "out.txt"),
     ]) == 2
     assert "co_in.json" in capsys.readouterr().err
+
+
+def test_parse_undecodable_model_file_is_exit_2(pipeline, tmp_path, capsys):
+    root, _ = pipeline
+    models = tmp_path / "models"
+    models.mkdir()
+    for name in ("co_in.json", "co_out.json"):
+        (models / name).write_bytes((root / "models" / name).read_bytes())
+    data = (models / "co_out.json").read_bytes()
+    at = data.index(b'"lr=') + 4
+    (models / "co_out.json").write_bytes(data[:at] + b"\xff" + data[at:])
+    cfg = write_config(tmp_path)
+    (tmp_path / "in.txt").write_text("the dog sees a cat\n")
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
+        "--out", str(tmp_path / "out.txt"),
+    ]) == 2
+    assert f"model file {models / 'co_out.json'}: not UTF-8 JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

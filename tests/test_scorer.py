@@ -25,13 +25,12 @@ from bootparse.errors import (
 from bootparse.external import ExternalScorer
 from bootparse.loops import LoopConfig, _harvest
 from bootparse.scorer import (
-    _FEATURE_IDS,
     BOS,
     CONCAT,
     EOS,
     PROB_EPS,
+    CodeRows,
     FeatureSpace,
-    IdRows,
     SpanScorer,
     Thresholds,
     TrainingMeta,
@@ -212,21 +211,28 @@ def csr(rows):
     return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
 
 
-def id_rows(*rows):
-    """IdRows of rows given as lists of feature names."""
-    ids = [_FEATURE_IDS.ids(row) for row in rows]
-    return IdRows(np.concatenate(ids), np.cumsum([0] + [len(r) for r in ids]))
+def code_rows(*rows):
+    """CodeRows of rows given as lists of feature names, each name as
+    all of its codes."""
+    codes = [[code for name in row for code in scorer._codes(name)] for row in rows]
+    return CodeRows(
+        np.array(sum(codes, []), dtype=np.int64), np.cumsum([0] + [len(r) for r in codes])
+    )
 
 
 def test_feature_space_vocab():
     # columns by first occurrence over the rows, repeats counted
-    space = FeatureSpace(view=INSIDE).fit(id_rows(["u=a", "len=2"], ["u=b", "u=b", "u=a"]))
+    space = FeatureSpace(view=INSIDE).fit(code_rows(["u=a", "len=2"], ["u=b", "u=b", "u=a"]))
     assert space.names == ["u=a", "len=2", "u=b"]
-    m = csr(space.transform(id_rows(["u=b", "unseen", "u=b"], [], ["len=2"])))
+    m = csr(space.transform(code_rows(["u=b", "u=unseen", "u=b"], [], ["len=2"])))
     assert m.shape == (3, 3)
     assert m.toarray().tolist() == [[0.0, 0.0, 2.0], [0.0] * 3, [0.0, 1.0, 0.0]]
-    space.fit(id_rows(["u=c", "u=a"]))
+    space.fit(code_rows(["u=c", "u=a"]))
     assert space.names == ["u=a", "len=2", "u=b", "u=c"]
+    # the two codes of one name, bigrams (a|b, c) and (a, b|c), share a column
+    space.fit(code_rows(["b=a|b|c"]))
+    assert space.names == ["u=a", "len=2", "u=b", "u=c", "b=a|b|c"]
+    assert csr(space.transform(code_rows(["b=a|b|c"]))).toarray().tolist() == [[0.0] * 4 + [2.0]]
 
 
 def make_toy_examples(n_each=40):
@@ -517,37 +523,39 @@ def test_score_spans_matches_feature_path(view):
         assert model.score_spans(s, []).shape == (0,)
 
 
-@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
-def test_featurized_and_looked_up_tables_score_alike(view):
-    # a sentence no training featurized is scored from name lookups that
-    # intern nothing; once featurized, from its kept table
-    model = random_model(view, seed=8)
-    for s in parity_sentences():
-        novel = f"novel{view}{s.id}"
-        s = Sentence(id=s.id, tokens=s.tokens + (novel, f"{novel}|a"))
-        spans = _all_spans(len(s), 1)
-        looked_up = model.score_spans(s, spans)
-        size = len(_FEATURE_IDS)
-        assert np.array_equal(model.score_spans(s, spans), looked_up)
-        assert len(_FEATURE_IDS) == size
-        assert f"u={novel}" not in _FEATURE_IDS.index
-        scorer.featurize(s)
-        assert len(_FEATURE_IDS) > size
-        assert np.array_equal(model.score_spans(s, spans), looked_up)
-        assert np.max(np.abs(looked_up - reference_scores(model, s, spans))) <= 1e-12
-
-
 def test_first_scoring_finds_names_never_interned():
-    # a loaded model's names reach the interner on its first scoring,
-    # before the sentence's names are looked up, also when another model
-    # has just scored the same sentence
+    # A model's names find the ids of tokens first numbered by a table
+    # that another model's scoring built and shares; a sentence's table
+    # finds the ids of tokens first numbered by a model's names.
     s = sent(0, "firstuse")
+    assert "firstuse" not in scorer._TOKEN_IDS
     random_model(INSIDE).score_spans(s, [Span(0, 0)])
-    space = FeatureSpace(view=INSIDE, names=["u=firstuse", "len=1"])
-    model = SpanScorer(INSIDE, space, np.array([2.0, -0.5]), 0.25, TrainingMeta())
-    assert "u=firstuse" not in _FEATURE_IDS.index
+    assert "firstuse" in scorer._TOKEN_IDS
+    space = FeatureSpace(view=INSIDE, names=["u=firstuse", "len=1", "u=namedfirst"])
+    model = SpanScorer(INSIDE, space, np.array([2.0, -0.5, 1.5]), 0.25, TrainingMeta())
     got = model.score_spans(s, [Span(0, 0)])
     assert got.tolist() == sigmoid(np.array([1.75])).tolist()
+    assert "namedfirst" in scorer._TOKEN_IDS
+    got = model.score_spans(sent(1, "namedfirst"), [Span(0, 0)])
+    assert got.tolist() == sigmoid(np.array([1.25])).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(PARITY_VOCAB), min_size=1, max_size=12))
+def test_codes_and_names_round_trip(tokens):
+    # every code of a table, the pair of every two borders included, is
+    # among the codes of its name, and a bigram or pair name has one
+    # code per "|" of its key, a token feature one code
+    table = scorer.featurize(Sentence(id=0, tokens=tuple(tokens)))
+    pairs = table[scorer._PAIR][:, None] + table[scorer._AFTER][None, :]
+    codes = np.concatenate((table[: scorer._AFTER].ravel(), pairs.ravel()))
+    for code in codes[codes >= 0].tolist():
+        name = scorer._name(code)
+        assert code in scorer._codes(name)
+        if name.startswith(("b=", "lr=")):
+            assert len(scorer._codes(name)) == name.partition("=")[2].count("|")
+        elif not name.startswith("len="):
+            assert len(scorer._codes(name)) == 1
 
 
 @pytest.mark.parametrize("renormalize", [False, True])
@@ -736,14 +744,15 @@ def test_scores_unchanged_when_interner_grows(view):
     model = random_model(view, seed=6)
     sentences = parity_sentences()
     before = [model.score_spans(s, _all_spans(len(s), 1)) for s in sentences]
-    slots = len(model._by_id)
-    _FEATURE_IDS.ids([f"u=grow{view}{k}" for k in range(slots + 1)])
+    grown = [f"grow{view}{k}" for k in range(1000)]
+    size = len(scorer._TOKENS)
+    assert [scorer._token_id(t) for t in grown] == list(range(size, size + 1000))
+    assert scorer._TOKENS[size:] == grown
     fresh = Sentence(id=99, tokens=(f"fresh{view}", "a", f"fresh{view}|a"))
     spans = _all_spans(len(fresh), 1)
     assert np.max(np.abs(
         model.score_spans(fresh, spans) - reference_scores(model, fresh, spans)
     )) <= 1e-12
-    assert len(model._by_id) > slots
     for s, want in zip(sentences, before):
         assert np.array_equal(model.score_spans(s, _all_spans(len(s), 1)), want)
 
