@@ -35,6 +35,7 @@ from .errors import (
     SingleClassInput,
     TreeSyntaxError,
     YieldMismatch,
+    read_text,
 )
 from .evaluation import (
     BALANCED,
@@ -139,8 +140,7 @@ def _corpus(cfg: PipelineConfig):
 
 
 def _grammar_from_file(path) -> SyntheticGrammar:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path, ConfigError)
     try:
         raw = json.loads(text)
         rules = {
@@ -350,15 +350,14 @@ def cmd_parse(args) -> int:
 def _read_predictions(path):
     """One binary tree per non-empty line; MalformedFile names path:line."""
     preds = []
-    with open(path, encoding="utf-8") as fh:
-        for index, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                preds.append(binary_from_tree(parse_bracketed(line, index)))
-            except (TreeSyntaxError, ValueError) as exc:
-                raise MalformedFile(f"{path}:{index + 1}: {exc}") from exc
+    for index, line in enumerate(read_text(path).split("\n")):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            preds.append(binary_from_tree(parse_bracketed(line, index)))
+        except (TreeSyntaxError, ValueError) as exc:
+            raise MalformedFile(f"{path}:{index + 1}: {exc}") from exc
     return preds
 
 
@@ -425,7 +424,7 @@ def cmd_report(args) -> int:
         path = model_dir / trace_file
         if not path.exists():
             continue
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
         try:
             trace = LoopTrace.from_jsonl(text)
         except ValueError as exc:
@@ -441,7 +440,7 @@ def cmd_report(args) -> int:
         sections.append("\n".join(rows))
     report_json = report_dir / "report.json"
     if report_json.exists():
-        text = report_json.read_text(encoding="utf-8")
+        text = read_text(report_json)
         try:
             raw = json.loads(text)
             sections.append(

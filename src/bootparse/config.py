@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .decoder import HeuristicConfig
 from .errors import ConfigError, check_bool, check_int, check_number
 from .evaluation import EvalConfig
-from .loops import LoopConfig
+from .loops import LoopConfig, SelfTrainConfig
 from .scorer import TrainingMeta
 from .seeds import SeedConfig
 
@@ -85,7 +85,9 @@ class PipelineConfig:
     paths: Paths = field(default_factory=Paths)
     rng_seed: int = 0
     seeds: SeedConfig = field(default_factory=SeedConfig)
-    self_train: LoopConfig = field(default_factory=lambda: LoopConfig(K=5, c=500, d=5000))
+    self_train: SelfTrainConfig = field(
+        default_factory=lambda: SelfTrainConfig(K=5, c=500, d=5000)
+    )
     co_train: LoopConfig = field(default_factory=lambda: LoopConfig(K=2, c=500, d=5000))
     training: TrainingMeta = field(default_factory=TrainingMeta)
     heuristics: HeuristicConfig = field(
@@ -115,7 +117,7 @@ def synthetic_profile(rng_seed: int = 0) -> PipelineConfig:
     return PipelineConfig(
         rng_seed=rng_seed,
         seeds=SeedConfig(casing_augmentation=True, rng_seed=rng_seed),
-        self_train=LoopConfig(
+        self_train=SelfTrainConfig(
             K=2,
             c=0,
             d=1200,

@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import TooLarge, check_bool
+from .seeds import most_common_first_word
 from .treebank import BinaryTree, Sentence, Span, token_runs
 
 # enumerate_trees(13) would yield 208012 trees; stop before that.
@@ -241,28 +242,23 @@ def heuristics_from_corpus(sentences) -> HeuristicConfig:
     ties break toward the lexicographically smaller token so the result
     is deterministic.
     """
+    sentences = list(sentences)
     comma_succ = Counter()
-    starts = Counter()
     freq = Counter()
     for s in sentences:
         toks = s.tokens
-        if toks:
-            starts[toks[0]] += 1
         freq.update(toks)
         for prev, cur in zip(toks, toks[1:]):
             if prev == ",":
                 comma_succ[cur] += 1
 
-    def best(counter):
-        if not counter:
-            return None
-        return min(counter.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-
     top = sorted(freq, key=lambda tok: (-freq[tok], tok))[:100]
     return HeuristicConfig(
         enabled=True,
-        comma_successor_word=best(comma_succ),
-        common_start_word=best(starts),
+        comma_successor_word=min(
+            comma_succ, key=lambda tok: (-comma_succ[tok], tok), default=None
+        ),
+        common_start_word=most_common_first_word(sentences),
         top_frequency_set=frozenset(top),
         stopword_set=load_stopwords(),
     )

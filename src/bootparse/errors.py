@@ -1,4 +1,5 @@
-"""Exception types, warning categories and value checks shared across the package."""
+"""Exception types, warning categories and value checks shared across the
+package, and the one reader of text input files."""
 
 import math
 
@@ -56,7 +57,8 @@ class ExternalScorerError(BootparseError):
 
 
 class MalformedFile(BootparseError, ValueError):
-    """A seed set, saved model or prediction file is not in its format.
+    """An input file is not UTF-8, or a seed set, saved model or
+    prediction file is not in its format.
 
     The message names the file, and the line where there is one.
     """
@@ -64,6 +66,16 @@ class MalformedFile(BootparseError, ValueError):
 
 class ConfigError(BootparseError):
     """Invalid run configuration: bad file, unknown key, or bad value."""
+
+
+def read_text(path, error=MalformedFile) -> str:
+    """The UTF-8 text of the file at path; error names the path when it
+    does not decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def check_int(name: str, value, low: int, high: int | None = None) -> None:

@@ -89,21 +89,11 @@ class EvalReport:
         return cls(**raw)
 
 
-def _pred_spans(pred: BinaryTree, cfg: EvalConfig) -> Counter:
-    n = len(pred.sentence)
-    spans = [sp for sp in pred.spans if sp.length >= 2]
-    if cfg.exclude_trivial:
-        spans = [sp for sp in spans if sp.length < n]
-    return Counter(spans)
-
-
-def _gold_span_counts(labeled, n: int, cfg: EvalConfig) -> Counter:
-    occurrences = [sp for _, sp in labeled if sp.length >= 2]
-    if cfg.exclude_trivial:
-        occurrences = [sp for sp in occurrences if sp.length < n]
-    if cfg.dedup_spans:
-        occurrences = set(occurrences)
-    return Counter(occurrences)
+def _scored(spans, n: int, cfg: EvalConfig) -> list[Span]:
+    """The spans a score counts: length >= 2, and shorter than the
+    sentence when trivial spans are excluded."""
+    longest = n - 1 if cfg.exclude_trivial else n
+    return [sp for sp in spans if 1 <= sp.j - sp.i < longest]
 
 
 def _prf(matched: int, pred_total: int, gold_total: int) -> tuple[float, float, float]:
@@ -125,20 +115,19 @@ def _sentence_counts(
             f"prediction tokens {pred.sentence.tokens} differ from gold "
             f"{gold.sentence.tokens}"
         )
-    pred_counts = _pred_spans(pred, cfg)
-    gold_counts = _gold_span_counts(gold.labeled, len(gold.sentence), cfg)
-    matched = sum((pred_counts & gold_counts).values())
-    return matched, sum(pred_counts.values()), sum(gold_counts.values())
+    n = len(gold.sentence)
+    # a prediction holds each span once, so a repeated gold span (a
+    # unary chain) matches at most once
+    pred_spans = set(_scored(pred.spans, n, cfg))
+    gold_spans = _scored((sp for _, sp in gold.labeled), n, cfg)
+    gold_set = set(gold_spans)
+    gold_total = len(gold_set) if cfg.dedup_spans else len(gold_spans)
+    return len(pred_spans & gold_set), len(pred_spans), gold_total
 
 
 def sentence_f1(pred: BinaryTree, gold: GoldTree, cfg: EvalConfig) -> float:
     """Unlabeled span F1 for one sentence; 1.0 when both sets are empty."""
     return _prf(*_sentence_counts(pred, gold, cfg))[2]
-
-
-def _bucket_key(length: int, width: int) -> str:
-    lo = ((length - 1) // width) * width + 1
-    return f"{lo}-{lo + width - 1}"
 
 
 def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
@@ -202,14 +191,14 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
             "f1": cut_f1,
         }
 
-    by_bucket: dict[str, list[float]] = defaultdict(list)
+    # buckets keyed by their first length: 1, 1 + width, ...
+    width = cfg.bucket_width
+    by_bucket: dict[int, list[float]] = defaultdict(list)
     for row in per_sentence:
-        by_bucket[_bucket_key(row["length"], cfg.bucket_width)].append(row["f1"])
+        by_bucket[(row["length"] - 1) // width * width + 1].append(row["f1"])
     length_buckets = {
-        key: statistics.fmean(values)
-        for key, values in sorted(
-            by_bucket.items(), key=lambda kv: int(kv[0].split("-")[0])
-        )
+        f"{lo}-{lo + width - 1}": statistics.fmean(by_bucket[lo])
+        for lo in sorted(by_bucket)
     }
 
     return EvalReport(

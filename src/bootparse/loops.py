@@ -28,7 +28,7 @@ from .seeds import CONCAT, INSIDE, OUTSIDE, LabeledSpanExample
 
 @dataclass(frozen=True)
 class LoopConfig:
-    """Shared knobs for one bootstrapping loop.
+    """The knobs of one bootstrapping loop; co-training takes these alone.
 
     c and d are the per-iteration harvest sizes; their ratio sets the
     class balance of the pseudo-labeled data (roughly 1:10 constituent
@@ -44,9 +44,6 @@ class LoopConfig:
     tau_max: float = Thresholds.tau_max
     pool_cap: int = 5000
     rng_seed: int = 0
-    # Alternative reading of the self-training update: keep earlier
-    # examples instead of replacing the labeled set each iteration.
-    accumulate: bool = False
 
     def __post_init__(self):
         check_int("K", self.K, 1)
@@ -54,12 +51,27 @@ class LoopConfig:
         check_int("d", self.d, 0)
         check_int("pool_cap", self.pool_cap, 1)
         check_int("rng_seed", self.rng_seed, 0)
-        check_bool("accumulate", self.accumulate)
         self.thresholds  # checks the pair
 
     @property
     def thresholds(self) -> Thresholds:
         return Thresholds(self.tau_min, self.tau_max)
+
+
+@dataclass(frozen=True)
+class SelfTrainConfig(LoopConfig):
+    """LoopConfig plus self-training's update rule.
+
+    accumulate is the alternative reading of that update: keep earlier
+    examples instead of replacing the labeled set each iteration.
+    Co-training always accumulates, so it has no such switch.
+    """
+
+    accumulate: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_bool("accumulate", self.accumulate)
 
 
 @dataclass(frozen=True)
@@ -170,20 +182,14 @@ def _harvest(model, pool_sents, cfg: LoopConfig, stream: int, k: int):
 
 def _union(existing, new):
     """Append examples not already present, preserving order."""
-    seen = {(e.sentence_id, e.span, e.label, e.view) for e in existing}
-    merged = list(existing)
-    for ex in new:
-        key = (ex.sentence_id, ex.span, ex.label, ex.view)
-        if key not in seen:
-            seen.add(key)
-            merged.append(ex)
-    return merged
+    seen = set(existing)
+    return list(existing) + list(dict.fromkeys(ex for ex in new if ex not in seen))
 
 
 def self_train(
     inside_examples,
     unlabeled,
-    cfg: LoopConfig,
+    cfg: SelfTrainConfig,
     *,
     lookup=None,
     meta: TrainingMeta | None = None,
@@ -198,9 +204,9 @@ def self_train(
     and the outside classifier is trained on them once.
 
     The replacement update means seed examples are gone after one
-    iteration; pass a config with accumulate=True to keep
-    them.  With c = d = 0 the labeled set empties out and training the
-    outside model raises SingleClassInput.
+    iteration; a SelfTrainConfig with accumulate=True keeps them.  With
+    c = d = 0 the labeled set empties out and training the outside model
+    raises SingleClassInput.
     """
     sentences, pool_sents = _loop_sentences(unlabeled, lookup, cfg, "self_train")
 
@@ -322,9 +328,7 @@ def concat_baseline(
     involved; the corpus argument only resolves sentence ids.
     """
     sentences = _merge_corpora(lookup or [], unlabeled)
-    atoms: dict[tuple, LabeledSpanExample] = {}
-    for ex in list(inside_examples) + list(outside_examples):
-        key = (ex.sentence_id, ex.span, ex.label)
-        if key not in atoms:
-            atoms[key] = _with_view(ex, CONCAT)
-    return trainer(list(atoms.values()), sentences, CONCAT, meta)
+    atoms = dict.fromkeys(
+        _with_view(ex, CONCAT) for ex in [*inside_examples, *outside_examples]
+    )
+    return trainer(list(atoms), sentences, CONCAT, meta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedFile, check_bool, check_int
+from .errors import EmptyCorpus, MalformedFile, check_bool, check_int, read_text
 from .treebank import Sentence, Span, token_runs
 
 INSIDE = "inside"
@@ -89,9 +89,7 @@ class SeedConfig:
 def most_common_first_word(corpus) -> str | None:
     """The most frequent sentence-initial token; ties break lexically."""
     counts = Counter(sent.tokens[0] for sent in corpus)
-    if not counts:
-        return None
-    return min(counts, key=lambda tok: (-counts[tok], tok))
+    return min(counts, key=lambda tok: (-counts[tok], tok), default=None)
 
 
 def cased_runs(sentence: Sentence) -> list[Span]:
@@ -168,10 +166,10 @@ def generate_seeds(corpus, cfg: SeedConfig) -> list[LabeledSpanExample]:
     corpus = list(corpus)
     if not corpus:
         raise EmptyCorpus("no sentences to seed from")
-    emitted: dict[tuple, None] = {}
+    emitted: dict[LabeledSpanExample, None] = {}
 
     def emit(sid: int, span: Span, label: int):
-        emitted.setdefault((sid, span.i, span.j, label, INSIDE), None)
+        emitted.setdefault(LabeledSpanExample(sid, span, label), None)
 
     for sent in corpus:
         n = len(sent)
@@ -188,10 +186,7 @@ def generate_seeds(corpus, cfg: SeedConfig) -> list[LabeledSpanExample]:
     for carrier in casing_copy_sentences(corpus, cfg):
         emit(carrier.id, Span(0, len(carrier) - 1), cfg.lowercase_copy_label)
 
-    return [
-        LabeledSpanExample(sentence_id=sid, span=Span(i, j), label=label, view=view)
-        for sid, i, j, label, view in emitted
-    ]
+    return list(emitted)
 
 
 def write_seed_file(examples, path) -> None:
@@ -207,28 +202,26 @@ def write_seed_file(examples, path) -> None:
 def read_seed_file(path) -> list[LabeledSpanExample]:
     """Read a file written by write_seed_file; MalformedFile names path:line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise MalformedFile(
-                    f"{path}:{lineno}: expected 5 columns, got {len(parts)}"
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise MalformedFile(
+                f"{path}:{lineno}: expected 5 columns, got {len(parts)}"
+            )
+        sid, i, j, label, view = parts
+        if label not in _LABEL_VALUES:
+            raise MalformedFile(f"{path}:{lineno}: unknown label {label!r}")
+        try:
+            out.append(
+                LabeledSpanExample(
+                    sentence_id=int(sid),
+                    span=Span(int(i), int(j)),
+                    label=_LABEL_VALUES[label],
+                    view=view,
                 )
-            sid, i, j, label, view = parts
-            if label not in _LABEL_VALUES:
-                raise MalformedFile(f"{path}:{lineno}: unknown label {label!r}")
-            try:
-                out.append(
-                    LabeledSpanExample(
-                        sentence_id=int(sid),
-                        span=Span(int(i), int(j)),
-                        label=_LABEL_VALUES[label],
-                        view=view,
-                    )
-                )
-            except ValueError as exc:
-                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -9,7 +9,7 @@ keeps the corpus qualitatively close to English bracketing statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,20 +102,16 @@ def builtin_grammar() -> SyntheticGrammar:
     return SyntheticGrammar(start="S", rules=rules, lexicon=lexicon)
 
 
-@dataclass
-class _Derivation:
-    tokens: list[str] = field(default_factory=list)
-
-
-def _expand(grammar: SyntheticGrammar, symbol: str, depth: int, rng, out: _Derivation):
+def _expand(grammar: SyntheticGrammar, symbol: str, depth: int, rng, out: list[str]):
+    """Derive symbol, appending its words to out; its subtree's leaves
+    index into out."""
     if depth > grammar.max_depth:
         raise _DepthExceeded
     if symbol in grammar.lexicon:
         words = grammar.lexicon[symbol]
         word = words[int(rng.integers(len(words)))]
-        index = len(out.tokens)
-        out.tokens.append(word)
-        leaf = TreeNode(label=None, index=index)
+        leaf = TreeNode(label=None, index=len(out))
+        out.append(word)
         return TreeNode(label=symbol, children=(leaf,))
     expansions = grammar.rules[symbol]
     probs = np.array([p for p, _ in expansions])
@@ -146,15 +142,15 @@ def sample_tree(
     when recursive rules carry too much probability mass.
     """
     for _ in range(retries):
-        out = _Derivation()
+        tokens: list[str] = []
         try:
-            root = _expand(grammar, grammar.start, 0, rng, out)
+            root = _expand(grammar, grammar.start, 0, rng, tokens)
         except _DepthExceeded:
             continue
-        n = len(out.tokens)
+        n = len(tokens)
         if n < min_len or (max_len is not None and n > max_len):
             continue
-        sentence = Sentence(id=sentence_id, tokens=tuple(out.tokens))
+        sentence = Sentence(id=sentence_id, tokens=tuple(tokens))
         return GoldTree(sentence=sentence, root=root)
     raise NonterminatingGrammar(
         f"no derivation of length {min_len}..{max_len} within depth "

@@ -8,6 +8,7 @@ transformation returns a new tree.
 from __future__ import annotations
 
 import functools
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from .errors import (
     EmptyLabel,
     EmptyTree,
     UnbalancedBrackets,
+    read_text,
 )
 
 # Preterminal tags treated as punctuation when cleaning gold trees.
@@ -25,6 +27,10 @@ PUNCT_TAGS = frozenset({",", ".", ":", "``", "''", "-LRB-", "-RRB-"})
 
 # Preterminal tag of trace / null elements.
 TRACE_TAG = "-NONE-"
+
+# A bracket, or a run of anything else up to whitespace or a bracket.
+# re's \s matches exactly the characters str.isspace accepts.
+_SEXPR_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 @dataclass(frozen=True)
@@ -132,26 +138,6 @@ class GoldTree:
         return tuple(labeled_spans(self))
 
 
-def _tokenize_sexpr(text: str) -> list[str]:
-    out: list[str] = []
-    cur: list[str] = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
-
-
 def parse_bracketed(text: str, sentence_id: int = 0) -> GoldTree:
     """Parse one bracketed tree like ``(S (NP (DT the) (NN dog)) (VP ran))``.
 
@@ -159,7 +145,7 @@ def parse_bracketed(text: str, sentence_id: int = 0) -> GoldTree:
     unwrapped.  Raises UnbalancedBrackets / EmptyTree / EmptyLabel on
     malformed input.
     """
-    toks = _tokenize_sexpr(text)
+    toks = _SEXPR_TOKEN.findall(text)
     if not toks:
         raise EmptyTree("no tree in input")
 
@@ -397,8 +383,7 @@ def read_treebank(path) -> list[GoldTree]:
     (punctuation, unary chains) is a separate step.  Ids are assigned
     0..N-1 over the kept trees.
     """
-    with open(path, encoding="utf-8") as fh:
-        return _parse_trees(fh.read(), path)
+    return _parse_trees(read_text(path), path)
 
 
 def _parse_trees(text: str, path) -> list[GoldTree]:
@@ -431,8 +416,7 @@ def read_corpus(path) -> list[Sentence]:
     read_treebank, traces dropped; its sentences are the tree yields.
     Ids are assigned 0..N-1 in file order.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     stripped = text.lstrip()
     if not stripped:
         raise EmptyCorpus(str(path))

@@ -10,7 +10,8 @@ import pytest
 from bootparse.cli import main
 from bootparse.config import PipelineConfig
 from bootparse.decoder import heuristics_from_corpus
-from bootparse.treebank import read_corpus
+from bootparse.evaluation import right_branching_spans
+from bootparse.treebank import BinaryTree, read_corpus
 
 GOLDEN_RIGHT = (
     "0\t0\t4\tconstituent\tinside\n"
@@ -250,10 +251,12 @@ def test_bad_heuristics_value_is_exit_1(tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize(
     "section, field, value",
-    [("training", "example_count", 5), ("self_train", "accumulate_self_train", True)],
+    [("training", "example_count", 5), ("self_train", "accumulate_self_train", True),
+     ("co_train", "accumulate", False)],
 )
 def test_removed_config_key_is_exit_1(tmp_path, capsys, section, field, value):
-    # a model file records its example count; accumulate is the only spelling
+    # a model file records its example count; accumulate is the only spelling,
+    # and only self-training has it: co-training always accumulates
     write_tiny_corpus(tmp_path)
     cfg = write_config(tmp_path, **{section: {field: value}})
     assert main(["bootstrap", "--config", str(cfg)]) == 1
@@ -672,6 +675,64 @@ def test_train_bad_seed_file_is_exit_2(tmp_path, capsys, bad_line):
     seeds.write_text("0\t0\t4\tconstituent\tinside\n" + bad_line + "\n")
     assert main(["train", "--config", str(cfg), "--seeds", str(seeds)]) == 2
     assert f"{seeds}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, code",
+    [("corpus", 2), ("gold", 2), ("seeds", 2), ("pred", 2), ("input", 2),
+     ("trace", 2), ("report", 2), ("grammar", 1)],
+)
+def test_undecodable_input_file_is_named(pipeline, tmp_path, capsys, kind, code):
+    root, _ = pipeline
+    models, reports = tmp_path / "models", tmp_path / "reports"
+    models.mkdir()
+    reports.mkdir()
+    cfg = write_config(tmp_path)
+    for source, target in [
+        (root / "corpus.txt", tmp_path / "corpus.txt"),
+        (root / "corpus.txt", tmp_path / "in.txt"),
+        (root / "gold.txt", tmp_path / "gold.txt"),
+        (root / "models" / "seeds.tsv", models / "seeds.tsv"),
+        (root / "models" / "inside_seed.json", models / "inside_seed.json"),
+        (root / "models" / "self_trace.jsonl", models / "self_trace.jsonl"),
+    ]:
+        target.write_bytes(source.read_bytes())
+    pred = tmp_path / "pred.txt"
+    pred.write_text("".join(
+        BinaryTree(s, right_branching_spans(len(s))).to_bracketed() + "\n"
+        for s in read_corpus(root / "corpus.txt")
+    ))
+    (reports / "report.json").write_text(
+        '{"mode": "macro_sentence", "f1": 1.0, "precision": 1.0, "recall": 1.0}'
+    )
+    grammar = tmp_path / "g.json"
+    grammar.write_text(json.dumps({
+        "rules": {"S": [[1.0, ["A", "A", "A"]]]}, "lexicon": {"A": ["a"]},
+    }))
+    path, argv = {
+        "corpus": (tmp_path / "corpus.txt", ["bootstrap"]),
+        "gold": (tmp_path / "gold.txt", ["eval", "--pred", str(pred)]),
+        "seeds": (models / "seeds.tsv", ["train"]),
+        "pred": (pred, ["eval", "--pred", str(pred)]),
+        "input": (tmp_path / "in.txt", [
+            "parse", "--stage", "seed", "--input", str(tmp_path / "in.txt"),
+            "--out", str(tmp_path / "out.txt"),
+        ]),
+        "trace": (models / "self_trace.jsonl", ["report"]),
+        "report": (reports / "report.json", ["report"]),
+        "grammar": (grammar, [
+            "synth", "--out", str(tmp_path / "c.txt"), "--grammar", str(grammar),
+        ]),
+    }[kind]
+    # the same run succeeds before the stray byte goes in
+    assert main([*argv, "--config", str(cfg)]) == 0
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    capsys.readouterr()
+    assert main([*argv, "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert f"{path} is not UTF-8 text" in err
+    assert "internal error" not in err
 
 
 @pytest.mark.parametrize("bad_tree", ["(S (A a) (B b) (C c))", "(X a"])

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootparse.decoder import ScoreChart, cyk_decode
 from bootparse.errors import EmptyCorpus, LengthMismatch, YieldMismatch
@@ -422,6 +424,18 @@ def _assert_matches_reference(report, preds, golds, cfg):
     assert report.per_label_recall == pytest.approx(label_recall, abs=1e-12)
 
 
+# Gold trees whose unary chains repeat a span: a phrasal node over a
+# single phrasal child, or S over a single preterminal (a one-token
+# sentence).
+_gold_node = st.recursive(
+    st.sampled_from(["a", "b", "c"]).map(lambda w: f"(T {w})"),
+    lambda kids: st.tuples(
+        st.sampled_from(["NP", "VP", "X"]), st.lists(kids, min_size=1, max_size=3)
+    ).map(lambda t: f"({t[0]} {' '.join(t[1])})"),
+    max_leaves=8,
+)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -432,9 +446,15 @@ def _assert_matches_reference(report, preds, golds, cfg):
     ],
     ids=["macro", "micro", "evalb", "keep_all"],
 )
-def test_shared_gold_spans_match_per_use_reference(cfg):
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_gold_node.map(lambda t: f"(S {t})"), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_shared_gold_spans_match_per_use_reference(cfg, generated, pred_seed):
     golds = _shared_golds()
-    rng = np.random.default_rng(5)
+    golds += [parse_bracketed(text, len(golds) + k) for k, text in enumerate(generated)]
+    rng = np.random.default_rng((5, pred_seed))
     preds = [
         BinaryTree(sentence=g.sentence, spans=random_spans(len(g.sentence), rng))
         for g in golds

@@ -10,6 +10,7 @@ from bootparse.loops import (
     IterationRecord,
     LoopConfig,
     LoopTrace,
+    SelfTrainConfig,
     co_train,
     concat_baseline,
     self_train,
@@ -105,7 +106,7 @@ def test_self_train_replaces_seed_set():
         LabeledSpanExample(0, Span(0, 3), DISTITUENT, INSIDE),
     ]
     trainer = scripted_trainer(whole_vs_pair)
-    cfg = LoopConfig(K=2, c=3, d=3, rng_seed=0)
+    cfg = SelfTrainConfig(K=2, c=3, d=3, rng_seed=0)
     result = self_train(seeds, corpus, cfg, trainer=trainer)
 
     assert len(result.trace) == 2
@@ -126,7 +127,7 @@ def test_self_train_accumulate_keeps_seeds():
     marker = LabeledSpanExample(0, Span(0, 3), DISTITUENT, INSIDE)
     seeds = [LabeledSpanExample(0, Span(0, 4), CONSTITUENT, INSIDE), marker]
     trainer = scripted_trainer(whole_vs_pair)
-    cfg = LoopConfig(K=2, c=3, d=3, accumulate=True)
+    cfg = SelfTrainConfig(K=2, c=3, d=3, accumulate=True)
     result = self_train(seeds, corpus, cfg, trainer=trainer)
     assert marker in result.inside_examples
 
@@ -138,7 +139,9 @@ def test_self_train_outside_derived_from_final_inside():
         LabeledSpanExample(0, Span(0, 3), DISTITUENT, INSIDE),
     ]
     trainer = scripted_trainer(whole_vs_pair)
-    result = self_train(seeds, corpus, LoopConfig(K=1, c=4, d=4), trainer=trainer)
+    result = self_train(
+        seeds, corpus, SelfTrainConfig(K=1, c=4, d=4), trainer=trainer
+    )
     assert [
         (e.sentence_id, e.span, e.label) for e in result.outside_examples
     ] == [(e.sentence_id, e.span, e.label) for e in result.inside_examples]
@@ -155,7 +158,7 @@ def test_self_train_unpacks_as_triple():
     ]
     trainer = scripted_trainer(whole_vs_pair)
     m_in, m_out, trace = self_train(
-        seeds, corpus, LoopConfig(K=1, c=2, d=2), trainer=trainer
+        seeds, corpus, SelfTrainConfig(K=1, c=2, d=2), trainer=trainer
     )
     assert m_in.view == INSIDE
     assert m_out.view == OUTSIDE
@@ -166,12 +169,12 @@ def test_self_train_degenerate_config_raises():
     corpus = word_corpus()
     seeds = generate_seeds(corpus, SeedConfig())
     with pytest.raises(SingleClassInput):
-        self_train(seeds, corpus, LoopConfig(K=1, c=0, d=0))
+        self_train(seeds, corpus, SelfTrainConfig(K=1, c=0, d=0))
 
 
 def test_self_train_empty_corpus():
     with pytest.raises(EmptyCorpus):
-        self_train([], [], LoopConfig(K=1, c=1, d=1))
+        self_train([], [], SelfTrainConfig(K=1, c=1, d=1))
 
 
 def test_self_train_respects_pool_cap():
@@ -181,7 +184,7 @@ def test_self_train_respects_pool_cap():
         LabeledSpanExample(0, Span(0, 3), DISTITUENT, INSIDE),
     ]
     trainer = scripted_trainer(whole_vs_pair)
-    cfg = LoopConfig(K=1, c=100, d=100, pool_cap=3)
+    cfg = SelfTrainConfig(K=1, c=100, d=100, pool_cap=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PoolExhaustedWarning)
         result = self_train(seeds, corpus, cfg, trainer=trainer)
@@ -199,7 +202,7 @@ def test_self_train_trace_counts_pools():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PoolExhaustedWarning)
         result = self_train(
-            seeds, corpus, LoopConfig(K=1, c=99, d=99), trainer=trainer
+            seeds, corpus, SelfTrainConfig(K=1, c=99, d=99), trainer=trainer
         )
     rec = result.trace.records[0]
     # 4 sentences: 1 whole-sentence span and 3 length-2 spans each
@@ -301,7 +304,7 @@ def test_co_train_oracle_fixed_point():
 def test_real_self_train_runs_and_is_deterministic():
     corpus = word_corpus()
     seeds = generate_seeds(corpus, SeedConfig())
-    cfg = LoopConfig(
+    cfg = SelfTrainConfig(
         K=2,
         c=5,
         d=10,

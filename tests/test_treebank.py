@@ -15,6 +15,7 @@ from bootparse.errors import (
     UnbalancedBrackets,
 )
 from bootparse.treebank import (
+    _SEXPR_TOKEN,
     BinaryTree,
     GoldTree,
     Sentence,
@@ -248,6 +249,43 @@ _RUN_PREDICATES = {
 def test_token_runs_matches_groupby(tokens, predicate, min_len):
     keep = _RUN_PREDICATES[predicate]
     assert token_runs(tokens, keep, min_len) == _runs_reference(tokens, keep, min_len)
+
+
+
+def _tokenize_reference(text: str) -> list[str]:
+    """The character loop that tokenized bracketed text before the regex."""
+    out: list[str] = []
+    cur: list[str] = []
+    for ch in text:
+        if ch in "()":
+            if cur:
+                out.append("".join(cur))
+                cur = []
+            out.append(ch)
+        elif ch.isspace():
+            if cur:
+                out.append("".join(cur))
+                cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        out.append("".join(cur))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["(", ")", "NP", "dog", "é", "x=y", " ", "\t", "\n", "\x1c", "\x85",
+             "\xa0", "\u2028", "\u3000", "\u200b"]
+        )
+        | st.characters(),
+        max_size=20,
+    ).map("".join)
+)
+def test_sexpr_regex_matches_character_loop(text):
+    assert _SEXPR_TOKEN.findall(text) == _tokenize_reference(text)
 
 
 def test_read_corpus_plain(tmp_path):
