@@ -1,7 +1,9 @@
 """Self-training and co-training loops over the two span classifiers.
 
 Both loops alternate between training a classifier and harvesting
-confidently-scored spans from an unlabeled corpus as new pseudo-labels.
+confidently-scored spans from an unlabeled corpus as new pseudo-labels,
+through one step: _grow samples the confident extremes with
+scorer.harvest and adds the new examples to a labeled set.
 Self-training grows the inside view alone and derives the outside view
 once at the end; co-training passes confident spans back and forth
 between the views, accumulating both labeled sets.
@@ -16,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCorpus, check_bool, check_int
-from .scorer import (
-    Thresholds,
-    TrainingMeta,
-    confidence_pools,
-    sample_pool,
-    train,
-)
+from .scorer import Thresholds, TrainingMeta, harvest, train
 from .seeds import CONCAT, INSIDE, OUTSIDE, LabeledSpanExample
 
 
@@ -160,30 +156,22 @@ def _with_view(example: LabeledSpanExample, view: str) -> LabeledSpanExample:
     return LabeledSpanExample(example.sentence_id, example.span, example.label, view)
 
 
-def _harvest(model, pool_sents, cfg: LoopConfig, stream: int, k: int):
-    """Sample c confident constituents and d confident distituents.
+def _grow(labeled, view: str, model, pool_sents, cfg: LoopConfig, stream: int, k: int):
+    """Harvest c constituents and d distituents and add them to labeled.
 
-    Returns both samples and the pool sizes, keyed by the model's view
-    and the class.  Each harvest site draws from its own RNG stream,
-    (rng_seed, stream, iteration k).
+    The harvest draws from its own RNG stream, (rng_seed, stream,
+    iteration k), and its examples join labeled in view, after it and in
+    sample order, unless already there.  Returns the grown list, the
+    pool sizes keyed by the model's view and the class, and the sample
+    size of each class before duplicates were dropped.
     """
-    const_pool, dist_pool = confidence_pools(model, pool_sents, cfg.thresholds)
     rng = np.random.default_rng((cfg.rng_seed, stream, k))
-    pools = {
-        f"{model.view}_constituent": len(const_pool),
-        f"{model.view}_distituent": len(dist_pool),
-    }
-    return (
-        sample_pool(const_pool, cfg.c, rng, "constituent"),
-        sample_pool(dist_pool, cfg.d, rng, "distituent"),
-        pools,
-    )
-
-
-def _union(existing, new):
-    """Append examples not already present, preserving order."""
-    seen = set(existing)
-    return list(existing) + list(dict.fromkeys(ex for ex in new if ex not in seen))
+    const, dist, (n_const, n_dist) = harvest(model, pool_sents, cfg.thresholds, cfg.c, cfg.d, rng)
+    seen = set(labeled)
+    new = (_with_view(ex, view) for ex in const + dist)
+    grown = [*labeled, *dict.fromkeys(ex for ex in new if ex not in seen)]
+    pools = {f"{model.view}_constituent": n_const, f"{model.view}_distituent": n_dist}
+    return grown, pools, {"constituent": len(const), "distituent": len(dist)}
 
 
 def self_train(
@@ -198,8 +186,9 @@ def self_train(
     """Grow the inside classifier by pseudo-labeling its own output.
 
     Each iteration trains on the current labeled set, harvests c
-    confident constituents and d confident distituents from the corpus,
-    and replaces the labeled set with the harvest.  After the last
+    confident constituents and d confident distituents from the corpus
+    with the RNG stream (rng_seed, 1, iteration), and replaces the
+    labeled set with the harvest.  After the last
     iteration the surviving examples are converted to the outside view
     and the outside classifier is trained on them once.
 
@@ -215,21 +204,16 @@ def self_train(
     m_in = None
     for k in range(cfg.K):
         m_in = trainer(current, sentences, INSIDE, meta)
-        harvested_c, harvested_d, pools = _harvest(m_in, pool_sents, cfg, 1, k)
-        if cfg.accumulate:
-            current = _union(current, harvested_c + harvested_d)
-        else:
-            current = harvested_c + harvested_d
+        current, pools, selected = _grow(
+            current if cfg.accumulate else [], INSIDE, m_in, pool_sents, cfg, 1, k
+        )
         records.append(
             IterationRecord(
                 iteration=k,
                 inside_size=len(current),
                 outside_size=0,
                 pools=pools,
-                selected={
-                    "constituent": len(harvested_c),
-                    "distituent": len(harvested_d),
-                },
+                selected=selected,
                 metrics={"inside": dict(m_in.val_metrics)},
             )
         )
@@ -260,8 +244,9 @@ def co_train(
     Per iteration: the outside model's confident spans join the inside
     set (as inside-view examples), the inside model is retrained, its
     confident spans join the outside set, and the outside model is
-    retrained.  Both sets only grow; models are re-trained from scratch
-    each time so runs are reproducible.
+    retrained.  The two harvests draw from the RNG streams (rng_seed, 2,
+    iteration) and (rng_seed, 3, iteration).  Both sets only grow; models
+    are re-trained from scratch each time so runs are reproducible.
     """
     sentences, pool_sents = _loop_sentences(unlabeled, lookup, cfg, "co_train")
 
@@ -271,17 +256,12 @@ def co_train(
     m_in = None
     records = []
     for k in range(cfg.K):
-        out_c, out_d, out_pools = _harvest(m_out, pool_sents, cfg, 2, k)
-        from_outside = out_c + out_d
-        inside_set = _union(
-            inside_set, [_with_view(ex, INSIDE) for ex in from_outside]
+        inside_set, out_pools, from_outside = _grow(
+            inside_set, INSIDE, m_out, pool_sents, cfg, 2, k
         )
         m_in = trainer(inside_set, sentences, INSIDE, meta)
-
-        in_c, in_d, in_pools = _harvest(m_in, pool_sents, cfg, 3, k)
-        from_inside = in_c + in_d
-        outside_set = _union(
-            outside_set, [_with_view(ex, OUTSIDE) for ex in from_inside]
+        outside_set, in_pools, from_inside = _grow(
+            outside_set, OUTSIDE, m_in, pool_sents, cfg, 3, k
         )
         m_out = trainer(outside_set, sentences, OUTSIDE, meta)
 
@@ -292,8 +272,8 @@ def co_train(
                 outside_size=len(outside_set),
                 pools={**out_pools, **in_pools},
                 selected={
-                    "from_outside": len(from_outside),
-                    "from_inside": len(from_inside),
+                    "from_outside": sum(from_outside.values()),
+                    "from_inside": sum(from_inside.values()),
                 },
                 metrics={
                     "inside": dict(m_in.val_metrics),

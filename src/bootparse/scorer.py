@@ -332,7 +332,6 @@ class FeatureSpace:
     the names and order of the rows it was fit on, never on token ids.
     """
 
-    view: str
     names: list[str] = field(default_factory=list)
     # the names' codes, sorted, then a sentinel above every code, and the
     # column of each (-1 for the sentinel); built on first use after a fit
@@ -523,7 +522,7 @@ def train(
     y_train = np.array([examples[k].label for k in train_idx], dtype=float)
     y_val = np.array([examples[k].label for k in val_idx], dtype=float)
 
-    space = FeatureSpace(view=view).fit(train_codes)
+    space = FeatureSpace().fit(train_codes)
     x_train = space.transform(train_codes)
     x_val = space.transform(val_codes)
 
@@ -664,76 +663,59 @@ class Thresholds:
             raise ValueError(f"bad thresholds ({self.tau_min}, {self.tau_max})")
 
 
-@dataclass(frozen=True)
-class SpanPool:
-    """Confident spans of one class, as (sentence position, span index) pairs.
-
-    span_idx indexes _all_spans of the sentence at corpus[sent_pos], so
-    a pool costs two integers per span; examples are built only for the
-    spans a sample keeps.
-    """
-
-    corpus: list[Sentence]
-    sent_pos: np.ndarray
-    span_idx: np.ndarray
-    label: int
-    view: str
-
-    def __len__(self) -> int:
-        return len(self.sent_pos)
-
-    def examples(self, picks) -> list[LabeledSpanExample]:
-        """The pool's spans at positions picks, in that order."""
-        out = []
-        for pos, k in zip(self.sent_pos[picks].tolist(), self.span_idx[picks].tolist()):
-            sent = self.corpus[pos]
-            out.append(
-                LabeledSpanExample(sent.id, _all_spans(len(sent))[k], self.label, self.view)
-            )
-        return out
-
-
-def confidence_pools(model, corpus, thresholds: Thresholds) -> tuple[SpanPool, SpanPool]:
+def confidence_pools(model, corpus, thresholds: Thresholds):
     """Split every multi-token span into confident pools by score.
 
     Scores strictly above tau_max go to the constituent pool, strictly
     below tau_min to the distituent pool; everything between is dropped.
-    Single-token spans carry no bracketing signal and are skipped.  Each
-    pool lists its spans in corpus order, then in _all_spans order.
+    Single-token spans carry no bracketing signal and are skipped.
+    Returns the constituent pool and then the distituent pool, each as
+    two integer arrays: the position in corpus of each span's sentence
+    and the span's index in that sentence's _all_spans.  Each pool lists
+    its spans in corpus order, then in _all_spans order.
     """
-    corpus = list(corpus)
-    hits: dict[int, list[np.ndarray]] = {CONSTITUENT: [], DISTITUENT: []}
+    hits: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
     for sent in corpus:
         spans = _all_spans(len(sent))
         probs = np.asarray(model.score_spans(sent, spans)) if spans else np.empty(0)
-        hits[CONSTITUENT].append(np.flatnonzero(probs > thresholds.tau_max))
-        hits[DISTITUENT].append(np.flatnonzero(probs < thresholds.tau_min))
+        hits[0].append(np.flatnonzero(probs > thresholds.tau_max))
+        hits[1].append(np.flatnonzero(probs < thresholds.tau_min))
 
-    def pool(label: int) -> SpanPool:
-        per_sent = hits[label]
-        sent_pos = np.repeat(np.arange(len(corpus)), [len(k) for k in per_sent])
+    def pool(per_sent: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        sent_pos = np.repeat(np.arange(len(per_sent)), [len(k) for k in per_sent])
         span_idx = np.concatenate(per_sent) if per_sent else np.empty(0, dtype=np.intp)
-        return SpanPool(corpus, sent_pos, span_idx, label, model.view)
+        return sent_pos, span_idx
 
-    return pool(CONSTITUENT), pool(DISTITUENT)
+    return pool(hits[0]), pool(hits[1])
 
 
-def sample_pool(pool: SpanPool, want: int, rng, what: str) -> list[LabeledSpanExample]:
-    """Uniform sample without replacement, preserving pool order.
+def harvest(
+    model, corpus, thresholds: Thresholds, c: int, d: int, rng
+) -> tuple[list[LabeledSpanExample], list[LabeledSpanExample], tuple[int, int]]:
+    """Sample c confident constituents and d confident distituents.
 
-    Takes the whole pool (with a PoolExhaustedWarning) when it is
-    smaller than requested.
+    Each pool of confidence_pools is sampled uniformly without
+    replacement, the constituents first, and a sample keeps pool order.
+    A pool smaller than asked for is taken whole, with a
+    PoolExhaustedWarning.  Examples, in the model's view, are built only
+    for the spans drawn.  Returns both samples and both pool sizes.
     """
-    if want > len(pool):
-        warnings.warn(
-            f"{what} pool has {len(pool)} spans, wanted {want}",
-            PoolExhaustedWarning,
-        )
-    take = min(want, len(pool))
-    if take == 0:
-        return []
-    chosen = rng.choice(len(pool), size=take, replace=False)
-    return pool.examples(np.sort(chosen))
+    corpus = list(corpus)
+    pools = confidence_pools(model, corpus, thresholds)
+    samples = []
+    for (sent_pos, span_idx), want, label, what in zip(
+        pools, (c, d), (CONSTITUENT, DISTITUENT), ("constituent", "distituent")
+    ):
+        size = len(sent_pos)
+        if want > size:
+            warnings.warn(f"{what} pool has {size} spans, wanted {want}", PoolExhaustedWarning)
+        take = min(want, size)
+        picks = np.sort(rng.choice(size, size=take, replace=False)) if take else []
+        samples.append([
+            LabeledSpanExample(corpus[pos].id, _all_spans(len(corpus[pos]))[k], label, model.view)
+            for pos, k in zip(sent_pos[picks].tolist(), span_idx[picks].tolist())
+        ])
+    return samples[0], samples[1], (len(pools[0][0]), len(pools[1][0]))
 
 
 def select_confident(
@@ -747,16 +729,12 @@ def select_confident(
     """Sample pseudo-labeled spans from the extremes of the score range.
 
     Every span of length >= 2 (whole sentences included) is scored; the
-    pools score > tau_max and score < tau_min are sampled uniformly
-    without replacement down to c and d items.  Warns when a pool runs
-    short.
+    pools score > tau_max and score < tau_min are sampled as harvest
+    does, with default_rng(rng_seed), down to c and d items.  Warns when
+    a pool runs short.
     """
-    const_pool, dist_pool = confidence_pools(model, corpus, thresholds)
-    rng = np.random.default_rng(rng_seed)
-    return (
-        sample_pool(const_pool, c, rng, "constituent"),
-        sample_pool(dist_pool, d, rng, "distituent"),
-    )
+    const, dist, _ = harvest(model, corpus, thresholds, c, d, np.random.default_rng(rng_seed))
+    return const, dist
 
 
 def compute_mcc(predictions, labels) -> float:
@@ -807,10 +785,10 @@ def save_model(model: SpanScorer, path) -> None:
 def load_model(path) -> SpanScorer:
     """Read a model written by save_model.
 
-    Raises MalformedFile for anything else, including weights that do
-    not line up with the feature space and a feature name listed twice:
-    scoring indexes the weights by feature column, and by the codes of
-    each column's name.
+    Raises MalformedFile for anything else, including feature names
+    that are not a list of strings, weights that do not line up with the
+    feature space and a feature name listed twice: scoring indexes the
+    weights by feature column, and by the codes of each column's name.
     """
 
     def bad(why: str) -> MalformedFile:
@@ -836,7 +814,7 @@ def load_model(path) -> SpanScorer:
     try:
         fs = payload["feature_space"]
         retired = (fs["inside_context"], fs["hash_dim"])
-        space = FeatureSpace(view=view, names=list(fs["names"]))
+        names = fs["names"]
         weights = np.asarray(payload["weights"], dtype=float)
         bias = float(payload["bias"])
         settings = {**payload["meta"]}
@@ -852,6 +830,9 @@ def load_model(path) -> SpanScorer:
             f"unsupported feature space inside_context={retired[0]!r} "
             f"hash_dim={retired[1]!r}"
         )
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise bad("feature names are not a list of strings")
+    space = FeatureSpace(names=names)
     if len(set(space.names)) != space.dim:
         raise bad("repeated feature names")
     if weights.shape != (space.dim,):

@@ -299,6 +299,57 @@ def test_bad_scorer_value_is_exit_1(tmp_path, capsys, field, value):
     assert not (tmp_path / "p.txt").exists()
 
 
+# An echo answers before it has read all its input, so on a long
+# sentence both pipes fill unless requests and replies interleave.
+ECHO_SCORER = ["cat"]
+# a reply that is not UTF-8
+UNDECODABLE_SCORER = [sys.executable, "-c", """
+import sys
+for line in sys.stdin:
+    sys.stdout.buffer.write(b"\\xff\\n")
+    sys.stdout.flush()
+"""]
+# answers the 820 spans of a 40-token sentence, then exits; logs each start
+ONE_SENTENCE_SCORER = [sys.executable, "-c", """
+import os, sys
+open("starts.txt", "a").write("start\\n")
+for _ in range(820):
+    sys.stdin.readline()
+    print(0.5)
+sys.stdout.flush()
+os._exit(0)
+"""]
+FORTY_TOKENS = " ".join(f"w{k}" for k in range(40))
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (ECHO_SCORER, FORTY_TOKENS, "non-numeric scorer response"),
+        (UNDECODABLE_SCORER, "a b", "response b'\\xff' for span Span(i=0, j=0)"),
+        (ONE_SENTENCE_SCORER, FORTY_TOKENS + "\nalpha", "scorer"),
+    ],
+    ids=["echo_40_tokens", "not_utf8", "exits_early"],
+)
+def test_external_scorer_fault_is_exit_3(tmp_path, command, text, message):
+    # a subprocess with a timeout, so a hang fails the test
+    write_tiny_corpus(tmp_path)
+    scorer = {"backend": "external", "command": command, "timeout": 2}
+    cfg = write_config(tmp_path, scorer=scorer)
+    (tmp_path / "in.txt").write_text(text + "\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bootparse.cli", "parse", "--config", str(cfg),
+         "--input", "in.txt", "--out", "out.txt"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("external scorer failed: ") and message in proc.stderr
+    if command is ONE_SENTENCE_SCORER:
+        # the scorer is not started again
+        assert (tmp_path / "starts.txt").read_text() == "start\n"
+
+
 # answers every span with 0.5, and leaves a file behind once it runs
 MARKED_HALF_SCORER = """
 import sys
@@ -605,6 +656,10 @@ def _break_model(payload: dict, case: str):
         payload["feature_space"]["inside_context"] = 0
     elif case == "nan_weight":
         payload["weights"][0] = float("nan")
+    elif case == "name_not_string":
+        payload["feature_space"]["names"][0] = 5
+    elif case == "names_not_list":
+        payload["feature_space"]["names"] = dict.fromkeys(payload["feature_space"]["names"], 0)
     elif case == "repeated_name":
         payload["feature_space"]["names"][1] = payload["feature_space"]["names"][0]
     elif case == "batch_size_zero":
@@ -625,7 +680,8 @@ def _break_model(payload: dict, case: str):
      "missing_key", "unknown_view", "bad_hash_dim", "nan_weight",
      "hash_dim_16", "inside_context_true", "inside_context_zero",
      "batch_size_zero", "example_count_missing", "example_count_negative",
-     "example_count_true", "example_count_float", "repeated_name"],
+     "example_count_true", "example_count_float", "repeated_name",
+     "name_not_string", "names_not_list"],
 )
 def test_parse_bad_model_file_is_exit_2(pipeline, tmp_path, capsys, case):
     root, _ = pipeline

@@ -212,6 +212,33 @@ def test_self_train_trace_counts_pools():
     assert rec.metrics["inside"]["val_accuracy"] == 1.0
 
 
+def test_co_train_trace_counts_pools_and_selections():
+    corpus = tiny_corpus(count=4, length=4)
+    inside = [
+        LabeledSpanExample(0, Span(0, 3), CONSTITUENT, INSIDE),
+        LabeledSpanExample(0, Span(0, 2), DISTITUENT, INSIDE),
+    ]
+    outside = [
+        LabeledSpanExample(e.sentence_id, e.span, e.label, OUTSIDE) for e in inside
+    ]
+    trainer = scripted_trainer(whole_vs_pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoolExhaustedWarning)
+        result = co_train(
+            inside, outside, corpus, LoopConfig(K=2, c=99, d=99), trainer=trainer
+        )
+    for rec in result.trace:
+        # 4 sentences: 1 whole-sentence span and 3 length-2 spans each
+        assert rec.pools == {
+            "outside_constituent": 4, "outside_distituent": 12,
+            "inside_constituent": 4, "inside_distituent": 12,
+        }
+        # counted before dedup: the seed (0, 3) and, in iteration 1, the
+        # whole harvest are already in the sets
+        assert rec.selected == {"from_outside": 16, "from_inside": 16}
+        assert (rec.inside_size, rec.outside_size) == (17, 17)
+
+
 def test_co_train_growth_bounded_and_monotone():
     corpus = tiny_corpus(count=8)
     inside = [

@@ -23,7 +23,6 @@ from bootparse.errors import (
     UndefinedMccWarning,
 )
 from bootparse.external import ExternalScorer
-from bootparse.loops import LoopConfig, _harvest
 from bootparse.scorer import (
     BOS,
     CONCAT,
@@ -38,6 +37,7 @@ from bootparse.scorer import (
     _length_bin,
     compute_mcc,
     example_rows,
+    harvest,
     load_model,
     save_model,
     score_chart,
@@ -222,7 +222,7 @@ def code_rows(*rows):
 
 def test_feature_space_vocab():
     # columns by first occurrence over the rows, repeats counted
-    space = FeatureSpace(view=INSIDE).fit(code_rows(["u=a", "len=2"], ["u=b", "u=b", "u=a"]))
+    space = FeatureSpace().fit(code_rows(["u=a", "len=2"], ["u=b", "u=b", "u=a"]))
     assert space.names == ["u=a", "len=2", "u=b"]
     m = csr(space.transform(code_rows(["u=b", "u=unseen", "u=b"], [], ["len=2"])))
     assert m.shape == (3, 3)
@@ -295,7 +295,7 @@ def test_sigmoid_matches_expit_at_edges():
 
 
 def test_untrained_model_scores_half():
-    space = FeatureSpace(view=INSIDE, names=["u=a"])
+    space = FeatureSpace(names=["u=a"])
     model = SpanScorer(
         view=INSIDE,
         space=space,
@@ -307,7 +307,7 @@ def test_untrained_model_scores_half():
 
 
 def test_scores_stay_in_open_interval():
-    space = FeatureSpace(view=INSIDE, names=["u=a"])
+    space = FeatureSpace(names=["u=a"])
     model = SpanScorer(
         view=INSIDE,
         space=space,
@@ -496,7 +496,7 @@ def random_model(view, seed=0):
         )
     return SpanScorer(
         view=view,
-        space=FeatureSpace(view=view, names=space.names),
+        space=FeatureSpace(names=space.names),
         weights=rng.normal(scale=0.3, size=len(space.names)),
         bias=float(rng.normal()),
         meta=TrainingMeta(),
@@ -531,7 +531,7 @@ def test_first_scoring_finds_names_never_interned():
     assert "firstuse" not in scorer._TOKEN_IDS
     random_model(INSIDE).score_spans(s, [Span(0, 0)])
     assert "firstuse" in scorer._TOKEN_IDS
-    space = FeatureSpace(view=INSIDE, names=["u=firstuse", "len=1", "u=namedfirst"])
+    space = FeatureSpace(names=["u=firstuse", "len=1", "u=namedfirst"])
     model = SpanScorer(INSIDE, space, np.array([2.0, -0.5, 1.5]), 0.25, TrainingMeta())
     got = model.score_spans(s, [Span(0, 0)])
     assert got.tolist() == sigmoid(np.array([1.75])).tolist()
@@ -660,7 +660,7 @@ def test_example_rows_match_feature_dicts(view):
 
     reference = DictFeatureSpace().fit(dicts(train_ex))
     train_rows = example_rows(train_ex, by_id, view)
-    space = FeatureSpace(view=view).fit(train_rows)
+    space = FeatureSpace().fit(train_rows)
     assert space.names == reference.names
     assert any(name not in reference.index for feats in dicts(val_ex) for name in feats)
     for examples, rows in ((train_ex, train_rows), (val_ex, example_rows(val_ex, by_id, view))):
@@ -915,15 +915,32 @@ def test_harvest_matches_list_pools(view, c, d):
         assert 0 < sizes[CONSTITUENT] and 0 < sizes[DISTITUENT]
         assert select_confident(model, corpus, th, c, d, rng_seed=11) == (want_c, want_d)
 
-        cfg = LoopConfig(K=1, c=c, d=d, tau_min=th.tau_min, tau_max=th.tau_max, rng_seed=4)
-        want_c, want_d, _ = reference_harvest(
+        want_c, want_d, sizes = reference_harvest(
             model, corpus, th, c, d, np.random.default_rng((4, 2, 1))
         )
-        assert _harvest(model, corpus, cfg, 2, 1) == (
+        assert harvest(model, corpus, th, c, d, np.random.default_rng((4, 2, 1))) == (
             want_c,
             want_d,
-            {f"{view}_constituent": sizes[CONSTITUENT], f"{view}_distituent": sizes[DISTITUENT]},
+            (sizes[CONSTITUENT], sizes[DISTITUENT]),
         )
+
+
+def test_harvest_warns_when_a_pool_runs_short():
+    model = random_model(INSIDE, seed=3)
+    corpus = parity_sentences()
+    th = Thresholds(tau_min=0.3, tau_max=0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoolExhaustedWarning)
+        _, _, (n_const, n_dist) = harvest(model, corpus, th, 0, 0, np.random.default_rng(0))
+    with pytest.warns(PoolExhaustedWarning) as caught:
+        const, dist, _ = harvest(
+            model, corpus, th, n_const + 1, n_dist + 5, np.random.default_rng(0)
+        )
+    assert [str(w.message) for w in caught] == [
+        f"constituent pool has {n_const} spans, wanted {n_const + 1}",
+        f"distituent pool has {n_dist} spans, wanted {n_dist + 5}",
+    ]
+    assert (len(const), len(dist)) == (n_const, n_dist)
 
 
 # --- external scorer protocol ---
