@@ -9,7 +9,8 @@ line-delimited: one JSON request per span,
 
 answered by exactly one probability literal per line, in request order.
 Anything else (a wait to write or read longer than the timeout,
-non-numeric or non-UTF-8 output, early exit) is an error.
+non-numeric or non-UTF-8 output, output beyond the replies asked for,
+early exit) is an error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class ExternalScorer:
         self.view = view
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._buffer = b""
 
     def _ensure_started(self):
         if self._proc is None:
@@ -44,22 +44,31 @@ class ExternalScorer:
             # written with os.write as far as the pipe takes it, so a
             # full pipe never blocks the reads
             os.set_blocking(self._proc.stdin.fileno(), False)
-            self._buffer = b""
         elif self._proc.poll() is not None:
             raise ExternalScorerError(f"scorer exited with status {self._proc.returncode}")
+
+    def _read(self) -> bytes:
+        chunk = os.read(self._proc.stdout.fileno(), 65536)
+        if not chunk:
+            raise ExternalScorerError("scorer closed its output")
+        return chunk
 
     def _exchange(self, requests: bytes, count: int) -> list[bytes]:
         """Send requests and read count reply lines, in one selector loop.
 
         A scorer may answer before it has read all its input, so writes
         and reads interleave; every wait for either is bounded by the
-        timeout.
+        timeout.  Output before the requests or past the count-th line
+        is an error, so no reply is ever read for the wrong span.
         """
         proc = self._proc
         unsent = memoryview(requests)
-        missing = count - self._buffer.count(b"\n")
+        received = b""
+        missing = count
         with selectors.DefaultSelector() as sel:
             sel.register(proc.stdout, selectors.EVENT_READ)
+            if sel.select(0):
+                raise ExternalScorerError(f"surplus scorer output {self._read()[:40]!r}")
             if unsent:
                 sel.register(proc.stdin, selectors.EVENT_WRITE)
             while unsent or missing > 0:
@@ -77,12 +86,12 @@ class ExternalScorer:
                         if not unsent:
                             sel.unregister(proc.stdin)
                     else:
-                        chunk = os.read(proc.stdout.fileno(), 65536)
-                        if not chunk:
-                            raise ExternalScorerError("scorer closed its output")
-                        self._buffer += chunk
+                        chunk = self._read()
+                        received += chunk
                         missing -= chunk.count(b"\n")
-        *lines, self._buffer = self._buffer.split(b"\n", count)
+        *lines, rest = received.split(b"\n", count)
+        if rest:
+            raise ExternalScorerError(f"surplus scorer output {rest[:40]!r}")
         return lines
 
     def score_spans(self, sentence: Sentence, spans) -> list[float]:

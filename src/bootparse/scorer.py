@@ -596,7 +596,7 @@ def train(
         metrics["val_f1"] = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UndefinedMccWarning)
-            metrics["val_mcc"] = compute_mcc(pred.tolist(), yv.tolist())
+            metrics["val_mcc"] = compute_mcc(pred, yv)
 
     return SpanScorer(
         view=view,
@@ -743,16 +743,14 @@ def compute_mcc(predictions, labels) -> float:
     Returns 0 (with UndefinedMccWarning) when a marginal is zero and the
     coefficient is undefined.
     """
-    predictions = list(predictions)
-    labels = list(labels)
-    if len(predictions) != len(labels):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(labels)} labels"
-        )
-    tp = sum(1 for p, y in zip(predictions, labels) if p == 1 and y == 1)
-    tn = sum(1 for p, y in zip(predictions, labels) if p == 0 and y == 0)
-    fp = sum(1 for p, y in zip(predictions, labels) if p == 1 and y == 0)
-    fn = sum(1 for p, y in zip(predictions, labels) if p == 0 and y == 1)
+    p = np.asarray(predictions)
+    y = np.asarray(labels)
+    if len(p) != len(y):
+        raise LengthMismatch(f"{len(p)} predictions vs {len(y)} labels")
+    tp = int(np.count_nonzero((p == 1) & (y == 1)))
+    tn = int(np.count_nonzero((p == 0) & (y == 0)))
+    fp = int(np.count_nonzero((p == 1) & (y == 0)))
+    fn = int(np.count_nonzero((p == 0) & (y == 1)))
     denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom_sq == 0:
         warnings.warn("MCC undefined: a marginal is zero", UndefinedMccWarning)

@@ -110,9 +110,8 @@ def _expand(grammar: SyntheticGrammar, symbol: str, depth: int, rng, out: list[s
     if symbol in grammar.lexicon:
         words = grammar.lexicon[symbol]
         word = words[int(rng.integers(len(words)))]
-        leaf = TreeNode(label=None, index=len(out))
         out.append(word)
-        return TreeNode(label=symbol, children=(leaf,))
+        return TreeNode(label=symbol, children=(len(out) - 1,))
     expansions = grammar.rules[symbol]
     probs = np.array([p for p, _ in expansions])
     choice = int(rng.choice(len(expansions), p=probs / probs.sum()))

@@ -1,8 +1,12 @@
 """Reading, normalizing and interrogating treebanks and raw text corpora.
 
 Token indices are 0-based and spans are inclusive on both ends, so the
-span (i, j) covers tokens x_i .. x_j.  Trees are immutable; every
-transformation returns a new tree.
+span (i, j) covers tokens x_i .. x_j.  A tree's leaves are those token
+indices: each child of a TreeNode is another node or an int.  Trees are
+immutable; every transformation returns a new tree.
+
+A bracketed file is read in one pass over one lazy stream of brackets
+and words, and words between top-level trees are skipped.
 """
 
 from __future__ import annotations
@@ -12,12 +16,14 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     AllTokensRemoved,
     EmptyCorpus,
     EmptyLabel,
     EmptyTree,
+    TreeSyntaxError,
     UnbalancedBrackets,
     read_text,
 )
@@ -70,49 +76,24 @@ class Span:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One node of an n-ary tree.
+    """One labeled node of an n-ary tree.
 
-    Internal nodes carry a label and children; leaves carry the index of
-    the token they cover.  A leaf's label is None when the source text
-    put a bare token directly under a phrasal bracket.
+    Each child is another node or the int index of the token it covers,
+    so a token under a phrasal bracket with no tag of its own is just an
+    index among that bracket's children.
     """
 
-    label: str | None
-    children: tuple["TreeNode", ...] = ()
-    index: int | None = None
+    label: str
+    children: tuple[TreeNode | int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        if self.is_leaf:
-            if self.children:
-                raise ValueError("leaf node cannot have children")
-        elif not self.children:
+        if not self.children:
             raise ValueError(f"internal node {self.label!r} has no children")
 
     @property
-    def is_leaf(self) -> bool:
-        return self.index is not None
-
-    @property
     def is_preterminal(self) -> bool:
-        return (
-            not self.is_leaf
-            and len(self.children) == 1
-            and self.children[0].is_leaf
-        )
-
-
-def leaf_indices(node: TreeNode) -> list[int]:
-    """The token indices of the leaves under node, left to right."""
-    out = []
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append(node.index)
-        else:
-            stack.extend(reversed(node.children))
-    return out
+        return len(self.children) == 1 and isinstance(self.children[0], int)
 
 
 @dataclass(frozen=True)
@@ -123,7 +104,14 @@ class GoldTree:
     root: TreeNode
 
     def __post_init__(self):
-        indices = leaf_indices(self.root)
+        indices: list[int] = []  # the leaves, left to right
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, int):
+                indices.append(node)
+            else:
+                stack.extend(reversed(node.children))
         if indices != list(range(len(self.sentence))):
             raise ValueError(
                 f"tree leaves {indices} do not cover sentence "
@@ -138,6 +126,48 @@ class GoldTree:
         return tuple(labeled_spans(self))
 
 
+def _tokens(text: str):
+    """The brackets and words of text, lazily, in order."""
+    return map(itemgetter(0), _SEXPR_TOKEN.finditer(text))
+
+
+def _read_node(toks, words: list[str], top: bool = False) -> TreeNode:
+    """Read the bracket whose '(' toks has just yielded, through its ')'.
+
+    Its words are appended to words, and each leaf is the word's index
+    there.  At the top, a PTB-style wrapper with an empty label,
+    ``( (S ...) )``, is unwrapped.
+    """
+    label = ""
+    children: list[TreeNode | int] = []
+    for tok in toks:
+        if tok == ")":
+            break
+        if tok == "(":
+            children.append(_read_node(toks, words))
+        elif label or children:
+            children.append(len(words))
+            words.append(tok)
+        else:
+            label = tok
+    else:
+        raise UnbalancedBrackets("unclosed '(' at end of input")
+    if not children:
+        raise EmptyTree(f"bracket {label!r} has no children")
+    if label:
+        return TreeNode(label, children)
+    if top and len(children) == 1 and not isinstance(children[0], int):
+        return children[0]
+    raise EmptyLabel("node with empty label")
+
+
+def _read_tree(toks, sentence_id: int) -> GoldTree:
+    """The tree whose opening '(' toks has just yielded."""
+    words: list[str] = []
+    root = _read_node(toks, words, top=True)
+    return GoldTree(sentence=Sentence(id=sentence_id, tokens=words), root=root)
+
+
 def parse_bracketed(text: str, sentence_id: int = 0) -> GoldTree:
     """Parse one bracketed tree like ``(S (NP (DT the) (NN dog)) (VP ran))``.
 
@@ -145,58 +175,26 @@ def parse_bracketed(text: str, sentence_id: int = 0) -> GoldTree:
     unwrapped.  Raises UnbalancedBrackets / EmptyTree / EmptyLabel on
     malformed input.
     """
-    toks = _SEXPR_TOKEN.findall(text)
-    if not toks:
+    toks = _tokens(text)
+    first = next(toks, None)
+    if first is None:
         raise EmptyTree("no tree in input")
-
-    words: list[str] = []
-    pos = 0
-
-    def parse_node(depth: int) -> TreeNode:
-        nonlocal pos
-        if toks[pos] != "(":
-            raise UnbalancedBrackets(f"expected '(' at token {pos}")
-        pos += 1
-        if pos >= len(toks):
-            raise UnbalancedBrackets("input ends inside a bracket")
-        label = ""
-        if toks[pos] not in "()":
-            label = toks[pos]
-            pos += 1
-        children: list[TreeNode] = []
-        while pos < len(toks) and toks[pos] != ")":
-            if toks[pos] == "(":
-                children.append(parse_node(depth + 1))
-            else:
-                children.append(TreeNode(label=None, index=len(words)))
-                words.append(toks[pos])
-                pos += 1
-        if pos >= len(toks):
-            raise UnbalancedBrackets("missing ')'")
-        pos += 1  # consume ')'
-        if not children:
-            raise EmptyTree(f"bracket {label!r} has no children")
-        if not label:
-            if depth == 0 and len(children) == 1 and not children[0].is_leaf:
-                return children[0]
-            raise EmptyLabel("node with empty label")
-        return TreeNode(label=label, children=tuple(children))
-
-    root = parse_node(0)
-    if pos != len(toks):
+    if first != "(":
+        raise UnbalancedBrackets("expected '(' at token 0")
+    tree = _read_tree(toks, sentence_id)
+    if next(toks, None) is not None:
         raise UnbalancedBrackets("trailing material after the tree")
-    sent = Sentence(id=sentence_id, tokens=tuple(words))
-    return GoldTree(sentence=sent, root=root)
+    return tree
 
 
 def serialize(tree: GoldTree) -> str:
     """Canonical single-line bracketed form; inverse of parse_bracketed."""
+    tokens = tree.sentence.tokens
 
-    def render(node: TreeNode) -> str:
-        if node.is_leaf:
-            return tree.sentence.tokens[node.index]
-        inner = " ".join(render(c) for c in node.children)
-        return f"({node.label} {inner})"
+    def render(node: TreeNode | int) -> str:
+        if isinstance(node, int):
+            return tokens[node]
+        return f"({node.label} {' '.join(map(render, node.children))})"
 
     return render(tree.root)
 
@@ -210,75 +208,56 @@ def normalize(
 
     Punctuation is recognized by preterminal tag; a bare leaf falls back
     to its own token so label-free trees behave sensibly.  Unary collapse
-    keeps the topmost label of each chain.  Raises AllTokensRemoved if
-    nothing survives.  Idempotent.
+    keeps the topmost label of each chain.  One walk does all three.
+    Raises AllTokensRemoved if nothing survives.  Idempotent.
     """
     tokens = tree.sentence.tokens
+    kept: list[str] = []
 
-    def prune(node: TreeNode) -> TreeNode | None:
-        if node.is_leaf:
-            if tokens[node.index] in punct_tags:
-                return None
-            return node
+    def keep(index: int) -> int:
+        kept.append(tokens[index])
+        return len(kept) - 1
+
+    def walk(node: TreeNode | int) -> TreeNode | int | None:
+        if isinstance(node, int):
+            return None if tokens[node] in punct_tags else keep(node)
         if node.is_preterminal:
-            tag = node.label
-            if tag in punct_tags or tag == TRACE_TAG:
+            if node.label in punct_tags or node.label == TRACE_TAG:
                 return None
-            return node
-        new_children = [c for c in (prune(child) for child in node.children) if c]
-        if not new_children:
+            return TreeNode(node.label, (keep(node.children[0]),))
+        # index 0 is a kept leaf, so only None means pruned
+        children = [c for c in map(walk, node.children) if c is not None]
+        if not children:
             return None
-        return TreeNode(label=node.label, children=tuple(new_children))
+        # children are collapsed already, so one step keeps the top label
+        if collapse_unary and len(children) == 1 and not isinstance(children[0], int):
+            return TreeNode(node.label, children[0].children)
+        return TreeNode(node.label, children)
 
-    def collapse(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return node
-        while len(node.children) == 1 and not node.children[0].is_leaf:
-            node = TreeNode(label=node.label, children=node.children[0].children)
-        return TreeNode(
-            label=node.label,
-            children=tuple(collapse(c) for c in node.children),
-        )
-
-    root = prune(tree.root)
+    root = walk(tree.root)
     if root is None:
         raise AllTokensRemoved(f"sentence {tree.sentence.id}")
-    if collapse_unary:
-        root = collapse(root)
-
-    old_indices = leaf_indices(root)
-    renumber = {old: new for new, old in enumerate(old_indices)}
-    kept_tokens = tuple(tokens[i] for i in old_indices)
-
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node.is_leaf:
-            return TreeNode(label=None, index=renumber[node.index])
-        return TreeNode(
-            label=node.label, children=tuple(rebuild(c) for c in node.children)
-        )
-
-    sent = Sentence(id=tree.sentence.id, tokens=kept_tokens)
-    return GoldTree(sentence=sent, root=rebuild(root))
+    return GoldTree(sentence=Sentence(id=tree.sentence.id, tokens=kept), root=root)
 
 
 def labeled_spans(tree: GoldTree) -> list[tuple[str, Span]]:
     """(label, span) for phrasal nodes, in pre-order, duplicates kept."""
     order: list[tuple[str, Span] | None] = []
 
-    def walk(node: TreeNode) -> Span:
-        if node.is_leaf:
-            return Span(node.index, node.index)
-        emit = not node.is_preterminal
+    def walk(node: TreeNode, i: int) -> int:
+        # a GoldTree's leaves are 0..n-1 in order, so node starts at the
+        # token after its left sibling's last; returns its last token
+        if node.is_preterminal:
+            return i
         slot = len(order)
-        if emit:
-            order.append(None)  # reserve the pre-order position
-        child_spans = [walk(c) for c in node.children]
-        sp = Span(child_spans[0].i, child_spans[-1].j)
-        if emit:
-            order[slot] = (node.label, sp)
-        return sp
+        order.append(None)  # reserve the pre-order position
+        j = i - 1
+        for child in node.children:
+            j = child if isinstance(child, int) else walk(child, j + 1)
+        order[slot] = (node.label, Span(i, j))
+        return j
 
-    walk(tree.root)
+    walk(tree.root, 0)
     return order
 
 
@@ -355,55 +334,42 @@ def binary_from_tree(tree: GoldTree) -> BinaryTree:
     return BinaryTree(sentence=tree.sentence, spans=frozenset(spans))
 
 
-def _split_balanced(text: str):
-    """Split concatenated bracketed trees on top-level balance points."""
-    depth = 0
-    start = None
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            if depth == 0:
-                start = pos
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise UnbalancedBrackets(f"stray ')' at offset {pos}")
-            if depth == 0:
-                yield text[start : pos + 1]
-                start = None
-    if depth != 0:
-        raise UnbalancedBrackets("unclosed '(' at end of input")
-
-
 def read_treebank(path) -> list[GoldTree]:
     """Read a file of bracketed trees (trees may span multiple lines).
 
-    Traces are dropped here so yields match raw-text conventions; a tree
-    of nothing but traces is skipped with a warning.  Full normalization
-    (punctuation, unary chains) is a separate step.  Ids are assigned
-    0..N-1 over the kept trees.
+    Words between top-level trees are skipped.  Traces are dropped here
+    so yields match raw-text conventions; a tree of nothing but traces
+    is skipped with a warning.  Full normalization (punctuation, unary
+    chains) is a separate step.  Ids are assigned 0..N-1 over the kept
+    trees.  A TreeSyntaxError names the path and the tree, counted from
+    1 over the file's top-level brackets.
     """
-    return _parse_trees(read_text(path), path)
+    return _read_trees(read_text(path), path)
 
 
-def _parse_trees(text: str, path) -> list[GoldTree]:
+def _read_trees(text: str, path) -> list[GoldTree]:
+    # without a trace anywhere, normalize would rebuild each tree unchanged
+    traces = TRACE_TAG in text
     trees: list[GoldTree] = []
-    for chunk in _split_balanced(text):
-        tree = parse_bracketed(chunk, sentence_id=len(trees))
-        if TRACE_TAG not in chunk:
-            # nothing to drop: normalize would rebuild the same tree
+    toks = _tokens(text)
+    count = 0
+    try:
+        for tok in toks:
+            if tok not in "()":  # a word between trees
+                continue
+            count += 1
+            if tok == ")":
+                raise UnbalancedBrackets("stray ')' where a tree should open")
+            tree = _read_tree(toks, len(trees))
+            if traces:
+                try:
+                    tree = normalize(tree, punct_tags=frozenset(), collapse_unary=False)
+                except AllTokensRemoved:
+                    warnings.warn(f"tree {len(trees)} in {path} is all traces; skipped")
+                    continue
             trees.append(tree)
-            continue
-        try:
-            tree = normalize(
-                tree,
-                punct_tags=frozenset(),
-                collapse_unary=False,
-            )
-        except AllTokensRemoved:
-            warnings.warn(f"tree {len(trees)} in {path} is all traces; skipped")
-            continue
-        trees.append(tree)
+    except TreeSyntaxError as exc:
+        raise type(exc)(f"{path}: tree {count}: {exc}") from exc
     if not trees:
         raise EmptyCorpus(str(path))
     return trees
@@ -417,11 +383,8 @@ def read_corpus(path) -> list[Sentence]:
     Ids are assigned 0..N-1 in file order.
     """
     text = read_text(path)
-    stripped = text.lstrip()
-    if not stripped:
-        raise EmptyCorpus(str(path))
-    if stripped[0] == "(":
-        return [tree.sentence for tree in _parse_trees(text, path)]
+    if text.lstrip().startswith("("):
+        return [tree.sentence for tree in _read_trees(text, path)]
     sentences: list[Sentence] = []
     for line in text.splitlines():
         tokens = tuple(line.split())

@@ -320,6 +320,14 @@ sys.stdout.flush()
 os._exit(0)
 """]
 FORTY_TOKENS = " ".join(f"w{k}" for k in range(40))
+# two replies per request, written together, so the replies to the three
+# spans of "a b" always run past the third line
+TWO_REPLIES_SCORER = [sys.executable, "-c", """
+import sys
+for line in sys.stdin:
+    print(0.9)
+    print(0.1, flush=True)
+"""]
 
 
 @pytest.mark.parametrize(
@@ -328,8 +336,9 @@ FORTY_TOKENS = " ".join(f"w{k}" for k in range(40))
         (ECHO_SCORER, FORTY_TOKENS, "non-numeric scorer response"),
         (UNDECODABLE_SCORER, "a b", "response b'\\xff' for span Span(i=0, j=0)"),
         (ONE_SENTENCE_SCORER, FORTY_TOKENS + "\nalpha", "scorer"),
+        (TWO_REPLIES_SCORER, "a b\nc d", "surplus scorer output b'0.1\\n"),
     ],
-    ids=["echo_40_tokens", "not_utf8", "exits_early"],
+    ids=["echo_40_tokens", "not_utf8", "exits_early", "two_replies"],
 )
 def test_external_scorer_fault_is_exit_3(tmp_path, command, text, message):
     # a subprocess with a timeout, so a hang fails the test
@@ -798,6 +807,21 @@ def test_eval_bad_prediction_is_exit_2(pipeline, tmp_path, capsys, bad_tree):
     pred.write_text("(X (X a) (X b))\n" + bad_tree + "\n")
     assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 2
     assert f"{pred}:2:" in capsys.readouterr().err
+
+
+def test_eval_truncated_gold_names_file_and_tree(pipeline, tmp_path, capsys):
+    root, cfg = pipeline
+    lines = (root / "gold.txt").read_text().splitlines()
+    gold = tmp_path / "gold.txt"
+    gold.write_text("\n".join(lines[:2] + [lines[2][: len(lines[2]) // 2]]) + "\n")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("(X (X a) (X b))\n")
+    assert main([
+        "eval", "--config", str(cfg), "--pred", str(pred), "--gold", str(gold),
+    ]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {gold}: tree 3: unclosed '(' at end of input\n"
+    )
 
 
 @pytest.mark.parametrize(
