@@ -16,11 +16,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import EXTERNAL_BACKEND, PipelineConfig, load_config
 from .decoder import (
     HeuristicConfig,
     apply_heuristics,
-    cyk_decode,
+    cyk_decode_stack,
     heuristics_from_corpus,
     load_stopwords,
 )
@@ -324,22 +326,39 @@ def _heuristic_stats(cfg: PipelineConfig) -> HeuristicConfig:
 
 
 def cmd_parse(args) -> int:
+    """Decode the input one length group at a time, in order of each
+    length's first sentence: score and apply the heuristics per sentence,
+    then decode the group's charts in one stacked fill.  The trees are
+    written in input order once every group is decoded."""
     cfg = _load(args)
     heuristics = _heuristic_stats(cfg)
     scorer = _parse_scorer(cfg, args.stage, _output_dir(cfg.paths.model_dir))
     sentences = read_corpus(args.input)
+    groups: dict[int, list[int]] = {}
+    for pos, sentence in enumerate(sentences):
+        groups.setdefault(len(sentence), []).append(pos)
+    lines = [""] * len(sentences)
+    external = isinstance(scorer, ExternalScorer)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for sentence in sentences:
-                chart = score_chart(scorer, sentence, renormalize=cfg.renormalize)
-                chart = apply_heuristics(chart, sentence, heuristics)
-                tree = cyk_decode(chart, sentence)
-                fh.write(tree.to_bracketed())
-                fh.write("\n")
+        for positions in groups.values():
+            group = [sentences[pos] for pos in positions]
+            charts = np.stack([
+                apply_heuristics(
+                    score_chart(scorer, sentence, renormalize=cfg.renormalize),
+                    sentence,
+                    heuristics,
+                ).cells
+                for sentence in group
+            ])
+            for pos, tree in zip(positions, cyk_decode_stack(charts, group)):
+                lines[pos] = tree.to_bracketed() + "\n"
+        if external:
+            scorer.finish()
     finally:
-        close = getattr(scorer, "close", None)
-        if close is not None:
-            close()
+        if external:
+            scorer.close()
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
     print(f"parsed {len(sentences)} sentences -> {args.out}")
     return 0
 

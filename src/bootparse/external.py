@@ -116,6 +116,23 @@ class ExternalScorer:
             out.append(value)
         return out
 
+    def finish(self):
+        """Close a session whose every reply has been read, and fail if the
+        scorer wrote more, however late: what it wrote before it exited is
+        still in the pipe."""
+        proc = self._proc
+        self.close()
+        if proc is None:
+            return
+        with proc.stdout:
+            os.set_blocking(proc.stdout.fileno(), False)
+            try:
+                rest = os.read(proc.stdout.fileno(), 40)
+            except BlockingIOError:
+                rest = b""
+        if rest:
+            raise ExternalScorerError(f"surplus scorer output {rest!r}")
+
     def close(self):
         if self._proc is not None and self._proc.poll() is None:
             self._proc.stdin.close()

@@ -17,7 +17,9 @@ names and the weights never depend on the ids; train runs minibatch
 gradient steps with numpy alone.  Scoring builds no name: the model is
 linear over indicators, so SpanScorer.score_spans looks each weight up
 by code once per token position, the pair's once per span, and sums
-them per span with numpy.
+them per span with numpy.  The spans of a sentence length and their
+index arrays are built once (_all_spans), so scoring a chart
+(score_chart) sets up nothing per call but the sentence's own table.
 """
 
 from __future__ import annotations
@@ -321,6 +323,26 @@ def _logits(rows, cols, vals, n_rows: int, w: np.ndarray, b: float) -> np.ndarra
     return np.bincount(rows, vals * w[cols], minlength=n_rows) + b
 
 
+def _many_codes(name: str) -> bool:
+    """Whether a feature name may have more than one code: a len= bin,
+    or a bigram or pair whose key holds more than one "|"."""
+    return name.startswith("len=") or (name.startswith(("b=", "lr=")) and name.count("|") > 1)
+
+
+def _code_pairs(named_columns) -> np.ndarray:
+    """(code, column) rows for every code of each (name, column)."""
+    return np.fromiter(
+        ((code, column) for name, column in named_columns for code in _codes(name)),
+        dtype=np.dtype((np.int64, 2)),
+    ).reshape(-1, 2)
+
+
+def _code_index(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """FeatureSpace._by_code of (code, column) rows, a code perhaps repeated."""
+    keys, at = np.unique(pairs[:, 0], return_index=True)
+    return np.append(keys, np.iinfo(np.int64).max), np.append(pairs[at, 1], -1)
+
+
 @dataclass
 class FeatureSpace:
     """Maps features to column indices.
@@ -334,7 +356,9 @@ class FeatureSpace:
 
     names: list[str] = field(default_factory=list)
     # the names' codes, sorted, then a sentinel above every code, and the
-    # column of each (-1 for the sentinel); built on first use after a fit
+    # column of each (-1 for the sentinel).  A fit of an empty space
+    # builds it from the codes it saw; otherwise it is built from the
+    # names on first use.
     _by_code: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -345,22 +369,25 @@ class FeatureSpace:
 
     def fit(self, rows: CodeRows) -> "FeatureSpace":
         seen, first = np.unique(rows.codes, return_index=True)
-        fresh = map(_name, seen[np.argsort(first)].tolist())
-        self.names = list({**dict.fromkeys(self.names), **dict.fromkeys(fresh)})
+        seen = seen[np.argsort(first)]
+        fresh = list(map(_name, seen.tolist()))
+        known = self.names
+        self.names = list({**dict.fromkeys(known), **dict.fromkeys(fresh)})
         self._by_code = None
+        if not known:
+            # the codes just seen, and those of the names that may have more
+            column = {name: k for k, name in enumerate(self.names)}
+            self._by_code = _code_index(np.concatenate((
+                np.column_stack((seen, np.array([column[name] for name in fresh], np.int64))),
+                _code_pairs((name, k) for name, k in column.items() if _many_codes(name)),
+            )))
         return self
 
     def columns(self, codes: np.ndarray) -> np.ndarray:
         """The column of each feature code, -1 for a code that is no column."""
         if self._by_code is None:
-            pairs = np.fromiter(
-                ((code, column) for column, name in enumerate(self.names) for code in _codes(name)),
-                dtype=np.dtype((np.int64, 2)),
-            )
-            pairs = pairs[np.argsort(pairs[:, 0])]
-            self._by_code = (
-                np.append(pairs[:, 0], np.iinfo(np.int64).max),
-                np.append(pairs[:, 1], -1),
+            self._by_code = _code_index(
+                _code_pairs((name, k) for k, name in enumerate(self.names))
             )
         keys, columns = self._by_code
         at = np.searchsorted(keys, codes)
@@ -435,14 +462,19 @@ class SpanScorer:
         up once per span.  A sentence never featurized gets a table that
         is not kept.  This equals the dot product of the weights with the
         span's feature row; only the order of the floating-point
-        additions differs.
+        additions differs.  The bounds of an _all_spans tuple are read
+        from its cached index arrays, those of any other span list from
+        its Span objects.
         """
         if self.view not in (INSIDE, OUTSIDE, CONCAT):
             raise ValueError(f"unknown view {self.view!r}")
         n = len(sentence)
-        spans = list(spans)
-        i = np.fromiter((sp.i for sp in spans), dtype=np.intp, count=len(spans))
-        j = np.fromiter((sp.j for sp in spans), dtype=np.intp, count=len(spans))
+        if isinstance(spans, _SpanTuple):
+            i, j = spans.i, spans.j
+        else:
+            spans = list(spans)
+            i = np.fromiter((sp.i for sp in spans), dtype=np.intp, count=len(spans))
+            j = np.fromiter((sp.j for sp in spans), dtype=np.intp, count=len(spans))
         if len(i) and j.max() >= n:
             raise ValueError(f"span beyond the {n} tokens of sentence {sentence.id}")
         table = _TABLES.get(sentence)
@@ -468,7 +500,9 @@ class SpanScorer:
             # a flag that is off, code -1, reads weight 0
             z += bos[i]
             z += eos[j]
-        return np.clip(sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
+        p = sigmoid(z)
+        np.maximum(p, PROB_EPS, out=p)
+        return np.minimum(p, 1.0 - PROB_EPS, out=p)
 
     def _weights(self, codes: np.ndarray) -> np.ndarray:
         """The weight of each feature code: 0 for a code that is no column."""
@@ -609,26 +643,40 @@ def train(
     )
 
 
-def _all_spans(n: int, min_len: int = 2) -> tuple[Span, ...]:
+class _SpanTuple(tuple):
+    """A tuple of spans that carries their bounds as read-only index
+    arrays: i, j, and cells, the flat index i * n + j of each span's cell
+    in the chart of an n-token sentence."""
+
+
+def _all_spans(n: int, min_len: int = 2) -> _SpanTuple:
     """Spans of at least min_len tokens in row-major order (by i, then j).
 
     Cached per length and minimum, one entry for all spellings of the
-    same minimum: the tuple and its frozen spans are immutable, so every
-    sentence of that length can share them.
+    same minimum: the tuple, its frozen spans and its index arrays are
+    immutable, so every sentence of that length can share them.
     """
     return _span_tuple(n, max(1, min_len))
 
 
 @functools.lru_cache(maxsize=256)
-def _span_tuple(n: int, min_len: int) -> tuple[Span, ...]:
-    return tuple(Span(i, j) for i in range(n) for j in range(i + min_len - 1, n))
+def _span_tuple(n: int, min_len: int) -> _SpanTuple:
+    spans = _SpanTuple(Span(i, j) for i in range(n) for j in range(i + min_len - 1, n))
+    spans.i = np.array([sp.i for sp in spans], dtype=np.intp)
+    spans.j = np.array([sp.j for sp in spans], dtype=np.intp)
+    spans.cells = spans.i * n + spans.j
+    for arr in (spans.i, spans.j, spans.cells):
+        arr.setflags(write=False)
+    return spans
 
 
 def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) -> ScoreChart:
     """Fill a chart with span scores; a pair multiplies inside by outside.
 
     Renormalization maps (p1, p2) to p1 p2 / (p1 p2 + (1-p1)(1-p2)),
-    which leaves a pair with a constant-1/2 partner unchanged.
+    which leaves a pair with a constant-1/2 partner unchanged.  The
+    spans scored and the chart cells they fill are the cached arrays of
+    _all_spans(n, 1).
     """
     n = len(sentence)
     spans = _all_spans(n, min_len=1)
@@ -647,7 +695,7 @@ def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) ->
     else:
         probs = np.asarray(model_or_pair.score_spans(sentence, spans))
     chart = ScoreChart(n=n)
-    chart.cells[np.triu_indices(n)] = probs
+    chart.cells.put(spans.cells, probs)
     return chart
 
 

@@ -337,12 +337,14 @@ def binary_from_tree(tree: GoldTree) -> BinaryTree:
 def read_treebank(path) -> list[GoldTree]:
     """Read a file of bracketed trees (trees may span multiple lines).
 
-    Words between top-level trees are skipped.  Traces are dropped here
-    so yields match raw-text conventions; a tree of nothing but traces
-    is skipped with a warning.  Full normalization (punctuation, unary
-    chains) is a separate step.  Ids are assigned 0..N-1 over the kept
-    trees.  A TreeSyntaxError names the path and the tree, counted from
-    1 over the file's top-level brackets.
+    A treebank opens with '(', the rule by which read_corpus tells one
+    from plain text, so a word before the first tree is a
+    TreeSyntaxError; words between top-level trees are skipped.  Traces
+    are dropped here so yields match raw-text conventions; a tree of
+    nothing but traces is skipped with a warning.  Full normalization
+    (punctuation, unary chains) is a separate step.  Ids are assigned
+    0..N-1 over the kept trees.  A TreeSyntaxError names the path and
+    the tree, counted from 1 over the file's top-level brackets.
     """
     return _read_trees(read_text(path), path)
 
@@ -356,6 +358,8 @@ def _read_trees(text: str, path) -> list[GoldTree]:
     try:
         for tok in toks:
             if tok not in "()":  # a word between trees
+                if not count:
+                    raise TreeSyntaxError(f"word {tok!r} before the first tree")
                 continue
             count += 1
             if tok == ")":
@@ -369,7 +373,8 @@ def _read_trees(text: str, path) -> list[GoldTree]:
                     continue
             trees.append(tree)
     except TreeSyntaxError as exc:
-        raise type(exc)(f"{path}: tree {count}: {exc}") from exc
+        where = f"tree {count}: " if count else ""
+        raise type(exc)(f"{path}: {where}{exc}") from exc
     if not trees:
         raise EmptyCorpus(str(path))
     return trees
@@ -378,8 +383,10 @@ def _read_trees(text: str, path) -> list[GoldTree]:
 def read_corpus(path) -> list[Sentence]:
     """Read sentences from plain text (one per line) or a treebank file.
 
-    Bracketed input is detected by a leading '(' and read as in
-    read_treebank, traces dropped; its sentences are the tree yields.
+    A file whose first character other than white space is '(' is a
+    treebank, read as in read_treebank, traces dropped; its sentences
+    are the tree yields.  Any other file is plain text, which
+    read_treebank refuses.
     Ids are assigned 0..N-1 in file order.
     """
     text = read_text(path)

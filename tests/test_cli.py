@@ -5,12 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bootparse.cli import main
-from bootparse.config import PipelineConfig
-from bootparse.decoder import heuristics_from_corpus
+from bootparse.config import PipelineConfig, load_config
+from bootparse.decoder import (
+    HeuristicConfig,
+    apply_heuristics,
+    cyk_decode,
+    heuristics_from_corpus,
+)
 from bootparse.evaluation import right_branching_spans
+from bootparse.scorer import load_model, score_chart
 from bootparse.treebank import BinaryTree, read_corpus
 
 GOLDEN_RIGHT = (
@@ -320,13 +327,23 @@ sys.stdout.flush()
 os._exit(0)
 """]
 FORTY_TOKENS = " ".join(f"w{k}" for k in range(40))
-# two replies per request, written together, so the replies to the three
-# spans of "a b" always run past the third line
+# two replies per request, written together in one write (two prints
+# would be two writes when PYTHONUNBUFFERED is set), so the replies to the
+# three spans of "a b" always run past the third line
 TWO_REPLIES_SCORER = [sys.executable, "-c", """
 import sys
 for line in sys.stdin:
-    print(0.9)
-    print(0.1, flush=True)
+    sys.stdout.write("0.9\\n0.1\\n")
+    sys.stdout.flush()
+"""]
+
+
+# answers each request once, then one reply too many when its input closes
+TRAILING_REPLY_SCORER = [sys.executable, "-c", """
+import sys
+for line in sys.stdin:
+    print(0.5, flush=True)
+print(0.5, flush=True)
 """]
 
 
@@ -337,8 +354,9 @@ for line in sys.stdin:
         (UNDECODABLE_SCORER, "a b", "response b'\\xff' for span Span(i=0, j=0)"),
         (ONE_SENTENCE_SCORER, FORTY_TOKENS + "\nalpha", "scorer"),
         (TWO_REPLIES_SCORER, "a b\nc d", "surplus scorer output b'0.1\\n"),
+        (TRAILING_REPLY_SCORER, "a b\nc", "surplus scorer output b'0.5\\n'"),
     ],
-    ids=["echo_40_tokens", "not_utf8", "exits_early", "two_replies"],
+    ids=["echo_40_tokens", "not_utf8", "exits_early", "two_replies", "trailing_reply"],
 )
 def test_external_scorer_fault_is_exit_3(tmp_path, command, text, message):
     # a subprocess with a timeout, so a hang fails the test
@@ -509,6 +527,54 @@ def test_parse_rerun_identical(pipeline):
         ]) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+def _parse_one_by_one(cfg, stage: str, input_path) -> str:
+    """parse's output by a loop over the sentences in input order: score,
+    apply the heuristics and decode each chart alone."""
+    config = load_config(cfg)
+    models = Path(config.paths.model_dir)
+    if stage == "co":
+        scorer = (load_model(models / "co_in.json"), load_model(models / "co_out.json"))
+    else:
+        scorer = load_model(models / {"seed": "inside_seed.json", "self": "self_in.json"}[stage])
+    heuristics = HeuristicConfig()
+    if config.heuristics.enabled:
+        heuristics = heuristics_from_corpus(read_corpus(config.paths.corpus))
+    lines = []
+    for sentence in read_corpus(input_path):
+        chart = score_chart(scorer, sentence, renormalize=config.renormalize)
+        chart = apply_heuristics(chart, sentence, heuristics)
+        lines.append(cyk_decode(chart, sentence).to_bracketed() + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("stage", ["seed", "self", "co"])
+@pytest.mark.parametrize("heuristics", [False, True])
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_parse_by_length_group_matches_one_by_one(
+    pipeline, tmp_path, stage, heuristics, renormalize
+):
+    # Shuffled lengths 1 to 12, with one-token lines and repeated lines:
+    # the trees decoded by length group, written in input order, are
+    # those of decoding each sentence alone.
+    root, _ = pipeline
+    rng = np.random.default_rng(3)
+    lines = (root / "corpus.txt").read_text().splitlines()[:150]
+    lines += ["alice", "the", "alice", "bob"] + lines[:20] + lines[5:8]
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    assert len({len(line.split()) for line in lines[:40]}) > 5
+    (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
+    raw = json.loads(write_config(root).read_text())
+    raw.update(renormalize=renormalize, heuristics={"enabled": heuristics})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "pred.txt"
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
+        "--out", str(out), "--stage", stage,
+    ]) == 0
+    assert out.read_text() == _parse_one_by_one(cfg, stage, tmp_path / "in.txt")
 
 
 def test_eval_writes_reports(pipeline, capsys):
@@ -821,6 +887,26 @@ def test_eval_truncated_gold_names_file_and_tree(pipeline, tmp_path, capsys):
     ]) == 2
     assert capsys.readouterr().err == (
         f"data error: {gold}: tree 3: unclosed '(' at end of input\n"
+    )
+
+
+def test_corpus_and_gold_on_one_file_follow_one_format_rule(tmp_path, capsys):
+    # A file that opens with a word is plain text to the corpus reader, so
+    # the gold reader refuses it instead of skipping to the tree.
+    text = tmp_path / "mixed.txt"
+    text.write_text("junk (S a)\n")
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["paths"].update(corpus=str(text), gold=str(text))
+    cfg.write_text(json.dumps(raw))
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    assert read_corpus(text)[0].tokens == ("junk", "(S", "a)")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("(X a)\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {text}: word 'junk' before the first tree\n"
     )
 
 

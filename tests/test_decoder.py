@@ -8,6 +8,7 @@ from bootparse.decoder import (
     ScoreChart,
     apply_heuristics,
     cyk_decode,
+    cyk_decode_stack,
     enumerate_trees,
     rare_cased_runs,
     tree_score,
@@ -267,3 +268,41 @@ def test_cyk_matches_loop_reference_after_heuristics():
         tree = cyk_decode(chart, sent)
         assert tree.sentence == sent
         assert tree.spans == _cyk_loop_reference(chart.cells)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+@pytest.mark.parametrize("count", [1, 2, 7])
+def test_cyk_stack_matches_loop_reference(n, count):
+    rng = np.random.default_rng(1000 * count + n)
+    stacks = [
+        rng.normal(size=(count, n, n)),
+        # every cell equal or 0/1 cells: most candidates tie, so the
+        # tie-break to the smallest split decides
+        np.full((count, n, n), 0.5),
+        rng.integers(0, 2, size=(count, n, n)).astype(float),
+        # each chart a different kind
+        np.stack([
+            [rng.normal(size=(n, n)), np.ones((n, n)), np.zeros((n, n))][b % 3]
+            for b in range(count)
+        ]),
+    ]
+    sentences = [Sentence(id=b, tokens=tuple(f"w{k}" for k in range(n))) for b in range(count)]
+    for charts in stacks:
+        trees = cyk_decode_stack(charts, sentences)
+        assert [tree.sentence for tree in trees] == sentences
+        for cells, tree in zip(charts, trees):
+            assert tree.spans == _cyk_loop_reference(cells)
+            assert tree.spans == cyk_decode(chart_from(cells)).spans
+
+
+def test_cyk_stack_checks_its_input():
+    sentences = [Sentence(id=0, tokens=("a", "b"))]
+    with pytest.raises(ValueError, match="need 1 sentences of 3 tokens"):
+        cyk_decode_stack(np.zeros((1, 3, 3)), sentences)
+    with pytest.raises(ValueError, match="need 2 sentences"):
+        cyk_decode_stack(np.zeros((2, 2, 2)), sentences)
+    cells = np.zeros((1, 2, 2))
+    cells[0, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        cyk_decode_stack(cells, sentences)
+    assert cyk_decode_stack(np.zeros((0, 4, 4)), []) == []

@@ -235,6 +235,44 @@ def test_feature_space_vocab():
     assert csr(space.transform(code_rows(["b=a|b|c"]))).toarray().tolist() == [[0.0] * 4 + [2.0]]
 
 
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_fit_code_index_matches_index_of_names(view):
+    # A fit of an empty space indexes the codes it saw and the unseen
+    # codes of names with several; tolerance 0 against the index built
+    # from _codes of every name, as for a loaded space.  The rows see
+    # one of the two bigrams of b=a|b|c and one length of the 6-8 and
+    # 9-12 bins, and hold literal <s> and </s> tokens.
+    corpus = [
+        Sentence(0, ("a|b", "c", BOS, "x|y|z", "y", EOS)),
+        Sentence(1, tuple(f"w{k % 4}" for k in range(15))),
+        Sentence(2, SENTINELS),
+    ]
+    lengths = (1, 2, 3, 4, 5, 7, 10, 13, 15)
+    examples = [
+        LabeledSpanExample(s.id, Span(i, i + length - 1), [CONSTITUENT, DISTITUENT][i % 2], view)
+        for s in corpus
+        for length in lengths
+        for i in range(len(s) - length + 1)
+    ]
+    by_id = {s.id: s for s in corpus}
+    space = FeatureSpace().fit(example_rows(examples, by_id, view))
+    names = set(space.names)
+    if view != OUTSIDE:
+        assert {"b=a|b|c", "len=6-8", "len=9-12", "len=13+", "u=<s>"} <= names
+        assert {f"len={k}" for k in range(1, 6)} <= names
+    else:
+        assert {"lr=c|x|y|z", "left=<s>", "right=</s>", "bos", "eos"} <= names
+    reference = FeatureSpace(names=list(space.names))
+    reference.columns(np.empty(0, dtype=np.int64))
+    for got, want in zip(space._by_code, reference._by_code):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    unseen = [scorer._codes(name) for name in ("b=a|b|c", "len=6-8", "len=9-12")]
+    if view != OUTSIDE:
+        assert all(len(codes) > 1 for codes in unseen)
+        assert (space.columns(np.array(sum(unseen, []))) >= 0).all()
+
+
 def make_toy_examples(n_each=40):
     # constituents contain token A, distituents token B
     corpus = []
@@ -591,6 +629,23 @@ def test_score_spans_span_list_matches_chart_order(view):
         picks = rng.integers(0, len(table), 2 * len(table))
         got = model.score_spans(s, [table[k] for k in picks])
         assert np.array_equal(got, model.score_spans(s, table)[picks])
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_score_spans_span_tuple_matches_span_list(view):
+    # the cached index arrays of an _all_spans tuple against the same
+    # spans as a list, to the bit
+    model = random_model(view, seed=6)
+    for s in parity_sentences():
+        for min_len in (1, 2):
+            table = _all_spans(len(s), min_len)
+            assert table.i.tolist() == [sp.i for sp in table]
+            assert table.j.tolist() == [sp.j for sp in table]
+            assert table.cells.tolist() == [sp.i * len(s) + sp.j for sp in table]
+            assert not table.i.flags.writeable and not table.cells.flags.writeable
+            got = model.score_spans(s, table)
+            want = model.score_spans(s, list(table))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_all_spans_one_cache_entry_per_table():

@@ -322,6 +322,24 @@ def test_read_corpus_empty(tmp_path):
         read_corpus(p)
 
 
+@pytest.mark.parametrize("text", ["junk (S a)", "  junk\n(S a)\n", "junk"])
+def test_both_readers_take_a_treebank_to_open_with_bracket(tmp_path, text):
+    # read_corpus reads a file that does not open with '(' as plain text,
+    # so read_treebank refuses it rather than skip the words to a tree
+    p = tmp_path / "mixed.txt"
+    p.write_text(text)
+    lines = [tuple(line.split()) for line in text.splitlines() if line.strip()]
+    assert [s.tokens for s in read_corpus(p)] == lines
+    with pytest.raises(TreeSyntaxError) as info:
+        read_treebank(p)
+    assert str(info.value) == f"{p}: word 'junk' before the first tree"
+    # words after the first tree are skipped by both
+    p.write_text(f"{DOG} junk (S a)")
+    assert [s.tokens for s in read_corpus(p)] == [
+        t.sentence.tokens for t in read_treebank(p)
+    ] == [("the", "dog", "ran"), ("a",)]
+
+
 def test_read_treebank(tmp_path):
     p = tmp_path / "gold.mrg"
     p.write_text(f"{DOG}\n{DOG}\n")
@@ -612,6 +630,12 @@ def test_stream_reader_matches_chunk_reference(tmp_path_factory, items, sep):
     path.write_text(text)
     want = _outcome(_ref_read, text)
     got = _outcome(read_treebank, path)
+    if not text.lstrip().startswith(("(", ")")):
+        # a word first: read_corpus reads the file as plain text, and
+        # read_treebank, which the reference made skip it, refuses it
+        assert type(got) is TreeSyntaxError
+        assert str(got).startswith(f"{path}: word ")
+        return
     if isinstance(want, Exception):
         if isinstance(got, TreeSyntaxError):
             assert str(got).startswith(f"{path}: tree ")
@@ -627,8 +651,7 @@ def test_stream_reader_matches_chunk_reference(tmp_path_factory, items, sep):
             assert type(got) is type(want), (got, want)
         return
     _same_trees(got, want)
-    if text.lstrip().startswith("("):  # read_corpus's test for a treebank
-        assert [s.tokens for s in read_corpus(path)] == [t.sentence.tokens for t in got]
+    assert [s.tokens for s in read_corpus(path)] == [t.sentence.tokens for t in got]
 
 
 @settings(max_examples=300, deadline=None)
