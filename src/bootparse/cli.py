@@ -325,11 +325,17 @@ def _heuristic_stats(cfg: PipelineConfig) -> HeuristicConfig:
     return heuristics_from_corpus(read_corpus(cfg.paths.corpus))
 
 
+# the most chart cells parse decodes in one stacked fill, and so holds
+# at once (a chart of n tokens has n * n), with one chart at least
+DECODE_CELLS = 1 << 16
+
+
 def cmd_parse(args) -> int:
     """Decode the input one length group at a time, in order of each
     length's first sentence: score and apply the heuristics per sentence,
-    then decode the group's charts in one stacked fill.  The trees are
-    written in input order once every group is decoded."""
+    then decode the group's charts in stacked fills of DECODE_CELLS cells
+    at most.  The trees are written in input order once every group is
+    decoded."""
     cfg = _load(args)
     heuristics = _heuristic_stats(cfg)
     scorer = _parse_scorer(cfg, args.stage, _output_dir(cfg.paths.model_dir))
@@ -340,18 +346,18 @@ def cmd_parse(args) -> int:
     lines = [""] * len(sentences)
     external = isinstance(scorer, ExternalScorer)
     try:
-        for positions in groups.values():
-            group = [sentences[pos] for pos in positions]
-            charts = np.stack([
-                apply_heuristics(
-                    score_chart(scorer, sentence, renormalize=cfg.renormalize),
-                    sentence,
-                    heuristics,
-                ).cells
-                for sentence in group
-            ])
-            for pos, tree in zip(positions, cyk_decode_stack(charts, group)):
-                lines[pos] = tree.to_bracketed() + "\n"
+        for n, positions in groups.items():
+            size = min(len(positions), max(1, DECODE_CELLS // (n * n)))
+            charts = np.empty((size, n, n))
+            for start in range(0, len(positions), size):
+                chunk = positions[start : start + size]
+                group = [sentences[pos] for pos in chunk]
+                for b, sentence in enumerate(group):
+                    chart = score_chart(scorer, sentence, renormalize=cfg.renormalize)
+                    charts[b] = apply_heuristics(chart, sentence, heuristics).cells
+                trees = cyk_decode_stack(charts[: len(chunk)], group)
+                for pos, tree in zip(chunk, trees):
+                    lines[pos] = tree.to_bracketed() + "\n"
         if external:
             scorer.finish()
     finally:

@@ -69,10 +69,10 @@ class ConfigError(BootparseError):
 
 
 def read_text(path, error=MalformedFile) -> str:
-    """The UTF-8 text of the file at path; error names the path when it
-    does not decode."""
+    """The UTF-8 text of the file at path, without a leading byte order
+    mark; error names the path when it does not decode."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc

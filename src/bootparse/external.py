@@ -23,6 +23,10 @@ import subprocess
 from .errors import ExternalScorerError
 from .treebank import Sentence, Span
 
+# how long the first sentence's replies may run past the count: a scorer
+# that answers more than once per request does so from its first sentence
+PROBE_S = 0.1
+
 
 class ExternalScorer:
     """Scores spans by querying a child process over stdin/stdout."""
@@ -32,6 +36,7 @@ class ExternalScorer:
         self.view = view
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
+        self._probed = False
 
     def _ensure_started(self):
         if self._proc is None:
@@ -59,7 +64,10 @@ class ExternalScorer:
         A scorer may answer before it has read all its input, so writes
         and reads interleave; every wait for either is bounded by the
         timeout.  Output before the requests or past the count-th line
-        is an error, so no reply is ever read for the wrong span.
+        is an error, so no reply is ever read for the wrong span.  After
+        the session's first sentence the scorer gets PROBE_S to write
+        more, so surplus replies written one at a time are named there
+        rather than read as the next sentence's.
         """
         proc = self._proc
         unsent = memoryview(requests)
@@ -89,6 +97,15 @@ class ExternalScorer:
                         chunk = self._read()
                         received += chunk
                         missing -= chunk.count(b"\n")
+            # the first sentence's replies may run on, each wait up to
+            # PROBE_S, until a surplus line is whole; an exit here is found
+            # by the next sentence, if there is one
+            while not self._probed and missing == 0 and sel.select(PROBE_S):
+                chunk = os.read(proc.stdout.fileno(), 65536)
+                self._probed = not chunk
+                received += chunk
+                missing -= chunk.count(b"\n")
+            self._probed = True
         *lines, rest = received.split(b"\n", count)
         if rest:
             raise ExternalScorerError(f"surplus scorer output {rest[:40]!r}")

@@ -146,29 +146,48 @@ def _name(code: int) -> str:
     return prefix + _TOKENS[second]
 
 
+def _template(name: str) -> tuple[int | None, str]:
+    """The template of a feature name (None for no template) and its key."""
+    prefix, eq, key = name.partition("=")
+    return _TEMPLATES.get(prefix + eq), key
+
+
+def _many_codes(template: int | None, key: str) -> bool:
+    """Whether a name may have more than one code, the one rule _codes
+    and FeatureSpace.fit both read: a len= bin holds several lengths,
+    and a bigram or pair key splits at each of its "|" when it has more
+    than one."""
+    return template == _LENGTH or (template in (_BIGRAM, _PAIR) and key.count("|") > 1)
+
+
 def _codes(name: str) -> list[int]:
     """The codes of the features named name.
 
-    A bigram or pair name splits at each "|" of its key, since tokens
-    may hold "|": b=a|b|c is the bigram of a and b|c and the bigram of
-    a|b and c.  A len= name has a code per length in its bin.  The
-    tokens named are numbered here if they are new.
+    Only a name _many_codes accepts may have more than one: a len= name
+    has a code per length in its bin, and a bigram or pair name splits
+    at each "|" of its key, since tokens may hold "|": b=a|b|c is the
+    bigram of a and b|c and the bigram of a|b and c.  The tokens named
+    are numbered here if they are new.
     """
-    prefix, eq, key = name.partition("=")
-    template = _TEMPLATES.get(prefix + eq)
+    template, key = _template(name)
     if template is None:
         return []
     base = template * _BASE * _BASE
-    if template in (_BOS, _EOS):
-        return [base]
-    if template in (_LENGTH, _POSITION):
-        return [base + m for m in range(14) if _name(base + m) == name]
-    if template in (_BIGRAM, _PAIR):
+    if _many_codes(template, key):
+        if template == _LENGTH:
+            return [base + m for m in range(14) if _name(base + m) == name]
         parts = key.split("|")
         return [
             base + _token_id("|".join(parts[:k])) * _BASE + _token_id("|".join(parts[k:]))
             for k in range(1, len(parts))
         ]
+    if template == _POSITION:
+        return [base + m for m in range(14) if _name(base + m) == name]
+    if template in (_BIGRAM, _PAIR):
+        first, bar, second = key.partition("|")
+        return [base + _token_id(first) * _BASE + _token_id(second)] if bar else []
+    if template in (_BOS, _EOS):
+        return [base]
     return [base + _token_id(key)]
 
 
@@ -323,12 +342,6 @@ def _logits(rows, cols, vals, n_rows: int, w: np.ndarray, b: float) -> np.ndarra
     return np.bincount(rows, vals * w[cols], minlength=n_rows) + b
 
 
-def _many_codes(name: str) -> bool:
-    """Whether a feature name may have more than one code: a len= bin,
-    or a bigram or pair whose key holds more than one "|"."""
-    return name.startswith("len=") or (name.startswith(("b=", "lr=")) and name.count("|") > 1)
-
-
 def _code_pairs(named_columns) -> np.ndarray:
     """(code, column) rows for every code of each (name, column)."""
     return np.fromiter(
@@ -379,7 +392,9 @@ class FeatureSpace:
             column = {name: k for k, name in enumerate(self.names)}
             self._by_code = _code_index(np.concatenate((
                 np.column_stack((seen, np.array([column[name] for name in fresh], np.int64))),
-                _code_pairs((name, k) for name, k in column.items() if _many_codes(name)),
+                _code_pairs(
+                    (name, k) for name, k in column.items() if _many_codes(*_template(name))
+                ),
             )))
         return self
 

@@ -37,6 +37,9 @@ TRACE_TAG = "-NONE-"
 # A bracket, or a run of anything else up to whitespace or a bracket.
 # re's \s matches exactly the characters str.isspace accepts.
 _SEXPR_TOKEN = re.compile(r"[()]|[^\s()]+")
+# white space and markup lines (first character other than white space
+# '<', as CTB's <DOC> and <S ID=1>) before a treebank's first tree
+_TREEBANK_HEAD = re.compile(r"(?:\s*<[^\n]*)*\s*")
 
 
 @dataclass(frozen=True)
@@ -337,16 +340,19 @@ def binary_from_tree(tree: GoldTree) -> BinaryTree:
 def read_treebank(path) -> list[GoldTree]:
     """Read a file of bracketed trees (trees may span multiple lines).
 
-    A treebank opens with '(', the rule by which read_corpus tells one
-    from plain text, so a word before the first tree is a
-    TreeSyntaxError; words between top-level trees are skipped.  Traces
+    A treebank opens with '(' once leading markup lines (those whose
+    first character other than white space is '<') are skipped, the rule
+    by which read_corpus tells one from plain text, so any other word
+    before the first tree is a TreeSyntaxError; words between top-level
+    trees, markup among them, are skipped.  Traces
     are dropped here so yields match raw-text conventions; a tree of
     nothing but traces is skipped with a warning.  Full normalization
     (punctuation, unary chains) is a separate step.  Ids are assigned
     0..N-1 over the kept trees.  A TreeSyntaxError names the path and
     the tree, counted from 1 over the file's top-level brackets.
     """
-    return _read_trees(read_text(path), path)
+    text = read_text(path)
+    return _read_trees(text[_TREEBANK_HEAD.match(text).end() :], path)
 
 
 def _read_trees(text: str, path) -> list[GoldTree]:
@@ -383,15 +389,16 @@ def _read_trees(text: str, path) -> list[GoldTree]:
 def read_corpus(path) -> list[Sentence]:
     """Read sentences from plain text (one per line) or a treebank file.
 
-    A file whose first character other than white space is '(' is a
-    treebank, read as in read_treebank, traces dropped; its sentences
-    are the tree yields.  Any other file is plain text, which
-    read_treebank refuses.
+    A file whose first character other than white space, past any
+    leading markup lines, is '(' is a treebank, read as in read_treebank,
+    traces dropped; its sentences are the tree yields.  Any other file
+    is plain text, which read_treebank refuses.
     Ids are assigned 0..N-1 in file order.
     """
     text = read_text(path)
-    if text.lstrip().startswith("("):
-        return [tree.sentence for tree in _read_trees(text, path)]
+    start = _TREEBANK_HEAD.match(text).end()
+    if text.startswith("(", start):
+        return [tree.sentence for tree in _read_trees(text[start:], path)]
     sentences: list[Sentence] = []
     for line in text.splitlines():
         tokens = tuple(line.split())

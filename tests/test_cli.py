@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bootparse import cli
 from bootparse.cli import main
 from bootparse.config import PipelineConfig, load_config
 from bootparse.decoder import (
@@ -327,10 +328,16 @@ sys.stdout.flush()
 os._exit(0)
 """]
 FORTY_TOKENS = " ".join(f"w{k}" for k in range(40))
-# two replies per request, written together in one write (two prints
-# would be two writes when PYTHONUNBUFFERED is set), so the replies to the
-# three spans of "a b" always run past the third line
+# two replies per request, so the replies to the three spans of "a b"
+# run past the third line
 TWO_REPLIES_SCORER = [sys.executable, "-c", """
+import sys
+for line in sys.stdin:
+    print(0.9)
+    print(0.1, flush=True)
+"""]
+# the same two replies in one write, buffered or not
+TWO_REPLIES_ONE_WRITE_SCORER = [sys.executable, "-c", """
 import sys
 for line in sys.stdin:
     sys.stdout.write("0.9\\n0.1\\n")
@@ -354,9 +361,13 @@ print(0.5, flush=True)
         (UNDECODABLE_SCORER, "a b", "response b'\\xff' for span Span(i=0, j=0)"),
         (ONE_SENTENCE_SCORER, FORTY_TOKENS + "\nalpha", "scorer"),
         (TWO_REPLIES_SCORER, "a b\nc d", "surplus scorer output b'0.1\\n"),
+        (TWO_REPLIES_ONE_WRITE_SCORER, "a b\nc d", "surplus scorer output b'0.1\\n"),
         (TRAILING_REPLY_SCORER, "a b\nc", "surplus scorer output b'0.5\\n'"),
     ],
-    ids=["echo_40_tokens", "not_utf8", "exits_early", "two_replies", "trailing_reply"],
+    ids=[
+        "echo_40_tokens", "not_utf8", "exits_early", "two_replies",
+        "two_replies_one_write", "trailing_reply",
+    ],
 )
 def test_external_scorer_fault_is_exit_3(tmp_path, command, text, message):
     # a subprocess with a timeout, so a hang fails the test
@@ -552,12 +563,15 @@ def _parse_one_by_one(cfg, stage: str, input_path) -> str:
 @pytest.mark.parametrize("stage", ["seed", "self", "co"])
 @pytest.mark.parametrize("heuristics", [False, True])
 @pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("cells", [cli.DECODE_CELLS, 100])
 def test_parse_by_length_group_matches_one_by_one(
-    pipeline, tmp_path, stage, heuristics, renormalize
+    pipeline, tmp_path, monkeypatch, stage, heuristics, renormalize, cells
 ):
     # Shuffled lengths 1 to 12, with one-token lines and repeated lines:
-    # the trees decoded by length group, written in input order, are
-    # those of decoding each sentence alone.
+    # the trees decoded by length group, whole or in fills of 100 cells
+    # (from 100 one-token charts to one chart of 10 tokens or more),
+    # written in input order, are those of decoding each sentence alone.
+    monkeypatch.setattr(cli, "DECODE_CELLS", cells)
     root, _ = pipeline
     rng = np.random.default_rng(3)
     lines = (root / "corpus.txt").read_text().splitlines()[:150]
@@ -908,6 +922,27 @@ def test_corpus_and_gold_on_one_file_follow_one_format_rule(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"data error: {text}: word 'junk' before the first tree\n"
     )
+
+
+def test_corpus_and_gold_with_bom_and_markup_read_alike(tmp_path, capsys):
+    # a byte order mark and CTB-style markup lines before and between the
+    # trees: one file serves as corpus and gold, and eval scores against it
+    text = tmp_path / "ctb.txt"
+    text.write_text(
+        "\ufeff<DOC>\n<S ID=1>\n( (IP (NP a) (VP b c)) )\n</S>\n"
+        "<S ID=2>\n( (IP (NP d) (VP e)) )\n</S>\n</DOC>\n",
+        encoding="utf-8",
+    )
+    cfg = write_config(tmp_path)
+    raw = json.loads(cfg.read_text())
+    raw["paths"].update(corpus=str(text), gold=str(text))
+    cfg.write_text(json.dumps(raw))
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    assert [s.tokens for s in read_corpus(text)] == [("a", "b", "c"), ("d", "e")]
+    pred = tmp_path / "pred.txt"
+    pred.write_text("(X (X a) (X (X b) (X c)))\n(X (X d) (X e))\n")
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 0
 
 
 @pytest.mark.parametrize(

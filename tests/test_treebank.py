@@ -322,10 +322,13 @@ def test_read_corpus_empty(tmp_path):
         read_corpus(p)
 
 
-@pytest.mark.parametrize("text", ["junk (S a)", "  junk\n(S a)\n", "junk"])
+@pytest.mark.parametrize(
+    "text", ["junk (S a)", "  junk\n(S a)\n", "junk", "<S ID=1>\njunk (S a)\n"]
+)
 def test_both_readers_take_a_treebank_to_open_with_bracket(tmp_path, text):
-    # read_corpus reads a file that does not open with '(' as plain text,
-    # so read_treebank refuses it rather than skip the words to a tree
+    # read_corpus reads a file that does not open with '(', past markup
+    # lines, as plain text, so read_treebank refuses it rather than skip
+    # the words to a tree
     p = tmp_path / "mixed.txt"
     p.write_text(text)
     lines = [tuple(line.split()) for line in text.splitlines() if line.strip()]
@@ -338,6 +341,29 @@ def test_both_readers_take_a_treebank_to_open_with_bracket(tmp_path, text):
     assert [s.tokens for s in read_corpus(p)] == [
         t.sentence.tokens for t in read_treebank(p)
     ] == [("the", "dog", "ran"), ("a",)]
+
+
+CTB_HEAD = "<DOC>\n<DOCID> CTB_001 </DOCID>\n  <S ID=1>\n"
+
+
+@pytest.mark.parametrize(
+    "head", ["\ufeff", CTB_HEAD, "\ufeff" + CTB_HEAD, "\n \n"],
+    ids=["bom", "markup", "bom_markup", "blank"],
+)
+def test_both_readers_skip_bom_and_leading_markup(tmp_path, head):
+    # a byte order mark and markup lines before the first tree are skipped
+    # by both readers, and markup between trees is skipped as words are
+    p = tmp_path / "gold.txt"
+    p.write_text(f"{head}{DOG}\n</S>\n<S ID=2>\n(S a)\n</S>\n</DOC>\n", encoding="utf-8")
+    want = [("the", "dog", "ran"), ("a",)]
+    assert [t.sentence.tokens for t in read_treebank(p)] == want
+    assert [s.tokens for s in read_corpus(p)] == want
+
+
+def test_plain_text_drops_byte_order_mark(tmp_path):
+    p = tmp_path / "corpus.txt"
+    p.write_text("\ufeff<b> the dog\nran\n", encoding="utf-8")
+    assert [s.tokens for s in read_corpus(p)] == [("<b>", "the", "dog"), ("ran",)]
 
 
 def test_read_treebank(tmp_path):
