@@ -53,7 +53,7 @@ from .evaluation import (
 )
 from .external import ExternalScorer
 from .loops import LoopTrace, co_train, self_train
-from .scorer import INSIDE, load_model, save_model, score_chart, train
+from .scorer import INSIDE, OUTSIDE, load_model, save_model, score_chart, train
 from .seeds import casing_copy_sentences, generate_seeds, read_seed_file, write_seed_file
 from .synth import SyntheticGrammar, builtin_grammar, generate_corpus
 from .treebank import (
@@ -90,6 +90,7 @@ _DATA_ERRORS = (
     SingleClassInput,
     FileNotFoundError,
     IsADirectoryError,
+    NotADirectoryError,
     PermissionError,
     UnicodeDecodeError,
 )
@@ -128,7 +129,10 @@ def _load(args) -> PipelineConfig:
 
 def _output_dir(path: str) -> Path:
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return path
 
 
@@ -210,15 +214,16 @@ def _training_inputs(args):
     return cfg, corpus, carriers, _output_dir(cfg.paths.model_dir)
 
 
-def _read_examples(path, sentences):
-    """Read a seed file whose every span lies inside a known sentence."""
+def _read_examples(path, sentences, view: str):
+    """Read a seed file of spans inside known sentences, labeled in view."""
     examples = read_seed_file(path)
     lengths = {sent.id: len(sent) for sent in sentences}
     for ex in examples:
-        if ex.span.j >= lengths.get(ex.sentence_id, 0):
+        inside = ex.span.j < lengths.get(ex.sentence_id, 0)
+        if not inside or ex.view != view:
+            why = f"has view {ex.view!r}, expected {view!r}" if inside else "is outside the corpus"
             raise MalformedFile(
-                f"{path}: span ({ex.span.i}, {ex.span.j}) is not inside "
-                f"sentence {ex.sentence_id} of the corpus"
+                f"{path}: span ({ex.span.i}, {ex.span.j}) of sentence {ex.sentence_id} {why}"
             )
     return examples
 
@@ -226,7 +231,7 @@ def _read_examples(path, sentences):
 def cmd_train(args) -> int:
     cfg, corpus, carriers, model_dir = _training_inputs(args)
     seed_path = Path(args.seeds) if args.seeds else model_dir / SEED_FILE
-    examples = _read_examples(seed_path, corpus + carriers)
+    examples = _read_examples(seed_path, corpus + carriers, INSIDE)
     model = train(examples, corpus + carriers, INSIDE, cfg.training)
     save_model(model, model_dir / INSIDE_SEED_MODEL)
     log = {
@@ -255,7 +260,7 @@ def _save_loop(result, model_dir: Path, in_model, out_model, trace) -> None:
 def cmd_selftrain(args) -> int:
     cfg, corpus, carriers, model_dir = _training_inputs(args)
     seed_path = Path(args.seeds) if args.seeds else model_dir / SEED_FILE
-    examples = _read_examples(seed_path, corpus + carriers)
+    examples = _read_examples(seed_path, corpus + carriers, INSIDE)
     result = self_train(
         examples, corpus, cfg.self_train, lookup=carriers, meta=cfg.training
     )
@@ -269,8 +274,8 @@ def cmd_selftrain(args) -> int:
 
 def cmd_cotrain(args) -> int:
     cfg, corpus, carriers, model_dir = _training_inputs(args)
-    inside = _read_examples(model_dir / SELF_INSIDE_SET, corpus + carriers)
-    outside = _read_examples(model_dir / SELF_OUTSIDE_SET, corpus + carriers)
+    inside = _read_examples(model_dir / SELF_INSIDE_SET, corpus + carriers, INSIDE)
+    outside = _read_examples(model_dir / SELF_OUTSIDE_SET, corpus + carriers, OUTSIDE)
     result = co_train(
         inside, outside, corpus, cfg.co_train, lookup=carriers, meta=cfg.training
     )
@@ -285,18 +290,20 @@ def cmd_cotrain(args) -> int:
 
 
 def _parse_scorer(cfg: PipelineConfig, stage: str, model_dir: Path):
+    """The external scorer, or the stage's inside model and, for co, its
+    outside model after it."""
     if cfg.scorer.backend == EXTERNAL_BACKEND:
-        return ExternalScorer(
-            list(cfg.scorer.command), INSIDE, timeout=cfg.scorer.timeout
-        )
-    if stage == "seed":
-        return load_model(model_dir / INSIDE_SEED_MODEL)
-    if stage == "self":
-        return load_model(model_dir / SELF_IN_MODEL)
-    return (
-        load_model(model_dir / CO_IN_MODEL),
-        load_model(model_dir / CO_OUT_MODEL),
-    )
+        return ExternalScorer(list(cfg.scorer.command), INSIDE, timeout=cfg.scorer.timeout)
+    names = {
+        "seed": [INSIDE_SEED_MODEL], "self": [SELF_IN_MODEL], "co": [CO_IN_MODEL, CO_OUT_MODEL]
+    }[stage]
+    models = [load_model(model_dir / name) for name in names]
+    for name, model, view in zip(names, models, (INSIDE, OUTSIDE)):
+        if model.view != view:
+            raise MalformedFile(
+                f"model file {model_dir / name}: view {model.view!r}, expected {view!r}"
+            )
+    return tuple(models) if stage == "co" else models[0]
 
 
 def _heuristic_stats(cfg: PipelineConfig) -> HeuristicConfig:
@@ -338,7 +345,7 @@ def cmd_parse(args) -> int:
     decoded."""
     cfg = _load(args)
     heuristics = _heuristic_stats(cfg)
-    scorer = _parse_scorer(cfg, args.stage, _output_dir(cfg.paths.model_dir))
+    scorer = _parse_scorer(cfg, args.stage, Path(cfg.paths.model_dir))
     sentences = read_corpus(args.input)
     groups: dict[int, list[int]] = {}
     for pos, sentence in enumerate(sentences):

@@ -20,7 +20,7 @@ import os
 import selectors
 import subprocess
 
-from .errors import ExternalScorerError
+from .errors import ConfigError, ExternalScorerError
 from .treebank import Sentence, Span
 
 # how long the first sentence's replies may run past the count: a scorer
@@ -40,12 +40,13 @@ class ExternalScorer:
 
     def _ensure_started(self):
         if self._proc is None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
+            try:
                 # stderr passes through to ours for debuggability
-            )
+                self._proc = subprocess.Popen(
+                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+                )
+            except OSError as exc:
+                raise ConfigError(f"cannot start scorer.command {self.command!r}: {exc}") from exc
             # written with os.write as far as the pipe takes it, so a
             # full pipe never blocks the reads
             os.set_blocking(self._proc.stdin.fileno(), False)

@@ -239,7 +239,7 @@ def co_train(
     meta: TrainingMeta | None = None,
     trainer=train,
 ) -> LoopResult:
-    """Let each view teach the other.
+    """Let each view teach the other, from inside- and outside-view examples.
 
     Per iteration: the outside model's confident spans join the inside
     set (as inside-view examples), the inside model is retrained, its
@@ -250,8 +250,7 @@ def co_train(
     """
     sentences, pool_sents = _loop_sentences(unlabeled, lookup, cfg, "co_train")
 
-    inside_set = [_with_view(ex, INSIDE) for ex in inside_examples]
-    outside_set = [_with_view(ex, OUTSIDE) for ex in outside_examples]
+    inside_set, outside_set = list(inside_examples), list(outside_examples)
     m_out = trainer(outside_set, sentences, OUTSIDE, meta)
     m_in = None
     records = []

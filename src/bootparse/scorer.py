@@ -8,8 +8,9 @@ combined multiplicatively at decode time.
 
 A feature is one integer code: its template and the process-wide id of
 its token, or of its two tokens for the bigram b=x|y and the outside
-view's pair lr=x_{i-1}|x_{j+1}; _name and _codes are the only places a
-name is built or read.  A sentence trained on is featurized once, into
+view's pair lr=x_{i-1}|x_{j+1}, or the fixed code of a length bin,
+position bucket or sentinel flag; _name and _codes are the only places
+a name is built or read.  A sentence trained on is featurized once, into
 a table of codes per token position (featurize).  Training gathers the
 example rows from those tables (example_rows) and numbers the columns
 by the names of the codes (FeatureSpace), so the columns, the saved
@@ -79,14 +80,20 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, e, out=e)
 
 
+# the len= bins, each by its first length; a bin runs up to the next
+# one's first length, and the last has no end
+_LENGTH_BINS = {1: "1", 2: "2", 3: "3", 4: "4", 5: "5", 6: "6-8", 9: "9-12", 13: "13+"}
+_BIN_STARTS = np.array(list(_LENGTH_BINS))
+
+
+def _bin_start(lengths):
+    """The first length of the len= bin of each length."""
+    return _BIN_STARTS[np.searchsorted(_BIN_STARTS, lengths, side="right") - 1]
+
+
 def _length_bin(length: int) -> str:
-    if length <= 5:
-        return str(length)
-    if length <= 8:
-        return "6-8"
-    if length <= 12:
-        return "9-12"
-    return "13+"
+    """The len= bin of a span length, as its name reads it."""
+    return _LENGTH_BINS[int(_bin_start(length))]
 
 
 # Token ids in the order the process first sees the tokens.  The
@@ -119,75 +126,63 @@ def _token_id(token: str) -> int:
 # (i, j) is table[_PAIR, i] + table[_AFTER, j].
 (_UNIGRAM, _BIGRAM, _FIRST, _LAST, _LENGTH, _POSITION,
  _LEFT, _RIGHT, _BOS, _EOS, _PAIR, _AFTER) = range(12)
-# how the names of each template start; bos and eos are whole names
-_PREFIXES = (
-    "u=", "b=", "first=", "last=", "len=", "pos=", "left=", "right=", "bos", "eos", "lr="
-)
-_TEMPLATES = {prefix: template for template, prefix in enumerate(_PREFIXES)}
 # A code is (template * _BASE + first token id) * _BASE + second token
 # id, with first 0 for a one-token template.  For len= the second slot
-# holds the span length, 13 for longer spans, and for pos= the bucket.
+# holds the first length of the span's bin, for pos= the bucket.
 _BASE = 1 << 29
+# how the names of each template with tokens start
+_TEMPLATES = {
+    "u=": _UNIGRAM, "b=": _BIGRAM, "first=": _FIRST, "last=": _LAST,
+    "left=": _LEFT, "right=": _RIGHT, "lr=": _PAIR,
+}
+_PREFIXES = {template: prefix for prefix, template in _TEMPLATES.items()}
+# the code of each name with no token, and the name of each such code
+_FIXED_CODES = {
+    **{f"len={name}": _LENGTH * _BASE * _BASE + m for m, name in _LENGTH_BINS.items()},
+    **{f"pos={m}": _POSITION * _BASE * _BASE + m for m in range(4)},
+    "bos": _BOS * _BASE * _BASE,
+    "eos": _EOS * _BASE * _BASE,
+}
+_FIXED_NAMES = {code: name for name, code in _FIXED_CODES.items()}
 
 
 def _name(code: int) -> str:
     """The name of the feature with this code."""
+    if code in _FIXED_NAMES:
+        return _FIXED_NAMES[code]
     template, tokens = divmod(code, _BASE * _BASE)
     first, second = divmod(tokens, _BASE)
-    prefix = _PREFIXES[template]
-    if template in (_BOS, _EOS):
-        return prefix
-    if template == _LENGTH:
-        return prefix + _length_bin(second)
-    if template == _POSITION:
-        return f"{prefix}{second}"
     if template in (_BIGRAM, _PAIR):
-        return f"{prefix}{_TOKENS[first]}|{_TOKENS[second]}"
-    return prefix + _TOKENS[second]
+        return f"{_PREFIXES[template]}{_TOKENS[first]}|{_TOKENS[second]}"
+    return _PREFIXES[template] + _TOKENS[second]
 
 
-def _template(name: str) -> tuple[int | None, str]:
-    """The template of a feature name (None for no template) and its key."""
-    prefix, eq, key = name.partition("=")
-    return _TEMPLATES.get(prefix + eq), key
-
-
-def _many_codes(template: int | None, key: str) -> bool:
-    """Whether a name may have more than one code, the one rule _codes
-    and FeatureSpace.fit both read: a len= bin holds several lengths,
-    and a bigram or pair key splits at each of its "|" when it has more
-    than one."""
-    return template == _LENGTH or (template in (_BIGRAM, _PAIR) and key.count("|") > 1)
+def _many_codes(name: str) -> bool:
+    """Whether a name has more than one code: a bigram or pair key with two "|" or more."""
+    return name.startswith(("b=", "lr=")) and name.count("|") > 1
 
 
 def _codes(name: str) -> list[int]:
-    """The codes of the features named name.
+    """The codes of the features named name, none for a name of no feature.
 
-    Only a name _many_codes accepts may have more than one: a len= name
-    has a code per length in its bin, and a bigram or pair name splits
-    at each "|" of its key, since tokens may hold "|": b=a|b|c is the
-    bigram of a and b|c and the bigram of a|b and c.  The tokens named
-    are numbered here if they are new.
+    A bigram or pair name splits at each "|" of its key, since tokens
+    may hold "|": b=a|b|c is the bigram of a and b|c and the bigram of
+    a|b and c.  Every other name has one code.  The tokens named are
+    numbered here if they are new.
     """
-    template, key = _template(name)
+    if name in _FIXED_CODES:
+        return [_FIXED_CODES[name]]
+    prefix, eq, key = name.partition("=")
+    template = _TEMPLATES.get(prefix + eq)
     if template is None:
         return []
     base = template * _BASE * _BASE
-    if _many_codes(template, key):
-        if template == _LENGTH:
-            return [base + m for m in range(14) if _name(base + m) == name]
+    if template in (_BIGRAM, _PAIR):
         parts = key.split("|")
         return [
             base + _token_id("|".join(parts[:k])) * _BASE + _token_id("|".join(parts[k:]))
             for k in range(1, len(parts))
         ]
-    if template == _POSITION:
-        return [base + m for m in range(14) if _name(base + m) == name]
-    if template in (_BIGRAM, _PAIR):
-        first, bar, second = key.partition("|")
-        return [base + _token_id(first) * _BASE + _token_id(second)] if bar else []
-    if template in (_BOS, _EOS):
-        return [base]
     return [base + _token_id(key)]
 
 
@@ -201,7 +196,7 @@ def _feature_table(tokens: tuple[str, ...]) -> np.ndarray:
     table = np.zeros((_AFTER + 1, n), dtype=np.int64)
     table[[_UNIGRAM, _FIRST, _LAST]] = ids
     table[_BIGRAM, :-1] = ids[:-1] * _BASE + ids[1:]
-    table[_LENGTH] = np.minimum(k + 1, 13)
+    table[_LENGTH] = _bin_start(k + 1)
     table[_POSITION] = np.minimum(3, 4 * k // n)
     table[_LEFT] = before
     table[_RIGHT] = after
@@ -360,7 +355,7 @@ def _code_index(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class FeatureSpace:
     """Maps features to column indices.
 
-    fit numbers the features it has not seen in order of first
+    fit, of an empty space only, numbers the features in order of first
     occurrence, naming each distinct code of its rows once; transform
     drops the features without a column.  Columns are named, and
     features with one name share a column, so a space depends only on
@@ -369,9 +364,8 @@ class FeatureSpace:
 
     names: list[str] = field(default_factory=list)
     # the names' codes, sorted, then a sentinel above every code, and the
-    # column of each (-1 for the sentinel).  A fit of an empty space
-    # builds it from the codes it saw; otherwise it is built from the
-    # names on first use.
+    # column of each (-1 for the sentinel).  fit builds it from the codes
+    # it saw; a space given its names builds it from them on first use.
     _by_code: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -381,21 +375,18 @@ class FeatureSpace:
         return len(self.names)
 
     def fit(self, rows: CodeRows) -> "FeatureSpace":
+        if self.names:
+            raise ValueError("only an empty feature space is fit")
         seen, first = np.unique(rows.codes, return_index=True)
         seen = seen[np.argsort(first)]
         fresh = list(map(_name, seen.tolist()))
-        known = self.names
-        self.names = list({**dict.fromkeys(known), **dict.fromkeys(fresh)})
-        self._by_code = None
-        if not known:
-            # the codes just seen, and those of the names that may have more
-            column = {name: k for k, name in enumerate(self.names)}
-            self._by_code = _code_index(np.concatenate((
-                np.column_stack((seen, np.array([column[name] for name in fresh], np.int64))),
-                _code_pairs(
-                    (name, k) for name, k in column.items() if _many_codes(*_template(name))
-                ),
-            )))
+        column = {name: k for k, name in enumerate(dict.fromkeys(fresh))}
+        self.names = list(column)
+        # the codes just seen, and those of the names that have more
+        self._by_code = _code_index(np.concatenate((
+            np.column_stack((seen, np.array([column[name] for name in fresh], np.int64))),
+            _code_pairs((name, k) for name, k in column.items() if _many_codes(name)),
+        )))
         return self
 
     def columns(self, codes: np.ndarray) -> np.ndarray:

@@ -959,6 +959,123 @@ def test_train_seed_outside_corpus_is_exit_2(tmp_path, capsys, bad_line):
     assert str(seeds) in err and f"({i}, {j})" in err and f"sentence {sid}" in err
 
 
+@pytest.mark.parametrize("stage", ["train", "selftrain"])
+def test_seed_row_of_wrong_view_is_exit_2(tmp_path, capsys, stage):
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path)
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text(GOLDEN_RIGHT + "2\t1\t2\tdistituent\toutside\n")
+    assert main([stage, "--config", str(cfg), "--seeds", str(seeds)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert f"{seeds}: span (1, 2) of sentence 2 has view 'outside', expected 'inside'" in err
+
+
+@pytest.mark.parametrize(
+    "name, view",
+    [("self_inside.tsv", "outside"), ("self_inside.tsv", "concat"),
+     ("self_outside.tsv", "inside")],
+)
+def test_cotrain_set_of_wrong_view_is_exit_2(pipeline, tmp_path, capsys, name, view):
+    # co_train would convert the row to the other view; the file is refused
+    root, _ = pipeline
+    models = tmp_path / "models"
+    models.mkdir()
+    for set_name in ("self_inside.tsv", "self_outside.tsv"):
+        (models / set_name).write_bytes((root / "models" / set_name).read_bytes())
+    rows = (models / name).read_text().split("\n")
+    sid, i, j, label, _ = rows[3].split("\t")
+    rows[3] = "\t".join((sid, i, j, label, view))
+    (models / name).write_text("\n".join(rows))
+    cfg = write_config(tmp_path, paths={
+        "corpus": str(root / "corpus.txt"), "model_dir": str(models),
+    })
+    assert main(["cotrain", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{models / name}: span ({i}, {j}) of sentence {sid} has view {view!r}" in err
+    assert not (models / "co_in.json").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, name, view",
+    [("seed", "inside_seed.json", "outside"), ("self", "self_in.json", "concat"),
+     ("co", "co_in.json", "outside"), ("co", "co_in.json", "concat"),
+     ("co", "co_out.json", "inside")],
+)
+def test_parse_model_of_wrong_view_is_exit_2(pipeline, tmp_path, capsys, stage, name, view):
+    root, _ = pipeline
+    models = tmp_path / "models"
+    models.mkdir()
+    for model in ("inside_seed.json", "self_in.json", "co_in.json", "co_out.json"):
+        (models / model).write_bytes((root / "models" / model).read_bytes())
+    payload = json.loads((models / name).read_text())
+    payload["view"] = view
+    (models / name).write_text(json.dumps(payload))
+    cfg = write_config(tmp_path)
+    (tmp_path / "in.txt").write_text("the dog sees a cat\n")
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
+        "--out", str(tmp_path / "out.txt"), "--stage", stage,
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"model file {models / name}: view {view!r}, expected" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under_file"])
+@pytest.mark.parametrize("key", ["model_dir", "report_dir"])
+def test_output_dir_that_cannot_be_made_is_exit_1(pipeline, tmp_path, capsys, key, where):
+    root, root_cfg = pipeline
+    (tmp_path / "taken").write_text("a file\n")
+    path = tmp_path / "taken" / ("sub" if where == "under_file" else "")
+    paths = {"corpus": str(root / "corpus.txt"), "gold": str(root / "gold.txt"),
+             key: str(path)}
+    cfg = write_config(tmp_path, paths=paths)
+    pred = tmp_path / "pred.txt"
+    if key == "model_dir":
+        argv = ["bootstrap", "--config", str(cfg)]
+    else:
+        assert main(["parse", "--config", str(root_cfg), "--input",
+                     str(root / "corpus.txt"), "--out", str(pred), "--stage", "seed"]) == 0
+        argv = ["eval", "--config", str(cfg), "--pred", str(pred)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot make output directory {path}: ")
+
+
+def test_parse_makes_no_model_dir(tmp_path, capsys):
+    # parse only reads models: a missing model directory is not created
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+        "--out", str(tmp_path / "out.txt"),
+    ]) == 2
+    assert "co_in.json" in capsys.readouterr().err
+    assert not (tmp_path / "models").exists()
+    # a model directory that is a file is a data error naming the model
+    (tmp_path / "models").write_text("a file\n")
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+        "--out", str(tmp_path / "out.txt"), "--stage", "seed",
+    ]) == 2
+    assert str(tmp_path / "models" / "inside_seed.json") in capsys.readouterr().err
+
+
+def test_scorer_command_that_cannot_start_is_exit_1(tmp_path, capsys):
+    write_tiny_corpus(tmp_path)
+    scorer = {"backend": "external", "command": ["no-such-scorer"], "timeout": 2}
+    cfg = write_config(tmp_path, scorer=scorer)
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+        "--out", str(tmp_path / "out.txt"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot start scorer.command ['no-such-scorer']: ")
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_casing_carriers_reach_every_stage(tmp_path, capsys):
     # "The" opens most sentences and two capitalized runs, so bootstrap
     # writes examples on two carrier sentences after the corpus

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -227,12 +228,14 @@ def test_feature_space_vocab():
     m = csr(space.transform(code_rows(["u=b", "u=unseen", "u=b"], [], ["len=2"])))
     assert m.shape == (3, 3)
     assert m.toarray().tolist() == [[0.0, 0.0, 2.0], [0.0] * 3, [0.0, 1.0, 0.0]]
-    space.fit(code_rows(["u=c", "u=a"]))
-    assert space.names == ["u=a", "len=2", "u=b", "u=c"]
+    # only an empty space is fit
+    with pytest.raises(ValueError):
+        space.fit(code_rows(["u=c", "u=a"]))
+    assert space.names == ["u=a", "len=2", "u=b"]
     # the two codes of one name, bigrams (a|b, c) and (a, b|c), share a column
-    space.fit(code_rows(["b=a|b|c"]))
-    assert space.names == ["u=a", "len=2", "u=b", "u=c", "b=a|b|c"]
-    assert csr(space.transform(code_rows(["b=a|b|c"]))).toarray().tolist() == [[0.0] * 4 + [2.0]]
+    space = FeatureSpace().fit(code_rows(["u=a"], ["b=a|b|c"]))
+    assert space.names == ["u=a", "b=a|b|c"]
+    assert csr(space.transform(code_rows(["b=a|b|c"]))).toarray().tolist() == [[0.0, 2.0]]
 
 
 @pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
@@ -240,8 +243,8 @@ def test_fit_code_index_matches_index_of_names(view):
     # A fit of an empty space indexes the codes it saw and the unseen
     # codes of names with several; tolerance 0 against the index built
     # from _codes of every name, as for a loaded space.  The rows see
-    # one of the two bigrams of b=a|b|c and one length of the 6-8 and
-    # 9-12 bins, and hold literal <s> and </s> tokens.
+    # one of the two bigrams of b=a|b|c and a length of every bin, and
+    # hold literal <s> and </s> tokens.
     corpus = [
         Sentence(0, ("a|b", "c", BOS, "x|y|z", "y", EOS)),
         Sentence(1, tuple(f"w{k % 4}" for k in range(15))),
@@ -267,10 +270,10 @@ def test_fit_code_index_matches_index_of_names(view):
     for got, want in zip(space._by_code, reference._by_code):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    unseen = [scorer._codes(name) for name in ("b=a|b|c", "len=6-8", "len=9-12")]
+    unseen = scorer._codes("b=a|b|c")
     if view != OUTSIDE:
-        assert all(len(codes) > 1 for codes in unseen)
-        assert (space.columns(np.array(sum(unseen, []))) >= 0).all()
+        assert len(unseen) == 2
+        assert (space.columns(np.array(unseen)) >= 0).all()
 
 
 def make_toy_examples(n_each=40):
@@ -478,6 +481,25 @@ def test_model_format_version_checked(tmp_path):
         load_model(path)
 
 
+def test_names_of_no_feature_load_and_score_nothing(tmp_path):
+    # len=7, pos=9 and len=x name no feature: a model file that lists
+    # them loads, and scores exactly as it does without them
+    model = random_model(CONCAT)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    names, weights = payload["feature_space"]["names"], payload["weights"]
+    for at, name in ((0, "len=7"), (5, "pos=9"), (len(names), "len=x")):
+        names.insert(at, name)
+        weights.insert(at, 1.5)
+    path.write_text(json.dumps(payload))
+    padded = load_model(path)
+    assert padded.space.dim == model.space.dim + 3
+    for s in parity_sentences():
+        spans = _all_spans(len(s), min_len=1)
+        assert padded.score_spans(s, spans).tolist() == model.score_spans(s, spans).tolist()
+
+
 def test_save_model_stable_bytes(tmp_path):
     corpus, examples = make_toy_examples()
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
@@ -583,7 +605,7 @@ def test_first_scoring_finds_names_never_interned():
 def test_codes_and_names_round_trip(tokens):
     # every code of a table, the pair of every two borders included, is
     # among the codes of its name, and a bigram or pair name has one
-    # code per "|" of its key, a token feature one code
+    # code per "|" of its key, any other name one code
     table = scorer.featurize(Sentence(id=0, tokens=tuple(tokens)))
     pairs = table[scorer._PAIR][:, None] + table[scorer._AFTER][None, :]
     codes = np.concatenate((table[: scorer._AFTER].ravel(), pairs.ravel()))
@@ -592,8 +614,34 @@ def test_codes_and_names_round_trip(tokens):
         assert code in scorer._codes(name)
         if name.startswith(("b=", "lr=")):
             assert len(scorer._codes(name)) == name.partition("=")[2].count("|")
-        elif not name.startswith("len="):
+        else:
             assert len(scorer._codes(name)) == 1
+
+
+def test_name_has_one_code_but_bar_bigrams_and_pairs():
+    # _codes(_name(code)) is [code] for every code of a table of up to 40
+    # tokens, the pair of every two borders included, but a bigram or
+    # pair code one of whose tokens holds "|"
+    rng = np.random.default_rng(3)
+    fixed = set()
+    for n in range(1, 41):
+        table = scorer.featurize(Sentence(id=n, tokens=random_tokens(rng, PARITY_VOCAB, n)))
+        pairs = table[scorer._PAIR][:, None] + table[scorer._AFTER][None, :]
+        codes = np.concatenate((table[: scorer._AFTER].ravel(), pairs.ravel()))
+        for code in codes[codes >= 0].tolist():
+            template, tokens = divmod(code, scorer._BASE * scorer._BASE)
+            first, second = divmod(tokens, scorer._BASE)
+            if template in (scorer._BIGRAM, scorer._PAIR) and any(
+                "|" in scorer._TOKENS[t] for t in (first, second)
+            ):
+                continue
+            name = scorer._name(code)
+            assert scorer._codes(name) == [code], name
+            if template in (scorer._LENGTH, scorer._POSITION, scorer._BOS, scorer._EOS):
+                fixed.add(name)
+    bins = {f"len={_length_bin(length)}" for length in range(1, 41)}
+    assert fixed == bins | {f"pos={k}" for k in range(4)} | {"bos", "eos"}
+    assert len(bins) == 8
 
 
 @pytest.mark.parametrize("renormalize", [False, True])
