@@ -37,6 +37,7 @@ from .errors import (
     SingleClassInput,
     TreeSyntaxError,
     YieldMismatch,
+    check_number,
     read_text,
 )
 from .evaluation import (
@@ -463,11 +464,13 @@ def cmd_report(args) -> int:
             raise MalformedFile(f"trace file {path}: {exc}") from exc
         rows = [f"{name} trace ({len(trace)} iterations):"]
         for rec in trace:
-            metrics = json.dumps(rec.metrics, sort_keys=True)
+            pools, selected, metrics = (
+                json.dumps(part, sort_keys=True) for part in (rec.pools, rec.selected, rec.metrics)
+            )
             rows.append(
-                f"  iter {rec.iteration}: |I|={rec.inside_size} "
-                f"|O|={rec.outside_size} selected={json.dumps(rec.selected, sort_keys=True)} "
-                f"metrics={metrics}"
+                f"  iter {rec.iteration}: |I|={rec.inside_size} |O|={rec.outside_size} "
+                f"pools={pools} selected={selected} metrics={metrics}"
+                + ("  [harvest selected nothing]" if sum(rec.selected.values()) == 0 else "")
             )
         sections.append("\n".join(rows))
     report_json = report_dir / "report.json"
@@ -475,6 +478,8 @@ def cmd_report(args) -> int:
         text = read_text(report_json)
         try:
             raw = json.loads(text)
+            for key in ("f1", "precision", "recall"):
+                check_number(key, raw[key])
             sections.append(
                 f"evaluation ({raw['mode']}): F1 {raw['f1']:.4f} "
                 f"P {raw['precision']:.4f} R {raw['recall']:.4f}"

@@ -91,7 +91,7 @@ def check_int(name: str, value, low: int, high: int | None = None) -> None:
 
 
 def check_number(
-    name: str, value, low: float, inclusive: bool = True, high: float | None = None
+    name: str, value, low: float = -math.inf, inclusive: bool = True, high: float | None = None
 ) -> None:
     """Raise ValueError unless value is a finite int or float, not a bool,
     of at least low (above low when not inclusive) and at most high."""
@@ -106,10 +106,10 @@ def check_number(
     except OverflowError:  # an int too large for a float
         ok = False
     if not ok:
-        bound = f"{'>=' if inclusive else '>'} {low}"
+        bound = "" if low == -math.inf else f" {'>=' if inclusive else '>'} {low}"
         if high is not None:
             bound += f" and <= {high}"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def check_bool(name: str, value) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, check_bool, check_int
+from .errors import EmptyCorpus, check_bool, check_int, check_number
 from .scorer import Thresholds, TrainingMeta, harvest, train
 from .seeds import CONCAT, INSIDE, OUTSIDE, LabeledSpanExample
 
@@ -70,9 +70,23 @@ class SelfTrainConfig(LoopConfig):
         check_bool("accumulate", self.accumulate)
 
 
+def _check_map(name: str, value, check) -> None:
+    """Raise ValueError unless value is a dict keyed by strings whose
+    every item passes check(its name, item)."""
+    if not (isinstance(value, dict) and all(isinstance(key, str) for key in value)):
+        raise ValueError(f"{name} must be an object keyed by strings, got {value!r}")
+    for key, item in value.items():
+        check(f"{name}[{key!r}]", item)
+
+
 @dataclass(frozen=True)
 class IterationRecord:
-    """Sizes and validation metrics observed in one loop iteration."""
+    """Sizes and validation metrics observed in one loop iteration.
+
+    The iteration and the sizes are ints >= 0, pools and selected map
+    names to ints >= 0, and metrics maps each view to its metrics'
+    finite numbers; anything else is a ValueError.
+    """
 
     iteration: int
     inside_size: int
@@ -80,6 +94,15 @@ class IterationRecord:
     pools: dict[str, int]
     selected: dict[str, int]
     metrics: dict[str, dict]
+
+    def __post_init__(self):
+        for name in ("iteration", "inside_size", "outside_size"):
+            check_int(name, getattr(self, name), 0)
+        for name in ("pools", "selected"):
+            _check_map(name, getattr(self, name), lambda what, n: check_int(what, n, 0))
+        _check_map(
+            "metrics", self.metrics, lambda view, values: _check_map(view, values, check_number)
+        )
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

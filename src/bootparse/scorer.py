@@ -15,12 +15,14 @@ a table of codes per token position (featurize).  Training gathers the
 example rows from those tables (example_rows) and numbers the columns
 by the names of the codes (FeatureSpace), so the columns, the saved
 names and the weights never depend on the ids; train runs minibatch
-gradient steps with numpy alone.  Scoring builds no name: the model is
-linear over indicators, so SpanScorer.score_spans looks each weight up
-by code once per token position, the pair's once per span, and sums
-them per span with numpy.  The spans of a sentence length and their
-index arrays are built once (_all_spans), so scoring a chart
-(score_chart) sets up nothing per call but the sentence's own table.
+gradient steps with numpy alone.  Tables are built a length group at
+a time, each kept as its sentence's own array.  Scoring builds no name:
+the model is linear over indicators, so one core (_group_scores) takes
+the stacked tables of a length group, looks each weight up by code once
+per token position, the pair's once per span, and sums them per span
+with numpy.  confidence_pools scores each length group in one call;
+score_spans, which parse's charts call, is a group of one.  The spans
+of a sentence length and their index arrays are built once (_all_spans).
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ def _bin_start(lengths):
     return _BIN_STARTS[np.searchsorted(_BIN_STARTS, lengths, side="right") - 1]
 
 
-def _length_bin(length: int) -> str:
-    """The len= bin of a span length, as its name reads it."""
-    return _LENGTH_BINS[int(_bin_start(length))]
-
-
 # Token ids in the order the process first sees the tokens.  The
 # sentinels come first, so a literal <s> or </s> token shares their id,
 # their feature names and their bos and eos flags.  The table never
@@ -136,6 +133,8 @@ _TEMPLATES = {
     "left=": _LEFT, "right=": _RIGHT, "lr=": _PAIR,
 }
 _PREFIXES = {template: prefix for prefix, template in _TEMPLATES.items()}
+# the template part of the codes of each row but _AFTER
+_TEMPLATE_CODES = np.arange(_AFTER)[:, None] * (_BASE * _BASE)
 # the code of each name with no token, and the name of each such code
 _FIXED_CODES = {
     **{f"len={name}": _LENGTH * _BASE * _BASE + m for m, name in _LENGTH_BINS.items()},
@@ -186,32 +185,45 @@ def _codes(name: str) -> list[int]:
     return [base + _token_id(key)]
 
 
-def _feature_table(tokens: tuple[str, ...]) -> np.ndarray:
-    """featurize's table of tokens, read-only."""
-    n = len(tokens)
-    ids = np.array(list(map(_token_id, tokens)), dtype=np.int64)
-    before = np.concatenate(([0], ids[:-1]))
-    after = np.concatenate((ids[1:], [1]))
+def _feature_tables(group) -> np.ndarray:
+    """featurize's tables of same-length token tuples, stacked (B, 12, n), read-only."""
+    # each sentence's token ids between the sentinels' ids, 0 and 1
+    edged = np.array([[0, *map(_token_id, tokens), 1] for tokens in group], dtype=np.int64)
+    before, ids, after = edged[:, :-2], edged[:, 1:-1], edged[:, 2:]
+    count, n = ids.shape
     k = np.arange(n)
-    table = np.zeros((_AFTER + 1, n), dtype=np.int64)
-    table[[_UNIGRAM, _FIRST, _LAST]] = ids
-    table[_BIGRAM, :-1] = ids[:-1] * _BASE + ids[1:]
-    table[_LENGTH] = _bin_start(k + 1)
-    table[_POSITION] = np.minimum(3, 4 * k // n)
-    table[_LEFT] = before
-    table[_RIGHT] = after
-    table[_PAIR] = before * _BASE
-    table[:_AFTER] += np.arange(_AFTER)[:, None] * (_BASE * _BASE)
-    table[_AFTER] = after
-    table[_BIGRAM, -1] = -1
-    table[_BOS, before != 0] = -1
-    table[_EOS, after != 1] = -1
-    table.flags.writeable = False
-    return table
+    tables = np.empty((count, _AFTER + 1, n), dtype=np.int64)
+    tables[:, _UNIGRAM] = tables[:, _FIRST] = tables[:, _LAST] = ids
+    tables[:, _BIGRAM] = ids * _BASE + after
+    tables[:, _LENGTH] = _bin_start(k + 1)
+    tables[:, _POSITION] = np.minimum(3, 4 * k // n)
+    tables[:, _LEFT] = before
+    tables[:, _RIGHT] = tables[:, _AFTER] = after
+    tables[:, _BOS] = tables[:, _EOS] = 0
+    tables[:, _PAIR] = before * _BASE
+    tables[:, :_AFTER] += _TEMPLATE_CODES
+    tables[:, _BIGRAM, -1] = -1
+    tables[:, _BOS][before != 0] = -1
+    tables[:, _EOS][after != 1] = -1
+    tables.flags.writeable = False
+    return tables
 
 
 # each live sentence's featurize table
 _TABLES: weakref.WeakKeyDictionary[Sentence, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def _keep_tables(sentences) -> None:
+    """Keep a featurize table for each sentence without one, built a
+    length group at a time and copied out into an array of its own."""
+    groups: dict[int, list[Sentence]] = {}
+    for sent in sentences:
+        if sent not in _TABLES:
+            groups.setdefault(len(sent), []).append(sent)
+    for group in groups.values():
+        for sent, table in zip(group, _feature_tables([sent.tokens for sent in group])):
+            _TABLES[sent] = table = table.copy()
+            table.flags.writeable = False
 
 
 def featurize(sentence: Sentence) -> np.ndarray:
@@ -224,19 +236,19 @@ def featurize(sentence: Sentence) -> np.ndarray:
     lr=x_{i-1}|x_{j+1}; the concat view has both.  The table's rows are
     listed above.  It is kept for as long as the sentence object lives,
     so a corpus is featurized once however often it is trained on and
-    rescored, and its tables go when it goes.  SpanScorer.score_spans
-    reads the kept table if there is one.
+    rescored, and its tables go when it goes; example_rows and
+    confidence_pools build theirs by length group (_keep_tables).
+    SpanScorer.score_spans reads the kept table if there is one.
     """
-    table = _TABLES.get(sentence)
-    if table is None:
-        table = _TABLES[sentence] = _feature_table(sentence.tokens)
-    return table
+    if sentence not in _TABLES:
+        _keep_tables([sentence])
+    return _TABLES[sentence]
 
 
 # The table of the last sentence scored that was never featurized, such
 # as parse input, for the second model of a pair; it is not kept past
 # the next one.  Token ids never change, so it never goes stale.
-_unkept_table = functools.lru_cache(maxsize=1)(_feature_table)
+_unkept_table = functools.lru_cache(maxsize=1)(lambda tokens: _feature_tables([tokens])[0])
 
 
 @dataclass(frozen=True)
@@ -274,19 +286,21 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
     if view not in (INSIDE, OUTSIDE, CONCAT):
         raise ValueError(f"unknown view {view!r}")
     slots: dict[int, int] = {}
-    tables, bounds = [], []
+    sents, bounds = [], []
     for ex in examples:
         sent = by_id[ex.sentence_id]
         slot = slots.get(sent.id)
         if slot is None:
-            slot = slots[sent.id] = len(tables)
-            tables.append(featurize(sent))
+            slot = slots[sent.id] = len(sents)
+            sents.append(sent)
         if ex.span.j >= len(sent):
             raise ValueError(f"span {ex.span} outside sentence {sent.id}")
         bounds.append((slot, ex.span.i, ex.span.j))
     if not bounds:
         return CodeRows(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
+    _keep_tables(sents)
+    tables = [featurize(sent) for sent in sents]
     slot, i, j = np.array(bounds, dtype=np.intp).T
     offsets = np.cumsum([0] + [t.shape[1] for t in tables[:-1]])[slot]
     table = np.concatenate(tables, axis=1)
@@ -328,15 +342,6 @@ class CsrRows:
     shape: tuple[int, int]
 
 
-def _logits(rows, cols, vals, n_rows: int, w: np.ndarray, b: float) -> np.ndarray:
-    """w . x + b for n_rows rows given as (row, column, value) entries.
-
-    np.bincount adds its weights one at a time in input order, so each
-    row's products are summed in the order its entries are listed.
-    """
-    return np.bincount(rows, vals * w[cols], minlength=n_rows) + b
-
-
 def _code_pairs(named_columns) -> np.ndarray:
     """(code, column) rows for every code of each (name, column)."""
     return np.fromiter(
@@ -366,9 +371,7 @@ class FeatureSpace:
     # the names' codes, sorted, then a sentinel above every code, and the
     # column of each (-1 for the sentinel).  fit builds it from the codes
     # it saw; a space given its names builds it from them on first use.
-    _by_code: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _by_code: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -389,14 +392,16 @@ class FeatureSpace:
         )))
         return self
 
+    def code_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """_by_code, built on first use for a space given its names."""
+        if self._by_code is None:
+            self._by_code = _code_index(_code_pairs(zip(self.names, range(self.dim))))
+        return self._by_code
+
     def columns(self, codes: np.ndarray) -> np.ndarray:
         """The column of each feature code, -1 for a code that is no column."""
-        if self._by_code is None:
-            self._by_code = _code_index(
-                _code_pairs((name, k) for k, name in enumerate(self.names))
-            )
-        keys, columns = self._by_code
-        at = np.searchsorted(keys, codes)
+        keys, columns = self.code_index()
+        at = keys.searchsorted(codes)
         return np.where(keys[at] == codes, columns[at], -1)
 
     def transform(self, rows: CodeRows) -> CsrRows:
@@ -446,8 +451,9 @@ class SpanScorer:
     # how many labeled examples the model was trained on
     example_count: int = 0
     val_metrics: dict[str, float] = field(default_factory=dict)
-    # the weights and then a 0, which column -1 reads; built on first use
-    _padded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # the space's sorted codes and the weight of each, 0 for the sentinel;
+    # built on first use
+    _keyed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def score_spans(self, sentence: Sentence, spans) -> np.ndarray:
         """P(constituent) of each span, in closed form from per-token weights.
@@ -465,56 +471,63 @@ class SpanScorer:
         and the concat view adds both.  Every term but the pair is the
         weight of one entry of featurize's table, looked up once per
         token position; the pair's code is the sum of two entries, looked
-        up once per span.  A sentence never featurized gets a table that
-        is not kept.  This equals the dot product of the weights with the
-        span's feature row; only the order of the floating-point
-        additions differs.  The bounds of an _all_spans tuple are read
-        from its cached index arrays, those of any other span list from
-        its Span objects.
+        up once per span.  This equals the dot product of the weights with
+        the span's feature row; only the order of the floating-point
+        additions differs.  It is _group_scores for one sentence, whose
+        table, if it was never featurized, is not kept.
         """
-        if self.view not in (INSIDE, OUTSIDE, CONCAT):
-            raise ValueError(f"unknown view {self.view!r}")
         n = len(sentence)
-        if isinstance(spans, _SpanTuple):
-            i, j = spans.i, spans.j
-        else:
-            spans = list(spans)
-            i = np.fromiter((sp.i for sp in spans), dtype=np.intp, count=len(spans))
-            j = np.fromiter((sp.j for sp in spans), dtype=np.intp, count=len(spans))
+        pairs = None if isinstance(spans, _SpanTuple) else [(sp.i, sp.j) for sp in spans]
+        i, j = (spans.i, spans.j) if pairs is None else np.array(pairs, np.intp).reshape(-1, 2).T
         if len(i) and j.max() >= n:
             raise ValueError(f"span beyond the {n} tokens of sentence {sentence.id}")
         table = _TABLES.get(sentence)
         if table is None:
             table = _unkept_table(sentence.tokens)
-        z = np.full(len(i), self.bias, dtype=float)
+        return self._group_scores(table[None], i, j)[0]
+
+    def _group_scores(self, tables: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """score_spans of the spans (i, j) of each of B sentences of one
+        length, from their stacked (B, 12, n) tables: a (B, spans) array.
+        Each sentence's row is the same bits however many share the call."""
+        if self.view not in (INSIDE, OUTSIDE, CONCAT):
+            raise ValueError(f"unknown view {self.view!r}")
+        count, _, n = tables.shape
+        z = np.empty((count, len(i)))
+        z.fill(self.bias)
         if self.view in (INSIDE, CONCAT):
-            unigram, bigram, first, last, length, position = self._weights(
-                table[_UNIGRAM : _POSITION + 1]
-            )
-            unigrams = np.concatenate(([0.0], np.cumsum(unigram)))
-            bigrams = np.concatenate(([0.0], np.cumsum(bigram[:-1])))
-            z += unigrams[j + 1] - unigrams[i] + bigrams[j] - bigrams[i]
-            z += first[i]
-            z += last[j]
-            z += length[j - i]
-            z += position[i]
+            w = self._weights(tables[:, _UNIGRAM : _POSITION + 1].transpose(1, 0, 2))
+            # the prefix sums, each after a 0; the last bigram weighs 0 and
+            # its sum is never read
+            sums = np.zeros((2, count, n + 1))
+            w[:2].cumsum(axis=2, out=sums[:, :, 1:])
+            (unigrams, bigrams), (first, last, length, position) = sums, w[2:]
+            z += (unigrams[:, 1:].take(j, 1) - unigrams.take(i, 1)
+                  + bigrams.take(j, 1) - bigrams.take(i, 1))
+            z += first.take(i, 1)
+            z += last.take(j, 1)
+            z += length.take(j - i, 1)
+            z += position.take(i, 1)
         if self.view in (OUTSIDE, CONCAT):
-            left, right, bos, eos = self._weights(table[_LEFT : _EOS + 1])
-            z += left[i]
-            z += right[j]
-            z += self._weights(table[_PAIR, i] + table[_AFTER, j])
+            left, right, bos, eos = self._weights(tables[:, _LEFT : _EOS + 1].transpose(1, 0, 2))
+            z += left.take(i, 1)
+            z += right.take(j, 1)
+            z += self._weights(tables[:, _PAIR].take(i, 1) + tables[:, _AFTER].take(j, 1))
             # a flag that is off, code -1, reads weight 0
-            z += bos[i]
-            z += eos[j]
-        p = sigmoid(z)
+            z += bos.take(i, 1)
+            z += eos.take(j, 1)
+        p = sigmoid(z.ravel()).reshape(z.shape)
         np.maximum(p, PROB_EPS, out=p)
         return np.minimum(p, 1.0 - PROB_EPS, out=p)
 
     def _weights(self, codes: np.ndarray) -> np.ndarray:
         """The weight of each feature code: 0 for a code that is no column."""
-        if self._padded is None:
-            self._padded = np.append(self.weights, 0.0)
-        return self._padded[self.space.columns(codes)]
+        if self._keyed is None:
+            keys, columns = self.space.code_index()
+            self._keyed = keys, np.append(self.weights, 0.0)[columns]
+        keys, weights = self._keyed
+        at = keys.searchsorted(codes)
+        return np.where(keys[at] == codes, weights[at], 0.0)
 
 
 def _log_loss(probs: np.ndarray, y: np.ndarray) -> float:
@@ -522,12 +535,7 @@ def _log_loss(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def train(
-    examples,
-    corpus,
-    view: str,
-    meta: TrainingMeta | None = None,
-) -> SpanScorer:
+def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> SpanScorer:
     """Fit a logistic span classifier on labeled examples.
 
     Holds out 20% of the examples for validation, minimizes L2-penalized
@@ -570,15 +578,18 @@ def train(
     b = 0.0
     best = (np.inf, w.copy(), b)
     stale = 0
-    n = x_train.shape[0]
-    batch = meta.batch_size
+    n, dim = x_train.shape
+    step, l2, batch = meta.learning_rate, meta.l2, meta.batch_size
     row_len = np.diff(x_train.indptr)
-    # position of each row within its minibatch
+    # position of each row within its minibatch, the minibatches' row
+    # bounds, and the buffer of each step's weight decay
     batch_pos = np.arange(n) % batch
+    edges = [*range(0, n, batch), n]
+    decay = np.empty(dim)
     val_rows = np.repeat(np.arange(n_val), np.diff(x_val.indptr))
 
     def val_probs(w, b):
-        return sigmoid(_logits(val_rows, x_val.indices, x_val.data, n_val, w, b))
+        return sigmoid(np.bincount(val_rows, x_val.data * w[x_val.indices], minlength=n_val) + b)
 
     for _ in range(meta.epochs):
         # Lay the rows out in this epoch's order, so that each minibatch
@@ -591,24 +602,25 @@ def train(
         vals = x_train.data[entry]
         rows = np.repeat(batch_pos, counts)
         y = y_train[order]
-        for lo in range(0, n, batch):
-            hi = min(lo + batch, n)
-            c, v, r = (a[ptr[lo] : ptr[hi]] for a in (cols, vals, rows))
+        cuts = ptr[edges].tolist()
+        for lo, hi, start, end in zip(edges, edges[1:], cuts, cuts[1:]):
+            c, v, r = cols[start:end], vals[start:end], rows[start:end]
             # Row sums and column sums with np.bincount, which adds its
             # weights one at a time in input order: within a row in stored
-            # order, and into each column row by row.  A CSR product with
-            # w, and of the transpose with the residuals, adds in that same
-            # order, so the weights are the same bits as scipy's.
-            p = sigmoid(_logits(r, c, v, hi - lo, w, b))
-            resid = p - y[lo:hi]
-            grad_w = (
-                np.bincount(c, v * resid[r], minlength=space.dim) / (hi - lo)
-                + meta.l2 * w
-            )
+            # order, and into each column row by row, as a CSR product
+            # does, so the weights are the same bits as scipy's.  Each
+            # in-place step is an operation of w -= step * (g / size + l2 * w).
+            z = np.bincount(r, v * w[c], minlength=hi - lo)
+            z += b
+            resid = sigmoid(z)
+            resid -= y[lo:hi]
+            grad = np.bincount(c, v * resid[r], minlength=dim)
+            grad /= hi - lo
+            grad += np.multiply(l2, w, out=decay)
+            grad *= step
+            w -= grad
             # np.mean's bits, without its dispatch cost
-            grad_b = float(resid.sum()) / (hi - lo)
-            w -= meta.learning_rate * grad_w
-            b -= meta.learning_rate * grad_b
+            b -= step * (float(resid.sum()) / (hi - lo))
         if n_val == 0:
             continue
         val_loss = _log_loss(val_probs(w, b), y_val)
@@ -630,23 +642,14 @@ def train(
         yv = y_val.astype(int)
         metrics["val_loss"] = _log_loss(p_val, y_val)
         metrics["val_accuracy"] = float(np.mean(pred == yv))
+        # 2 tp / (2 tp + fp + fn), the predicted and the true positives
         tp = int(np.sum((pred == 1) & (yv == 1)))
-        fp = int(np.sum((pred == 1) & (yv == 0)))
-        fn = int(np.sum((pred == 0) & (yv == 1)))
-        metrics["val_f1"] = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
+        metrics["val_f1"] = 2 * tp / int(pred.sum() + yv.sum()) if tp else 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UndefinedMccWarning)
             metrics["val_mcc"] = compute_mcc(pred, yv)
 
-    return SpanScorer(
-        view=view,
-        space=space,
-        weights=w,
-        bias=float(b),
-        meta=meta,
-        example_count=len(examples),
-        val_metrics=metrics,
-    )
+    return SpanScorer(view, space, w, float(b), meta, len(examples), metrics)
 
 
 class _SpanTuple(tuple):
@@ -717,6 +720,11 @@ class Thresholds:
             raise ValueError(f"bad thresholds ({self.tau_min}, {self.tau_max})")
 
 
+# the most chart cells (n * n for an n-token sentence) confidence_pools
+# scores in one stacked fill, and so holds at once, with one sentence at least
+POOL_CELLS = 1 << 14
+
+
 def confidence_pools(model, corpus, thresholds: Thresholds):
     """Split every multi-token span into confident pools by score.
 
@@ -726,21 +734,36 @@ def confidence_pools(model, corpus, thresholds: Thresholds):
     Returns the constituent pool and then the distituent pool, each as
     two integer arrays: the position in corpus of each span's sentence
     and the span's index in that sentence's _all_spans.  Each pool lists
-    its spans in corpus order, then in _all_spans order.
+    its spans in corpus order, then in _all_spans order.  The corpus is
+    scored a length group at a time, in fills of at most POOL_CELLS
+    cells, one sentence per row: a SpanScorer scores a fill in one
+    _group_scores call, any other model by score_spans per sentence.
     """
-    hits: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
-    for sent in corpus:
-        spans = _all_spans(len(sent))
-        probs = np.asarray(model.score_spans(sent, spans)) if spans else np.empty(0)
-        hits[0].append(np.flatnonzero(probs > thresholds.tau_max))
-        hits[1].append(np.flatnonzero(probs < thresholds.tau_min))
-
-    def pool(per_sent: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        sent_pos = np.repeat(np.arange(len(per_sent)), [len(k) for k in per_sent])
-        span_idx = np.concatenate(per_sent) if per_sent else np.empty(0, dtype=np.intp)
-        return sent_pos, span_idx
-
-    return pool(hits[0]), pool(hits[1])
+    corpus = list(corpus)
+    groups: dict[int, list[int]] = {}
+    for pos, sent in enumerate(corpus):
+        groups.setdefault(len(sent), []).append(pos)
+    # each pool's hits, a fill at a time: corpus positions over span indices
+    hits = ([np.empty((2, 0), np.intp)], [np.empty((2, 0), np.intp)])
+    for n, positions in groups.items():
+        spans = _all_spans(n)
+        size = max(1, POOL_CELLS // (n * n))
+        for start in range(0, len(positions) if spans else 0, size):
+            chunk = positions[start : start + size]
+            sents = [corpus[pos] for pos in chunk]
+            if isinstance(model, SpanScorer):
+                _keep_tables(sents)
+                tables = np.stack([featurize(sent) for sent in sents])
+                probs = model._group_scores(tables, spans.i, spans.j)
+            else:
+                probs = np.array([model.score_spans(sent, spans) for sent in sents])
+            for found, sure in zip(hits, (probs > thresholds.tau_max, probs < thresholds.tau_min)):
+                rows, span_idx = np.nonzero(sure)
+                found.append(np.stack((np.take(chunk, rows), span_idx)))
+    # each fill's hits are in row-major order, so a stable sort by corpus
+    # position leaves each sentence's in _all_spans order
+    pools = [np.concatenate(found, axis=1) for found in hits]
+    return tuple(tuple(pool[:, np.argsort(pool[0], kind="stable")]) for pool in pools)
 
 
 def harvest(
@@ -773,20 +796,9 @@ def harvest(
 
 
 def select_confident(
-    model,
-    corpus,
-    thresholds: Thresholds,
-    c: int,
-    d: int,
-    rng_seed: int = 0,
+    model, corpus, thresholds: Thresholds, c: int, d: int, rng_seed: int = 0
 ) -> tuple[list[LabeledSpanExample], list[LabeledSpanExample]]:
-    """Sample pseudo-labeled spans from the extremes of the score range.
-
-    Every span of length >= 2 (whole sentences included) is scored; the
-    pools score > tau_max and score < tau_min are sampled as harvest
-    does, with default_rng(rng_seed), down to c and d items.  Warns when
-    a pool runs short.
-    """
+    """harvest's constituent and distituent samples, drawn with default_rng(rng_seed)."""
     const, dist, _ = harvest(model, corpus, thresholds, c, d, np.random.default_rng(rng_seed))
     return const, dist
 
@@ -801,10 +813,9 @@ def compute_mcc(predictions, labels) -> float:
     y = np.asarray(labels)
     if len(p) != len(y):
         raise LengthMismatch(f"{len(p)} predictions vs {len(y)} labels")
-    tp = int(np.count_nonzero((p == 1) & (y == 1)))
-    tn = int(np.count_nonzero((p == 0) & (y == 0)))
-    fp = int(np.count_nonzero((p == 1) & (y == 0)))
-    fn = int(np.count_nonzero((p == 0) & (y == 1)))
+    tp, tn, fp, fn = (
+        int(np.count_nonzero((p == a) & (y == b))) for a, b in ((1, 1), (0, 0), (1, 0), (0, 1))
+    )
     denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom_sq == 0:
         warnings.warn("MCC undefined: a marginal is zero", UndefinedMccWarning)
@@ -878,10 +889,7 @@ def load_model(path) -> SpanScorer:
         raise bad(f"bad field: {exc!r}") from exc
     # compared by identity, since 0 == False
     if retired[0] is not False or retired[1] is not None:
-        raise bad(
-            f"unsupported feature space inside_context={retired[0]!r} "
-            f"hash_dim={retired[1]!r}"
-        )
+        raise bad("unsupported feature space inside_context={!r} hash_dim={!r}".format(*retired))
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise bad("feature names are not a list of strings")
     space = FeatureSpace(names=names)
@@ -891,12 +899,4 @@ def load_model(path) -> SpanScorer:
         raise bad(f"{weights.size} weights for {space.dim} feature columns")
     if not (np.all(np.isfinite(weights)) and np.isfinite(bias)):
         raise bad("non-finite weights")
-    return SpanScorer(
-        view=view,
-        space=space,
-        weights=weights,
-        bias=bias,
-        meta=meta,
-        example_count=example_count,
-        val_metrics=val_metrics,
-    )
+    return SpanScorer(view, space, weights, bias, meta, example_count, val_metrics)

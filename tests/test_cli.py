@@ -18,6 +18,7 @@ from bootparse.decoder import (
     heuristics_from_corpus,
 )
 from bootparse.evaluation import right_branching_spans
+from bootparse.loops import IterationRecord, LoopTrace
 from bootparse.scorer import load_model, score_chart
 from bootparse.treebank import BinaryTree, read_corpus
 
@@ -1128,6 +1129,71 @@ def test_report_bad_input_file_is_exit_2(tmp_path, capsys, name, text, where):
     assert main(["report", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert str(folder / name) in err and where in err
+    assert "internal error" not in err
+
+
+def test_report_shows_pools_and_flags_empty_harvests(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    (tmp_path / "models").mkdir()
+    trace = LoopTrace(records=(
+        IterationRecord(0, 4, 0, {"inside_distituent": 0, "inside_constituent": 7},
+                        {"constituent": 0, "distituent": 0}, {"inside": {"val_loss": 0.5}}),
+        IterationRecord(1, 6, 0, {"inside_constituent": 7, "inside_distituent": 3},
+                        {"constituent": 0, "distituent": 2}, {"inside": {}}),
+    ))
+    (tmp_path / "models" / "self_trace.jsonl").write_text(trace.to_jsonl())
+    assert main(["report", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "self-training trace (2 iterations):",
+        '  iter 0: |I|=4 |O|=0 pools={"inside_constituent": 7, "inside_distituent": 0} '
+        'selected={"constituent": 0, "distituent": 0} metrics={"inside": {"val_loss": 0.5}}'
+        "  [harvest selected nothing]",
+        '  iter 1: |I|=6 |O|=0 pools={"inside_constituent": 7, "inside_distituent": 3} '
+        'selected={"constituent": 0, "distituent": 2} metrics={"inside": {}}',
+    ]
+
+
+TRACE_RECORD = {
+    "iteration": 0, "inside_size": 4, "outside_size": 5,
+    "pools": {"inside_constituent": 7}, "selected": {"from_inside": 2},
+    "metrics": {"inside": {"val_loss": 0.5}},
+}
+
+
+@pytest.mark.parametrize(
+    "field, raw",
+    [("metrics", "[]"), ("metrics", '{"inside": 0.5}'), ("metrics", '{"inside": {"val_f1": NaN}}'),
+     ("metrics", '{"inside": {"val_f1": true}}'), ("metrics", '{"inside": {"val_f1": "0.5"}}'),
+     ("pools", "3"), ("pools", '{"inside_constituent": 1.5}'), ("selected", '{"from_inside": -1}'),
+     ("selected", "null"), ("inside_size", "1e400"), ("inside_size", "NaN"),
+     ("outside_size", "-1"), ("iteration", "true"), ("iteration", "2.0")],
+)
+def test_report_bad_trace_record_is_exit_2(tmp_path, capsys, field, raw):
+    cfg = write_config(tmp_path)
+    (tmp_path / "models").mkdir()
+    path = tmp_path / "models" / "co_trace.jsonl"
+    good = json.dumps(TRACE_RECORD)
+    bad = json.dumps({k: v for k, v in TRACE_RECORD.items() if k != field})[:-1]
+    path.write_text(f"{good}\n{bad}, \"{field}\": {raw}}}\n")
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"trace file {path}: line 2: " in err and field in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("key", ["f1", "precision", "recall"])
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "1e400", "true", '"0.5"', "null"])
+def test_report_bad_report_score_is_exit_2(tmp_path, capsys, key, raw):
+    cfg = write_config(tmp_path)
+    (tmp_path / "reports").mkdir()
+    path = tmp_path / "reports" / "report.json"
+    scores = {"f1": "0.5", "precision": "0.5", "recall": "0.5", key: raw}
+    path.write_text(
+        '{"mode": "macro_sentence", ' + ", ".join(f'"{k}": {v}' for k, v in scores.items()) + "}"
+    )
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"report file {path}: " in err and key in err
     assert "internal error" not in err
 
 

@@ -35,7 +35,6 @@ from bootparse.scorer import (
     Thresholds,
     TrainingMeta,
     _all_spans,
-    _length_bin,
     compute_mcc,
     example_rows,
     harvest,
@@ -70,6 +69,11 @@ def score_span(model, sentence, span):
 
 
 # --- the per-span feature dicts, the reference for the id path ---
+
+
+def _length_bin(length):
+    """The len= bin of a span length, as its name reads it."""
+    return scorer._LENGTH_BINS[int(scorer._bin_start(length))]
 
 
 def featurize(sentence, span, view):
@@ -715,6 +719,203 @@ def test_feature_table_lives_as_long_as_its_sentence():
     assert gone() is None
 
 
+# --- length groups against per-sentence references ---
+
+
+def reference_table(tokens):
+    """featurize's table of one sentence, built on its own."""
+    n = len(tokens)
+    ids = np.array([scorer._token_id(tok) for tok in tokens], dtype=np.int64)
+    before = np.concatenate(([0], ids[:-1]))
+    after = np.concatenate((ids[1:], [1]))
+    k = np.arange(n)
+    base = scorer._BASE
+    table = np.zeros((scorer._AFTER + 1, n), dtype=np.int64)
+    table[[scorer._UNIGRAM, scorer._FIRST, scorer._LAST]] = ids
+    table[scorer._BIGRAM, :-1] = ids[:-1] * base + ids[1:]
+    table[scorer._LENGTH] = [max(m for m in (1, 2, 3, 4, 5, 6, 9, 13) if m <= x) for x in k + 1]
+    table[scorer._POSITION] = np.minimum(3, 4 * k // n)
+    table[scorer._LEFT] = before
+    table[scorer._RIGHT] = after
+    table[scorer._PAIR] = before * base
+    table[: scorer._AFTER] += np.arange(scorer._AFTER)[:, None] * (base * base)
+    table[scorer._AFTER] = after
+    table[scorer._BIGRAM, -1] = -1
+    table[scorer._BOS, before != 0] = -1
+    table[scorer._EOS, after != 1] = -1
+    return table
+
+
+def reference_sentence_scores(model, table, i, j):
+    """The closed form of score_spans, one sentence at a time, with the
+    additions in the order the group core makes them."""
+    padded = np.append(model.weights, 0.0)
+
+    def weights(codes):
+        return padded[model.space.columns(codes)]
+
+    z = np.full(len(i), model.bias, dtype=float)
+    if model.view in (INSIDE, CONCAT):
+        unigram, bigram, first, last, length, position = weights(
+            table[scorer._UNIGRAM : scorer._POSITION + 1]
+        )
+        unigrams = np.concatenate(([0.0], np.cumsum(unigram)))
+        bigrams = np.concatenate(([0.0], np.cumsum(bigram[:-1])))
+        z += unigrams[j + 1] - unigrams[i] + bigrams[j] - bigrams[i]
+        z += first[i]
+        z += last[j]
+        z += length[j - i]
+        z += position[i]
+    if model.view in (OUTSIDE, CONCAT):
+        left, right, bos, eos = weights(table[scorer._LEFT : scorer._EOS + 1])
+        z += left[i]
+        z += right[j]
+        z += weights(table[scorer._PAIR, i] + table[scorer._AFTER, j])
+        z += bos[i]
+        z += eos[j]
+    return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
+
+
+def length_groups(seed, sizes=(1, 2, 9)):
+    """For each length 1-40, groups of each size of random sentences over
+    the parity vocabulary, tokens no model saw and literal sentinels."""
+    rng = np.random.default_rng(seed)
+    vocab = PARITY_VOCAB + ["unseen", "un|seen", "|x|", BOS, EOS]
+    return [
+        [random_tokens(rng, vocab, n) for _ in range(size)]
+        for n in range(1, 41)
+        for size in sizes
+    ]
+
+
+def test_group_tables_match_per_sentence_tables():
+    for group in length_groups(seed=12):
+        tables = scorer._feature_tables(group)
+        assert not tables.flags.writeable
+        assert np.array_equal(tables, np.stack([reference_table(t) for t in group]))
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_group_scores_match_per_sentence_reference(view):
+    # every span of each sentence, the multi-token spans and a random
+    # span list with repeats, to the bit, in groups of 1, 2 and 9
+    model = random_model(view, seed=13)
+    rng = np.random.default_rng(14)
+    for group in length_groups(seed=15):
+        n = len(group[0])
+        tables = scorer._feature_tables(group)
+        picks = rng.integers(0, n, (2, 3 * n))
+        for i, j in (
+            (_all_spans(n, 1).i, _all_spans(n, 1).j),
+            (_all_spans(n).i, _all_spans(n).j),
+            (picks.min(axis=0), picks.max(axis=0)),
+        ):
+            got = model._group_scores(tables, i, j)
+            assert got.shape == (len(group), len(i))
+            for row, tokens in zip(got, group):
+                want = reference_sentence_scores(model, reference_table(tokens), i, j)
+                assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_score_spans_is_a_group_of_one(view):
+    model = random_model(view, seed=16)
+    for group in length_groups(seed=17, sizes=(3,)):
+        sentences = [Sentence(id=k, tokens=tokens) for k, tokens in enumerate(group)]
+        spans = _all_spans(len(group[0]), 1)
+        got = model._group_scores(scorer._feature_tables(group), spans.i, spans.j)
+        for s, row in zip(sentences, got):
+            assert np.array_equal(model.score_spans(s, spans).view(np.int64), row.view(np.int64))
+
+
+def test_group_tables_live_as_long_as_their_sentences():
+    # three sentences of one length featurized as one group: each table
+    # is an array of its own, and goes with its sentence alone
+    group = [sent(k, f"w{k} x y") for k in range(3)] + [sent(3, "a b")]
+    rows = example_rows(
+        [LabeledSpanExample(s.id, Span(0, 1), CONSTITUENT, INSIDE) for s in group],
+        {s.id: s for s in group}, INSIDE,
+    )
+    assert len(rows.indptr) == 5
+    tables = [scorer.featurize(s) for s in group]
+    for table, s in zip(tables, group):
+        assert table.base is None and not table.flags.writeable
+        assert np.array_equal(table, reference_table(s.tokens))
+    assert not np.shares_memory(tables[0], tables[1])
+    refs = [weakref.ref(table) for table in tables]
+    del tables, table, s, rows
+    del group[1]
+    assert refs[1]() is None
+    assert all(ref() is not None for k, ref in enumerate(refs) if k != 1)
+    assert scorer.featurize(group[0]) is refs[0]()
+    assert scorer.featurize(group[1]) is refs[2]()
+
+
+@dataclass
+class ScoresOnly:
+    """A model with nothing but score_spans, which it takes from another."""
+
+    model: SpanScorer
+    calls: int = 0
+
+    @property
+    def view(self):
+        return self.model.view
+
+    def score_spans(self, sentence, spans):
+        self.calls += 1
+        return self.model.score_spans(sentence, list(spans))
+
+
+def reference_pools(model, corpus, thresholds):
+    """confidence_pools one sentence at a time, in corpus order."""
+    hits = ([], [])
+    for pos, s in enumerate(corpus):
+        spans = _all_spans(len(s))
+        probs = model.score_spans(s, spans) if spans else np.empty(0)
+        for found, sure in zip(hits, (probs > thresholds.tau_max, probs < thresholds.tau_min)):
+            found += [(pos, k) for k in np.flatnonzero(sure).tolist()]
+    return [np.array(found, dtype=np.intp).reshape(-1, 2).T for found in hits]
+
+
+def mixed_corpus(seed):
+    """Shuffled sentences of lengths 1-40, some lengths often, one once."""
+    rng = np.random.default_rng(seed)
+    lengths = [1, 1, 2, 40, 23] + [int(n) for n in rng.integers(2, 13, 120)]
+    corpus = [
+        Sentence(id=k, tokens=random_tokens(rng, PARITY_VOCAB + ["unseen"], n))
+        for k, n in enumerate(lengths)
+    ]
+    return [corpus[k] for k in rng.permutation(len(corpus))]
+
+
+@pytest.mark.parametrize("cells", [1, 64, scorer.POOL_CELLS])
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
+def test_confidence_pools_match_per_sentence_reference(monkeypatch, view, cells):
+    # fills of one sentence, of a few and of whole groups, for a scorer
+    # and for a model that has only score_spans
+    monkeypatch.setattr(scorer, "POOL_CELLS", cells)
+    model = random_model(view, seed=18)
+    corpus = mixed_corpus(seed=19)
+    th = Thresholds(tau_min=0.5, tau_max=0.8)
+    want = reference_pools(model, corpus, th)
+    assert all(len(sent_pos) for sent_pos, _ in want)
+    scores_only = ScoresOnly(model)
+    for scoring in (model, scores_only):
+        got = scorer.confidence_pools(scoring, corpus, th)
+        for (sent_pos, span_idx), (want_pos, want_idx) in zip(got, want):
+            assert sent_pos.tolist() == want_pos.tolist()
+            assert span_idx.tolist() == want_idx.tolist()
+    assert scores_only.calls == sum(len(s) > 1 for s in corpus)
+
+
+def test_confidence_pools_of_one_token_sentences_are_empty():
+    model = random_model(INSIDE, seed=18)
+    for corpus in ([], [sent(0, "a"), sent(1, "b")]):
+        for sent_pos, span_idx in scorer.confidence_pools(model, corpus, Thresholds(0.4, 0.6)):
+            assert sent_pos.shape == span_idx.shape == (0,)
+
+
 # --- feature-id rows against the feature dicts ---
 
 # b=a|b|c twice from two different bigrams, and literal sentinels
@@ -961,6 +1162,27 @@ def test_train_matches_sparse_minibatch_loop_without_validation(view, batch_size
     assert model.val_metrics == {}
     w, b, _ = reference_train(examples, corpus, view, meta)
     assert np.array_equal(model.weights, w)
+    assert model.bias == b
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
+def test_train_matches_sparse_minibatch_loop_when_exp_overflows(monkeypatch, view):
+    # a large learning rate drives logits below -709.78, where exp(-z)
+    # overflows and sigmoid reads 0, as expit does
+    lowest = []
+
+    def watched(z):
+        lowest.append(float(np.min(z, initial=np.inf)))
+        return sigmoid(z)
+
+    monkeypatch.setattr(scorer, "sigmoid", watched)
+    corpus, examples = repetitive_examples(view, 150)
+    meta = TrainingMeta(batch_size=7, learning_rate=400.0, rng_seed=2)
+    model = train(examples, corpus, view, meta)
+    assert min(lowest) < -710
+    w, b, _ = reference_train(examples, corpus, view, meta)
+    assert np.all(np.isfinite(w))
+    assert np.array_equal(model.weights.view(np.int64), w.view(np.int64))
     assert model.bias == b
 
 
