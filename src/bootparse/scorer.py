@@ -10,19 +10,19 @@ A feature is one integer code: its template and the process-wide id of
 its token, or of its two tokens for the bigram b=x|y and the outside
 view's pair lr=x_{i-1}|x_{j+1}, or the fixed code of a length bin,
 position bucket or sentinel flag; _name and _codes are the only places
-a name is built or read.  A sentence trained on is featurized once, into
-a table of codes per token position (featurize).  Training gathers the
+a name is built or read.  featurize turns a length group of sentences
+into stacked tables of codes, one column per token position, and keeps
+nothing: each reader builds the tables it reads.  Training gathers the
 example rows from those tables (example_rows) and numbers the columns
 by the names of the codes (FeatureSpace), so the columns, the saved
 names and the weights never depend on the ids; train runs minibatch
-gradient steps with numpy alone.  Tables are built a length group at
-a time, each kept as its sentence's own array.  Scoring builds no name:
-the model is linear over indicators, so one core (_group_scores) takes
-the stacked tables of a length group, looks each weight up by code once
-per token position, the pair's once per span, and sums them per span
-with numpy.  confidence_pools scores each length group in one call;
-score_spans, which parse's charts call, is a group of one.  The spans
-of a sentence length and their index arrays are built once (_all_spans).
+gradient steps with numpy alone.  Scoring builds no name: the model is
+linear over indicators, so one core (_group_scores) takes the stacked
+tables of a length group, looks each weight up by code once per token
+position, the pair's once per span, and sums them per span with numpy.
+confidence_pools scores each length group in one call; score_spans,
+which parse's charts call, is a group of one.  The spans of a sentence
+length and their index arrays are built once (_all_spans).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import functools
 import json
 import math
 import warnings
-import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -185,8 +184,18 @@ def _codes(name: str) -> list[int]:
     return [base + _token_id(key)]
 
 
-def _feature_tables(group) -> np.ndarray:
-    """featurize's tables of same-length token tuples, stacked (B, 12, n), read-only."""
+def featurize(group) -> np.ndarray:
+    """Feature codes of the token positions of same-length token tuples,
+    as their stacked (B, 12, n) tables, read-only.
+
+    A span (i, j) has, under the inside view, the unigrams and bigrams
+    of x_i .. x_j and the first, last, length and position features of
+    its bounds; under the outside view the left and right borders
+    x_{i-1} and x_{j+1}, the bos and eos flags, and the pair feature
+    lr=x_{i-1}|x_{j+1}; the concat view has both.  A table's rows are
+    listed above.  Nothing is kept: example_rows and confidence_pools
+    build the tables they read a length group at a time.
+    """
     # each sentence's token ids between the sentinels' ids, 0 and 1
     edged = np.array([[0, *map(_token_id, tokens), 1] for tokens in group], dtype=np.int64)
     before, ids, after = edged[:, :-2], edged[:, 1:-1], edged[:, 2:]
@@ -209,46 +218,13 @@ def _feature_tables(group) -> np.ndarray:
     return tables
 
 
-# each live sentence's featurize table
-_TABLES: weakref.WeakKeyDictionary[Sentence, np.ndarray] = weakref.WeakKeyDictionary()
-
-
-def _keep_tables(sentences) -> None:
-    """Keep a featurize table for each sentence without one, built a
-    length group at a time and copied out into an array of its own."""
-    groups: dict[int, list[Sentence]] = {}
-    for sent in sentences:
-        if sent not in _TABLES:
-            groups.setdefault(len(sent), []).append(sent)
-    for group in groups.values():
-        for sent, table in zip(group, _feature_tables([sent.tokens for sent in group])):
-            _TABLES[sent] = table = table.copy()
-            table.flags.writeable = False
-
-
-def featurize(sentence: Sentence) -> np.ndarray:
-    """Feature codes of a sentence's token positions, as a table.
-
-    A span (i, j) has, under the inside view, the unigrams and bigrams
-    of x_i .. x_j and the first, last, length and position features of
-    its bounds; under the outside view the left and right borders
-    x_{i-1} and x_{j+1}, the bos and eos flags, and the pair feature
-    lr=x_{i-1}|x_{j+1}; the concat view has both.  The table's rows are
-    listed above.  It is kept for as long as the sentence object lives,
-    so a corpus is featurized once however often it is trained on and
-    rescored, and its tables go when it goes; example_rows and
-    confidence_pools build theirs by length group (_keep_tables).
-    SpanScorer.score_spans reads the kept table if there is one.
-    """
-    if sentence not in _TABLES:
-        _keep_tables([sentence])
-    return _TABLES[sentence]
-
-
-# The table of the last sentence scored that was never featurized, such
-# as parse input, for the second model of a pair; it is not kept past
-# the next one.  Token ids never change, so it never goes stale.
-_unkept_table = functools.lru_cache(maxsize=1)(lambda tokens: _feature_tables([tokens])[0])
+# The table of the last sentence score_spans scored, a group of one.
+# score_chart scores each sentence with both models of a pair, and
+# building the table again for the second costs about 50 us a sentence:
+# the pair charts of the 2,000 quick-start sentences took 0.31 s in
+# place of 0.20 s, in a 0.9 s parse.  Token ids never change, so the
+# table never goes stale.
+_last_table = functools.lru_cache(maxsize=1)(lambda tokens: featurize([tokens]))
 
 
 @dataclass(frozen=True)
@@ -299,11 +275,21 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
     if not bounds:
         return CodeRows(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
-    _keep_tables(sents)
-    tables = [featurize(sent) for sent in sents]
-    slot, i, j = np.array(bounds, dtype=np.intp).T
-    offsets = np.cumsum([0] + [t.shape[1] for t in tables[:-1]])[slot]
+    # the tables of each length group side by side, one sentence's
+    # columns after another's: sentence slot's start at offsets[slot]
+    groups: dict[int, list[int]] = {}
+    for slot, sent in enumerate(sents):
+        groups.setdefault(len(sent), []).append(slot)
+    offsets = np.empty(len(sents), dtype=np.intp)
+    tables, width = [], 0
+    for n, group in groups.items():
+        stacked = featurize([sents[s].tokens for s in group])
+        tables.append(stacked.transpose(1, 0, 2).reshape(_AFTER + 1, -1))
+        offsets[group] = width + n * np.arange(len(group))
+        width += n * len(group)
     table = np.concatenate(tables, axis=1)
+    slot, i, j = np.array(bounds, dtype=np.intp).T
+    offsets = offsets[slot]
     first, last = offsets + i, offsets + j
     one = np.ones_like(i)
     pieces = []
@@ -473,18 +459,14 @@ class SpanScorer:
         token position; the pair's code is the sum of two entries, looked
         up once per span.  This equals the dot product of the weights with
         the span's feature row; only the order of the floating-point
-        additions differs.  It is _group_scores for one sentence, whose
-        table, if it was never featurized, is not kept.
+        additions differs.  It is _group_scores for one sentence.
         """
         n = len(sentence)
         pairs = None if isinstance(spans, _SpanTuple) else [(sp.i, sp.j) for sp in spans]
         i, j = (spans.i, spans.j) if pairs is None else np.array(pairs, np.intp).reshape(-1, 2).T
         if len(i) and j.max() >= n:
             raise ValueError(f"span beyond the {n} tokens of sentence {sentence.id}")
-        table = _TABLES.get(sentence)
-        if table is None:
-            table = _unkept_table(sentence.tokens)
-        return self._group_scores(table[None], i, j)[0]
+        return self._group_scores(_last_table(sentence.tokens), i, j)[0]
 
     def _group_scores(self, tables: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """score_spans of the spans (i, j) of each of B sentences of one
@@ -573,6 +555,8 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     space = FeatureSpace().fit(train_codes)
     x_train = space.transform(train_codes)
     x_val = space.transform(val_codes)
+    # the code rows are read no more: free them before the epochs
+    del train_codes, val_codes
 
     w = np.zeros(space.dim)
     b = 0.0
@@ -752,8 +736,7 @@ def confidence_pools(model, corpus, thresholds: Thresholds):
             chunk = positions[start : start + size]
             sents = [corpus[pos] for pos in chunk]
             if isinstance(model, SpanScorer):
-                _keep_tables(sents)
-                tables = np.stack([featurize(sent) for sent in sents])
+                tables = featurize([sent.tokens for sent in sents])
                 probs = model._group_scores(tables, spans.i, spans.j)
             else:
                 probs = np.array([model.score_spans(sent, spans) for sent in sents])

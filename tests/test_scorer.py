@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -610,7 +609,7 @@ def test_codes_and_names_round_trip(tokens):
     # every code of a table, the pair of every two borders included, is
     # among the codes of its name, and a bigram or pair name has one
     # code per "|" of its key, any other name one code
-    table = scorer.featurize(Sentence(id=0, tokens=tuple(tokens)))
+    table = scorer.featurize([tuple(tokens)])[0]
     pairs = table[scorer._PAIR][:, None] + table[scorer._AFTER][None, :]
     codes = np.concatenate((table[: scorer._AFTER].ravel(), pairs.ravel()))
     for code in codes[codes >= 0].tolist():
@@ -629,7 +628,7 @@ def test_name_has_one_code_but_bar_bigrams_and_pairs():
     rng = np.random.default_rng(3)
     fixed = set()
     for n in range(1, 41):
-        table = scorer.featurize(Sentence(id=n, tokens=random_tokens(rng, PARITY_VOCAB, n)))
+        table = scorer.featurize([random_tokens(rng, PARITY_VOCAB, n)])[0]
         pairs = table[scorer._PAIR][:, None] + table[scorer._AFTER][None, :]
         codes = np.concatenate((table[: scorer._AFTER].ravel(), pairs.ravel()))
         for code in codes[codes >= 0].tolist():
@@ -663,6 +662,25 @@ def test_score_chart_pair_matches_feature_path(renormalize):
         cells = score_chart((m_in, m_out), s, renormalize=renormalize).cells
         assert np.max(np.abs(cells[np.triu_indices(n)] - want)) <= 1e-12
         assert not np.any(np.tril(cells, -1))
+
+
+def test_score_chart_pair_builds_one_table_per_sentence(monkeypatch):
+    # both models of a pair read the table score_spans built last, so a
+    # parse builds each sentence's table once, scored again or not
+    built = []
+    featurize = scorer.featurize
+
+    def counted(group):
+        built.append(list(group))
+        return featurize(group)
+
+    monkeypatch.setattr(scorer, "featurize", counted)
+    pair = (random_model(INSIDE, seed=1), random_model(OUTSIDE, seed=2))
+    sentences = [sent(k, f"once{k} a b") for k in range(3)] + [sent(3, "once0 a")]
+    for s in sentences:
+        score_chart(pair, s)
+        score_chart(pair, s, renormalize=True)
+    assert built == [[s.tokens] for s in sentences]
 
 
 def test_score_spans_rejects_span_beyond_sentence():
@@ -707,16 +725,6 @@ def test_all_spans_one_cache_entry_per_table():
     assert _all_spans(3, 1) == (
         Span(0, 0), Span(0, 1), Span(0, 2), Span(1, 1), Span(1, 2), Span(2, 2)
     )
-
-
-def test_feature_table_lives_as_long_as_its_sentence():
-    s = sent(0, "x y z")
-    table = scorer.featurize(s)
-    assert scorer.featurize(s) is table
-    assert not table.flags.writeable
-    gone = weakref.ref(table)
-    del s, table
-    assert gone() is None
 
 
 # --- length groups against per-sentence references ---
@@ -790,7 +798,7 @@ def length_groups(seed, sizes=(1, 2, 9)):
 
 def test_group_tables_match_per_sentence_tables():
     for group in length_groups(seed=12):
-        tables = scorer._feature_tables(group)
+        tables = scorer.featurize(group)
         assert not tables.flags.writeable
         assert np.array_equal(tables, np.stack([reference_table(t) for t in group]))
 
@@ -803,7 +811,7 @@ def test_group_scores_match_per_sentence_reference(view):
     rng = np.random.default_rng(14)
     for group in length_groups(seed=15):
         n = len(group[0])
-        tables = scorer._feature_tables(group)
+        tables = scorer.featurize(group)
         picks = rng.integers(0, n, (2, 3 * n))
         for i, j in (
             (_all_spans(n, 1).i, _all_spans(n, 1).j),
@@ -823,32 +831,9 @@ def test_score_spans_is_a_group_of_one(view):
     for group in length_groups(seed=17, sizes=(3,)):
         sentences = [Sentence(id=k, tokens=tokens) for k, tokens in enumerate(group)]
         spans = _all_spans(len(group[0]), 1)
-        got = model._group_scores(scorer._feature_tables(group), spans.i, spans.j)
+        got = model._group_scores(scorer.featurize(group), spans.i, spans.j)
         for s, row in zip(sentences, got):
             assert np.array_equal(model.score_spans(s, spans).view(np.int64), row.view(np.int64))
-
-
-def test_group_tables_live_as_long_as_their_sentences():
-    # three sentences of one length featurized as one group: each table
-    # is an array of its own, and goes with its sentence alone
-    group = [sent(k, f"w{k} x y") for k in range(3)] + [sent(3, "a b")]
-    rows = example_rows(
-        [LabeledSpanExample(s.id, Span(0, 1), CONSTITUENT, INSIDE) for s in group],
-        {s.id: s for s in group}, INSIDE,
-    )
-    assert len(rows.indptr) == 5
-    tables = [scorer.featurize(s) for s in group]
-    for table, s in zip(tables, group):
-        assert table.base is None and not table.flags.writeable
-        assert np.array_equal(table, reference_table(s.tokens))
-    assert not np.shares_memory(tables[0], tables[1])
-    refs = [weakref.ref(table) for table in tables]
-    del tables, table, s, rows
-    del group[1]
-    assert refs[1]() is None
-    assert all(ref() is not None for k, ref in enumerate(refs) if k != 1)
-    assert scorer.featurize(group[0]) is refs[0]()
-    assert scorer.featurize(group[1]) is refs[2]()
 
 
 @dataclass
@@ -1017,7 +1002,7 @@ def fit_all(corpus, examples, tag=None):
 def intern_unrelated():
     other, other_examples = corpus_and_examples(["z", "c", "b", "y", "a", "b|c"], 1)
     for s in other:
-        featurize(Sentence(id=s.id, tokens=s.tokens[::-1]))
+        featurize([s.tokens[::-1]])
     fit_all(other, other_examples)
 
 corpus, examples = corpus_and_examples(["a", "b", "c", "a|b", "<s>"], 0)
