@@ -55,7 +55,13 @@ from .evaluation import (
 from .external import ExternalScorer
 from .loops import LoopTrace, co_train, self_train
 from .scorer import INSIDE, OUTSIDE, load_model, save_model, score_chart, train
-from .seeds import casing_copy_sentences, generate_seeds, read_seed_file, write_seed_file
+from .seeds import (
+    VIEW_CODES,
+    casing_copy_sentences,
+    generate_seeds,
+    read_seed_file,
+    write_seed_file,
+)
 from .synth import SyntheticGrammar, builtin_grammar, generate_corpus
 from .treebank import (
     binary_from_tree,
@@ -218,14 +224,19 @@ def _training_inputs(args):
 def _read_examples(path, sentences, view: str):
     """Read a seed file of spans inside known sentences, labeled in view."""
     examples = read_seed_file(path)
+    sid, _, j, _, views = examples.columns
     lengths = {sent.id: len(sent) for sent in sentences}
-    for ex in examples:
-        inside = ex.span.j < lengths.get(ex.sentence_id, 0)
-        if not inside or ex.view != view:
-            why = f"has view {ex.view!r}, expected {view!r}" if inside else "is outside the corpus"
-            raise MalformedFile(
-                f"{path}: span ({ex.span.i}, {ex.span.j}) of sentence {ex.sentence_id} {why}"
-            )
+    # bools even when the columns hold Python ints
+    inside = (j < np.array([lengths.get(key, 0) for key in sid.tolist()])).astype(bool)
+    wrong = np.flatnonzero(~inside | (views != VIEW_CODES[view]))
+    if len(wrong):
+        ex = examples[wrong[0]]
+        why = "is outside the corpus"
+        if inside[wrong[0]]:
+            why = f"has view {ex.view!r}, expected {view!r}"
+        raise MalformedFile(
+            f"{path}: span ({ex.span.i}, {ex.span.j}) of sentence {ex.sentence_id} {why}"
+        )
     return examples
 
 

@@ -7,6 +7,13 @@ scorer.harvest and adds the new examples to a labeled set.
 Self-training grows the inside view alone and derives the outside view
 once at the end; co-training passes confident spans back and forth
 between the views, accumulating both labeled sets.
+
+A labeled set is a LabeledSet, integer columns with no object per
+example, and _union adds new examples to it by comparing columns.  A
+set keeps the feature-code rows training built for it, and a grown set
+keeps those of the set it grew from, so each example's row is built
+once per loop run: train builds the rows of the examples it has not
+seen and picks each retrain's training and validation rows from them.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, check_bool, check_int, check_number
+from .errors import EmptyCorpus, SingleClassInput, check_bool, check_int, check_number
 from .scorer import Thresholds, TrainingMeta, harvest, train
-from .seeds import CONCAT, INSIDE, OUTSIDE, LabeledSpanExample
+from .seeds import CONCAT, CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, VIEW_CODES, LabeledSet
 
 
 @dataclass(frozen=True)
@@ -148,8 +155,8 @@ class LoopResult:
     m_in: object
     m_out: object
     trace: LoopTrace
-    inside_examples: tuple[LabeledSpanExample, ...]
-    outside_examples: tuple[LabeledSpanExample, ...]
+    inside_examples: LabeledSet
+    outside_examples: LabeledSet
 
     def __iter__(self):
         return iter((self.m_in, self.m_out, self.trace))
@@ -173,26 +180,48 @@ def _merge_corpora(*corpora):
     return list(seen.values())
 
 
-def _with_view(example: LabeledSpanExample, view: str) -> LabeledSpanExample:
-    if example.view == view:
-        return example
-    return LabeledSpanExample(example.sentence_id, example.span, example.label, view)
+def _in_view(labeled: LabeledSet, view: str) -> LabeledSet:
+    """The examples of labeled, all in view."""
+    columns = labeled.columns.copy()
+    columns[4] = VIEW_CODES[view]
+    return LabeledSet(columns)
 
 
-def _grow(labeled, view: str, model, pool_sents, cfg: LoopConfig, stream: int, k: int):
+def _union(labeled: LabeledSet, new: LabeledSet) -> LabeledSet:
+    """labeled as it is, then each example of new, in order, that neither
+    labeled nor an earlier example of new holds.
+
+    An example is its five columns, label and view included.  The grown
+    set keeps the rows labeled kept for training.
+    """
+    both = np.concatenate((labeled.columns, new.columns), axis=1)
+    # a stable sort puts equal examples together in the order they come
+    order = np.lexsort(both[::-1])
+    ranked = both[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    fresh = np.empty_like(first)
+    fresh[order] = first
+    grown = LabeledSet(np.concatenate(
+        (labeled.columns, new.columns[:, fresh[len(labeled):]]), axis=1
+    ))
+    grown.rows = labeled.rows
+    return grown
+
+
+def _grow(labeled: LabeledSet, view: str, model, pool_sents, cfg: LoopConfig, stream: int, k: int):
     """Harvest c constituents and d distituents and add them to labeled.
 
     The harvest draws from its own RNG stream, (rng_seed, stream,
     iteration k), and its examples join labeled in view, after it and in
-    sample order, unless already there.  Returns the grown list, the
-    pool sizes keyed by the model's view and the class, and the sample
-    size of each class before duplicates were dropped.
+    sample order, unless already there (_union).  Returns the grown set,
+    the pool sizes keyed by the model's view and the class, and the
+    sample size of each class before duplicates were dropped.
     """
     rng = np.random.default_rng((cfg.rng_seed, stream, k))
     const, dist, (n_const, n_dist) = harvest(model, pool_sents, cfg.thresholds, cfg.c, cfg.d, rng)
-    seen = set(labeled)
-    new = (_with_view(ex, view) for ex in const + dist)
-    grown = [*labeled, *dict.fromkeys(ex for ex in new if ex not in seen)]
+    new = LabeledSet(np.concatenate((const.columns, dist.columns), axis=1))
+    grown = _union(labeled, _in_view(new, view))
     pools = {f"{model.view}_constituent": n_const, f"{model.view}_distituent": n_dist}
     return grown, pools, {"constituent": len(const), "distituent": len(dist)}
 
@@ -216,20 +245,29 @@ def self_train(
     and the outside classifier is trained on them once.
 
     The replacement update means seed examples are gone after one
-    iteration; a SelfTrainConfig with accumulate=True keeps them.  With
-    c = d = 0 the labeled set empties out and training the outside model
-    raises SingleClassInput.
+    iteration; a SelfTrainConfig with accumulate=True keeps them.  A
+    replaced set must hold both classes, since every set is trained on:
+    when a harvest leaves it with one class or none, SingleClassInput
+    names the iteration, its pool sizes and its sample sizes.
     """
     sentences, pool_sents = _loop_sentences(unlabeled, lookup, cfg, "self_train")
 
-    current = list(inside_examples)
+    current = LabeledSet.of(inside_examples)
     records = []
     m_in = None
     for k in range(cfg.K):
         m_in = trainer(current, sentences, INSIDE, meta)
         current, pools, selected = _grow(
-            current if cfg.accumulate else [], INSIDE, m_in, pool_sents, cfg, 1, k
+            current if cfg.accumulate else LabeledSet.of([]), INSIDE, m_in, pool_sents, cfg, 1, k
         )
+        labels = set(current.columns[3].tolist())
+        if not cfg.accumulate and labels != {CONSTITUENT, DISTITUENT}:
+            raise SingleClassInput(
+                f"self_train iteration {k}: the harvest that replaces the labeled set "
+                f"holds {len(current)} examples of classes {sorted(labels)}, and training "
+                f"needs both (pools {pools}, selected {selected}); raise c or d, widen "
+                "tau_min and tau_max, or set accumulate"
+            )
         records.append(
             IterationRecord(
                 iteration=k,
@@ -241,14 +279,14 @@ def self_train(
             )
         )
 
-    outside = [_with_view(ex, OUTSIDE) for ex in current]
+    outside = _in_view(current, OUTSIDE)
     m_out = trainer(outside, sentences, OUTSIDE, meta)
     return LoopResult(
         m_in=m_in,
         m_out=m_out,
         trace=LoopTrace(records=tuple(records)),
-        inside_examples=tuple(current),
-        outside_examples=tuple(outside),
+        inside_examples=current,
+        outside_examples=outside,
     )
 
 
@@ -273,7 +311,7 @@ def co_train(
     """
     sentences, pool_sents = _loop_sentences(unlabeled, lookup, cfg, "co_train")
 
-    inside_set, outside_set = list(inside_examples), list(outside_examples)
+    inside_set, outside_set = LabeledSet.of(inside_examples), LabeledSet.of(outside_examples)
     m_out = trainer(outside_set, sentences, OUTSIDE, meta)
     m_in = None
     records = []
@@ -308,8 +346,8 @@ def co_train(
         m_in=m_in,
         m_out=m_out,
         trace=LoopTrace(records=tuple(records)),
-        inside_examples=tuple(inside_set),
-        outside_examples=tuple(outside_set),
+        inside_examples=inside_set,
+        outside_examples=outside_set,
     )
 
 
@@ -330,7 +368,8 @@ def concat_baseline(
     involved; the corpus argument only resolves sentence ids.
     """
     sentences = _merge_corpora(lookup or [], unlabeled)
-    atoms = dict.fromkeys(
-        _with_view(ex, CONCAT) for ex in [*inside_examples, *outside_examples]
-    )
-    return trainer(list(atoms), sentences, CONCAT, meta)
+    both = LabeledSet(np.concatenate(
+        [LabeledSet.of(examples).columns for examples in (inside_examples, outside_examples)],
+        axis=1,
+    ))
+    return trainer(_union(LabeledSet.of([]), _in_view(both, CONCAT)), sentences, CONCAT, meta)

@@ -13,7 +13,9 @@ position bucket or sentinel flag; _name and _codes are the only places
 a name is built or read.  featurize turns a length group of sentences
 into stacked tables of codes, one column per token position, and keeps
 nothing: each reader builds the tables it reads.  Training gathers the
-example rows from those tables (example_rows) and numbers the columns
+example rows from those tables (example_rows), once per example of a
+labeled set, which keeps them (_labeled_rows), picks each training
+run's rows from them by its shuffled order, and numbers the columns
 by the names of the codes (FeatureSpace), so the columns, the saved
 names and the weights never depend on the ids; train runs minibatch
 gradient steps with numpy alone.  Scoring builds no name: the model is
@@ -45,7 +47,16 @@ from .errors import (
     check_int,
     check_number,
 )
-from .seeds import CONCAT, CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSpanExample
+from .seeds import (
+    CONCAT,
+    CONSTITUENT,
+    DISTITUENT,
+    INSIDE,
+    OUTSIDE,
+    VIEW_CODES,
+    VIEWS,
+    LabeledSet,
+)
 from .treebank import Sentence, Span
 
 BOS = "<s>"
@@ -257,29 +268,28 @@ def _gather_rows(pieces) -> CodeRows:
 def example_rows(examples, by_id, view: str) -> CodeRows:
     """The feature-code rows of labeled examples under one view, in order.
 
-    by_id maps each example's sentence id to its sentence.
+    examples is a LabeledSet or any LabeledSpanExamples; by_id maps each
+    example's sentence id to its sentence.
     """
     if view not in (INSIDE, OUTSIDE, CONCAT):
         raise ValueError(f"unknown view {view!r}")
-    slots: dict[int, int] = {}
-    sents, bounds = [], []
-    for ex in examples:
-        sent = by_id[ex.sentence_id]
-        slot = slots.get(sent.id)
-        if slot is None:
-            slot = slots[sent.id] = len(sents)
-            sents.append(sent)
-        if ex.span.j >= len(sent):
-            raise ValueError(f"span {ex.span} outside sentence {sent.id}")
-        bounds.append((slot, ex.span.i, ex.span.j))
-    if not bounds:
+    sid, i, j = LabeledSet.of(examples).columns[:3]
+    if not len(sid):
         return CodeRows(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    # each example's sentence as a slot in ids
+    ids, slot = np.unique(sid, return_inverse=True)
+    sents = [by_id[key] for key in ids.tolist()]
+    beyond = np.flatnonzero(j >= np.array([len(sent) for sent in sents])[slot])
+    if len(beyond):
+        k = beyond[0]
+        raise ValueError(f"span {Span(int(i[k]), int(j[k]))} outside sentence {sents[slot[k]].id}")
+    i, j = i.astype(np.intp), j.astype(np.intp)
 
     # the tables of each length group side by side, one sentence's
     # columns after another's: sentence slot's start at offsets[slot]
     groups: dict[int, list[int]] = {}
-    for slot, sent in enumerate(sents):
-        groups.setdefault(len(sent), []).append(slot)
+    for s, sent in enumerate(sents):
+        groups.setdefault(len(sent), []).append(s)
     offsets = np.empty(len(sents), dtype=np.intp)
     tables, width = [], 0
     for n, group in groups.items():
@@ -288,7 +298,6 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
         offsets[group] = width + n * np.arange(len(group))
         width += n * len(group)
     table = np.concatenate(tables, axis=1)
-    slot, i, j = np.array(bounds, dtype=np.intp).T
     offsets = offsets[slot]
     first, last = offsets + i, offsets + j
     one = np.ones_like(i)
@@ -311,6 +320,39 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
             (table[_EOS], last, (table[_EOS, last] >= 0).astype(np.intp)),
         ]
     return _gather_rows(pieces)
+
+
+def _take_rows(rows: CodeRows, order: np.ndarray) -> CodeRows:
+    """Rows order[0], order[1], ... of rows."""
+    lengths = np.diff(rows.indptr)[order]
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    # the position in rows.codes of each code taken
+    entry = np.repeat(rows.indptr[order] - indptr[:-1], lengths)
+    entry += np.arange(indptr[-1])
+    return CodeRows(rows.codes[entry], indptr)
+
+
+def _labeled_rows(labeled: LabeledSet, by_id, view: str) -> CodeRows:
+    """The code rows of every example of a labeled set, all of one view.
+
+    A row depends only on its sentence's tokens and its span, so the
+    rows the set keeps from an earlier call over the same sentences
+    stand, and example_rows builds those of the examples after them.
+    The set then keeps them all.
+    """
+    kept = labeled.rows
+    rows = kept[1] if kept is not None and kept[0] == by_id else None
+    done = 0 if rows is None else len(rows.indptr) - 1
+    if rows is None or done < len(labeled):
+        new = example_rows(labeled[done:], by_id, view)
+        if rows is not None:
+            new = CodeRows(
+                np.concatenate((rows.codes, new.codes)),
+                np.concatenate((rows.indptr, new.indptr[1:] + rows.indptr[-1])),
+            )
+        rows = new
+        labeled.rows = (by_id, rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -393,11 +435,12 @@ class FeatureSpace:
     def transform(self, rows: CodeRows) -> CsrRows:
         """Each row's count of each column, in column order."""
         n_rows = len(rows.indptr) - 1
-        cols = self.columns(rows.codes)
-        row = np.repeat(np.arange(n_rows), np.diff(rows.indptr))
-        keep = cols >= 0
         stride = max(self.dim, 1)
-        cells, counts = np.unique(row[keep] * stride + cols[keep], return_counts=True)
+        # each code's cell, row * stride + column, built in place
+        cells = self.columns(rows.codes)
+        keep = cells >= 0
+        cells += np.repeat(np.arange(0, n_rows * stride, stride), np.diff(rows.indptr))
+        cells, counts = np.unique(cells[keep], return_counts=True)
         row, cols = np.divmod(cells, stride)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_rows))))
         return CsrRows(counts.astype(float), cols, indptr, (n_rows, self.dim))
@@ -527,36 +570,37 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     """
     if meta is None:
         meta = TrainingMeta()
-    examples = list(examples)
-    labels = {ex.label for ex in examples}
+    labeled = LabeledSet.of(examples)
+    sid, _, _, label, views = labeled.columns
+    labels = set(np.unique(label).tolist())
     if labels != {CONSTITUENT, DISTITUENT}:
         raise SingleClassInput(
-            f"need both classes, got {sorted(labels)} over {len(examples)} examples"
+            f"need both classes, got {sorted(labels)} over {len(labeled)} examples"
         )
-    for ex in examples:
-        if ex.view != view:
-            raise ValueError(f"example has view {ex.view!r}, expected {view!r}")
+    wrong = np.flatnonzero(views != VIEW_CODES.get(view, -1))
+    if len(wrong):
+        raise ValueError(f"example has view {VIEWS[views[wrong[0]]]!r}, expected {view!r}")
 
     by_id = {sent.id: sent for sent in corpus}
-    missing = [ex.sentence_id for ex in examples if ex.sentence_id not in by_id]
+    missing = set(sid.tolist()) - by_id.keys()
     if missing:
-        raise ValueError(f"examples reference unknown sentences {sorted(set(missing))[:5]}")
+        raise ValueError(f"examples reference unknown sentences {sorted(missing)[:5]}")
+    rows = _labeled_rows(labeled, by_id, view)
 
     rng = np.random.default_rng(meta.rng_seed)
-    perm = rng.permutation(len(examples))
-    n_val = len(examples) // 5
+    perm = rng.permutation(len(labeled))
+    n_val = len(labeled) // 5
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    train_codes = example_rows([examples[k] for k in train_idx], by_id, view)
-    val_codes = example_rows([examples[k] for k in val_idx], by_id, view)
-    y_train = np.array([examples[k].label for k in train_idx], dtype=float)
-    y_val = np.array([examples[k].label for k in val_idx], dtype=float)
+    y_train = label[train_idx].astype(float)
+    y_val = label[val_idx].astype(float)
 
+    # each split's rows gathered in turn, and freed once transformed
+    train_codes = _take_rows(rows, train_idx)
     space = FeatureSpace().fit(train_codes)
     x_train = space.transform(train_codes)
-    x_val = space.transform(val_codes)
-    # the code rows are read no more: free them before the epochs
-    del train_codes, val_codes
+    del train_codes
+    x_val = space.transform(_take_rows(rows, val_idx))
 
     w = np.zeros(space.dim)
     b = 0.0
@@ -584,6 +628,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
         entry = np.repeat(x_train.indptr[order] - ptr[:-1], counts) + np.arange(ptr[-1])
         cols = x_train.indices[entry]
         vals = x_train.data[entry]
+        del entry
         rows = np.repeat(batch_pos, counts)
         y = y_train[order]
         cuts = ptr[edges].tolist()
@@ -605,6 +650,9 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
             w -= grad
             # np.mean's bits, without its dispatch cost
             b -= step * (float(resid.sum()) / (hi - lo))
+        # free this epoch's layout, its last slices too, before the next
+        # is laid out, so that two layouts are never held at once
+        del cols, vals, rows, c, v, r
         if n_val == 0:
             continue
         val_loss = _log_loss(val_probs(w, b), y_val)
@@ -633,7 +681,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
             warnings.simplefilter("ignore", UndefinedMccWarning)
             metrics["val_mcc"] = compute_mcc(pred, yv)
 
-    return SpanScorer(view, space, w, float(b), meta, len(examples), metrics)
+    return SpanScorer(view, space, w, float(b), meta, len(labeled), metrics)
 
 
 class _SpanTuple(tuple):
@@ -751,17 +799,18 @@ def confidence_pools(model, corpus, thresholds: Thresholds):
 
 def harvest(
     model, corpus, thresholds: Thresholds, c: int, d: int, rng
-) -> tuple[list[LabeledSpanExample], list[LabeledSpanExample], tuple[int, int]]:
+) -> tuple[LabeledSet, LabeledSet, tuple[int, int]]:
     """Sample c confident constituents and d confident distituents.
 
     Each pool of confidence_pools is sampled uniformly without
     replacement, the constituents first, and a sample keeps pool order.
     A pool smaller than asked for is taken whole, with a
-    PoolExhaustedWarning.  Examples, in the model's view, are built only
-    for the spans drawn.  Returns both samples and both pool sizes.
+    PoolExhaustedWarning.  Each sample is a LabeledSet in the model's
+    view.  Returns both samples and both pool sizes.
     """
     corpus = list(corpus)
     pools = confidence_pools(model, corpus, thresholds)
+    view = VIEW_CODES[model.view]
     samples = []
     for (sent_pos, span_idx), want, label, what in zip(
         pools, (c, d), (CONSTITUENT, DISTITUENT), ("constituent", "distituent")
@@ -771,16 +820,19 @@ def harvest(
             warnings.warn(f"{what} pool has {size} spans, wanted {want}", PoolExhaustedWarning)
         take = min(want, size)
         picks = np.sort(rng.choice(size, size=take, replace=False)) if take else []
-        samples.append([
-            LabeledSpanExample(corpus[pos].id, _all_spans(len(corpus[pos]))[k], label, model.view)
+        spans = (
+            (corpus[pos].id, _all_spans(len(corpus[pos]))[k])
             for pos, k in zip(sent_pos[picks].tolist(), span_idx[picks].tolist())
-        ])
+        )
+        samples.append(LabeledSet.from_rows(
+            (sid, span.i, span.j, label, view) for sid, span in spans
+        ))
     return samples[0], samples[1], (len(pools[0][0]), len(pools[1][0]))
 
 
 def select_confident(
     model, corpus, thresholds: Thresholds, c: int, d: int, rng_seed: int = 0
-) -> tuple[list[LabeledSpanExample], list[LabeledSpanExample]]:
+) -> tuple[LabeledSet, LabeledSet]:
     """harvest's constituent and distituent samples, drawn with default_rng(rng_seed)."""
     const, dist, _ = harvest(model, corpus, thresholds, c, d, np.random.default_rng(rng_seed))
     return const, dist

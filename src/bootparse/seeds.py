@@ -4,12 +4,17 @@ The templates exploit branching bias: the whole sentence is a
 constituent, and progressively shorter slices from one end are almost
 always distituents.  Optional augmentations add capitalized runs and
 text fragments delimited by '*' marks as extra constituents.
+
+A set of labeled examples is held as integer columns (LabeledSet): the
+loops grow their sets and training reads them without an object per
+example, and seed files are read and written a column at a time.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,10 @@ INSIDE = "inside"
 OUTSIDE = "outside"
 # a combined view used only by the concatenation baseline
 CONCAT = "concat"
+
+# the views in the order of their codes in a LabeledSet
+VIEWS = (INSIDE, OUTSIDE, CONCAT)
+VIEW_CODES = {view: code for code, view in enumerate(VIEWS)}
 
 CONSTITUENT = 1
 DISTITUENT = 0
@@ -47,6 +56,75 @@ class LabeledSpanExample:
             raise ValueError(f"label must be 0 or 1, got {self.label!r}")
         if self.view not in (INSIDE, OUTSIDE, CONCAT):
             raise ValueError(f"unknown view {self.view!r}")
+
+
+def _int_columns(values) -> np.ndarray:
+    """values as an int64 array, or as an array of Python ints when one
+    does not fit in 64 bits."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class LabeledSet(Sequence):
+    """Labeled examples as five parallel integer columns.
+
+    columns is a (5, N) array whose column k is example k: its sentence
+    id, its span's bounds i and j, its label and the code of its view in
+    VIEWS.  The array is int64, or holds Python ints when a value does
+    not fit in 64 bits, as one in a seed file may.  The set reads as a
+    sequence of LabeledSpanExamples, each built when it is read, and
+    equals any sequence of the same examples in the same order.
+
+    rows is for scorer.train alone: the feature-code rows of the set's
+    first examples and the sentences they were built from, kept so that
+    a set that grows builds the rows of its new examples only.
+    """
+
+    def __init__(self, columns: np.ndarray):
+        self.columns = columns
+        self.rows = None
+
+    @classmethod
+    def of(cls, examples) -> "LabeledSet":
+        """A LabeledSet as it is, any other LabeledSpanExamples as a set, in order."""
+        if isinstance(examples, LabeledSet):
+            return examples
+        return cls.from_rows(
+            (ex.sentence_id, ex.span.i, ex.span.j, ex.label, VIEW_CODES[ex.view])
+            for ex in examples
+        )
+
+    @classmethod
+    def from_rows(cls, rows) -> "LabeledSet":
+        """The set of (sentence id, i, j, label, view code) rows, in order."""
+        return cls(_int_columns(list(rows)).reshape(-1, 5).T)
+
+    def __len__(self) -> int:
+        return self.columns.shape[1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LabeledSet(self.columns[:, k])
+        sid, i, j, label, view = self.columns[:, k].tolist()
+        return LabeledSpanExample(sid, Span(i, j), label, VIEWS[view])
+
+    def __iter__(self):
+        for sid, i, j, label, view in zip(*self.columns.tolist()):
+            yield LabeledSpanExample(sid, Span(i, j), label, VIEWS[view])
+
+    def __eq__(self, other):
+        if isinstance(other, LabeledSet):
+            return len(self) == len(other) and bool(np.all(self.columns == other.columns))
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LabeledSet({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -190,38 +268,64 @@ def generate_seeds(corpus, cfg: SeedConfig) -> list[LabeledSpanExample]:
 
 
 def write_seed_file(examples, path) -> None:
-    """sentence_id, i, j, label, view as tab-separated columns."""
+    """sentence_id, i, j, label, view as tab-separated columns, one line
+    per example."""
+    sid, i, j, label, view = LabeledSet.of(examples).columns.tolist()
+    label = [_LABEL_NAMES[value] for value in label]
+    view = [VIEWS[value] for value in view]
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                f"{ex.sentence_id}\t{ex.span.i}\t{ex.span.j}"
-                f"\t{_LABEL_NAMES[ex.label]}\t{ex.view}\n"
-            )
+        fh.writelines(
+            f"{a}\t{b}\t{c}\t{d}\t{e}\n" for a, b, c, d, e in zip(sid, i, j, label, view)
+        )
 
 
-def read_seed_file(path) -> list[LabeledSpanExample]:
-    """Read a file written by write_seed_file; MalformedFile names path:line."""
-    out = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise MalformedFile(
-                f"{path}:{lineno}: expected 5 columns, got {len(parts)}"
-            )
-        sid, i, j, label, view = parts
-        if label not in _LABEL_VALUES:
-            raise MalformedFile(f"{path}:{lineno}: unknown label {label!r}")
-        try:
-            out.append(
-                LabeledSpanExample(
-                    sentence_id=int(sid),
-                    span=Span(int(i), int(j)),
-                    label=_LABEL_VALUES[label],
-                    view=view,
-                )
-            )
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-    return out
+def _read_line(path, number: int, parts: list[str]) -> tuple:
+    """The five columns of one split seed-file line; MalformedFile names
+    path:line and the line's first fault."""
+    if len(parts) != 5:
+        raise MalformedFile(f"{path}:{number}: expected 5 columns, got {len(parts)}")
+    sid, i, j, label, view = parts
+    if label not in _LABEL_VALUES:
+        raise MalformedFile(f"{path}:{number}: unknown label {label!r}")
+    try:
+        ex = LabeledSpanExample(int(sid), Span(int(i), int(j)), _LABEL_VALUES[label], view)
+    except ValueError as exc:
+        raise MalformedFile(f"{path}:{number}: {exc}") from exc
+    return ex.sentence_id, ex.span.i, ex.span.j, ex.label, VIEW_CODES[ex.view]
+
+
+def _seed_columns(lines: list[str]) -> np.ndarray | None:
+    """The columns of a seed file's non-blank lines, read a column at a
+    time by the rules of _read_line; None when a line breaks one."""
+    if {line.count("\t") for line in lines} - {4}:
+        return None
+    fields = "\t".join(lines).split("\t") if lines else []
+    sid, i, j, label, view = (fields[k::5] for k in range(5))
+    try:
+        columns = _int_columns([
+            list(map(int, sid)), list(map(int, i)), list(map(int, j)),
+            list(map(_LABEL_VALUES.__getitem__, label)), list(map(VIEW_CODES.__getitem__, view)),
+        ])
+    except (KeyError, ValueError):
+        return None
+    if np.any(columns[1] < 0) or np.any(columns[2] < columns[1]):
+        return None
+    return columns
+
+
+def read_seed_file(path) -> LabeledSet:
+    """Read a file written by write_seed_file; MalformedFile names path:line.
+
+    Blank lines are skipped.  The columns are read a column at a time;
+    only a file with a bad line is read line by line, which names the
+    first bad line and its fault.
+    """
+    lines = read_text(path).split("\n")
+    columns = _seed_columns([line for line in lines if line])
+    if columns is None:
+        return LabeledSet.from_rows(
+            _read_line(path, number, line.split("\t"))
+            for number, line in enumerate(lines, 1)
+            if line
+        )
+    return LabeledSet(columns)

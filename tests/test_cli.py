@@ -947,7 +947,10 @@ def test_corpus_and_gold_with_bom_and_markup_read_alike(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bad_line", ["0\t0\t9\tdistituent\tinside", "77\t0\t1\tconstituent\tinside"]
+    "bad_line",
+    ["0\t0\t9\tdistituent\tinside", "77\t0\t1\tconstituent\tinside",
+     # an id past 64 bits
+     "1234567890123456789012345\t0\t1\tconstituent\tinside"],
 )
 def test_train_seed_outside_corpus_is_exit_2(tmp_path, capsys, bad_line):
     write_tiny_corpus(tmp_path)
@@ -958,6 +961,20 @@ def test_train_seed_outside_corpus_is_exit_2(tmp_path, capsys, bad_line):
     err = capsys.readouterr().err
     sid, i, j = bad_line.split("\t")[:3]
     assert str(seeds) in err and f"({i}, {j})" in err and f"sentence {sid}" in err
+
+
+@pytest.mark.filterwarnings("ignore::bootparse.errors.PoolExhaustedWarning")
+def test_selftrain_replaced_set_of_one_class_is_exit_2(tmp_path, capsys):
+    # c = 0 harvests no constituents, so a replaced set has one class
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path, self_train={"K": 2, "c": 0, "d": 3, "accumulate": False})
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["selftrain", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: self_train iteration 0: " in err
+    assert "'inside_constituent': " in err and "'constituent': 0, 'distituent': " in err
+    assert not (tmp_path / "models" / "self_in.json").exists()
 
 
 @pytest.mark.parametrize("stage", ["train", "selftrain"])

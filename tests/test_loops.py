@@ -1,26 +1,31 @@
 from __future__ import annotations
 
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
+from bootparse import scorer
 from bootparse.errors import EmptyCorpus, PoolExhaustedWarning, SingleClassInput
 from bootparse.loops import (
     IterationRecord,
     LoopConfig,
     LoopTrace,
     SelfTrainConfig,
+    _grow,
     co_train,
     concat_baseline,
     self_train,
 )
-from bootparse.scorer import score_chart, train
+from bootparse.scorer import TrainingMeta, harvest, score_chart, train
 from bootparse.seeds import (
+    CONCAT,
     CONSTITUENT,
     DISTITUENT,
     INSIDE,
     OUTSIDE,
+    LabeledSet,
     LabeledSpanExample,
     SeedConfig,
     generate_seeds,
@@ -395,3 +400,162 @@ def test_trace_jsonl_round_trip():
     text = trace.to_jsonl()
     assert text.endswith("\n") and "\n" not in text[:-1]
     assert LoopTrace.from_jsonl(text) == trace
+
+
+def test_self_train_replaced_set_of_one_class_names_loop_and_pools():
+    # the harvest finds confident distituents only, so the replaced set
+    # holds one class, and the loop says where before any training on it
+    def pairs_only(sentence, span):
+        return 0.0001 if span.j - span.i == 1 else 0.5
+
+    corpus = tiny_corpus(count=4, length=4)
+    seeds = [
+        LabeledSpanExample(0, Span(0, 3), CONSTITUENT, INSIDE),
+        LabeledSpanExample(0, Span(0, 2), DISTITUENT, INSIDE),
+    ]
+    trainer = scripted_trainer(pairs_only)
+    with pytest.warns(PoolExhaustedWarning), pytest.raises(SingleClassInput) as caught:
+        self_train(seeds, corpus, SelfTrainConfig(K=2, c=5, d=5), trainer=trainer)
+    message = str(caught.value)
+    assert message.startswith("self_train iteration 0: ")
+    assert "5 examples of classes [0]" in message
+    assert "'inside_constituent': 0, 'inside_distituent': 12" in message
+    assert "'constituent': 0, 'distituent': 5" in message
+    assert len(trainer.calls) == 1
+    # keeping the seeds keeps both classes
+    with pytest.warns(PoolExhaustedWarning):
+        result = self_train(
+            seeds, corpus, SelfTrainConfig(K=2, c=5, d=5, accumulate=True),
+            trainer=scripted_trainer(pairs_only),
+        )
+    assert len(result.trace) == 2
+
+
+# --- labeled sets as columns against lists of examples ---
+
+
+def list_grow(labeled, view, model, pool_sents, cfg, stream, k):
+    """_grow over a list of example objects, as the loops grew their sets
+    before they held them as columns."""
+    rng = np.random.default_rng((cfg.rng_seed, stream, k))
+    const, dist, (n_const, n_dist) = harvest(model, pool_sents, cfg.thresholds, cfg.c, cfg.d, rng)
+    seen = set(labeled)
+    new = (LabeledSpanExample(ex.sentence_id, ex.span, ex.label, view) for ex in [*const, *dist])
+    grown = [*labeled, *dict.fromkeys(ex for ex in new if ex not in seen)]
+    pools = {f"{model.view}_constituent": n_const, f"{model.view}_distituent": n_dist}
+    return grown, pools, {"constituent": len(const), "distituent": len(dist)}
+
+
+def coin_rule(sentence, span):
+    """A score fixed by the sentence's tokens and the span: confident
+    either way for most spans, so two sentences with one id and other
+    tokens can label one span both ways."""
+    roll = zlib.crc32(f"{sentence.tokens} {span.i} {span.j}".encode()) % 10
+    return 0.999 if roll < 4 else 0.0001 if roll < 8 else 0.5
+
+
+@pytest.mark.parametrize(
+    "model_view, view", [(INSIDE, INSIDE), (OUTSIDE, INSIDE), (INSIDE, OUTSIDE)]
+)
+@pytest.mark.parametrize("c, d", [(6, 9), (40, 40), (0, 7)])
+def test_grow_matches_list_grow_over_duplicate_heavy_harvests(model_view, view, c, d):
+    # pool sentences out of id order, repeated (so a sample repeats a
+    # span), and two sentences with id 3 but other tokens (so one span
+    # comes under both labels)
+    base = tiny_corpus(count=5, length=4)
+    twin = Sentence(id=3, tokens=("x", "y", "z", "w"))
+    pool = [base[4], base[1], base[1], twin, base[3], base[0], base[4], base[2], base[3]]
+    model = ScriptedModel(model_view, coin_rule)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoolExhaustedWarning)
+        const, dist, _ = harvest(model, pool, LoopConfig(K=1, c=1, d=1).thresholds, 99, 99,
+                                 np.random.default_rng(0))
+    # the whole pools: repeated spans, and a span under both labels
+    assert len(set(const)) < len(const) and len(set(dist)) < len(dist)
+    assert {(ex.sentence_id, ex.span) for ex in const} & {(ex.sentence_id, ex.span) for ex in dist}
+    some = [*const][:3] + [*dist][:3]
+    old = [
+        *(LabeledSpanExample(ex.sentence_id, ex.span, ex.label, view) for ex in some),
+        LabeledSpanExample(0, Span(0, 3), CONSTITUENT, view),
+        LabeledSpanExample(0, Span(0, 3), CONSTITUENT, view),  # a duplicate kept
+        LabeledSpanExample(0, Span(0, 3), DISTITUENT, view),  # its span, other label
+        LabeledSpanExample(1, Span(0, 1), CONSTITUENT, CONCAT),  # a row of another view
+    ]
+    for start in (old, []):  # accumulating, and replace mode's empty set
+        want, got = start, LabeledSet.of(start)
+        got.rows = kept = object()
+        for k in range(3):
+            cfg = LoopConfig(K=1, c=c, d=d, rng_seed=k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PoolExhaustedWarning)
+                want, want_pools, want_selected = list_grow(want, view, model, pool, cfg, 2, k)
+                got, pools, selected = _grow(got, view, model, pool, cfg, 2, k)
+            assert isinstance(got, LabeledSet)
+            assert list(got) == want
+            assert (pools, selected) == (want_pools, want_selected)
+            assert got.rows is kept
+        assert len(want) > len(start)
+
+
+def grown_twice(corpus, meta):
+    seeds = LabeledSet.of(generate_seeds(corpus, SeedConfig()))
+    sets = [seeds]
+    model = train(seeds, corpus, INSIDE, meta)
+    for k in range(2):
+        cfg = LoopConfig(K=1, c=5, d=10, tau_min=0.3, tau_max=0.7, rng_seed=k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PoolExhaustedWarning)
+            grown, _, _ = _grow(sets[-1], INSIDE, model, corpus, cfg, 2, k)
+        sets.append(grown)
+        model = train(grown, corpus, INSIDE, meta)
+    return sets
+
+
+def assert_same_model(got, want):
+    assert np.array_equal(got.weights.view(np.int64), want.weights.view(np.int64))
+    assert got.bias == want.bias
+    assert got.val_metrics == want.val_metrics
+    assert got.space.names == want.space.names
+    assert got.example_count == want.example_count
+
+
+def test_train_on_grown_set_matches_train_on_list():
+    corpus = word_corpus()
+    meta = TrainingMeta(epochs=8, rng_seed=3)
+    sets = grown_twice(corpus, meta)
+    assert len(sets[0]) < len(sets[1]) < len(sets[2])
+    by_id = {s.id: s for s in corpus}
+    for labeled in sets:
+        # the set keeps the rows of every example it was trained on
+        assert labeled.rows[0] == by_id
+        assert len(labeled.rows[1].indptr) == len(labeled) + 1
+        assert_same_model(
+            train(labeled, corpus, INSIDE, meta), train(list(labeled), corpus, INSIDE, meta)
+        )
+    # rows kept over one corpus are not read over another with the same ids
+    other = [Sentence(s.id, tuple(reversed(s.tokens))) for s in corpus]
+    assert_same_model(
+        train(sets[2], other, INSIDE, meta), train(list(sets[2]), other, INSIDE, meta)
+    )
+
+
+def test_co_train_builds_each_row_once(monkeypatch):
+    built = []
+    example_rows = scorer.example_rows
+
+    def counting(examples, by_id, view):
+        built.append(len(examples))
+        return example_rows(examples, by_id, view)
+
+    monkeypatch.setattr(scorer, "example_rows", counting)
+    corpus = word_corpus()
+    seeds = generate_seeds(corpus, SeedConfig())
+    outside = [LabeledSpanExample(e.sentence_id, e.span, e.label, OUTSIDE) for e in seeds]
+    cfg = LoopConfig(K=3, c=5, d=10, tau_min=0.3, tau_max=0.7, rng_seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PoolExhaustedWarning)
+        result = co_train(seeds, outside, corpus, cfg, meta=TrainingMeta(epochs=5))
+    assert len(result.inside_examples) > len(seeds)
+    assert len(result.outside_examples) > len(seeds)
+    assert sum(built) == len(result.inside_examples) + len(result.outside_examples)
+    assert len(built) <= 1 + 2 * cfg.K

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootparse.errors import MalformedFile
 from bootparse.seeds import (
+    CONCAT,
     CONSTITUENT,
     DISTITUENT,
     INSIDE,
+    OUTSIDE,
+    LabeledSet,
     LabeledSpanExample,
     SeedConfig,
     cased_runs,
@@ -191,3 +199,130 @@ def test_seed_validity_property(token_lists, branching, casing, star):
             LabeledSpanExample(s.id, Span(0, len(s) - 1), CONSTITUENT, INSIDE)
             in examples
         )
+
+
+# --- seed files read a column at a time against a line-by-line reader ---
+
+
+def reference_read_seed_file(path) -> list[LabeledSpanExample]:
+    """The seed-file reader as it was, one example object per line."""
+    text = Path(path).read_text(encoding="utf-8-sig")
+    out = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise MalformedFile(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        sid, i, j, label, view = parts
+        labels = {"constituent": CONSTITUENT, "distituent": DISTITUENT}
+        if label not in labels:
+            raise MalformedFile(f"{path}:{lineno}: unknown label {label!r}")
+        try:
+            out.append(LabeledSpanExample(int(sid), Span(int(i), int(j)), labels[label], view))
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+BIG_ID = "1234567890123456789012345"
+# numbers int() reads (Arabic-Indic digits, signs, padding, underscores,
+# values past 64 bits) and some it does not
+SEED_NUMBERS = [
+    "0", "1", "2", "3", "7", "\u0663", "+3", " 3", "3 ", "3_0", "-1", "-0", BIG_ID,
+    "-" + BIG_ID, "9223372036854775808", "x", "", "3.0", "1e3", "_3",
+]
+SEED_LABELS = ["constituent", "distituent", "Constituent", "", "bogus"]
+SEED_VIEWS = [INSIDE, OUTSIDE, CONCAT, "inside\r", "sideways", ""]
+
+
+@st.composite
+def seed_file_bytes(draw):
+    """Seed-file text, mostly well formed, over the traps above, with CRLF
+    line ends, a byte order mark, blank lines and no final newline drawn."""
+    good = st.tuples(
+        st.sampled_from(["0", "1", "2", "12"]), st.sampled_from(["0", "1"]),
+        st.sampled_from(["1", "2", "3"]), st.sampled_from(["constituent", "distituent"]),
+        st.sampled_from([INSIDE, OUTSIDE]),
+    ).map("\t".join)
+    trap = st.tuples(
+        st.sampled_from(SEED_NUMBERS), st.sampled_from(SEED_NUMBERS),
+        st.sampled_from(SEED_NUMBERS), st.sampled_from(SEED_LABELS), st.sampled_from(SEED_VIEWS),
+    ).map("\t".join)
+    odd = st.lists(st.sampled_from(["0", "1", "inside", "constituent", "\r"]), max_size=7).map(
+        "\t".join
+    )
+    lines = draw(st.lists(st.one_of(good, good, trap, odd, st.just("")), max_size=12))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + text).encode("utf-8")
+
+
+def read_or_error(reader, path):
+    try:
+        return reader(path)
+    except MalformedFile as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed_file_bytes())
+def test_read_seed_file_matches_line_by_line_reader(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seeds.tsv"
+        path.write_bytes(data)
+        want = read_or_error(reference_read_seed_file, path)
+        got = read_or_error(read_seed_file, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert isinstance(got, LabeledSet)
+        assert list(got) == want
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [("\u0663\t0\t1\tconstituent\tinside", 3), ("+3\t0\t1\tconstituent\tinside", 3),
+     (" 3\t0\t1\tconstituent\tinside", 3), ("3_0\t0\t1\tconstituent\tinside", 30),
+     (f"{BIG_ID}\t0\t1\tconstituent\tinside", int(BIG_ID))],
+)
+def test_read_seed_file_reads_ids_as_int_does(tmp_path, line, value):
+    path = tmp_path / "seeds.tsv"
+    path.write_text("0\t0\t1\tdistituent\tinside\n" + line + "\n")
+    got = read_seed_file(path)
+    assert got == reference_read_seed_file(path)
+    assert got[1].sentence_id == value
+
+
+def test_read_seed_file_names_first_bad_line(tmp_path):
+    path = tmp_path / "seeds.tsv"
+    path.write_text(
+        "0\t0\t1\tconstituent\tinside\n\n0\t2\t1\tconstituent\tsideways\n"
+        "0\t0\t1\tbogus\tinside\n"
+    )
+    with pytest.raises(MalformedFile) as caught:
+        read_seed_file(path)
+    assert str(caught.value) == f"{path}:3: invalid span (2, 1)"
+
+
+def test_write_seed_file_same_bytes_for_set_and_list(tmp_path):
+    corpus = [sent(0, "a b c d"), sent(1, "e f g"), sent(7, "The Dog runs")]
+    examples = generate_seeds(corpus, SeedConfig(casing_augmentation=True))
+    examples += [
+        LabeledSpanExample(int(BIG_ID), Span(0, 1), DISTITUENT, OUTSIDE),
+        LabeledSpanExample(2, Span(1, 3), CONSTITUENT, CONCAT),
+    ]
+    labeled = LabeledSet.of(examples)
+    assert labeled.columns.dtype == object
+    small = LabeledSet.of(examples[:-2])
+    for name, value in (("list", examples), ("set", labeled), ("int64", small)):
+        write_seed_file(value, tmp_path / f"{name}.tsv")
+    assert (tmp_path / "list.tsv").read_bytes() == (tmp_path / "set.tsv").read_bytes()
+    assert (tmp_path / "int64.tsv").read_bytes() == b"".join(
+        (tmp_path / "list.tsv").read_bytes().splitlines(keepends=True)[:-2]
+    )
+    assert read_seed_file(tmp_path / "set.tsv") == examples
+    write_seed_file([], tmp_path / "empty.tsv")
+    assert (tmp_path / "empty.tsv").read_bytes() == b""
+    assert read_seed_file(tmp_path / "empty.tsv") == []
