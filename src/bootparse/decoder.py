@@ -1,9 +1,9 @@
 """Span-sum tree decoding and chart post-processing.
 
 The decoder picks the binary tree whose spans maximize the sum of chart
-scores.  ``cyk_decode`` decodes one chart; ``cyk_decode_stack`` decodes
-a stack of charts of one sentence length in one fill, with the same
-arithmetic, so parse decodes its input one length group at a time.
+scores.  ``cyk_decode_stack`` decodes a stack of charts of one sentence
+length in one fill, so parse decodes its input one length group at a
+time; ``cyk_decode`` decodes one chart as a stack of one.
 ``enumerate_trees`` provides the brute-force reference used to test the
 dynamic program; it is exponential (Catalan numbers) and guarded
 accordingly.
@@ -60,8 +60,9 @@ def _fill_plan(n: int) -> tuple:
     """Flat chart offsets for filling span lengths 2..n of an n-token chart.
 
     For span length L, row r holds the cell (r, r + L - 1) at flat index
-    base[r] + L - 1, with base[r] = r * (n + 1).  Its split after token
-    r + k reads best(r, r + k) at base[r] + left[k] and
+    base[r] + L - 1, with base[r] = r * (n + 1), so the cells of one
+    length are the slice cells.  The split of row r after token r + k
+    reads best(r, r + k) at base[r] + left[k] and
     best(r + k + 1, r + L - 1) at base[r] + right[k].  Only these O(n)
     offsets are kept per length, about n^2 ints per chart size in all;
     they are broadcast against the row bases on each call.
@@ -72,16 +73,10 @@ def _fill_plan(n: int) -> tuple:
     for length in range(2, n + 1):
         rows = n - length + 1
         left = idx[: length - 1]
-        entry = (
-            base[:rows, None],
-            left,
-            (left + 1) * n + length - 1,
-            base[:rows] + length - 1,
-            idx[:rows],
-        )
+        entry = (base[:rows, None], left, (left + 1) * n + length - 1, idx[:rows, None])
         for arr in entry:
             arr.setflags(write=False)
-        plan.append(entry)
+        plan.append((*entry, slice(length - 1, length - 1 + rows * (n + 1), n + 1)))
     return tuple(plan)
 
 
@@ -90,57 +85,43 @@ def cyk_decode(chart: ScoreChart, sentence: Sentence | None = None) -> BinaryTre
 
     best(i, j) = s(i, j) + max_k [best(i, k) + best(k+1, j)], with
     best(i, i) = s(i, i).  Leaf scores shift every tree's total by the
-    same amount, so they never change the argmax.
-
-    All cells of one span length are filled at once.  Each cell still
-    takes the same two additions, best(i, k) + best(k+1, j) and then
-    s(i, j) + that candidate, and argmax keeps the first (smallest k)
-    of tied candidates, so the chart and the tree are those of a
-    cell-by-cell loop.
+    same amount, so they never change the argmax.  The chart is decoded
+    as a stack of one by cyk_decode_stack.
     """
     n = chart.n
     if sentence is None:
         sentence = _placeholder_sentence(n)
     if len(sentence) != n:
         raise ValueError(f"sentence has {len(sentence)} tokens, chart has {n}")
-
-    s = chart.cells.ravel()
-    # cells of length >= 2 are overwritten before any longer span reads them
-    best = s.copy()
-    split = np.zeros(n * n, dtype=np.intp)
-    for base, left, right, cells, rows in _fill_plan(n):
-        cand = best.take(base + left) + best.take(base + right)
-        k = cand.argmax(axis=1)
-        best[cells] = s.take(cells) + cand[rows, k]
-        split[cells] = rows + k
-    return _backtrace(split.tolist(), sentence)
+    return cyk_decode_stack(chart.cells[None], [sentence])[0]
 
 
 def cyk_decode_stack(charts: np.ndarray, sentences) -> list[BinaryTree]:
-    """cyk_decode of every chart of a (B, n, n) stack, in one fill.
+    """The best tree of every chart of a (B, n, n) stack, in one fill.
 
     Sentence b of sentences has the n tokens of charts[b].  Each step of
-    the fill takes one span length of all B charts at once, with
-    cyk_decode's two additions per cell and its argmax, so each tree is
-    the one cyk_decode gives for its chart.  For a single chart
-    cyk_decode is the faster of the two.
+    the fill takes one span length of all B charts at once.  Each cell
+    still takes the same two additions, best(i, k) + best(k+1, j) and
+    then s(i, j) + that candidate, and argmax keeps the first (smallest
+    k) of tied candidates, so each chart and tree are those of a
+    cell-by-cell loop over that chart alone.
     """
     count, n, _ = charts.shape
     sentences = list(sentences)
     if len(sentences) != count or any(len(sent) != n for sent in sentences):
         raise ValueError(f"need {count} sentences of {n} tokens")
-    s = np.ascontiguousarray(charts, dtype=float).reshape(count, n * n)
-    if not np.all(np.isfinite(s)):
+    # one row per chart cell, one column per chart; cells of length >= 2
+    # still hold their scores when their length is filled
+    best = np.asarray(charts, dtype=float).reshape(count, n * n).T.copy()
+    if not np.all(np.isfinite(best)):
         raise ValueError("chart contains non-finite scores")
-    best = s.copy()
-    split = np.zeros((count, n * n), dtype=np.intp)
-    chart = np.arange(count)[:, None]
-    for base, left, right, cells, rows in _fill_plan(n):
-        cand = best.take(base + left, axis=1) + best.take(base + right, axis=1)
-        k = cand.argmax(axis=2)
-        best[:, cells] = s[:, cells] + cand[chart, rows, k]
-        split[:, cells] = rows + k
-    return [_backtrace(picks, sent) for picks, sent in zip(split.tolist(), sentences)]
+    split = np.zeros((n * n, count), dtype=np.intp)
+    for base, left, right, rows, cells in _fill_plan(n):
+        cand = best.take(base + left, axis=0)
+        cand += best.take(base + right, axis=0)
+        split[cells] = rows + cand.argmax(axis=1)
+        best[cells] += cand.max(axis=1)
+    return [_backtrace(picks, sent) for picks, sent in zip(split.T.tolist(), sentences)]
 
 
 def _backtrace(split: list[int], sentence: Sentence) -> BinaryTree:

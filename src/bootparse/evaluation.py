@@ -82,12 +82,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        raw = json.loads(text)
-        raw["per_sentence"] = tuple(raw["per_sentence"])
-        return cls(**raw)
-
 
 def _scored(spans, n: int, cfg: EvalConfig) -> list[Span]:
     """The spans a score counts: length >= 2, and shorter than the
@@ -139,9 +133,12 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
     if len(preds) != len(golds):
         raise LengthMismatch(f"{len(preds)} predictions vs {len(golds)} golds")
 
-    pairs = list(zip(preds, golds))
-    if cfg.max_len is not None:
-        pairs = [(p, g) for p, g in pairs if len(g.sentence) <= cfg.max_len]
+    # each pair with its input position, which names its per_sentence row
+    pairs = [
+        (index, pred, gold)
+        for index, (pred, gold) in enumerate(zip(preds, golds))
+        if cfg.max_len is None or len(gold.sentence) <= cfg.max_len
+    ]
     if not pairs:
         raise EmptyCorpus("no sentences to evaluate")
 
@@ -152,7 +149,7 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
     # sentences included
     label_found = Counter()
     label_total = Counter()
-    for index, (pred, gold) in enumerate(pairs):
+    for index, pred, gold in pairs:
         counts = _sentence_counts(pred, gold, cfg)
         precision, recall, f1 = _prf(*counts)
         per_sentence.append(

@@ -24,7 +24,8 @@ tables of a length group, looks each weight up by code once per token
 position, the pair's once per span, and sums them per span with numpy.
 confidence_pools scores each length group in one call; score_spans,
 which parse's charts call, is a group of one.  The spans of a sentence
-length and their index arrays are built once (_all_spans).
+length are index arrays, built once (_all_spans); a Span is built, as it
+is read, only for a model that reads Spans.
 """
 
 from __future__ import annotations
@@ -468,8 +469,8 @@ class TrainingMeta:
 class SpanScorer:
     """A trained logistic model over one view's features.
 
-    Scoring reads the weights through arrays built on first use, so the
-    space and weights must not change after a model has scored.
+    Scoring reads the space's code index, built on first use, so the
+    space must not change after a model has scored.
     """
 
     view: str
@@ -480,9 +481,6 @@ class SpanScorer:
     # how many labeled examples the model was trained on
     example_count: int = 0
     val_metrics: dict[str, float] = field(default_factory=dict)
-    # the space's sorted codes and the weight of each, 0 for the sentinel;
-    # built on first use
-    _keyed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def score_spans(self, sentence: Sentence, spans) -> np.ndarray:
         """P(constituent) of each span, in closed form from per-token weights.
@@ -505,7 +503,7 @@ class SpanScorer:
         additions differs.  It is _group_scores for one sentence.
         """
         n = len(sentence)
-        pairs = None if isinstance(spans, _SpanTuple) else [(sp.i, sp.j) for sp in spans]
+        pairs = None if isinstance(spans, _Spans) else [(sp.i, sp.j) for sp in spans]
         i, j = (spans.i, spans.j) if pairs is None else np.array(pairs, np.intp).reshape(-1, 2).T
         if len(i) and j.max() >= n:
             raise ValueError(f"span beyond the {n} tokens of sentence {sentence.id}")
@@ -547,12 +545,11 @@ class SpanScorer:
 
     def _weights(self, codes: np.ndarray) -> np.ndarray:
         """The weight of each feature code: 0 for a code that is no column."""
-        if self._keyed is None:
-            keys, columns = self.space.code_index()
-            self._keyed = keys, np.append(self.weights, 0.0)[columns]
-        keys, weights = self._keyed
-        at = keys.searchsorted(codes)
-        return np.where(keys[at] == codes, weights[at], 0.0)
+        columns = self.space.columns(codes)
+        known = columns >= 0
+        weights = np.zeros(columns.shape)
+        weights[known] = self.weights[columns[known]]
+        return weights
 
 
 def _log_loss(probs: np.ndarray, y: np.ndarray) -> float:
@@ -684,28 +681,37 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     return SpanScorer(view, space, w, float(b), meta, len(labeled), metrics)
 
 
-class _SpanTuple(tuple):
-    """A tuple of spans that carries their bounds as read-only index
-    arrays: i, j, and cells, the flat index i * n + j of each span's cell
-    in the chart of an n-token sentence."""
+@dataclass(frozen=True, eq=False)
+class _Spans:
+    """Spans as read-only index arrays: i, j, and cells, the flat index
+    i * n + j of each span's cell in the chart of an n-token sentence.
+    Iterating builds each Span as it is read, for models that read Spans."""
+
+    i: np.ndarray
+    j: np.ndarray
+    cells: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.i)
+
+    def __iter__(self):
+        return map(Span, self.i.tolist(), self.j.tolist())
 
 
-def _all_spans(n: int, min_len: int = 2) -> _SpanTuple:
+def _all_spans(n: int, min_len: int = 2) -> _Spans:
     """Spans of at least min_len tokens in row-major order (by i, then j).
 
     Cached per length and minimum, one entry for all spellings of the
-    same minimum: the tuple, its frozen spans and its index arrays are
-    immutable, so every sentence of that length can share them.
+    same minimum: the arrays are read-only, so every sentence of that
+    length can share them.
     """
-    return _span_tuple(n, max(1, min_len))
+    return _span_arrays(n, max(1, min_len))
 
 
 @functools.lru_cache(maxsize=256)
-def _span_tuple(n: int, min_len: int) -> _SpanTuple:
-    spans = _SpanTuple(Span(i, j) for i in range(n) for j in range(i + min_len - 1, n))
-    spans.i = np.array([sp.i for sp in spans], dtype=np.intp)
-    spans.j = np.array([sp.j for sp in spans], dtype=np.intp)
-    spans.cells = spans.i * n + spans.j
+def _span_arrays(n: int, min_len: int) -> _Spans:
+    i, j = np.triu_indices(n, min_len - 1)
+    spans = _Spans(i, j, i * n + j)
     for arr in (spans.i, spans.j, spans.cells):
         arr.setflags(write=False)
     return spans
@@ -820,12 +826,15 @@ def harvest(
             warnings.warn(f"{what} pool has {size} spans, wanted {want}", PoolExhaustedWarning)
         take = min(want, size)
         picks = np.sort(rng.choice(size, size=take, replace=False)) if take else []
-        spans = (
-            (corpus[pos].id, _all_spans(len(corpus[pos]))[k])
-            for pos, k in zip(sent_pos[picks].tolist(), span_idx[picks].tolist())
-        )
+        pos, k = sent_pos[picks].tolist(), span_idx[picks]
+        # each pick's bounds, read from _all_spans a sentence length at a time
+        lengths = np.array([len(corpus[p]) for p in pos], dtype=np.intp)
+        i, j = np.empty((2, take), dtype=np.intp)
+        for n in np.unique(lengths).tolist():
+            at, spans = lengths == n, _all_spans(n)
+            i[at], j[at] = spans.i[k[at]], spans.j[k[at]]
         samples.append(LabeledSet.from_rows(
-            (sid, span.i, span.j, label, view) for sid, span in spans
+            (corpus[p].id, a, b, label, view) for p, a, b in zip(pos, i.tolist(), j.tolist())
         ))
     return samples[0], samples[1], (len(pools[0][0]), len(pools[1][0]))
 

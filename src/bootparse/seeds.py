@@ -279,53 +279,46 @@ def write_seed_file(examples, path) -> None:
         )
 
 
-def _read_line(path, number: int, parts: list[str]) -> tuple:
-    """The five columns of one split seed-file line; MalformedFile names
-    path:line and the line's first fault."""
-    if len(parts) != 5:
-        raise MalformedFile(f"{path}:{number}: expected 5 columns, got {len(parts)}")
-    sid, i, j, label, view = parts
-    if label not in _LABEL_VALUES:
-        raise MalformedFile(f"{path}:{number}: unknown label {label!r}")
-    try:
-        ex = LabeledSpanExample(int(sid), Span(int(i), int(j)), _LABEL_VALUES[label], view)
-    except ValueError as exc:
-        raise MalformedFile(f"{path}:{number}: {exc}") from exc
-    return ex.sentence_id, ex.span.i, ex.span.j, ex.label, VIEW_CODES[ex.view]
+def _seed_columns(path, lines: list[str], first: int = 1) -> np.ndarray:
+    """The columns of a seed file's lines, numbered from first, read a
+    column at a time; blank lines are skipped.
 
+    A fault raises MalformedFile naming path:line and the line's first
+    fault.  Of several lines, each is read alone by these same checks
+    until one raises, so the first bad line is the one named.
+    """
 
-def _seed_columns(lines: list[str]) -> np.ndarray | None:
-    """The columns of a seed file's non-blank lines, read a column at a
-    time by the rules of _read_line; None when a line breaks one."""
-    if {line.count("\t") for line in lines} - {4}:
-        return None
-    fields = "\t".join(lines).split("\t") if lines else []
+    def bad(why: str) -> MalformedFile:
+        for number, line in enumerate(lines, first) if len(lines) > 1 else ():
+            if line:
+                _seed_columns(path, [line], number)
+        return MalformedFile(f"{path}:{first}: {why}")
+
+    kept = [line for line in lines if line]
+    tabs = {line.count("\t") for line in kept}
+    if tabs - {4}:
+        raise bad(f"expected 5 columns, got {tabs.pop() + 1}")
+    fields = "\t".join(kept).split("\t") if kept else []
     sid, i, j, label, view = (fields[k::5] for k in range(5))
+    if set(label) - _LABEL_VALUES.keys():
+        raise bad(f"unknown label {label[0]!r}")
     try:
         columns = _int_columns([
             list(map(int, sid)), list(map(int, i)), list(map(int, j)),
-            list(map(_LABEL_VALUES.__getitem__, label)), list(map(VIEW_CODES.__getitem__, view)),
+            list(map(_LABEL_VALUES.get, label)), [VIEW_CODES.get(name, -1) for name in view],
         ])
-    except (KeyError, ValueError):
-        return None
+    except ValueError as exc:
+        raise bad(str(exc)) from exc
     if np.any(columns[1] < 0) or np.any(columns[2] < columns[1]):
-        return None
+        raise bad(f"invalid span ({columns[1, 0]}, {columns[2, 0]})")
+    if np.any(columns[4] < 0):
+        raise bad(f"unknown view {view[0]!r}")
     return columns
 
 
 def read_seed_file(path) -> LabeledSet:
     """Read a file written by write_seed_file; MalformedFile names path:line.
 
-    Blank lines are skipped.  The columns are read a column at a time;
-    only a file with a bad line is read line by line, which names the
-    first bad line and its fault.
+    Blank lines are skipped.  The columns are read a column at a time.
     """
-    lines = read_text(path).split("\n")
-    columns = _seed_columns([line for line in lines if line])
-    if columns is None:
-        return LabeledSet.from_rows(
-            _read_line(path, number, line.split("\t"))
-            for number, line in enumerate(lines, 1)
-            if line
-        )
-    return LabeledSet(columns)
+    return LabeledSet(_seed_columns(path, read_text(path).split("\n")))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import statistics
 from collections import Counter
@@ -192,6 +193,15 @@ def test_corpus_eval_max_len_filters():
     assert report.per_sentence[0]["length"] == 3
 
 
+def test_corpus_eval_max_len_keeps_input_positions():
+    # rows are numbered by input position, not by position after the filter
+    trees = ["(S (A a b) (B c (C d (D e (E f (F g h))))))", "(S (A a b) c)", "(S a b)"]
+    golds = [parse_bracketed(tree, sentence_id=k) for k, tree in enumerate(trees)]
+    report = corpus_eval([binary(tree) for tree in trees], golds, EvalConfig(max_len=5))
+    assert [(row["index"], row["length"]) for row in report.per_sentence] == [(1, 3), (2, 2)]
+    assert render_per_sentence_tsv(report).splitlines()[1].startswith("1\t3\t")
+
+
 def test_length_buckets():
     golds = [
         parse_bracketed("(S (A a b) c)", sentence_id=0),
@@ -338,9 +348,9 @@ def _spans_to_bracketed(tokens, spans):
 def test_report_json_round_trip():
     gold = parse_bracketed(TREE_C)
     report = corpus_eval([binary(TREE_A)], [gold])
-    again = EvalReport.from_json(report.to_json())
-    assert again == report
-    assert report.to_json() == again.to_json()
+    # report.json holds every field: the report is rebuilt from it
+    raw = json.loads(report.to_json())
+    assert EvalReport(**{**raw, "per_sentence": tuple(raw["per_sentence"])}) == report
 
 
 def test_render_report_and_tsv():

@@ -696,15 +696,16 @@ def test_score_spans_span_list_matches_chart_order(view):
     rng = np.random.default_rng(5)
     for s in parity_sentences():
         table = _all_spans(len(s), min_len=1)
+        spans = list(table)
         picks = rng.integers(0, len(table), 2 * len(table))
-        got = model.score_spans(s, [table[k] for k in picks])
+        got = model.score_spans(s, [spans[k] for k in picks])
         assert np.array_equal(got, model.score_spans(s, table)[picks])
 
 
 @pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
 def test_score_spans_span_tuple_matches_span_list(view):
-    # the cached index arrays of an _all_spans tuple against the same
-    # spans as a list, to the bit
+    # the cached index arrays of _all_spans against the same spans as a
+    # list of Spans, to the bit
     model = random_model(view, seed=6)
     for s in parity_sentences():
         for min_len in (1, 2):
@@ -721,10 +722,15 @@ def test_score_spans_span_tuple_matches_span_list(view):
 def test_all_spans_one_cache_entry_per_table():
     assert _all_spans(5) is _all_spans(5, 2) is _all_spans(5, min_len=2)
     assert _all_spans(5, min_len=1) is _all_spans(5, 1) is _all_spans(5, 0)
-    assert _all_spans(3) == (Span(0, 1), Span(0, 2), Span(1, 2))
-    assert _all_spans(3, 1) == (
-        Span(0, 0), Span(0, 1), Span(0, 2), Span(1, 1), Span(1, 2), Span(2, 2)
-    )
+    for n in range(1, 41):
+        for min_len in range(4):
+            want = [(i, j) for i in range(n) for j in range(i, n) if j - i + 1 >= min_len]
+            table = _all_spans(n, min_len)
+            assert len(table) == len(want)
+            assert list(zip(table.i.tolist(), table.j.tolist())) == want
+            assert table.cells.tolist() == [i * n + j for i, j in want]
+            assert not any(arr.flags.writeable for arr in (table.i, table.j, table.cells))
+            assert list(table) == [Span(i, j) for i, j in want]
 
 
 # --- length groups against per-sentence references ---
