@@ -65,6 +65,7 @@ from .seeds import (
 from .synth import SyntheticGrammar, builtin_grammar, generate_corpus
 from .treebank import (
     binary_from_tree,
+    length_fills,
     parse_bracketed,
     read_corpus,
     read_treebank,
@@ -344,39 +345,26 @@ def _heuristic_stats(cfg: PipelineConfig) -> HeuristicConfig:
     return heuristics_from_corpus(read_corpus(cfg.paths.corpus))
 
 
-# the most chart cells parse decodes in one stacked fill, and so holds
-# at once (a chart of n tokens has n * n), with one chart at least
-DECODE_CELLS = 1 << 16
-
-
 def cmd_parse(args) -> int:
-    """Decode the input one length group at a time, in order of each
-    length's first sentence: score and apply the heuristics per sentence,
-    then decode the group's charts in stacked fills of DECODE_CELLS cells
-    at most.  The trees are written in input order once every group is
+    """Decode the input a length_fills fill at a time: score and apply the
+    heuristics per sentence, then decode the fill's charts in one stacked
+    pass.  The trees are written in input order once every fill is
     decoded."""
     cfg = _load(args)
     heuristics = _heuristic_stats(cfg)
     scorer = _parse_scorer(cfg, args.stage, Path(cfg.paths.model_dir))
     sentences = read_corpus(args.input)
-    groups: dict[int, list[int]] = {}
-    for pos, sentence in enumerate(sentences):
-        groups.setdefault(len(sentence), []).append(pos)
     lines = [""] * len(sentences)
     external = isinstance(scorer, ExternalScorer)
     try:
-        for n, positions in groups.items():
-            size = min(len(positions), max(1, DECODE_CELLS // (n * n)))
-            charts = np.empty((size, n, n))
-            for start in range(0, len(positions), size):
-                chunk = positions[start : start + size]
-                group = [sentences[pos] for pos in chunk]
-                for b, sentence in enumerate(group):
-                    chart = score_chart(scorer, sentence, renormalize=cfg.renormalize)
-                    charts[b] = apply_heuristics(chart, sentence, heuristics).cells
-                trees = cyk_decode_stack(charts[: len(chunk)], group)
-                for pos, tree in zip(chunk, trees):
-                    lines[pos] = tree.to_bracketed() + "\n"
+        for n, positions in length_fills(sentences):
+            group = [sentences[pos] for pos in positions]
+            charts = np.empty((len(group), n, n))
+            for b, sentence in enumerate(group):
+                chart = score_chart(scorer, sentence, renormalize=cfg.renormalize)
+                charts[b] = apply_heuristics(chart, sentence, heuristics).cells
+            for pos, tree in zip(positions, cyk_decode_stack(charts, group)):
+                lines[pos] = tree.to_bracketed() + "\n"
         if external:
             scorer.finish()
     finally:

@@ -2,8 +2,8 @@
 
 The decoder picks the binary tree whose spans maximize the sum of chart
 scores.  ``cyk_decode_stack`` decodes a stack of charts of one sentence
-length in one fill, so parse decodes its input one length group at a
-time; ``cyk_decode`` decodes one chart as a stack of one.
+length in one fill, so parse decodes its input one treebank.length_fills
+fill at a time; ``cyk_decode`` decodes one chart as a stack of one.
 ``enumerate_trees`` provides the brute-force reference used to test the
 dynamic program; it is exponential (Catalan numbers) and guarded
 accordingly.

@@ -10,7 +10,6 @@ them and preterminal brackets are not constituents here.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import statistics
 from collections import Counter, defaultdict
@@ -80,7 +79,8 @@ class EvalReport:
     cutoff_section: dict | None = None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=1) + "\n"
+        # the fields as they are: asdict would deep-copy every per_sentence row
+        return json.dumps(vars(self), sort_keys=True, indent=1) + "\n"
 
 
 def _scored(spans, n: int, cfg: EvalConfig) -> list[Span]:

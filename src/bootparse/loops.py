@@ -9,11 +9,12 @@ once at the end; co-training passes confident spans back and forth
 between the views, accumulating both labeled sets.
 
 A labeled set is a LabeledSet, integer columns with no object per
-example, and _union adds new examples to it by comparing columns.  A
-set keeps the feature-code rows training built for it, and a grown set
-keeps those of the set it grew from, so each example's row is built
-once per loop run: train builds the rows of the examples it has not
-seen and picks each retrain's training and validation rows from them.
+example, and LabeledSet.union adds new examples to it by comparing
+columns.  A set keeps the feature-code rows training built for it, and
+a grown set keeps those of the set it grew from, so each example's row
+is built once per loop run: train builds the rows of the examples it
+has not seen and picks each retrain's training and validation rows
+from them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, SingleClassInput, check_bool, check_int, check_number
 from .scorer import Thresholds, TrainingMeta, harvest, train
-from .seeds import CONCAT, CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, VIEW_CODES, LabeledSet
+from .seeds import CONCAT, CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSet
 
 
 @dataclass(frozen=True)
@@ -180,48 +181,19 @@ def _merge_corpora(*corpora):
     return list(seen.values())
 
 
-def _in_view(labeled: LabeledSet, view: str) -> LabeledSet:
-    """The examples of labeled, all in view."""
-    columns = labeled.columns.copy()
-    columns[4] = VIEW_CODES[view]
-    return LabeledSet(columns)
-
-
-def _union(labeled: LabeledSet, new: LabeledSet) -> LabeledSet:
-    """labeled as it is, then each example of new, in order, that neither
-    labeled nor an earlier example of new holds.
-
-    An example is its five columns, label and view included.  The grown
-    set keeps the rows labeled kept for training.
-    """
-    both = np.concatenate((labeled.columns, new.columns), axis=1)
-    # a stable sort puts equal examples together in the order they come
-    order = np.lexsort(both[::-1])
-    ranked = both[:, order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    fresh = np.empty_like(first)
-    fresh[order] = first
-    grown = LabeledSet(np.concatenate(
-        (labeled.columns, new.columns[:, fresh[len(labeled):]]), axis=1
-    ))
-    grown.rows = labeled.rows
-    return grown
-
-
 def _grow(labeled: LabeledSet, view: str, model, pool_sents, cfg: LoopConfig, stream: int, k: int):
     """Harvest c constituents and d distituents and add them to labeled.
 
     The harvest draws from its own RNG stream, (rng_seed, stream,
     iteration k), and its examples join labeled in view, after it and in
-    sample order, unless already there (_union).  Returns the grown set,
-    the pool sizes keyed by the model's view and the class, and the
-    sample size of each class before duplicates were dropped.
+    sample order, unless already there (LabeledSet.union).  Returns the
+    grown set, the pool sizes keyed by the model's view and the class,
+    and the sample size of each class before duplicates were dropped.
     """
     rng = np.random.default_rng((cfg.rng_seed, stream, k))
     const, dist, (n_const, n_dist) = harvest(model, pool_sents, cfg.thresholds, cfg.c, cfg.d, rng)
     new = LabeledSet(np.concatenate((const.columns, dist.columns), axis=1))
-    grown = _union(labeled, _in_view(new, view))
+    grown = labeled.union(new.in_view(view))
     pools = {f"{model.view}_constituent": n_const, f"{model.view}_distituent": n_dist}
     return grown, pools, {"constituent": len(const), "distituent": len(dist)}
 
@@ -279,7 +251,7 @@ def self_train(
             )
         )
 
-    outside = _in_view(current, OUTSIDE)
+    outside = current.in_view(OUTSIDE)
     m_out = trainer(outside, sentences, OUTSIDE, meta)
     return LoopResult(
         m_in=m_in,
@@ -372,4 +344,4 @@ def concat_baseline(
         [LabeledSet.of(examples).columns for examples in (inside_examples, outside_examples)],
         axis=1,
     ))
-    return trainer(_union(LabeledSet.of([]), _in_view(both, CONCAT)), sentences, CONCAT, meta)
+    return trainer(LabeledSet.of([]).union(both.in_view(CONCAT)), sentences, CONCAT, meta)

@@ -10,22 +10,24 @@ A feature is one integer code: its template and the process-wide id of
 its token, or of its two tokens for the bigram b=x|y and the outside
 view's pair lr=x_{i-1}|x_{j+1}, or the fixed code of a length bin,
 position bucket or sentinel flag; _name and _codes are the only places
-a name is built or read.  featurize turns a length group of sentences
-into stacked tables of codes, one column per token position, and keeps
-nothing: each reader builds the tables it reads.  Training gathers the
-example rows from those tables (example_rows), once per example of a
-labeled set, which keeps them (_labeled_rows), picks each training
-run's rows from them by its shuffled order, and numbers the columns
-by the names of the codes (FeatureSpace), so the columns, the saved
-names and the weights never depend on the ids; train runs minibatch
-gradient steps with numpy alone.  Scoring builds no name: the model is
-linear over indicators, so one core (_group_scores) takes the stacked
-tables of a length group, looks each weight up by code once per token
-position, the pair's once per span, and sums them per span with numpy.
-confidence_pools scores each length group in one call; score_spans,
-which parse's charts call, is a group of one.  The spans of a sentence
-length are index arrays, built once (_all_spans); a Span is built, as it
-is read, only for a model that reads Spans.
+a name is built or read.  featurize turns a fill of same-length
+sentences (treebank.length_fills) into stacked tables of codes, one
+column per token position, and keeps nothing: each reader builds the
+tables it reads.  Training gathers the example rows from those tables
+(example_rows), once per example of a labeled set, which keeps them
+(_labeled_rows), picks each training run's rows from them by its
+shuffled order, and numbers the columns by the names of the codes
+(FeatureSpace), so the columns, the saved names and the weights never
+depend on the ids; train runs minibatch gradient steps with numpy
+alone.  Scoring builds no name: the model is linear over indicators, so
+one core (_group_scores) takes the stacked tables of a fill, looks each
+weight up by code once per token position, the pair's once per span,
+and sums them per span with numpy.  confidence_pools scores each fill
+in one call and hands back the bounds of its confident spans, which
+harvest samples; score_spans, which parse's charts call, is a group of
+one.  The spans of a sentence length are index arrays, built once
+(_all_spans); a Span is built, as it is read, only for a model that
+reads Spans.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ from .seeds import (
     VIEW_CODES,
     VIEWS,
     LabeledSet,
+    _int_columns,
 )
-from .treebank import Sentence, Span
+from .treebank import Sentence, Span, length_fills
 
 BOS = "<s>"
 EOS = "</s>"
@@ -206,7 +209,7 @@ def featurize(group) -> np.ndarray:
     x_{i-1} and x_{j+1}, the bos and eos flags, and the pair feature
     lr=x_{i-1}|x_{j+1}; the concat view has both.  A table's rows are
     listed above.  Nothing is kept: example_rows and confidence_pools
-    build the tables they read a length group at a time.
+    build the tables they read a length_fills fill at a time.
     """
     # each sentence's token ids between the sentinels' ids, 0 and 1
     edged = np.array([[0, *map(_token_id, tokens), 1] for tokens in group], dtype=np.int64)
@@ -286,18 +289,15 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
         raise ValueError(f"span {Span(int(i[k]), int(j[k]))} outside sentence {sents[slot[k]].id}")
     i, j = i.astype(np.intp), j.astype(np.intp)
 
-    # the tables of each length group side by side, one sentence's
-    # columns after another's: sentence slot's start at offsets[slot]
-    groups: dict[int, list[int]] = {}
-    for s, sent in enumerate(sents):
-        groups.setdefault(len(sent), []).append(s)
+    # the tables of each fill side by side, one sentence's columns after
+    # another's: sentence slot's start at offsets[slot]
     offsets = np.empty(len(sents), dtype=np.intp)
     tables, width = [], 0
-    for n, group in groups.items():
-        stacked = featurize([sents[s].tokens for s in group])
+    for n, fill in length_fills(sents):
+        stacked = featurize([sents[s].tokens for s in fill])
         tables.append(stacked.transpose(1, 0, 2).reshape(_AFTER + 1, -1))
-        offsets[group] = width + n * np.arange(len(group))
-        width += n * len(group)
+        offsets[fill] = width + n * np.arange(len(fill))
+        width += n * len(fill)
     table = np.concatenate(tables, axis=1)
     offsets = offsets[slot]
     first, last = offsets + i, offsets + j
@@ -758,11 +758,6 @@ class Thresholds:
             raise ValueError(f"bad thresholds ({self.tau_min}, {self.tau_max})")
 
 
-# the most chart cells (n * n for an n-token sentence) confidence_pools
-# scores in one stacked fill, and so holds at once, with one sentence at least
-POOL_CELLS = 1 << 14
-
-
 def confidence_pools(model, corpus, thresholds: Thresholds):
     """Split every multi-token span into confident pools by score.
 
@@ -770,33 +765,27 @@ def confidence_pools(model, corpus, thresholds: Thresholds):
     below tau_min to the distituent pool; everything between is dropped.
     Single-token spans carry no bracketing signal and are skipped.
     Returns the constituent pool and then the distituent pool, each as
-    two integer arrays: the position in corpus of each span's sentence
-    and the span's index in that sentence's _all_spans.  Each pool lists
-    its spans in corpus order, then in _all_spans order.  The corpus is
-    scored a length group at a time, in fills of at most POOL_CELLS
-    cells, one sentence per row: a SpanScorer scores a fill in one
-    _group_scores call, any other model by score_spans per sentence.
+    three integer arrays: the position in corpus of each span's sentence
+    and the span's bounds i and j.  Each pool lists its spans in corpus
+    order, then in _all_spans order.  The corpus is scored a length_fills
+    fill at a time, one sentence per row: a SpanScorer scores a fill in
+    one _group_scores call, any other model by score_spans per sentence.
     """
     corpus = list(corpus)
-    groups: dict[int, list[int]] = {}
-    for pos, sent in enumerate(corpus):
-        groups.setdefault(len(sent), []).append(pos)
-    # each pool's hits, a fill at a time: corpus positions over span indices
-    hits = ([np.empty((2, 0), np.intp)], [np.empty((2, 0), np.intp)])
-    for n, positions in groups.items():
+    # each pool's hits, a fill at a time: corpus positions over bounds
+    hits = ([np.empty((3, 0), np.intp)], [np.empty((3, 0), np.intp)])
+    for n, positions in length_fills(corpus):
         spans = _all_spans(n)
-        size = max(1, POOL_CELLS // (n * n))
-        for start in range(0, len(positions) if spans else 0, size):
-            chunk = positions[start : start + size]
-            sents = [corpus[pos] for pos in chunk]
-            if isinstance(model, SpanScorer):
-                tables = featurize([sent.tokens for sent in sents])
-                probs = model._group_scores(tables, spans.i, spans.j)
-            else:
-                probs = np.array([model.score_spans(sent, spans) for sent in sents])
-            for found, sure in zip(hits, (probs > thresholds.tau_max, probs < thresholds.tau_min)):
-                rows, span_idx = np.nonzero(sure)
-                found.append(np.stack((np.take(chunk, rows), span_idx)))
+        if not spans:
+            continue
+        sents = [corpus[pos] for pos in positions]
+        if isinstance(model, SpanScorer):
+            probs = model._group_scores(featurize([s.tokens for s in sents]), spans.i, spans.j)
+        else:
+            probs = np.array([model.score_spans(sent, spans) for sent in sents])
+        for found, sure in zip(hits, (probs > thresholds.tau_max, probs < thresholds.tau_min)):
+            rows, k = np.nonzero(sure)
+            found.append(np.stack((np.take(positions, rows), spans.i[k], spans.j[k])))
     # each fill's hits are in row-major order, so a stable sort by corpus
     # position leaves each sentence's in _all_spans order
     pools = [np.concatenate(found, axis=1) for found in hits]
@@ -816,26 +805,20 @@ def harvest(
     """
     corpus = list(corpus)
     pools = confidence_pools(model, corpus, thresholds)
+    ids = _int_columns([sent.id for sent in corpus])
     view = VIEW_CODES[model.view]
     samples = []
-    for (sent_pos, span_idx), want, label, what in zip(
+    for pool, want, label, what in zip(
         pools, (c, d), (CONSTITUENT, DISTITUENT), ("constituent", "distituent")
     ):
-        size = len(sent_pos)
+        size = len(pool[0])
         if want > size:
             warnings.warn(f"{what} pool has {size} spans, wanted {want}", PoolExhaustedWarning)
         take = min(want, size)
         picks = np.sort(rng.choice(size, size=take, replace=False)) if take else []
-        pos, k = sent_pos[picks].tolist(), span_idx[picks]
-        # each pick's bounds, read from _all_spans a sentence length at a time
-        lengths = np.array([len(corpus[p]) for p in pos], dtype=np.intp)
-        i, j = np.empty((2, take), dtype=np.intp)
-        for n in np.unique(lengths).tolist():
-            at, spans = lengths == n, _all_spans(n)
-            i[at], j[at] = spans.i[k[at]], spans.j[k[at]]
-        samples.append(LabeledSet.from_rows(
-            (corpus[p].id, a, b, label, view) for p, a, b in zip(pos, i.tolist(), j.tolist())
-        ))
+        pos, i, j = (column[picks] for column in pool)
+        columns = np.stack((ids[pos], i, j, np.full(take, label), np.full(take, view)))
+        samples.append(LabeledSet(columns))
     return samples[0], samples[1], (len(pools[0][0]), len(pools[1][0]))
 
 

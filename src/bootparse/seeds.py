@@ -8,6 +8,8 @@ text fragments delimited by '*' marks as extra constituents.
 A set of labeled examples is held as integer columns (LabeledSet): the
 loops grow their sets and training reads them without an object per
 example, and seed files are read and written a column at a time.
+generate_seeds emits its seeds as integer rows, and LabeledSet.union,
+the one rule by which the loops grow their sets, drops its duplicates.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ class LabeledSet(Sequence):
 
     @classmethod
     def from_rows(cls, rows) -> "LabeledSet":
-        """The set of (sentence id, i, j, label, view code) rows, in order."""
+        """The set of (sentence id, i, j, label, view code) rows, in order,
+        given one after another or flat."""
         return cls(_int_columns(list(rows)).reshape(-1, 5).T)
 
     def __len__(self) -> int:
@@ -125,6 +128,30 @@ class LabeledSet(Sequence):
 
     def __repr__(self) -> str:
         return f"LabeledSet({list(self)!r})"
+
+    def in_view(self, view: str) -> "LabeledSet":
+        """The set's examples, all in view."""
+        columns = self.columns.copy()
+        columns[4] = VIEW_CODES[view]
+        return LabeledSet(columns)
+
+    def union(self, new: "LabeledSet") -> "LabeledSet":
+        """This set as it is, then each example of new, in order, that
+        neither this set nor an earlier example of new holds.
+
+        An example is its five columns, label and view included.  The
+        grown set keeps the rows this set kept for training.
+        """
+        both = np.concatenate((self.columns, new.columns), axis=1)
+        # a stable sort puts equal examples together in the order they come
+        order = np.lexsort(both[::-1])
+        ranked = both[:, order]
+        keep = np.ones(len(order), dtype=bool)
+        keep[order[1:]] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        keep[: len(self)] = True
+        grown = LabeledSet(both[:, keep])
+        grown.rows = self.rows
+        return grown
 
 
 @dataclass(frozen=True)
@@ -205,35 +232,23 @@ def casing_copy_sentences(corpus, cfg: SeedConfig) -> list[Sentence]:
     return out
 
 
-def _slice_distituents(sentence: Sentence, cfg: SeedConfig) -> list[Span]:
+def _slice_distituents(sentence: Sentence, cfg: SeedConfig) -> list[tuple[int, int]]:
+    """The bounds (i, j) of the sentence's slice distituents: prefixes
+    for the right template, suffixes for the left."""
     n = len(sentence)
-    spans = []
     if cfg.random_slices:
         rng = np.random.default_rng((cfg.rng_seed, sentence.id))
-        lo = cfg.min_span_len
-        hi = n - 1  # slice length strictly below the sentence length
-        if hi < lo:
-            return []
-        for _ in range(cfg.slices):
-            length = int(rng.integers(lo, hi + 1))
-            if cfg.branching == "right":
-                spans.append(Span(0, length - 1))
-            else:
-                spans.append(Span(n - length, n - 1))
-        return spans
-    for k in range(1, cfg.slices + 1):
-        length = n - k
-        if length < cfg.min_span_len:
-            break
-        if cfg.branching == "right":
-            spans.append(Span(0, length - 1))
-        else:
-            spans.append(Span(k, n - 1))
-    return spans
+        # slice lengths strictly below the sentence length
+        lo, hi = cfg.min_span_len, n - 1
+        lengths = [int(rng.integers(lo, hi + 1)) for _ in range(cfg.slices)] if lo <= hi else []
+    else:
+        lengths = [n - k for k in range(1, cfg.slices + 1) if n - k >= cfg.min_span_len]
+    return [(0, m - 1) if cfg.branching == "right" else (n - m, n - 1) for m in lengths]
 
 
-def generate_seeds(corpus, cfg: SeedConfig) -> list[LabeledSpanExample]:
-    """Deterministic seed set over the corpus, in corpus order.
+def generate_seeds(corpus, cfg: SeedConfig) -> LabeledSet:
+    """Deterministic seed set over the corpus, in corpus order, all in
+    the inside view.
 
     Per sentence: the whole-sentence constituent, slice distituents,
     then optional star fragments and capitalized runs as constituents.
@@ -244,27 +259,25 @@ def generate_seeds(corpus, cfg: SeedConfig) -> list[LabeledSpanExample]:
     corpus = list(corpus)
     if not corpus:
         raise EmptyCorpus("no sentences to seed from")
-    emitted: dict[LabeledSpanExample, None] = {}
-
-    def emit(sid: int, span: Span, label: int):
-        emitted.setdefault(LabeledSpanExample(sid, span, label), None)
-
+    view = VIEW_CODES[INSIDE]
+    # (sentence id, i, j, label, view code) of each seed, flat
+    rows: list[int] = []
     for sent in corpus:
-        n = len(sent)
-        emit(sent.id, Span(0, n - 1), CONSTITUENT)
-        for span in _slice_distituents(sent, cfg):
-            emit(sent.id, span, DISTITUENT)
+        rows += (sent.id, 0, len(sent) - 1, CONSTITUENT, view)
+        for i, j in _slice_distituents(sent, cfg):
+            rows += (sent.id, i, j, DISTITUENT, view)
+        runs = []
         if cfg.star_split:
-            stars = token_runs(sent.tokens, lambda tok: tok != "*", cfg.min_span_len)
-            for span in stars:
-                emit(sent.id, span, CONSTITUENT)
+            runs += token_runs(sent.tokens, lambda tok: tok != "*", cfg.min_span_len)
         if cfg.casing_augmentation:
-            for run in cased_runs(sent):
-                emit(sent.id, run, CONSTITUENT)
+            runs += cased_runs(sent)
+        for run in runs:
+            rows += (sent.id, run.i, run.j, CONSTITUENT, view)
     for carrier in casing_copy_sentences(corpus, cfg):
-        emit(carrier.id, Span(0, len(carrier) - 1), cfg.lowercase_copy_label)
-
-    return list(emitted)
+        rows += (carrier.id, 0, len(carrier) - 1, cfg.lowercase_copy_label, view)
+    seeds = LabeledSet.from_rows(rows)
+    del rows  # freed before the dedup's copies are made
+    return LabeledSet.of([]).union(seeds)
 
 
 def write_seed_file(examples, path) -> None:

@@ -7,6 +7,9 @@ immutable; every transformation returns a new tree.
 
 A bracketed file is read in one pass over one lazy stream of brackets
 and words, and words between top-level trees are skipped.
+
+Whatever works a sentence length at a time (pool scoring, training
+rows, parse) takes its fills from length_fills, under one cap.
 """
 
 from __future__ import annotations
@@ -59,6 +62,28 @@ class Sentence:
 
     def __len__(self):
         return len(self.tokens)
+
+
+# the most chart cells (n * n for an n-token sentence) one fill of
+# length_fills holds, with one sentence at least
+FILL_CELLS = 1 << 16
+
+
+def length_fills(sentences):
+    """Yield (n, positions): the positions in sentences of up to
+    FILL_CELLS // n² sentences of n tokens, one at least, in input order.
+
+    The lengths come in order of each length's first sentence, and each
+    length's sentences are cut into fills in input order, so whatever
+    stacks a fill's charts holds at most FILL_CELLS cells of them at once.
+    """
+    groups: dict[int, list[int]] = {}
+    for pos, sentence in enumerate(sentences):
+        groups.setdefault(len(sentence), []).append(pos)
+    for n, positions in groups.items():
+        size = max(1, FILL_CELLS // (n * n))
+        for start in range(0, len(positions), size):
+            yield n, positions[start : start + size]
 
 
 @dataclass(frozen=True, order=True)

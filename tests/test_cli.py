@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bootparse import cli
+from bootparse import treebank
 from bootparse.cli import main
 from bootparse.config import PipelineConfig, load_config
 from bootparse.decoder import (
@@ -20,7 +20,7 @@ from bootparse.decoder import (
 from bootparse.evaluation import right_branching_spans
 from bootparse.loops import IterationRecord, LoopTrace
 from bootparse.scorer import load_model, score_chart
-from bootparse.treebank import BinaryTree, read_corpus
+from bootparse.treebank import FILL_CELLS, BinaryTree, read_corpus
 
 GOLDEN_RIGHT = (
     "0\t0\t4\tconstituent\tinside\n"
@@ -564,7 +564,7 @@ def _parse_one_by_one(cfg, stage: str, input_path) -> str:
 @pytest.mark.parametrize("stage", ["seed", "self", "co"])
 @pytest.mark.parametrize("heuristics", [False, True])
 @pytest.mark.parametrize("renormalize", [False, True])
-@pytest.mark.parametrize("cells", [cli.DECODE_CELLS, 100])
+@pytest.mark.parametrize("cells", [FILL_CELLS, 100])
 def test_parse_by_length_group_matches_one_by_one(
     pipeline, tmp_path, monkeypatch, stage, heuristics, renormalize, cells
 ):
@@ -572,7 +572,7 @@ def test_parse_by_length_group_matches_one_by_one(
     # the trees decoded by length group, whole or in fills of 100 cells
     # (from 100 one-token charts to one chart of 10 tokens or more),
     # written in input order, are those of decoding each sentence alone.
-    monkeypatch.setattr(cli, "DECODE_CELLS", cells)
+    monkeypatch.setattr(treebank, "FILL_CELLS", cells)
     root, _ = pipeline
     rng = np.random.default_rng(3)
     lines = (root / "corpus.txt").read_text().splitlines()[:150]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import expit
 
-from bootparse import scorer
+from bootparse import scorer, treebank
 from bootparse.errors import (
     ExternalScorerError,
     LengthMismatch,
@@ -45,7 +45,7 @@ from bootparse.scorer import (
     train,
 )
 from bootparse.seeds import CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSpanExample
-from bootparse.treebank import Sentence, Span
+from bootparse.treebank import FILL_CELLS, Sentence, Span
 
 
 def sent(sid, text):
@@ -859,14 +859,15 @@ class ScoresOnly:
 
 
 def reference_pools(model, corpus, thresholds):
-    """confidence_pools one sentence at a time, in corpus order."""
+    """confidence_pools one sentence at a time, in corpus order: each
+    pool's (pos, i, j) rows."""
     hits = ([], [])
     for pos, s in enumerate(corpus):
-        spans = _all_spans(len(s))
+        spans = list(_all_spans(len(s)))
         probs = model.score_spans(s, spans) if spans else np.empty(0)
         for found, sure in zip(hits, (probs > thresholds.tau_max, probs < thresholds.tau_min)):
-            found += [(pos, k) for k in np.flatnonzero(sure).tolist()]
-    return [np.array(found, dtype=np.intp).reshape(-1, 2).T for found in hits]
+            found += [(pos, spans[k].i, spans[k].j) for k in np.flatnonzero(sure).tolist()]
+    return hits
 
 
 def mixed_corpus(seed):
@@ -880,31 +881,29 @@ def mixed_corpus(seed):
     return [corpus[k] for k in rng.permutation(len(corpus))]
 
 
-@pytest.mark.parametrize("cells", [1, 64, scorer.POOL_CELLS])
+@pytest.mark.parametrize("cells", [1, 64, FILL_CELLS])
 @pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
 def test_confidence_pools_match_per_sentence_reference(monkeypatch, view, cells):
     # fills of one sentence, of a few and of whole groups, for a scorer
     # and for a model that has only score_spans
-    monkeypatch.setattr(scorer, "POOL_CELLS", cells)
+    monkeypatch.setattr(treebank, "FILL_CELLS", cells)
     model = random_model(view, seed=18)
     corpus = mixed_corpus(seed=19)
     th = Thresholds(tau_min=0.5, tau_max=0.8)
     want = reference_pools(model, corpus, th)
-    assert all(len(sent_pos) for sent_pos, _ in want)
+    assert all(want)
     scores_only = ScoresOnly(model)
     for scoring in (model, scores_only):
         got = scorer.confidence_pools(scoring, corpus, th)
-        for (sent_pos, span_idx), (want_pos, want_idx) in zip(got, want):
-            assert sent_pos.tolist() == want_pos.tolist()
-            assert span_idx.tolist() == want_idx.tolist()
+        assert [list(zip(*(column.tolist() for column in pool))) for pool in got] == list(want)
     assert scores_only.calls == sum(len(s) > 1 for s in corpus)
 
 
 def test_confidence_pools_of_one_token_sentences_are_empty():
     model = random_model(INSIDE, seed=18)
     for corpus in ([], [sent(0, "a"), sent(1, "b")]):
-        for sent_pos, span_idx in scorer.confidence_pools(model, corpus, Thresholds(0.4, 0.6)):
-            assert sent_pos.shape == span_idx.shape == (0,)
+        for pool in scorer.confidence_pools(model, corpus, Thresholds(0.4, 0.6)):
+            assert [column.shape for column in pool] == [(0,)] * 3
 
 
 # --- feature-id rows against the feature dicts ---
@@ -985,7 +984,7 @@ import sys
 import numpy as np
 from bootparse.scorer import featurize, save_model, train
 from bootparse.seeds import CONCAT, INSIDE, OUTSIDE, LabeledSpanExample
-from bootparse.treebank import Sentence, Span
+from bootparse.treebank import FILL_CELLS, Sentence, Span
 
 def corpus_and_examples(vocab, seed):
     rng = np.random.default_rng(seed)

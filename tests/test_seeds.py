@@ -308,7 +308,7 @@ def test_read_seed_file_names_first_bad_line(tmp_path):
 
 def test_write_seed_file_same_bytes_for_set_and_list(tmp_path):
     corpus = [sent(0, "a b c d"), sent(1, "e f g"), sent(7, "The Dog runs")]
-    examples = generate_seeds(corpus, SeedConfig(casing_augmentation=True))
+    examples = list(generate_seeds(corpus, SeedConfig(casing_augmentation=True)))
     examples += [
         LabeledSpanExample(int(BIG_ID), Span(0, 1), DISTITUENT, OUTSIDE),
         LabeledSpanExample(2, Span(1, 3), CONSTITUENT, CONCAT),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bootparse import treebank
 from bootparse.decoder import enumerate_trees
 from bootparse.errors import (
     AllTokensRemoved,
@@ -19,6 +20,7 @@ from bootparse.errors import (
 )
 from bootparse.treebank import (
     _SEXPR_TOKEN,
+    FILL_CELLS,
     PUNCT_TAGS,
     TRACE_TAG,
     BinaryTree,
@@ -27,6 +29,7 @@ from bootparse.treebank import (
     Span,
     binary_from_tree,
     labeled_spans,
+    length_fills,
     normalize,
     parse_bracketed,
     read_corpus,
@@ -241,6 +244,28 @@ _RUN_PREDICATES = {
     "isupper": lambda tok: tok[:1].isupper(),
     "ascii_cased": lambda tok: "A" <= tok[:1] <= "Z",
 }
+
+
+@pytest.mark.parametrize("cells", [FILL_CELLS, 100])
+def test_length_fills_cut_each_length_in_input_order(monkeypatch, cells):
+    # lengths whose fills hold many sentences, a few, exactly one
+    # (n² = 256² = 2¹⁶) and one though n² is above the cap
+    monkeypatch.setattr(treebank, "FILL_CELLS", cells)
+    lengths = [3, 300, 1, 40, 3, 256, 100, 3] * 60 + [1] * 250 + [3]
+    sentences = [("w",) * n for n in lengths]
+    fills = list(length_fills(sentences))
+    order = list(dict.fromkeys(n for n, _ in fills))
+    assert order == list(dict.fromkeys(lengths))
+    # each length's fills come together, cut from its positions in order,
+    # every fill full but the last
+    assert [n for n, _ in fills] == sorted((n for n, _ in fills), key=order.index)
+    for length in order:
+        cuts = [positions for n, positions in fills if n == length]
+        size = max(1, cells // length**2)
+        assert sum(cuts, []) == [pos for pos, n in enumerate(lengths) if n == length]
+        assert all(len(positions) == size for positions in cuts[:-1])
+        assert 1 <= len(cuts[-1]) <= size
+    assert list(length_fills([])) == []
 
 
 @settings(max_examples=200, deadline=None)
