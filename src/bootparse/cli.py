@@ -380,16 +380,24 @@ def cmd_parse(args) -> int:
 
 
 def _read_predictions(path):
-    """One binary tree per non-empty line; MalformedFile names path:line."""
+    """(tokens, span codes) of the binary tree on each non-empty line, the
+    codes as corpus_eval takes them; MalformedFile names path:line."""
     preds = []
     for index, line in enumerate(read_text(path).split("\n")):
         line = line.strip()
         if not line:
             continue
         try:
-            preds.append(binary_from_tree(parse_bracketed(line, index)))
+            tree = parse_bracketed(line, index)
+            codes = frozenset(code for _, code in tree.codes)
+            # a tree's spans nest under its root, the whole sentence, so n - 1
+            # distinct spans of two or more tokens form a binary tree, and
+            # BinaryTree names what is wrong with any other count
+            if len(codes) != len(tree.sentence) - 1:
+                binary_from_tree(tree)
         except (TreeSyntaxError, ValueError) as exc:
             raise MalformedFile(f"{path}:{index + 1}: {exc}") from exc
+        preds.append((tree.sentence.tokens, codes))
     return preds
 
 
@@ -406,20 +414,20 @@ def cmd_eval(args) -> int:
         )
     mismatches = [
         index
-        for index, (p, g) in enumerate(zip(preds, golds))
-        if p.sentence.tokens != g.sentence.tokens
+        for index, ((tokens, _), g) in enumerate(zip(preds, golds))
+        if tokens != g.sentence.tokens
     ]
     if mismatches:
         for index in mismatches:
             print(
                 f"yield mismatch at sentence {index}: "
-                f"predicted {' '.join(preds[index].sentence.tokens)!r} "
+                f"predicted {' '.join(preds[index][0])!r} "
                 f"vs gold {' '.join(golds[index].sentence.tokens)!r}",
                 file=sys.stderr,
             )
         raise YieldMismatch(f"{len(mismatches)} sentences with mismatched tokens")
 
-    report = corpus_eval(preds, golds, cfg.eval)
+    report = corpus_eval([codes for _, codes in preds], golds, cfg.eval)
     report_dir = _output_dir(cfg.paths.report_dir)
     lines = [render_report(report)]
     if args.baselines:

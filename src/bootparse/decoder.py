@@ -127,30 +127,29 @@ def cyk_decode_stack(charts: np.ndarray, sentences) -> list[BinaryTree]:
 def _backtrace(split: list[int], sentence: Sentence) -> BinaryTree:
     """The tree of a filled chart: span (i, j) splits after split[i * n + j]."""
     n = len(sentence)
-    return BinaryTree(
-        sentence=sentence, spans=split_spans(n, lambda i, j: split[i * n + j])
-    )
+    codes = split_codes(n, lambda i, j: split[i * n + j])
+    spans = [Span(*divmod(code, n + 1)) for code in codes] if n > 1 else [Span(0, 0)]
+    return BinaryTree(sentence=sentence, spans=spans)
 
 
-def split_spans(n: int, pick) -> frozenset[Span]:
-    """The binary tree that splits each span (i, j) after token pick(i, j).
+def split_codes(n: int, pick) -> list[int]:
+    """The code i * (n + 1) + j of each span (i, j) of two or more tokens
+    of the binary tree that splits each span after token pick(i, j).
 
     Spans are visited in pre-order, left subtree first, so a pick that
     draws random numbers draws them in a fixed order.
     """
-    if n == 1:
-        return frozenset({Span(0, 0)})
-    spans = []
-    stack = [(0, n - 1)]
+    codes = []
+    stack = [(0, n - 1)] if n > 1 else []
     while stack:
         i, j = stack.pop()
-        spans.append(Span(i, j))
+        codes.append(i * (n + 1) + j)
         k = pick(i, j)
         if k + 1 < j:
             stack.append((k + 1, j))
         if k > i:
             stack.append((i, k))
-    return frozenset(spans)
+    return codes
 
 
 def enumerate_trees(n: int) -> list[frozenset[Span]]:

@@ -6,6 +6,12 @@ evalb_style emulates the classic scorer's conventions (duplicates kept,
 whole-sentence spans counted, plus a short-sentence section).  All
 modes ignore single-token spans; a binary prediction cannot produce
 them and preterminal brackets are not constituents here.
+
+Spans are counted as integer codes, i * (n + 1) + j for the span (i, j)
+of an n-token sentence.  A gold tree's codes are made once and shared
+by every score; eval's predictions and the baselines are code sets.
+The binary oracle decodes one gold chart at a time with cyk_decode: no
+other CLI path calls it, and the benchmark's traced run requires it to.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoder import ScoreChart, cyk_decode, split_spans
+from .decoder import ScoreChart, cyk_decode, split_codes
 from .errors import EmptyCorpus, LengthMismatch, YieldMismatch, check_bool, check_int
-from .treebank import BinaryTree, GoldTree, Span
+from .treebank import BinaryTree, GoldTree
 
 MACRO_SENTENCE = "macro_sentence"
 MICRO_CORPUS = "micro_corpus"
@@ -83,13 +89,6 @@ class EvalReport:
         return json.dumps(vars(self), sort_keys=True, indent=1) + "\n"
 
 
-def _scored(spans, n: int, cfg: EvalConfig) -> list[Span]:
-    """The spans a score counts: length >= 2, and shorter than the
-    sentence when trivial spans are excluded."""
-    longest = n - 1 if cfg.exclude_trivial else n
-    return [sp for sp in spans if 1 <= sp.j - sp.i < longest]
-
-
 def _prf(matched: int, pred_total: int, gold_total: int) -> tuple[float, float, float]:
     if pred_total == 0 and gold_total == 0:
         return 1.0, 1.0, 1.0
@@ -100,32 +99,47 @@ def _prf(matched: int, pred_total: int, gold_total: int) -> tuple[float, float, 
     return precision, recall, 2 * precision * recall / (precision + recall)
 
 
-def _sentence_counts(
-    pred: BinaryTree, gold: GoldTree, cfg: EvalConfig
-) -> tuple[int, int, int]:
-    """Matched, predicted and gold span counts."""
+def _pred_codes(pred, gold: GoldTree):
+    """The codes of pred's spans of two or more tokens.  A BinaryTree
+    must have the gold tree's tokens; a code set is taken as it is."""
+    if not isinstance(pred, BinaryTree):
+        return pred
     if pred.sentence.tokens != gold.sentence.tokens:
         raise YieldMismatch(
             f"prediction tokens {pred.sentence.tokens} differ from gold "
             f"{gold.sentence.tokens}"
         )
-    n = len(gold.sentence)
+    stride = len(gold.sentence) + 1
+    return frozenset(sp.i * stride + sp.j for sp in pred.spans if sp.j > sp.i)
+
+
+def _counts(pred, gold: GoldTree, cfg: EvalConfig) -> tuple[int, int, int]:
+    """Matched, predicted and gold span counts, from the codes of the
+    prediction's spans and the gold tree's."""
+    gold_codes = [code for _, code in gold.codes]
+    if cfg.exclude_trivial:
+        whole = len(gold.sentence) - 1  # the code of (0, n - 1)
+        pred = pred - {whole}
+        gold_codes = [code for code in gold_codes if code != whole]
     # a prediction holds each span once, so a repeated gold span (a
     # unary chain) matches at most once
-    pred_spans = set(_scored(pred.spans, n, cfg))
-    gold_spans = _scored((sp for _, sp in gold.labeled), n, cfg)
-    gold_set = set(gold_spans)
-    gold_total = len(gold_set) if cfg.dedup_spans else len(gold_spans)
-    return len(pred_spans & gold_set), len(pred_spans), gold_total
+    gold_set = set(gold_codes)
+    gold_total = len(gold_set) if cfg.dedup_spans else len(gold_codes)
+    return len(pred & gold_set), len(pred), gold_total
 
 
 def sentence_f1(pred: BinaryTree, gold: GoldTree, cfg: EvalConfig) -> float:
     """Unlabeled span F1 for one sentence; 1.0 when both sets are empty."""
-    return _prf(*_sentence_counts(pred, gold, cfg))[2]
+    return _prf(*_counts(_pred_codes(pred, gold), gold, cfg))[2]
 
 
 def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
-    """Aggregate bracketing scores over aligned prediction/gold lists."""
+    """Aggregate bracketing scores over aligned prediction/gold lists.
+
+    A prediction is a BinaryTree, or the frozenset of span codes of a
+    binary bracketing of its gold tree's tokens: its spans of two or
+    more tokens, whole sentence included.
+    """
     if cfg is None:
         cfg = EvalConfig()
     preds = list(preds)
@@ -143,14 +157,15 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
         raise EmptyCorpus("no sentences to evaluate")
 
     per_sentence = []
-    pooled = np.zeros(3, dtype=int)
-    cutoff_pooled = np.zeros(3, dtype=int)
+    rows = []  # each sentence's matched, predicted and gold counts
     # per-label recall counts phrasal gold spans of length >= 2, whole
     # sentences included
     label_found = Counter()
     label_total = Counter()
     for index, pred, gold in pairs:
-        counts = _sentence_counts(pred, gold, cfg)
+        pred = _pred_codes(pred, gold)
+        counts = _counts(pred, gold, cfg)
+        rows.append(counts)
         precision, recall, f1 = _prf(*counts)
         per_sentence.append(
             {
@@ -161,28 +176,26 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
                 "f1": f1,
             }
         )
-        pooled += counts
-        if len(gold.sentence) <= CUTOFF_LEN:
-            cutoff_pooled += counts
-        for label, sp in gold.labeled:
-            if sp.length >= 2:
-                label_total[label] += 1
-                if sp in pred.spans:
-                    label_found[label] += 1
+        for label, code in gold.codes:
+            label_total[label] += 1
+            if code in pred:
+                label_found[label] += 1
 
+    by_sentence = np.array(rows, dtype=int)
     if cfg.mode == MACRO_SENTENCE:
         precision = statistics.fmean(row["precision"] for row in per_sentence)
         recall = statistics.fmean(row["recall"] for row in per_sentence)
         f1 = statistics.fmean(row["f1"] for row in per_sentence)
     else:
-        precision, recall, f1 = _prf(*pooled.tolist())
+        precision, recall, f1 = _prf(*by_sentence.sum(axis=0).tolist())
 
     cutoff_section = None
     if cfg.mode == EVALB_STYLE:
-        cut_p, cut_r, cut_f1 = _prf(*cutoff_pooled.tolist())
+        short = np.array([row["length"] for row in per_sentence]) <= CUTOFF_LEN
+        cut_p, cut_r, cut_f1 = _prf(*by_sentence[short].sum(axis=0).tolist())
         cutoff_section = {
             "max_len": CUTOFF_LEN,
-            "sentences": int(sum(row["length"] <= CUTOFF_LEN for row in per_sentence)),
+            "sentences": int(short.sum()),
             "precision": cut_p,
             "recall": cut_r,
             "f1": cut_f1,
@@ -213,24 +226,19 @@ def corpus_eval(preds, golds, cfg: EvalConfig | None = None) -> EvalReport:
     )
 
 
-def right_branching_spans(n: int) -> frozenset[Span]:
-    if n == 1:
-        return frozenset({Span(0, 0)})
-    return frozenset(Span(i, n - 1) for i in range(n - 1))
-
-
-def left_branching_spans(n: int) -> frozenset[Span]:
-    if n == 1:
-        return frozenset({Span(0, 0)})
-    return frozenset(Span(0, j) for j in range(1, n))
-
-
-def balanced_spans(n: int) -> frozenset[Span]:
-    return split_spans(n, lambda i, j: (i + j) // 2)
-
-
-def random_spans(n: int, rng) -> frozenset[Span]:
-    return split_spans(n, lambda i, j: int(rng.integers(i, j)))
+def baseline_codes(
+    n: int, which: str, rng_seed: int = 0, index: int = 0
+) -> frozenset[int]:
+    """The span codes corpus_eval takes of a baseline bracketing of n
+    tokens; the random one draws from default_rng((rng_seed, index))."""
+    if which == LEFT:
+        return frozenset(range(1, n))  # (0, j)
+    if which == RIGHT:
+        return frozenset(range(n - 1, (n - 1) * (n + 1), n + 1))  # (i, n - 1)
+    if which == BALANCED:
+        return frozenset(split_codes(n, lambda i, j: (i + j) // 2))
+    rng = np.random.default_rng((rng_seed, index))
+    return frozenset(split_codes(n, lambda i, j: int(rng.integers(i, j))))
 
 
 def trivial_baselines(
@@ -240,19 +248,9 @@ def trivial_baselines(
     if which not in _BASELINES:
         raise ValueError(f"unknown baseline {which!r}, expected one of {_BASELINES}")
     golds = list(golds)
-    preds = []
-    for index, gold in enumerate(golds):
-        n = len(gold.sentence)
-        if which == LEFT:
-            spans = left_branching_spans(n)
-        elif which == RIGHT:
-            spans = right_branching_spans(n)
-        elif which == BALANCED:
-            spans = balanced_spans(n)
-        else:
-            rng = np.random.default_rng((rng_seed, index))
-            spans = random_spans(n, rng)
-        preds.append(BinaryTree(sentence=gold.sentence, spans=spans))
+    preds = [
+        baseline_codes(len(g.sentence), which, rng_seed, k) for k, g in enumerate(golds)
+    ]
     return corpus_eval(preds, golds, cfg)
 
 
@@ -260,8 +258,9 @@ def oracle_tree(gold: GoldTree) -> BinaryTree:
     """Best achievable binary bracketing: decode a 0/1 gold-span chart."""
     n = len(gold.sentence)
     chart = ScoreChart(n=n)
-    for _, sp in gold.labeled:
-        chart.cells[sp.i, sp.j] = 1.0
+    # single-token spans add the same to every tree, so they are left out
+    for _, code in gold.codes:
+        chart.cells[divmod(code, n + 1)] = 1.0
     return cyk_decode(chart, gold.sentence)
 
 

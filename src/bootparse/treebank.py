@@ -6,7 +6,11 @@ indices: each child of a TreeNode is another node or an int.  Trees are
 immutable; every transformation returns a new tree.
 
 A bracketed file is read in one pass over one lazy stream of brackets
-and words, and words between top-level trees are skipped.
+and words, and words between top-level trees are skipped.  Reading,
+normalize and labeled_spans walk a tree with a stack of their own, so
+a tree may nest deeper than the interpreter's recursion limit.
+GoldTree.codes keeps a tree's labeled spans as the integer codes that
+evaluation counts, i * (n + 1) + j for the span (i, j).
 
 Whatever works a sentence length at a time (pool scoring, training
 rows, parse) takes its fills from length_fills, under one cap.
@@ -133,13 +137,16 @@ class GoldTree:
 
     def __post_init__(self):
         indices: list[int] = []  # the leaves, left to right
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, int):
-                indices.append(node)
+        frames = [iter((self.root,))]  # each open node's children left to walk
+        while frames:
+            for node in frames[-1]:
+                if isinstance(node, int):
+                    indices.append(node)
+                else:
+                    frames.append(iter(node.children))
+                    break
             else:
-                stack.extend(reversed(node.children))
+                frames.pop()
         if indices != list(range(len(self.sentence))):
             raise ValueError(
                 f"tree leaves {indices} do not cover sentence "
@@ -147,11 +154,14 @@ class GoldTree:
             )
 
     @functools.cached_property
-    def labeled(self) -> tuple[tuple[str, Span], ...]:
-        """labeled_spans of this tree.  The tree is immutable, so it is
-        walked once, however many scores (the parse, each baseline, the
-        oracle) an evaluation computes against it."""
-        return tuple(labeled_spans(self))
+    def codes(self) -> tuple[tuple[str, int], ...]:
+        """(label, i * (n + 1) + j) for each span (i, j) of labeled_spans
+        that covers two or more tokens, in pre-order.  The tree is
+        immutable, so it is walked once, however many scores (the parse,
+        each baseline, the oracle) an evaluation computes against it."""
+        stride = len(self.sentence) + 1
+        spans = [(label, sp) for label, sp in labeled_spans(self) if sp.j > sp.i]
+        return tuple((label, sp.i * stride + sp.j) for label, sp in spans)
 
 
 def _tokens(text: str):
@@ -159,41 +169,40 @@ def _tokens(text: str):
     return map(itemgetter(0), _SEXPR_TOKEN.finditer(text))
 
 
-def _read_node(toks, words: list[str], top: bool = False) -> TreeNode:
-    """Read the bracket whose '(' toks has just yielded, through its ')'.
+def _read_tree(toks, sentence_id: int) -> GoldTree:
+    """The tree whose opening '(' toks has just yielded, through its ')'.
 
-    Its words are appended to words, and each leaf is the word's index
-    there.  At the top, a PTB-style wrapper with an empty label,
-    ``( (S ...) )``, is unwrapped.
+    Each leaf is the index of its word in the sentence.  A PTB-style
+    wrapper with an empty label, ``( (S ...) )``, is unwrapped.
     """
+    words: list[str] = []
+    open_nodes: list[tuple[str, list]] = []  # outer brackets' (label, children)
     label = ""
     children: list[TreeNode | int] = []
     for tok in toks:
-        if tok == ")":
-            break
         if tok == "(":
-            children.append(_read_node(toks, words))
+            open_nodes.append((label, children))
+            label, children = "", []
+        elif tok == ")":
+            if not children:
+                raise EmptyTree(f"bracket {label!r} has no children")
+            if label:
+                node = TreeNode(label, children)
+            elif open_nodes or len(children) != 1 or isinstance(children[0], int):
+                raise EmptyLabel("node with empty label")
+            else:
+                node = children[0]  # a PTB-style wrapper
+            if not open_nodes:
+                sentence = Sentence(id=sentence_id, tokens=words)
+                return GoldTree(sentence=sentence, root=node)
+            label, children = open_nodes.pop()
+            children.append(node)
         elif label or children:
             children.append(len(words))
             words.append(tok)
         else:
             label = tok
-    else:
-        raise UnbalancedBrackets("unclosed '(' at end of input")
-    if not children:
-        raise EmptyTree(f"bracket {label!r} has no children")
-    if label:
-        return TreeNode(label, children)
-    if top and len(children) == 1 and not isinstance(children[0], int):
-        return children[0]
-    raise EmptyLabel("node with empty label")
-
-
-def _read_tree(toks, sentence_id: int) -> GoldTree:
-    """The tree whose opening '(' toks has just yielded."""
-    words: list[str] = []
-    root = _read_node(toks, words, top=True)
-    return GoldTree(sentence=Sentence(id=sentence_id, tokens=words), root=root)
+    raise UnbalancedBrackets("unclosed '(' at end of input")
 
 
 def parse_bracketed(text: str, sentence_id: int = 0) -> GoldTree:
@@ -241,51 +250,56 @@ def normalize(
     """
     tokens = tree.sentence.tokens
     kept: list[str] = []
-
-    def keep(index: int) -> int:
-        kept.append(tokens[index])
-        return len(kept) - 1
-
-    def walk(node: TreeNode | int) -> TreeNode | int | None:
-        if isinstance(node, int):
-            return None if tokens[node] in punct_tags else keep(node)
-        if node.is_preterminal:
-            if node.label in punct_tags or node.label == TRACE_TAG:
-                return None
-            return TreeNode(node.label, (keep(node.children[0]),))
-        # index 0 is a kept leaf, so only None means pruned
-        children = [c for c in map(walk, node.children) if c is not None]
-        if not children:
-            return None
-        # children are collapsed already, so one step keeps the top label
-        if collapse_unary and len(children) == 1 and not isinstance(children[0], int):
-            return TreeNode(node.label, children[0].children)
-        return TreeNode(node.label, children)
-
-    root = walk(tree.root)
-    if root is None:
+    top: list[TreeNode | int] = []  # the root, unless it is pruned
+    # each open node's label, children left to walk and kept children
+    frames = [("", iter((tree.root,)), top)]
+    while frames:
+        label, children, out = frames[-1]
+        for child in children:
+            if isinstance(child, int):
+                if tokens[child] not in punct_tags:
+                    kept.append(tokens[child])
+                    out.append(len(kept) - 1)
+            elif child.is_preterminal:
+                if child.label not in punct_tags and child.label != TRACE_TAG:
+                    kept.append(tokens[child.children[0]])
+                    out.append(TreeNode(child.label, (len(kept) - 1,)))
+            else:
+                frames.append((child.label, iter(child.children), []))
+                break
+        else:
+            frames.pop()
+            if frames and out:
+                # children are collapsed already, so one step keeps the top label
+                if collapse_unary and len(out) == 1 and not isinstance(out[0], int):
+                    out = out[0].children
+                frames[-1][2].append(TreeNode(label, out))
+    if not top:
         raise AllTokensRemoved(f"sentence {tree.sentence.id}")
-    return GoldTree(sentence=Sentence(id=tree.sentence.id, tokens=kept), root=root)
+    return GoldTree(sentence=Sentence(id=tree.sentence.id, tokens=kept), root=top[0])
 
 
 def labeled_spans(tree: GoldTree) -> list[tuple[str, Span]]:
     """(label, span) for phrasal nodes, in pre-order, duplicates kept."""
-    order: list[tuple[str, Span] | None] = []
-
-    def walk(node: TreeNode, i: int) -> int:
-        # a GoldTree's leaves are 0..n-1 in order, so node starts at the
-        # token after its left sibling's last; returns its last token
-        if node.is_preterminal:
-            return i
-        slot = len(order)
-        order.append(None)  # reserve the pre-order position
-        j = i - 1
-        for child in node.children:
-            j = child if isinstance(child, int) else walk(child, j + 1)
-        order[slot] = (node.label, Span(i, j))
-        return j
-
-    walk(tree.root, 0)
+    order: list = []  # a node's slot holds its label until the node closes
+    last = -1  # the last token walked; a GoldTree's leaves are 0..n-1 in order
+    # each open node's slot, first token and children left to walk
+    frames = [(None, 0, iter((tree.root,)))]
+    while frames:
+        slot, first, children = frames[-1]
+        for child in children:
+            if isinstance(child, int):
+                last = child
+            elif child.is_preterminal:
+                last = child.children[0]
+            else:
+                frames.append((len(order), last + 1, iter(child.children)))
+                order.append(child.label)
+                break
+        else:
+            frames.pop()
+            if frames:
+                order[slot] = (order[slot], Span(first, last))
     return order
 
 
@@ -355,11 +369,8 @@ class BinaryTree:
 def binary_from_tree(tree: GoldTree) -> BinaryTree:
     """Interpret a parsed prediction as a binary bracketing."""
     n = len(tree.sentence)
-    if n == 1:
-        return BinaryTree(sentence=tree.sentence, spans=frozenset({Span(0, 0)}))
-    spans = {sp for _, sp in labeled_spans(tree) if sp.length >= 2}
-    spans.add(Span(0, n - 1))
-    return BinaryTree(sentence=tree.sentence, spans=frozenset(spans))
+    spans = {Span(*divmod(code, n + 1)) for _, code in tree.codes} | {Span(0, n - 1)}
+    return BinaryTree(sentence=tree.sentence, spans=spans)
 
 
 def read_treebank(path) -> list[GoldTree]:

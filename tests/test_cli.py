@@ -17,10 +17,21 @@ from bootparse.decoder import (
     cyk_decode,
     heuristics_from_corpus,
 )
-from bootparse.evaluation import right_branching_spans
 from bootparse.loops import IterationRecord, LoopTrace
 from bootparse.scorer import load_model, score_chart
-from bootparse.treebank import FILL_CELLS, BinaryTree, read_corpus
+from bootparse.treebank import (
+    FILL_CELLS,
+    BinaryTree,
+    Sentence,
+    Span,
+    read_corpus,
+    read_treebank,
+)
+
+
+def right_branching_spans(n):
+    return {Span(0, 0)} if n == 1 else {Span(i, n - 1) for i in range(n - 1)}
+
 
 GOLDEN_RIGHT = (
     "0\t0\t4\tconstituent\tinside\n"
@@ -624,6 +635,34 @@ def test_eval_count_mismatch_is_exit_2(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_eval_reads_trees_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # parse prints a right-branching tree of n tokens n - 1 brackets deep;
+    # reading, trace removal and the span walk keep their own stacks
+    n = 1200
+    sentence = Sentence(id=0, tokens=tuple(f"w{k}" for k in range(n)))
+    tree = BinaryTree(sentence=sentence, spans=right_branching_spans(n))
+    gold = tree.to_bracketed("S")
+    (tmp_path / "pred.txt").write_text(tree.to_bracketed() + "\n")
+    (tmp_path / "gold.txt").write_text(gold + "\n")
+    traced_gold = gold.replace(" w1199", " (-NONE- *T*) w1199")
+    (tmp_path / "traced.txt").write_text(traced_gold + "\n")
+    cfg = write_config(tmp_path)
+    for gold_path in ("gold.txt", "traced.txt"):
+        assert main([
+            "eval", "--config", str(cfg), "--pred", str(tmp_path / "pred.txt"),
+            "--gold", str(tmp_path / gold_path), "--baselines",
+        ]) == 0
+        report = json.loads((tmp_path / "reports" / "report.json").read_text())
+        assert report["f1"] == 1.0
+    capsys.readouterr()
+    (plain,) = read_treebank(tmp_path / "gold.txt")
+    (traced,) = read_treebank(tmp_path / "traced.txt")
+    assert "-NONE-" in traced_gold
+    assert traced.sentence == plain.sentence
+    assert traced.codes == plain.codes
+    assert len(plain.codes) == n - 1
+
+
 def test_eval_yield_mismatch_is_exit_2(pipeline, capsys):
     root, cfg = pipeline
     gold_lines = (root / "gold.txt").read_text().splitlines()
@@ -887,7 +926,10 @@ def test_eval_bad_prediction_is_exit_2(pipeline, tmp_path, capsys, bad_tree):
     pred = tmp_path / "pred.txt"
     pred.write_text("(X (X a) (X b))\n" + bad_tree + "\n")
     assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 2
-    assert f"{pred}:2:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{pred}:2:" in err
+    if bad_tree.startswith("(S"):
+        assert f"{pred}:2: expected 2 spans for 3 tokens" in err
 
 
 def test_eval_truncated_gold_names_file_and_tree(pipeline, tmp_path, capsys):

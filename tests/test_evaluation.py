@@ -23,16 +23,13 @@ from bootparse.evaluation import (
     RIGHT,
     EvalConfig,
     EvalReport,
-    balanced_spans,
+    baseline_codes,
     corpus_eval,
-    left_branching_spans,
     oracle_binary,
     oracle_tree,
-    random_spans,
     render_length_buckets_tsv,
     render_per_sentence_tsv,
     render_report,
-    right_branching_spans,
     sentence_f1,
     trivial_baselines,
 )
@@ -65,6 +62,40 @@ TREE_C = (
     "(PP of (NP world-wide advanced materials operations)) "
     "(PP for (NP this chemicals concern)))))))))"
 )
+
+
+# Span references of the four baselines: the closed forms, and a split
+# walk in pre-order, left subtree first, the order in which the random
+# baseline draws its splits
+def right_branching_spans(n):
+    if n == 1:
+        return frozenset({Span(0, 0)})
+    return frozenset(Span(i, n - 1) for i in range(n - 1))
+
+
+def left_branching_spans(n):
+    if n == 1:
+        return frozenset({Span(0, 0)})
+    return frozenset(Span(0, j) for j in range(1, n))
+
+
+def _split_spans(n, pick):
+    def walk(i, j):
+        if i < j:
+            k = pick(i, j)
+            yield Span(i, j)
+            yield from walk(i, k)
+            yield from walk(k + 1, j)
+
+    return frozenset(walk(0, n - 1)) if n > 1 else frozenset({Span(0, 0)})
+
+
+def balanced_spans(n):
+    return _split_spans(n, lambda i, j: (i + j) // 2)
+
+
+def random_spans(n, rng):
+    return _split_spans(n, lambda i, j: int(rng.integers(i, j)))
 
 
 def binary(text, sentence_id=0):
@@ -269,6 +300,21 @@ def test_baseline_span_builders():
         BinaryTree(sentence=Sentence(id=0, tokens=tuple("w" * n)), spans=spans)
 
 
+def _codes(spans, n):
+    return frozenset(sp.i * (n + 1) + sp.j for sp in spans if sp.length >= 2)
+
+
+def test_baseline_codes_equal_span_builders():
+    # tolerance 0: the codes eval scores are exactly the Span references'
+    for n in range(1, 41):
+        assert baseline_codes(n, LEFT) == _codes(left_branching_spans(n), n)
+        assert baseline_codes(n, RIGHT) == _codes(right_branching_spans(n), n)
+        assert baseline_codes(n, BALANCED) == _codes(balanced_spans(n), n)
+        for seed, index in ((0, 0), (7, n)):
+            spans = random_spans(n, np.random.default_rng((seed, index)))
+            assert baseline_codes(n, RANDOM, seed, index) == _codes(spans, n)
+
+
 def test_two_token_sentence_all_baselines_agree():
     gold = parse_bracketed("(S (A a) (B b))")
     scores = {
@@ -386,13 +432,18 @@ def _shared_golds():
 
 
 def _reference_eval(preds, golds, cfg):
-    """Headline (p, r, f1), per-sentence rows and label recall, walking
-    each gold tree with labeled_spans at every use."""
+    """Headline (p, r, f1), per-sentence rows, label recall, length
+    buckets and the evalb cutoff section, walking each gold tree with
+    labeled_spans at every use and holding spans as Span objects."""
     rows = []
     pooled = [0, 0, 0]
+    cut_pooled = [0, 0, 0]
     found, total = Counter(), Counter()
-    for pred, gold in zip(preds, golds):
+    by_bucket = {}
+    for index, (pred, gold) in enumerate(zip(preds, golds)):
         n = len(gold.sentence)
+        if cfg.max_len is not None and n > cfg.max_len:
+            continue
 
         def keep(sp):
             return sp.length >= 2 and not (cfg.exclude_trivial and sp.length == n)
@@ -404,16 +455,33 @@ def _reference_eval(preds, golds, cfg):
         matched = sum((Counter(pred_spans) & Counter(gold_spans)).values())
         counts = (matched, len(pred_spans), len(gold_spans))
         pooled = [a + b for a, b in zip(pooled, counts)]
-        rows.append(_reference_prf(*counts))
+        if n <= CUTOFF_LEN:
+            cut_pooled = [a + b for a, b in zip(cut_pooled, counts)]
+        rows.append((index, n, *_reference_prf(*counts)))
+        # the bucket of width w that holds n starts at 1 + a multiple of w
+        lo = n - (n - 1) % cfg.bucket_width
+        by_bucket.setdefault(lo, []).append(rows[-1][-1])
         for label, sp in labeled_spans(gold):
             if sp.length >= 2:
                 total[label] += 1
                 found[label] += sp in pred.spans
     if cfg.mode == MACRO_SENTENCE:
-        headline = tuple(statistics.fmean(col) for col in zip(*rows))
+        headline = tuple(statistics.fmean(col) for col in list(zip(*rows))[2:])
     else:
         headline = _reference_prf(*pooled)
-    return headline, rows, {label: found[label] / total[label] for label in total}
+    buckets = {
+        f"{lo}-{lo + cfg.bucket_width - 1}": statistics.fmean(by_bucket[lo])
+        for lo in sorted(by_bucket)
+    }
+    cutoff = None
+    if cfg.mode == EVALB_STYLE:
+        cutoff = dict(
+            zip(("precision", "recall", "f1"), _reference_prf(*cut_pooled)),
+            max_len=CUTOFF_LEN,
+            sentences=sum(n <= CUTOFF_LEN for _, n, *_ in rows),
+        )
+    labels = {label: found[label] / total[label] for label in total}
+    return headline, rows, labels, buckets, cutoff
 
 
 def _reference_prf(matched, pred_total, gold_total):
@@ -425,13 +493,21 @@ def _reference_prf(matched, pred_total, gold_total):
 
 
 def _assert_matches_reference(report, preds, golds, cfg):
-    headline, rows, label_recall = _reference_eval(preds, golds, cfg)
+    headline, rows, label_recall, buckets, cutoff = _reference_eval(preds, golds, cfg)
     assert (report.precision, report.recall, report.f1) == pytest.approx(
         headline, abs=1e-12
     )
-    got = [(r["precision"], r["recall"], r["f1"]) for r in report.per_sentence]
+    got = [
+        (r["index"], r["length"], r["precision"], r["recall"], r["f1"])
+        for r in report.per_sentence
+    ]
     assert got == pytest.approx(rows, abs=1e-12)
     assert report.per_label_recall == pytest.approx(label_recall, abs=1e-12)
+    assert report.length_buckets == pytest.approx(buckets, abs=1e-12)
+    if cutoff is None:
+        assert report.cutoff_section is None
+    else:
+        assert report.cutoff_section == pytest.approx(cutoff, abs=1e-12)
 
 
 # Gold trees whose unary chains repeat a span: a phrasal node over a
@@ -453,8 +529,9 @@ _gold_node = st.recursive(
         EvalConfig(mode=MICRO_CORPUS),
         EvalConfig(mode=EVALB_STYLE),
         EvalConfig(exclude_trivial=False, dedup_spans=False),
+        EvalConfig(max_len=3),
     ],
-    ids=["macro", "micro", "evalb", "keep_all"],
+    ids=["macro", "micro", "evalb", "keep_all", "max_len_3"],
 )
 @settings(max_examples=40, deadline=None)
 @given(
