@@ -5,6 +5,8 @@ exercised on sentences sampled from a small grammar whose gold trees
 are the derivations themselves.  The built-in grammar leans right:
 verb phrases and prepositional phrases extend to the right edge, which
 keeps the corpus qualitatively close to English bracketing statistics.
+A derivation is drawn with an explicit stack, not by recursion, so it
+may nest as deep as its grammar's max_depth.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonterminatingGrammar
-from .treebank import GoldTree, Sentence, TreeNode
+from .treebank import GoldTree, Sentence
 
 _PROB_TOL = 1e-9
 
@@ -102,24 +104,34 @@ def builtin_grammar() -> SyntheticGrammar:
     return SyntheticGrammar(start="S", rules=rules, lexicon=lexicon)
 
 
-def _expand(grammar: SyntheticGrammar, symbol: str, depth: int, rng, out: list[str]):
-    """Derive symbol, appending its words to out; its subtree's leaves
-    index into out."""
-    if depth > grammar.max_depth:
-        raise _DepthExceeded
-    if symbol in grammar.lexicon:
-        words = grammar.lexicon[symbol]
-        word = words[int(rng.integers(len(words)))]
-        out.append(word)
-        return TreeNode(label=symbol, children=(len(out) - 1,))
-    expansions = grammar.rules[symbol]
-    probs = np.array([p for p, _ in expansions])
-    choice = int(rng.choice(len(expansions), p=probs / probs.sum()))
-    children = tuple(
-        _expand(grammar, sym, depth + 1, rng, out)
-        for sym in expansions[choice][1]
-    )
-    return TreeNode(label=symbol, children=children)
+def _expand(grammar: SyntheticGrammar, rng) -> tuple[list[str], list]:
+    """One derivation of the start symbol, its draws made in pre-order:
+    its words and its brackets (symbol, first word, last word)."""
+    words: list[str] = []
+    brackets: list = []
+    # (symbol, depth) left to derive, the next one last, and (slot, None)
+    # to close the bracket at that slot once its words are all drawn
+    todo: list[tuple] = [(grammar.start, 0)]
+    while todo:
+        item, depth = todo.pop()
+        if depth is None:
+            label, first, _ = brackets[item]
+            brackets[item] = (label, first, len(words) - 1)
+            continue
+        if depth > grammar.max_depth:
+            raise _DepthExceeded
+        if item in grammar.lexicon:
+            choices = grammar.lexicon[item]
+            brackets.append((item, len(words), len(words)))
+            words.append(choices[int(rng.integers(len(choices)))])
+            continue
+        expansions = grammar.rules[item]
+        probs = np.array([p for p, _ in expansions])
+        choice = int(rng.choice(len(expansions), p=probs / probs.sum()))
+        todo.append((len(brackets), None))
+        brackets.append((item, len(words), None))
+        todo.extend((sym, depth + 1) for sym in reversed(expansions[choice][1]))
+    return words, brackets
 
 
 class _DepthExceeded(Exception):
@@ -141,16 +153,15 @@ def sample_tree(
     when recursive rules carry too much probability mass.
     """
     for _ in range(retries):
-        tokens: list[str] = []
         try:
-            root = _expand(grammar, grammar.start, 0, rng, tokens)
+            tokens, brackets = _expand(grammar, rng)
         except _DepthExceeded:
             continue
         n = len(tokens)
         if n < min_len or (max_len is not None and n > max_len):
             continue
         sentence = Sentence(id=sentence_id, tokens=tuple(tokens))
-        return GoldTree(sentence=sentence, root=root)
+        return GoldTree(sentence=sentence, brackets=tuple(brackets))
     raise NonterminatingGrammar(
         f"no derivation of length {min_len}..{max_len} within depth "
         f"{grammar.max_depth} after {retries} attempts"

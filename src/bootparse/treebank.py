@@ -1,16 +1,17 @@
 """Reading, normalizing and interrogating treebanks and raw text corpora.
 
 Token indices are 0-based and spans are inclusive on both ends, so the
-span (i, j) covers tokens x_i .. x_j.  A tree's leaves are those token
-indices: each child of a TreeNode is another node or an int.  Trees are
-immutable; every transformation returns a new tree.
+span (i, j) covers tokens x_i .. x_j.  A tree is flat: a GoldTree holds
+its sentence and its brackets (label, i, j) in pre-order, the root
+first.  Trees are immutable; every transformation returns a new tree.
 
-A bracketed file is read in one pass over one lazy stream of brackets
-and words, and words between top-level trees are skipped.  Reading,
-normalize and labeled_spans walk a tree with a stack of their own, so
-a tree may nest deeper than the interpreter's recursion limit.
-GoldTree.codes keeps a tree's labeled spans as the integer codes that
-evaluation counts, i * (n + 1) + j for the span (i, j).
+No tree operation recurses.  A bracketed file is read in one pass over
+one lazy stream of brackets and words, and words between top-level
+trees are skipped; normalize, labeled_spans and serialize are flat
+passes over a tree's brackets, so a tree may nest deeper than the
+interpreter's recursion limit.  GoldTree.codes keeps a tree's labeled
+spans as the integer codes that evaluation counts, i * (n + 1) + j for
+the span (i, j).
 
 Whatever works a sentence length at a time (pool scoring, training
 rows, parse) takes its fills from length_fills, under one cap.
@@ -19,6 +20,7 @@ rows, parse) takes its fills from length_fills, under one cap.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import warnings
 from collections import Counter
@@ -44,6 +46,8 @@ TRACE_TAG = "-NONE-"
 # A bracket, or a run of anything else up to whitespace or a bracket.
 # re's \s matches exactly the characters str.isspace accepts.
 _SEXPR_TOKEN = re.compile(r"[()]|[^\s()]+")
+# a token: one or more characters, none of them white space
+_WORD = re.compile(r"\S+")
 # white space and markup lines (first character other than white space
 # '<', as CTB's <DOC> and <S ID=1>) before a treebank's first tree
 _TREEBANK_HEAD = re.compile(r"(?:\s*<[^\n]*)*\s*")
@@ -61,7 +65,7 @@ class Sentence:
         if not self.tokens:
             raise ValueError(f"sentence {self.id} has no tokens")
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if not _WORD.fullmatch(tok):
                 raise ValueError(f"bad token {tok!r} in sentence {self.id}")
 
     def __len__(self):
@@ -107,57 +111,42 @@ class Span:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """One labeled node of an n-ary tree.
+class GoldTree:
+    """A parsed sentence: its labeled brackets, flat, in pre-order.
 
-    Each child is another node or the int index of the token it covers,
-    so a token under a phrasal bracket with no tag of its own is just an
-    index among that bracket's children.
+    Each bracket is (label, i, j) over tokens i..j.  The root comes
+    first and covers the whole sentence, and each later bracket lies
+    inside the last bracket before it that is still open.  A bracket
+    over one token with no bracket inside it is a preterminal, whose
+    label tags that token; a token under no preterminal is a bare word.
     """
 
-    label: str
-    children: tuple[TreeNode | int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise ValueError(f"internal node {self.label!r} has no children")
-
-    @property
-    def is_preterminal(self) -> bool:
-        return len(self.children) == 1 and isinstance(self.children[0], int)
-
-
-@dataclass(frozen=True)
-class GoldTree:
-    """A parsed sentence: n-ary labeled tree over its tokens."""
-
     sentence: Sentence
-    root: TreeNode
+    brackets: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self):
-        indices: list[int] = []  # the leaves, left to right
-        frames = [iter((self.root,))]  # each open node's children left to walk
-        while frames:
-            for node in frames[-1]:
-                if isinstance(node, int):
-                    indices.append(node)
-                else:
-                    frames.append(iter(node.children))
-                    break
-            else:
-                frames.pop()
-        if indices != list(range(len(self.sentence))):
+        n = len(self.sentence)
+        if not self.brackets or self.brackets[0][1:] != (0, n - 1):
             raise ValueError(
-                f"tree leaves {indices} do not cover sentence "
-                f"{self.sentence.id} of length {len(self.sentence)}"
+                f"tree root does not cover sentence {self.sentence.id} of length {n}"
             )
+        spans = [(0, n - 1)]  # the open brackets' spans, innermost last
+        for label, i, j in self.brackets[1:]:
+            while spans[-1][1] < i and len(spans) > 1:
+                spans.pop()
+            first, last = spans[-1]
+            if not first <= i <= j <= last:
+                raise ValueError(
+                    f"bracket {label!r} ({i}, {j}) of sentence {self.sentence.id} "
+                    f"does not nest in ({first}, {last})"
+                )
+            spans.append((i, j))
 
     @functools.cached_property
     def codes(self) -> tuple[tuple[str, int], ...]:
         """(label, i * (n + 1) + j) for each span (i, j) of labeled_spans
         that covers two or more tokens, in pre-order.  The tree is
-        immutable, so it is walked once, however many scores (the parse,
+        immutable, so it is read once, however many scores (the parse,
         each baseline, the oracle) an evaluation computes against it."""
         stride = len(self.sentence) + 1
         spans = [(label, sp) for label, sp in labeled_spans(self) if sp.j > sp.i]
@@ -172,33 +161,33 @@ def _tokens(text: str):
 def _read_tree(toks, sentence_id: int) -> GoldTree:
     """The tree whose opening '(' toks has just yielded, through its ')'.
 
-    Each leaf is the index of its word in the sentence.  A PTB-style
-    wrapper with an empty label, ``( (S ...) )``, is unwrapped.
+    A PTB-style wrapper with an empty label, ``( (S ...) )``, is unwrapped.
     """
     words: list[str] = []
-    open_nodes: list[tuple[str, list]] = []  # outer brackets' (label, children)
-    label = ""
-    children: list[TreeNode | int] = []
+    brackets: list = [0]  # an open bracket's slot holds its first word's index
+    outer: list[tuple[int, str]] = []  # the enclosing open brackets' (slot, label)
+    slot, label = 0, ""
     for tok in toks:
         if tok == "(":
-            open_nodes.append((label, children))
-            label, children = "", []
+            outer.append((slot, label))
+            slot, label = len(brackets), ""
+            brackets.append(len(words))
         elif tok == ")":
-            if not children:
+            first = brackets[slot]
+            if first == len(words):
                 raise EmptyTree(f"bracket {label!r} has no children")
             if label:
-                node = TreeNode(label, children)
-            elif open_nodes or len(children) != 1 or isinstance(children[0], int):
+                brackets[slot] = (label, first, len(words) - 1)
+            # a wrapper opens with a bracket, which must hold all its words
+            elif outer or brackets[1][1:] != (0, len(words) - 1):
                 raise EmptyLabel("node with empty label")
             else:
-                node = children[0]  # a PTB-style wrapper
-            if not open_nodes:
+                del brackets[0]  # a PTB-style wrapper
+            if not outer:
                 sentence = Sentence(id=sentence_id, tokens=words)
-                return GoldTree(sentence=sentence, root=node)
-            label, children = open_nodes.pop()
-            children.append(node)
-        elif label or children:
-            children.append(len(words))
+                return GoldTree(sentence=sentence, brackets=tuple(brackets))
+            slot, label = outer.pop()
+        elif label or len(words) > brackets[slot]:
             words.append(tok)
         else:
             label = tok
@@ -227,13 +216,18 @@ def parse_bracketed(text: str, sentence_id: int = 0) -> GoldTree:
 def serialize(tree: GoldTree) -> str:
     """Canonical single-line bracketed form; inverse of parse_bracketed."""
     tokens = tree.sentence.tokens
+    opens = [""] * len(tokens)  # the brackets opening at each token, in order
+    closes = [0] * len(tokens)
+    for label, i, j in tree.brackets:
+        opens[i] += f"({label} "
+        closes[j] += 1
+    return " ".join(o + tok + ")" * c for o, tok, c in zip(opens, tokens, closes))
 
-    def render(node: TreeNode | int) -> str:
-        if isinstance(node, int):
-            return tokens[node]
-        return f"({node.label} {' '.join(map(render, node.children))})"
 
-    return render(tree.root)
+def _preterminals(tree: GoldTree) -> list[bool]:
+    """Whether each bracket is a preterminal: one token, no bracket inside."""
+    after = [i for _, i, _ in tree.brackets[1:]] + [len(tree.sentence)]
+    return [i == j < nxt for (_, i, j), nxt in zip(tree.brackets, after)]
 
 
 def normalize(
@@ -243,64 +237,49 @@ def normalize(
 ) -> GoldTree:
     """Strip punctuation / traces, collapse unary chains, re-number tokens.
 
-    Punctuation is recognized by preterminal tag; a bare leaf falls back
-    to its own token so label-free trees behave sensibly.  Unary collapse
-    keeps the topmost label of each chain.  One walk does all three.
-    Raises AllTokensRemoved if nothing survives.  Idempotent.
+    Punctuation is recognized by preterminal tag; a bare word falls back
+    to its own token so label-free trees behave sensibly.  A bracket
+    left with no token is dropped, and unary collapse drops each bracket
+    over the same tokens as its nearest kept ancestor, so a chain keeps
+    its topmost label.  Raises AllTokensRemoved if nothing survives.
+    Idempotent.
     """
     tokens = tree.sentence.tokens
-    kept: list[str] = []
-    top: list[TreeNode | int] = []  # the root, unless it is pruned
-    # each open node's label, children left to walk and kept children
-    frames = [("", iter((tree.root,)), top)]
-    while frames:
-        label, children, out = frames[-1]
-        for child in children:
-            if isinstance(child, int):
-                if tokens[child] not in punct_tags:
-                    kept.append(tokens[child])
-                    out.append(len(kept) - 1)
-            elif child.is_preterminal:
-                if child.label not in punct_tags and child.label != TRACE_TAG:
-                    kept.append(tokens[child.children[0]])
-                    out.append(TreeNode(child.label, (len(kept) - 1,)))
-            else:
-                frames.append((child.label, iter(child.children), []))
-                break
-        else:
-            frames.pop()
-            if frames and out:
-                # children are collapsed already, so one step keeps the top label
-                if collapse_unary and len(out) == 1 and not isinstance(out[0], int):
-                    out = out[0].children
-                frames[-1][2].append(TreeNode(label, out))
-    if not top:
+    pruned = punct_tags | {TRACE_TAG}
+    tags = {
+        i: label
+        for (label, i, _), pre in zip(tree.brackets, _preterminals(tree))
+        if pre
+    }
+    keep = [
+        tags[k] not in pruned if k in tags else tok not in punct_tags
+        for k, tok in enumerate(tokens)
+    ]
+    new = list(itertools.accumulate(keep, initial=0))  # kept tokens before each
+    if not new[-1]:
         raise AllTokensRemoved(f"sentence {tree.sentence.id}")
-    return GoldTree(sentence=Sentence(id=tree.sentence.id, tokens=kept), root=top[0])
+    brackets = []
+    ancestors: list[tuple[int, tuple[int, int]]] = []  # kept: (old j, new span)
+    for label, i, j in tree.brackets:
+        span = (new[i], new[j + 1] - 1)
+        while ancestors and ancestors[-1][0] < i:
+            ancestors.pop()
+        unary = collapse_unary and ancestors and ancestors[-1][1] == span
+        if span[1] < span[0] or unary:
+            continue
+        brackets.append((label, *span))
+        ancestors.append((j, span))
+    sentence = Sentence(id=tree.sentence.id, tokens=itertools.compress(tokens, keep))
+    return GoldTree(sentence=sentence, brackets=tuple(brackets))
 
 
 def labeled_spans(tree: GoldTree) -> list[tuple[str, Span]]:
-    """(label, span) for phrasal nodes, in pre-order, duplicates kept."""
-    order: list = []  # a node's slot holds its label until the node closes
-    last = -1  # the last token walked; a GoldTree's leaves are 0..n-1 in order
-    # each open node's slot, first token and children left to walk
-    frames = [(None, 0, iter((tree.root,)))]
-    while frames:
-        slot, first, children = frames[-1]
-        for child in children:
-            if isinstance(child, int):
-                last = child
-            elif child.is_preterminal:
-                last = child.children[0]
-            else:
-                frames.append((len(order), last + 1, iter(child.children)))
-                order.append(child.label)
-                break
-        else:
-            frames.pop()
-            if frames:
-                order[slot] = (order[slot], Span(first, last))
-    return order
+    """(label, span) for phrasal brackets, in pre-order, duplicates kept."""
+    return [
+        (label, Span(i, j))
+        for (label, i, j), pre in zip(tree.brackets, _preterminals(tree))
+        if not pre
+    ]
 
 
 def token_runs(tokens, keep, min_len: int = 2) -> list[Span]:

@@ -128,6 +128,27 @@ def test_synth_custom_grammar(tmp_path):
     assert (tmp_path / "c.txt").read_text() == "left right\n" * 5
 
 
+def test_synth_derives_deeper_than_the_recursion_limit(tmp_path):
+    # derivations 600 to 1,000 symbols deep are drawn, checked and written
+    # without recursion, and the gold file reads back as the corpus
+    grammar = {
+        "start": "S",
+        "max_depth": 5000,
+        "rules": {"S": [[0.999, ["A", "S"]], [0.001, ["A"]]]},
+        "lexicon": {"A": ["a"]},
+    }
+    (tmp_path / "g.json").write_text(json.dumps(grammar))
+    assert main([
+        "synth", "--out", str(tmp_path / "c.txt"), "--gold", str(tmp_path / "g.txt"),
+        "--grammar", str(tmp_path / "g.json"), "--count", "2",
+        "--min-len", "600", "--max-len", "1000",
+    ]) == 0
+    sentences = read_corpus(tmp_path / "c.txt")
+    assert [t.sentence for t in read_treebank(tmp_path / "g.txt")] == sentences
+    assert len(sentences) == 2
+    assert all(600 <= len(s) <= 1000 for s in sentences)
+
+
 @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--rng-seed", "-1")])
 def test_synth_bad_count_or_seed_is_exit_1(tmp_path, capsys, flag, value):
     assert main(["synth", "--out", str(tmp_path / "c.txt"), flag, value]) == 1
@@ -637,7 +658,7 @@ def test_eval_count_mismatch_is_exit_2(pipeline, capsys):
 
 def test_eval_reads_trees_deeper_than_the_recursion_limit(tmp_path, capsys):
     # parse prints a right-branching tree of n tokens n - 1 brackets deep;
-    # reading, trace removal and the span walk keep their own stacks
+    # no tree operation recurses
     n = 1200
     sentence = Sentence(id=0, tokens=tuple(f"w{k}" for k in range(n)))
     tree = BinaryTree(sentence=sentence, spans=right_branching_spans(n))
@@ -658,6 +679,7 @@ def test_eval_reads_trees_deeper_than_the_recursion_limit(tmp_path, capsys):
     (plain,) = read_treebank(tmp_path / "gold.txt")
     (traced,) = read_treebank(tmp_path / "traced.txt")
     assert "-NONE-" in traced_gold
+    assert traced == plain
     assert traced.sentence == plain.sentence
     assert traced.codes == plain.codes
     assert len(plain.codes) == n - 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -39,19 +40,59 @@ from bootparse.treebank import (
 )
 
 DOG = "(S (NP (DT the) (NN dog)) (VP (VBD ran)))"
+DOG_BRACKETS = (
+    ("S", 0, 2), ("NP", 0, 1), ("DT", 0, 0), ("NN", 1, 1), ("VP", 2, 2), ("VBD", 2, 2)
+)
 
 
 def test_parse_simple():
     tree = parse_bracketed(DOG)
     assert tree.sentence.tokens == ("the", "dog", "ran")
-    assert tree.root.label == "S"
-    assert len(tree.root.children) == 2
+    assert tree.brackets == DOG_BRACKETS
 
 
 def test_parse_wrapped_root():
     tree = parse_bracketed("( (S (NP (DT the) (NN dog)) (VP (VBD ran))) )")
-    assert tree.root.label == "S"
+    assert tree.brackets == DOG_BRACKETS
     assert tree.sentence.tokens == ("the", "dog", "ran")
+
+
+@pytest.mark.parametrize(
+    "brackets",
+    [
+        (),  # no root
+        (("S", 0, 1),),  # a root short of the sentence
+        (("S", 0, 2), ("A", 0, 1), ("B", 1, 2)),  # crossing brackets
+        (("S", 0, 2), ("A", 1, 2), ("B", 0, 0)),  # out of pre-order
+        (("S", 0, 2), ("A", 2, 3)),  # past the root
+        (("S", 0, 2), ("A", 1, 0)),  # over no token
+    ],
+)
+def test_gold_tree_brackets_nest_under_one_root(brackets):
+    with pytest.raises(ValueError):
+        GoldTree(sentence=Sentence(id=0, tokens=("a", "b", "c")), brackets=brackets)
+
+
+def test_deep_tree_compares_hashes_and_prints():
+    # a right-branching tree of 1,200 tokens, 1,199 brackets deep
+    n = 1200
+    text = "".join(f"(S w{k} " for k in range(n - 1)) + f"w{n - 1}" + ")" * (n - 1)
+    a, b = parse_bracketed(text), parse_bracketed(text)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert serialize(a) == text
+
+
+def test_sentence_refuses_white_space_in_a_token():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    for bad in ["", *(tok for ch in spaces for tok in (ch, "a" + ch, ch + "b"))]:
+        with pytest.raises(ValueError) as info:
+            Sentence(id=3, tokens=("ok", bad, bad + " "))
+        assert str(info.value) == f"bad token {bad!r} in sentence 3"
+    # every other code point is a token of its own
+    others = [chr(c) for c in range(sys.maxunicode + 1) if not chr(c).isspace()]
+    assert len(Sentence(id=4, tokens=others)) == len(others)
 
 
 def test_parse_bare_terminals():
