@@ -65,6 +65,8 @@ from .seeds import (
 from .synth import SyntheticGrammar, builtin_grammar, generate_corpus
 from .treebank import (
     binary_from_tree,
+    bracketed,
+    check_bracket_words,
     length_fills,
     parse_bracketed,
     read_corpus,
@@ -349,11 +351,17 @@ def cmd_parse(args) -> int:
     """Decode the input a length_fills fill at a time: score and apply the
     heuristics per sentence, then decode the fill's charts in one stacked
     pass.  The trees are written in input order once every fill is
-    decoded."""
+    decoded.  A token that no bracketed line can hold is refused before
+    any model is loaded."""
     cfg = _load(args)
+    sentences = read_corpus(args.input)
+    for sentence in sentences:
+        try:
+            check_bracket_words(sentence.tokens, "token")
+        except ValueError as exc:
+            raise MalformedFile(f"{args.input}: sentence {sentence.id}: {exc}") from exc
     heuristics = _heuristic_stats(cfg)
     scorer = _parse_scorer(cfg, args.stage, Path(cfg.paths.model_dir))
-    sentences = read_corpus(args.input)
     lines = [""] * len(sentences)
     external = isinstance(scorer, ExternalScorer)
     try:
@@ -363,8 +371,9 @@ def cmd_parse(args) -> int:
             for b, sentence in enumerate(group):
                 chart = score_chart(scorer, sentence, renormalize=cfg.renormalize)
                 charts[b] = apply_heuristics(chart, sentence, heuristics).cells
-            for pos, tree in zip(positions, cyk_decode_stack(charts, group)):
-                lines[pos] = tree.to_bracketed() + "\n"
+            for sentence, pos, codes in zip(group, positions, cyk_decode_stack(charts)):
+                brackets = [("X", *divmod(code, n + 1)) for code in codes] or [("X", 0, 0)]
+                lines[pos] = bracketed(sentence.tokens, brackets) + "\n"
         if external:
             scorer.finish()
     finally:

@@ -1,8 +1,8 @@
 """Span-sum tree decoding and chart post-processing.
 
 The decoder picks the binary tree whose spans maximize the sum of chart
-scores.  ``cyk_decode_stack`` decodes a stack of charts of one sentence
-length in one fill, so parse decodes its input one treebank.length_fills
+scores.  ``cyk_decode_stack`` decodes a stack of charts of one length
+into span codes in one fill, as parse does one treebank.length_fills
 fill at a time; ``cyk_decode`` decodes one chart as a stack of one.
 ``enumerate_trees`` provides the brute-force reference used to test the
 dynamic program; it is exponential (Catalan numbers) and guarded
@@ -93,23 +93,22 @@ def cyk_decode(chart: ScoreChart, sentence: Sentence | None = None) -> BinaryTre
         sentence = _placeholder_sentence(n)
     if len(sentence) != n:
         raise ValueError(f"sentence has {len(sentence)} tokens, chart has {n}")
-    return cyk_decode_stack(chart.cells[None], [sentence])[0]
+    (codes,) = cyk_decode_stack(chart.cells[None])
+    spans = [Span(*divmod(code, n + 1)) for code in codes] if n > 1 else [Span(0, 0)]
+    return BinaryTree(sentence=sentence, spans=spans)
 
 
-def cyk_decode_stack(charts: np.ndarray, sentences) -> list[BinaryTree]:
-    """The best tree of every chart of a (B, n, n) stack, in one fill.
+def cyk_decode_stack(charts: np.ndarray) -> list[list[int]]:
+    """The best tree of every chart of a (B, n, n) stack, in one fill, as
+    the split_codes of its spans of two or more tokens, in pre-order.
 
-    Sentence b of sentences has the n tokens of charts[b].  Each step of
-    the fill takes one span length of all B charts at once.  Each cell
-    still takes the same two additions, best(i, k) + best(k+1, j) and
-    then s(i, j) + that candidate, and argmax keeps the first (smallest
-    k) of tied candidates, so each chart and tree are those of a
-    cell-by-cell loop over that chart alone.
+    Each step of the fill takes one span length of all B charts at once.
+    Each cell still takes the same two additions, best(i, k) +
+    best(k+1, j) and then s(i, j) + that candidate, and argmax keeps the
+    first (smallest k) of tied candidates, so each chart and tree are
+    those of a cell-by-cell loop over that chart alone.
     """
     count, n, _ = charts.shape
-    sentences = list(sentences)
-    if len(sentences) != count or any(len(sent) != n for sent in sentences):
-        raise ValueError(f"need {count} sentences of {n} tokens")
     # one row per chart cell, one column per chart; cells of length >= 2
     # still hold their scores when their length is filled
     best = np.asarray(charts, dtype=float).reshape(count, n * n).T.copy()
@@ -121,15 +120,8 @@ def cyk_decode_stack(charts: np.ndarray, sentences) -> list[BinaryTree]:
         cand += best.take(base + right, axis=0)
         split[cells] = rows + cand.argmax(axis=1)
         best[cells] += cand.max(axis=1)
-    return [_backtrace(picks, sent) for picks, sent in zip(split.T.tolist(), sentences)]
-
-
-def _backtrace(split: list[int], sentence: Sentence) -> BinaryTree:
-    """The tree of a filled chart: span (i, j) splits after split[i * n + j]."""
-    n = len(sentence)
-    codes = split_codes(n, lambda i, j: split[i * n + j])
-    spans = [Span(*divmod(code, n + 1)) for code in codes] if n > 1 else [Span(0, 0)]
-    return BinaryTree(sentence=sentence, spans=spans)
+    # span (i, j) splits after picks[i * n + j]
+    return [split_codes(n, lambda i, j: picks[i * n + j]) for picks in split.T.tolist()]
 
 
 def split_codes(n: int, pick) -> list[int]:

@@ -11,12 +11,13 @@ may nest as deep as its grammar's max_depth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonterminatingGrammar
-from .treebank import GoldTree, Sentence
+from .treebank import GoldTree, Sentence, check_bracket_words
 
 _PROB_TOL = 1e-9
 
@@ -27,7 +28,9 @@ class SyntheticGrammar:
 
     rules maps a nonterminal to weighted right-hand sides; lexicon maps
     a preterminal to its word choices (sampled uniformly).  A symbol
-    must appear in exactly one of the two.
+    must appear in exactly one of the two.  Symbols and words must be
+    bracket words (treebank.check_bracket_words), so that every gold
+    tree can be written and read back.
     """
 
     start: str
@@ -39,6 +42,7 @@ class SyntheticGrammar:
         overlap = set(self.rules) & set(self.lexicon)
         if overlap:
             raise ValueError(f"symbols in both rules and lexicon: {sorted(overlap)}")
+        check_bracket_words([*self.rules, *self.lexicon], "symbol")
         known = set(self.rules) | set(self.lexicon)
         if self.start not in known:
             raise ValueError(f"unknown start symbol {self.start!r}")
@@ -59,8 +63,21 @@ class SyntheticGrammar:
         for pre, words in self.lexicon.items():
             if not words:
                 raise ValueError(f"empty lexicon entry for {pre!r}")
+            check_bracket_words(words, f"word under {pre!r}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+
+    @functools.cached_property
+    def cdfs(self) -> dict[str, np.ndarray]:
+        """Each rule's cumulative expansion probabilities, normalized as
+        Generator.choice normalizes them, so that searchsorted of one
+        rng.random() draw picks the expansion choice(p=...) would."""
+        cdfs = {}
+        for lhs, expansions in self.rules.items():
+            probs = np.array([p for p, _ in expansions])
+            cdf = (probs / probs.sum()).cumsum()
+            cdfs[lhs] = cdf / cdf[-1]
+        return cdfs
 
 
 def builtin_grammar() -> SyntheticGrammar:
@@ -126,8 +143,7 @@ def _expand(grammar: SyntheticGrammar, rng) -> tuple[list[str], list]:
             words.append(choices[int(rng.integers(len(choices)))])
             continue
         expansions = grammar.rules[item]
-        probs = np.array([p for p, _ in expansions])
-        choice = int(rng.choice(len(expansions), p=probs / probs.sum()))
+        choice = int(grammar.cdfs[item].searchsorted(rng.random(), side="right"))
         todo.append((len(brackets), None))
         brackets.append((item, len(words), None))
         todo.extend((sym, depth + 1) for sym in reversed(expansions[choice][1]))

@@ -13,6 +13,11 @@ interpreter's recursion limit.  GoldTree.codes keeps a tree's labeled
 spans as the integer codes that evaluation counts, i * (n + 1) + j for
 the span (i, j).
 
+One writer, bracketed, puts (label, i, j) brackets on a line of tokens
+for serialize, BinaryTree.to_bracketed and parse, which writes each
+decoded tree straight from its codes.  check_bracket_words refuses a
+label or token that no bracketed line can hold, for synth and parse.
+
 Whatever works a sentence length at a time (pool scoring, training
 rows, parse) takes its fills from length_fills, under one cap.
 """
@@ -23,7 +28,6 @@ import functools
 import itertools
 import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -43,9 +47,12 @@ PUNCT_TAGS = frozenset({",", ".", ":", "``", "''", "-LRB-", "-RRB-"})
 # Preterminal tag of trace / null elements.
 TRACE_TAG = "-NONE-"
 
-# A bracket, or a run of anything else up to whitespace or a bracket.
-# re's \s matches exactly the characters str.isspace accepts.
-_SEXPR_TOKEN = re.compile(r"[()]|[^\s()]+")
+# A word or label that the bracket writer can write and parse_bracketed
+# read back: one or more characters, none of them white space or a
+# bracket.  re's \s matches exactly the characters str.isspace accepts.
+_BRACKET_WORD = re.compile(r"[^\s()]+")
+# A bracket, or a bracket word.
+_SEXPR_TOKEN = re.compile(r"[()]|" + _BRACKET_WORD.pattern)
 # a token: one or more characters, none of them white space
 _WORD = re.compile(r"\S+")
 # white space and markup lines (first character other than white space
@@ -213,15 +220,32 @@ def parse_bracketed(text: str, sentence_id: int = 0) -> GoldTree:
     return tree
 
 
-def serialize(tree: GoldTree) -> str:
-    """Canonical single-line bracketed form; inverse of parse_bracketed."""
-    tokens = tree.sentence.tokens
+def bracketed(tokens, brackets) -> str:
+    """tokens under brackets (label, i, j) on one line; the brackets that
+    open at one token are written in the order given, outermost first."""
     opens = [""] * len(tokens)  # the brackets opening at each token, in order
     closes = [0] * len(tokens)
-    for label, i, j in tree.brackets:
+    for label, i, j in brackets:
         opens[i] += f"({label} "
         closes[j] += 1
     return " ".join(o + tok + ")" * c for o, tok, c in zip(opens, tokens, closes))
+
+
+def check_bracket_words(words, what: str) -> None:
+    """Raise ValueError, naming what and the word, at the first of words
+    that is empty or holds white space, '(' or ')', which no bracketed
+    line can hold as one word."""
+    for word in words:
+        if not _BRACKET_WORD.fullmatch(word):
+            raise ValueError(
+                f"{what} {word!r} cannot be bracketed: it is empty or holds "
+                "white space, '(' or ')'"
+            )
+
+
+def serialize(tree: GoldTree) -> str:
+    """Canonical single-line bracketed form; inverse of parse_bracketed."""
+    return bracketed(tree.sentence.tokens, tree.brackets)
 
 
 def _preterminals(tree: GoldTree) -> list[bool]:
@@ -337,12 +361,7 @@ class BinaryTree:
             enclosing.append(sp)
 
     def to_bracketed(self, label: str = "X") -> str:
-        opens = Counter(sp.i for sp in self.spans)
-        closes = Counter(sp.j for sp in self.spans)
-        return " ".join(
-            f"({label} " * opens[k] + tok + ")" * closes[k]
-            for k, tok in enumerate(self.sentence.tokens)
-        )
+        return bracketed(self.sentence.tokens, [(label, sp.i, sp.j) for sp in self.spans])
 
 
 def binary_from_tree(tree: GoldTree) -> BinaryTree:

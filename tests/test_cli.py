@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bootparse import treebank
 from bootparse.cli import main
@@ -24,6 +26,7 @@ from bootparse.treebank import (
     BinaryTree,
     Sentence,
     Span,
+    parse_bracketed,
     read_corpus,
     read_treebank,
 )
@@ -188,6 +191,32 @@ def test_bad_grammar_file_is_exit_1(tmp_path, capsys, case):
         "--grammar", str(tmp_path / "g.json"),
     ]) == 1
     assert f"bad grammar file {tmp_path / 'g.json'}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lexicon, named",
+    [
+        ({"N": ["dog"], "V": [""]}, "word under 'V' ''"),
+        ({"N": ["big dog"], "V": ["runs"]}, "word under 'N' 'big dog'"),
+        ({"N": ["dog)"], "V": ["runs"]}, "word under 'N' 'dog)'"),
+        ({"N": ["(dog"], "V": ["runs"]}, "word under 'N' '(dog'"),
+        ({"N P": ["dog"], "V": ["runs"]}, "symbol 'N P'"),
+    ],
+    ids=["empty_word", "spaced_word", "closing_word", "opening_word", "spaced_symbol"],
+)
+def test_unbracketable_grammar_is_exit_1(tmp_path, capsys, lexicon, named):
+    # a word or symbol that no bracketed line can hold would write a gold
+    # file that does not read back as the corpus
+    pre = next(iter(lexicon))
+    grammar = {"start": "S", "rules": {"S": [[1.0, [pre, "V"]]]}, "lexicon": lexicon}
+    (tmp_path / "g.json").write_text(json.dumps(grammar))
+    assert main([
+        "synth", "--out", str(tmp_path / "c.txt"), "--gold", str(tmp_path / "g.txt"),
+        "--grammar", str(tmp_path / "g.json"), "--count", "2", "--min-len", "2",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: bad grammar file {tmp_path / 'g.json'}: {named} " in err
+    assert not (tmp_path / "c.txt").exists() and not (tmp_path / "g.txt").exists()
 
 
 def test_missing_config_file_is_exit_1(tmp_path):
@@ -571,6 +600,56 @@ def test_parse_rerun_identical(pipeline):
         ]) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_parse_refuses_unbracketable_tokens(tmp_path, capsys):
+    # refused before any model is read: the model directory does not exist
+    (tmp_path / "in.txt").write_text("alice runs\nthe dog)\n")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "pred.txt"
+    assert main([
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
+        "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {tmp_path / 'in.txt'}: sentence 1: token 'dog)' " in err
+    assert not out.exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from(
+                ["(", ")", "|", "=", "<s>", "X", "(X", "dog)", "a|b=c", "alice", "runs"]
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_parse_output_reads_back(pipeline, lines):
+    # the first line keeps the file plain text: a first word '(' would
+    # make it a treebank, and a first word '<s>' a markup line
+    root, cfg = pipeline
+    lines = [["alice", "runs"]] + lines
+    src, out = root / "bracket_in.txt", root / "bracket_out.txt"
+    src.write_text("".join(" ".join(tokens) + "\n" for tokens in lines))
+    out.unlink(missing_ok=True)
+    code = main(["parse", "--config", str(cfg), "--input", str(src), "--out", str(out)])
+    bracket = any("(" in tok or ")" in tok for tokens in lines for tok in tokens)
+    assert code == (2 if bracket else 0)
+    if code:
+        assert not out.exists()
+        return
+    written = out.read_text().splitlines()
+    assert len(written) == len(lines)
+    for index, (tokens, line) in enumerate(zip(lines, written)):
+        tree = parse_bracketed(line, index)
+        assert tree.sentence.tokens == tuple(tokens)
+        assert len({code for _, code in tree.codes}) == len(tokens) - 1
 
 
 def _parse_one_by_one(cfg, stage: str, input_path) -> str:

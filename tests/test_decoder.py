@@ -11,6 +11,7 @@ from bootparse.decoder import (
     cyk_decode_stack,
     enumerate_trees,
     rare_cased_runs,
+    split_codes,
     tree_score,
 )
 from bootparse.errors import TooLarge
@@ -270,6 +271,20 @@ def test_cyk_matches_loop_reference_after_heuristics():
         assert tree.spans == _cyk_loop_reference(chart.cells)
 
 
+def _codes_in_split_order(spans: frozenset[Span], n: int) -> list[int]:
+    """The codes of spans, a binary tree's, in the pre-order of split_codes."""
+    if n == 1:
+        return []
+    splits = {}
+    for sp in spans:
+        # the split of (i, j) is the last token of its left child, the
+        # longest span of the tree that starts at i inside it
+        splits[sp.i, sp.j] = max(
+            (o.j for o in spans if o.i == sp.i and o.j < sp.j), default=sp.i
+        )
+    return split_codes(n, lambda i, j: splits[i, j])
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 @pytest.mark.parametrize("count", [1, 2, 7])
 def test_cyk_stack_matches_loop_reference(n, count):
@@ -286,23 +301,19 @@ def test_cyk_stack_matches_loop_reference(n, count):
             for b in range(count)
         ]),
     ]
-    sentences = [Sentence(id=b, tokens=tuple(f"w{k}" for k in range(n))) for b in range(count)]
     for charts in stacks:
-        trees = cyk_decode_stack(charts, sentences)
-        assert [tree.sentence for tree in trees] == sentences
-        for cells, tree in zip(charts, trees):
-            assert tree.spans == _cyk_loop_reference(cells)
-            assert tree.spans == cyk_decode(chart_from(cells)).spans
+        trees = cyk_decode_stack(charts)
+        assert len(trees) == count
+        for cells, codes in zip(charts, trees):
+            # tolerance 0: the same codes in the same order
+            assert codes == _codes_in_split_order(_cyk_loop_reference(cells), n)
+            spans = cyk_decode(chart_from(cells)).spans - {Span(0, 0)}
+            assert sorted(codes) == sorted(sp.i * (n + 1) + sp.j for sp in spans)
 
 
 def test_cyk_stack_checks_its_input():
-    sentences = [Sentence(id=0, tokens=("a", "b"))]
-    with pytest.raises(ValueError, match="need 1 sentences of 3 tokens"):
-        cyk_decode_stack(np.zeros((1, 3, 3)), sentences)
-    with pytest.raises(ValueError, match="need 2 sentences"):
-        cyk_decode_stack(np.zeros((2, 2, 2)), sentences)
     cells = np.zeros((1, 2, 2))
     cells[0, 0, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        cyk_decode_stack(cells, sentences)
-    assert cyk_decode_stack(np.zeros((0, 4, 4)), []) == []
+        cyk_decode_stack(cells)
+    assert cyk_decode_stack(np.zeros((0, 4, 4))) == []

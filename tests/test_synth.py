@@ -24,6 +24,10 @@ def test_grammar_validation():
         )
     with pytest.raises(ValueError, match="start"):
         SyntheticGrammar(start="Q", rules={}, lexicon={"N": ("dog",)})
+    with pytest.raises(ValueError, match="symbol 'N P'"):
+        SyntheticGrammar(start="S", rules={"S": ((1.0, ("N P",)),)}, lexicon={"N P": ("dog",)})
+    with pytest.raises(ValueError, match="word under 'N' 'dog\\)'"):
+        SyntheticGrammar(start="N", rules={}, lexicon={"N": ("dog)",)})
     with pytest.raises(ValueError, match="both"):
         SyntheticGrammar(
             start="S",
@@ -95,3 +99,22 @@ def test_sampling_advances_shared_rng():
     assert serialize(first) != serialize(second) or len(first.sentence) != len(
         second.sentence
     )
+
+
+def test_cdf_draws_match_generator_choice():
+    # one rng.random() searched in a rule's cumulative sum picks what
+    # rng.choice(p=...) picks from the same state, and leaves the same state
+    rules = dict(builtin_grammar().rules)
+    rules["Z"] = ((0.3, ("N",)), (0.0, ("N", "N")), (0.7, ("N", "N", "N")))
+    grammar = SyntheticGrammar(start="Z", rules=rules, lexicon=builtin_grammar().lexicon)
+    for lhs, expansions in grammar.rules.items():
+        probs = np.array([p for p, _ in expansions])
+        by_choice, by_cdf = np.random.default_rng(11), np.random.default_rng(11)
+        picks = [int(by_choice.choice(len(expansions), p=probs / probs.sum()))
+                 for _ in range(5000)]
+        cdf = grammar.cdfs[lhs]
+        assert picks == [int(cdf.searchsorted(by_cdf.random(), side="right"))
+                         for _ in range(5000)]
+        assert by_choice.bit_generator.state == by_cdf.bit_generator.state
+        if lhs == "Z":
+            assert 1 not in picks and {0, 2} <= set(picks)
