@@ -5,6 +5,9 @@ Every subcommand is a pure function of its config, input files, and rng
 seed; outputs carry no timestamps, so re-runs are byte-identical.  Exit
 codes: 0 success, 1 usage or config error, 2 data error, 3 internal
 error, 141 (128 + SIGPIPE) when the reader of stdout closed it early.
+
+A subcommand loads only the modules it runs, so report and --help start
+without numpy.
 """
 
 from __future__ import annotations
@@ -15,17 +18,8 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .config import EXTERNAL_BACKEND, PipelineConfig, load_config
-from .decoder import (
-    HeuristicConfig,
-    apply_heuristics,
-    cyk_decode_stack,
-    heuristics_from_corpus,
-    load_stopwords,
-)
 from .errors import (
     BootparseError,
     ConfigError,
@@ -38,42 +32,13 @@ from .errors import (
     TreeSyntaxError,
     YieldMismatch,
     check_number,
+    json_value,
     read_text,
 )
-from .evaluation import (
-    BALANCED,
-    LEFT,
-    RANDOM,
-    RIGHT,
-    corpus_eval,
-    oracle_binary,
-    render_length_buckets_tsv,
-    render_per_sentence_tsv,
-    render_report,
-    trivial_baselines,
-)
-from .external import ExternalScorer
-from .loops import LoopTrace, co_train, self_train
-from .scorer import INSIDE, OUTSIDE, load_model, save_model, score_chart, train
-from .seeds import (
-    VIEW_CODES,
-    casing_copy_sentences,
-    generate_seeds,
-    read_seed_file,
-    write_seed_file,
-)
-from .synth import SyntheticGrammar, builtin_grammar, generate_corpus
-from .treebank import (
-    binary_from_tree,
-    bracketed,
-    check_bracket_words,
-    length_fills,
-    parse_bracketed,
-    read_corpus,
-    read_treebank,
-    serialize,
-    write_corpus,
-)
+
+if TYPE_CHECKING:
+    from .config import HeuristicConfig, PipelineConfig
+    from .synth import SyntheticGrammar
 
 SEED_FILE = "seeds.tsv"
 INSIDE_SEED_MODEL = "inside_seed.json"
@@ -131,6 +96,8 @@ def _int_from(low: int):
 
 
 def _load(args) -> PipelineConfig:
+    from .config import load_config
+
     try:
         return load_config(args.config)
     except OSError as exc:
@@ -147,6 +114,8 @@ def _output_dir(path: str) -> Path:
 
 
 def _corpus(cfg: PipelineConfig):
+    from .treebank import read_corpus
+
     if cfg.paths.corpus is None:
         raise ConfigError("paths.corpus is not set")
     return read_corpus(cfg.paths.corpus)
@@ -156,9 +125,11 @@ def _corpus(cfg: PipelineConfig):
 
 
 def _grammar_from_file(path) -> SyntheticGrammar:
+    from .synth import SyntheticGrammar
+
     text = read_text(path, ConfigError)
     try:
-        raw = json.loads(text)
+        raw = json_value(text, f"grammar file {path}", ConfigError)
         rules = {
             lhs: tuple((float(p), tuple(rhs)) for p, rhs in prods)
             for lhs, prods in raw["rules"].items()
@@ -175,6 +146,9 @@ def _grammar_from_file(path) -> SyntheticGrammar:
 
 
 def cmd_synth(args) -> int:
+    from .synth import builtin_grammar, generate_corpus
+    from .treebank import serialize, write_corpus
+
     grammar = (
         _grammar_from_file(args.grammar) if args.grammar else builtin_grammar()
     )
@@ -199,6 +173,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
+    from .seeds import generate_seeds, write_seed_file
+
     cfg = _load(args)
     corpus = _corpus(cfg)
     examples = generate_seeds(corpus, cfg.seeds)
@@ -218,6 +194,8 @@ def _training_inputs(args):
     to are a pure function of the corpus and the seed config; each
     training stage rebuilds them.
     """
+    from .seeds import casing_copy_sentences
+
     cfg = _load(args)
     corpus = _corpus(cfg)
     carriers = casing_copy_sentences(corpus, cfg.seeds)
@@ -226,6 +204,10 @@ def _training_inputs(args):
 
 def _read_examples(path, sentences, view: str):
     """Read a seed file of spans inside known sentences, labeled in view."""
+    import numpy as np
+
+    from .seeds import VIEW_CODES, read_seed_file
+
     examples = read_seed_file(path)
     sid, _, j, _, views = examples.columns
     lengths = {sent.id: len(sent) for sent in sentences}
@@ -244,6 +226,9 @@ def _read_examples(path, sentences, view: str):
 
 
 def cmd_train(args) -> int:
+    from .scorer import save_model, train
+    from .seeds import INSIDE
+
     cfg, corpus, carriers, model_dir = _training_inputs(args)
     seed_path = Path(args.seeds) if args.seeds else model_dir / SEED_FILE
     examples = _read_examples(seed_path, corpus + carriers, INSIDE)
@@ -267,12 +252,17 @@ def cmd_train(args) -> int:
 
 
 def _save_loop(result, model_dir: Path, in_model, out_model, trace) -> None:
+    from .scorer import save_model
+
     save_model(result.m_in, model_dir / in_model)
     save_model(result.m_out, model_dir / out_model)
     (model_dir / trace).write_text(result.trace.to_jsonl(), encoding="utf-8")
 
 
 def cmd_selftrain(args) -> int:
+    from .loops import self_train
+    from .seeds import INSIDE, write_seed_file
+
     cfg, corpus, carriers, model_dir = _training_inputs(args)
     seed_path = Path(args.seeds) if args.seeds else model_dir / SEED_FILE
     examples = _read_examples(seed_path, corpus + carriers, INSIDE)
@@ -288,6 +278,9 @@ def cmd_selftrain(args) -> int:
 
 
 def cmd_cotrain(args) -> int:
+    from .loops import co_train
+    from .seeds import INSIDE, OUTSIDE
+
     cfg, corpus, carriers, model_dir = _training_inputs(args)
     inside = _read_examples(model_dir / SELF_INSIDE_SET, corpus + carriers, INSIDE)
     outside = _read_examples(model_dir / SELF_OUTSIDE_SET, corpus + carriers, OUTSIDE)
@@ -307,7 +300,13 @@ def cmd_cotrain(args) -> int:
 def _parse_scorer(cfg: PipelineConfig, stage: str, model_dir: Path):
     """The external scorer, or the stage's inside model and, for co, its
     outside model after it."""
+    from .config import EXTERNAL_BACKEND
+    from .scorer import load_model
+    from .seeds import INSIDE, OUTSIDE
+
     if cfg.scorer.backend == EXTERNAL_BACKEND:
+        from .external import ExternalScorer
+
         return ExternalScorer(list(cfg.scorer.command), INSIDE, timeout=cfg.scorer.timeout)
     names = {
         "seed": [INSIDE_SEED_MODEL], "self": [SELF_IN_MODEL], "co": [CO_IN_MODEL, CO_OUT_MODEL]
@@ -328,6 +327,9 @@ def _heuristic_stats(cfg: PipelineConfig) -> HeuristicConfig:
     the config lists its own; without any, they are counted from the
     training corpus at paths.corpus.
     """
+    from .decoder import heuristics_from_corpus, load_stopwords
+    from .treebank import read_corpus
+
     h = cfg.heuristics
     if not h.enabled:
         return h
@@ -353,6 +355,13 @@ def cmd_parse(args) -> int:
     pass.  The trees are written in input order once every fill is
     decoded.  A token that no bracketed line can hold is refused before
     any model is loaded."""
+    import numpy as np
+
+    from .config import EXTERNAL_BACKEND
+    from .decoder import apply_heuristics, cyk_decode_stack
+    from .scorer import score_chart
+    from .treebank import bracketed, check_bracket_words, length_fills, read_corpus
+
     cfg = _load(args)
     sentences = read_corpus(args.input)
     for sentence in sentences:
@@ -363,7 +372,7 @@ def cmd_parse(args) -> int:
     heuristics = _heuristic_stats(cfg)
     scorer = _parse_scorer(cfg, args.stage, Path(cfg.paths.model_dir))
     lines = [""] * len(sentences)
-    external = isinstance(scorer, ExternalScorer)
+    external = cfg.scorer.backend == EXTERNAL_BACKEND
     try:
         for n, positions in length_fills(sentences):
             group = [sentences[pos] for pos in positions]
@@ -391,6 +400,8 @@ def cmd_parse(args) -> int:
 def _read_predictions(path):
     """(tokens, span codes) of the binary tree on each non-empty line, the
     codes as corpus_eval takes them; MalformedFile names path:line."""
+    from .treebank import binary_from_tree, parse_bracketed
+
     preds = []
     for index, line in enumerate(read_text(path).split("\n")):
         line = line.strip()
@@ -411,6 +422,20 @@ def _read_predictions(path):
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import (
+        BALANCED,
+        LEFT,
+        RANDOM,
+        RIGHT,
+        corpus_eval,
+        oracle_binary,
+        render_length_buckets_tsv,
+        render_per_sentence_tsv,
+        render_report,
+        trivial_baselines,
+    )
+    from .treebank import read_treebank
+
     cfg = _load(args)
     gold_path = args.gold or cfg.paths.gold
     if gold_path is None:
@@ -464,6 +489,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .trace import LoopTrace
+
     cfg = _load(args)
     model_dir = Path(cfg.paths.model_dir)
     report_dir = Path(cfg.paths.report_dir)
@@ -493,7 +520,7 @@ def cmd_report(args) -> int:
     if report_json.exists():
         text = read_text(report_json)
         try:
-            raw = json.loads(text)
+            raw = json_value(text, "the report")
             for key in ("f1", "precision", "recall"):
                 check_number(key, raw[key])
             sections.append(

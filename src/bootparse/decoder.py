@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from .errors import TooLarge, check_bool
+from .config import HeuristicConfig
+from .errors import TooLarge
 from .seeds import most_common_first_word
 from .treebank import BinaryTree, Sentence, Span, token_runs
 
@@ -188,37 +188,6 @@ def tree_score(chart: ScoreChart, spans) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class HeuristicConfig:
-    """Corpus statistics driving the chart refinement rules.
-
-    All statistics come from the training corpus, never from the text
-    being parsed.  ``None`` disables the corresponding rule.
-    """
-
-    enabled: bool = False
-    comma_successor_word: str | None = None
-    common_start_word: str | None = None
-    top_frequency_set: frozenset[str] = frozenset()
-    stopword_set: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        check_bool("enabled", self.enabled)
-        for name in ("comma_successor_word", "common_start_word"):
-            word = getattr(self, name)
-            if word is not None and not isinstance(word, str):
-                raise ValueError(f"{name} must be a string or null, got {word!r}")
-        for name in ("top_frequency_set", "stopword_set"):
-            words = getattr(self, name)
-            if not isinstance(words, (list, set, frozenset)) or not all(
-                isinstance(w, str) for w in words
-            ):
-                raise ValueError(f"{name} must be a list of strings, got {words!r}")
-            object.__setattr__(self, name, frozenset(words))
-        if len(self.top_frequency_set) > 100:
-            raise ValueError("top_frequency_set is capped at 100 tokens")
-
-
 def rare_cased_runs(sentence: Sentence, top_frequency_set) -> list[Span]:
     """Maximal runs (length >= 2) of capitalized tokens outside the
     frequency list.  Unlike the seeds' ASCII pattern, any Unicode capital
@@ -231,6 +200,8 @@ def rare_cased_runs(sentence: Sentence, top_frequency_set) -> list[Span]:
 
 def load_stopwords() -> frozenset[str]:
     """The bundled English stopword list (179 words, one per line)."""
+    from importlib import resources
+
     text = (
         resources.files("bootparse.data")
         .joinpath("english_stopwords.txt")

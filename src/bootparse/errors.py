@@ -1,6 +1,8 @@
 """Exception types, warning categories and value checks shared across the
-package, and the one reader of text input files."""
+package, the one reader of text input files and the one rule by which
+JSON text is read."""
 
+import json
 import math
 
 
@@ -76,6 +78,16 @@ def read_text(path, error=MalformedFile) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def json_value(text: str, what: str, error=ValueError):
+    """The value of the JSON text: a ValueError when text is not JSON, and
+    error naming what when it nests deeper than the parser can follow
+    (which raises RecursionError)."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise error(f"{what} nests too deeply to read") from None
 
 
 def check_int(name: str, value, low: int, high: int | None = None) -> None:

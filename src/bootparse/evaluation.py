@@ -23,14 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the counting modes and EvalConfig are importable from here as well
+from .config import EVALB_STYLE, MACRO_SENTENCE, MICRO_CORPUS, EvalConfig
 from .decoder import ScoreChart, cyk_decode, split_codes
-from .errors import EmptyCorpus, LengthMismatch, YieldMismatch, check_bool, check_int
+from .errors import EmptyCorpus, LengthMismatch, YieldMismatch
 from .treebank import BinaryTree, GoldTree
-
-MACRO_SENTENCE = "macro_sentence"
-MICRO_CORPUS = "micro_corpus"
-EVALB_STYLE = "evalb_style"
-_MODES = (MACRO_SENTENCE, MICRO_CORPUS, EVALB_STYLE)
 
 # evalb emulation: the short-sentence section's length cutoff
 CUTOFF_LEN = 10
@@ -40,35 +37,6 @@ RIGHT = "right"
 BALANCED = "balanced"
 RANDOM = "random"
 _BASELINES = (LEFT, RIGHT, BALANCED, RANDOM)
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Counting conventions for one evaluation run.
-
-    evalb_style overrides exclude_trivial and dedup_spans: that scorer
-    counts whole-sentence spans and keeps duplicated gold spans.
-    max_len drops longer sentences entirely; bucket_width controls the
-    by-length breakdown.
-    """
-
-    mode: str = MACRO_SENTENCE
-    exclude_trivial: bool = True
-    dedup_spans: bool = True
-    max_len: int | None = None
-    bucket_width: int = 5
-
-    def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_len is not None:
-            check_int("max_len", self.max_len, 1)
-        check_int("bucket_width", self.bucket_width, 1)
-        check_bool("exclude_trivial", self.exclude_trivial)
-        check_bool("dedup_spans", self.dedup_spans)
-        if self.mode == EVALB_STYLE:
-            object.__setattr__(self, "exclude_trivial", False)
-            object.__setattr__(self, "dedup_spans", False)
 
 
 @dataclass(frozen=True)

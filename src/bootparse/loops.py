@@ -15,134 +15,23 @@ a grown set keeps those of the set it grew from, so each example's row
 is built once per loop run: train builds the rows of the examples it
 has not seen and picks each retrain's training and validation rows
 from them.
+
+The loop settings (LoopConfig, SelfTrainConfig) live in config and the
+trace records (IterationRecord, LoopTrace) in trace; both can be
+imported from here too.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, SingleClassInput, check_bool, check_int, check_number
-from .scorer import Thresholds, TrainingMeta, harvest, train
+from .config import LoopConfig, SelfTrainConfig, TrainingMeta
+from .errors import EmptyCorpus, SingleClassInput
+from .scorer import harvest, train
 from .seeds import CONCAT, CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSet
-
-
-@dataclass(frozen=True)
-class LoopConfig:
-    """The knobs of one bootstrapping loop; co-training takes these alone.
-
-    c and d are the per-iteration harvest sizes; their ratio sets the
-    class balance of the pseudo-labeled data (roughly 1:10 constituent
-    to distituent in the reference setup).  tau_min and tau_max are the
-    strict confidence cutoffs of the harvest, and pool_cap bounds how
-    many corpus sentences are scored each iteration.
-    """
-
-    K: int
-    c: int
-    d: int
-    tau_min: float = Thresholds.tau_min
-    tau_max: float = Thresholds.tau_max
-    pool_cap: int = 5000
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        check_int("K", self.K, 1)
-        check_int("c", self.c, 0)
-        check_int("d", self.d, 0)
-        check_int("pool_cap", self.pool_cap, 1)
-        check_int("rng_seed", self.rng_seed, 0)
-        self.thresholds  # checks the pair
-
-    @property
-    def thresholds(self) -> Thresholds:
-        return Thresholds(self.tau_min, self.tau_max)
-
-
-@dataclass(frozen=True)
-class SelfTrainConfig(LoopConfig):
-    """LoopConfig plus self-training's update rule.
-
-    accumulate is the alternative reading of that update: keep earlier
-    examples instead of replacing the labeled set each iteration.
-    Co-training always accumulates, so it has no such switch.
-    """
-
-    accumulate: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_bool("accumulate", self.accumulate)
-
-
-def _check_map(name: str, value, check) -> None:
-    """Raise ValueError unless value is a dict keyed by strings whose
-    every item passes check(its name, item)."""
-    if not (isinstance(value, dict) and all(isinstance(key, str) for key in value)):
-        raise ValueError(f"{name} must be an object keyed by strings, got {value!r}")
-    for key, item in value.items():
-        check(f"{name}[{key!r}]", item)
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Sizes and validation metrics observed in one loop iteration.
-
-    The iteration and the sizes are ints >= 0, pools and selected map
-    names to ints >= 0, and metrics maps each view to its metrics'
-    finite numbers; anything else is a ValueError.
-    """
-
-    iteration: int
-    inside_size: int
-    outside_size: int
-    pools: dict[str, int]
-    selected: dict[str, int]
-    metrics: dict[str, dict]
-
-    def __post_init__(self):
-        for name in ("iteration", "inside_size", "outside_size"):
-            check_int(name, getattr(self, name), 0)
-        for name in ("pools", "selected"):
-            _check_map(name, getattr(self, name), lambda what, n: check_int(what, n, 0))
-        _check_map(
-            "metrics", self.metrics, lambda view, values: _check_map(view, values, check_number)
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
-
-
-@dataclass(frozen=True)
-class LoopTrace:
-    """One record per completed iteration, in order."""
-
-    records: tuple[IterationRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def to_jsonl(self) -> str:
-        return "".join(rec.to_json() + "\n" for rec in self.records)
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "LoopTrace":
-        """Parse to_jsonl output; a bad record is a ValueError naming its line."""
-        records = []
-        for number, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                records.append(IterationRecord(**json.loads(line)))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"line {number}: {exc!r}") from exc
-        return cls(records=tuple(records))
+from .trace import IterationRecord, LoopTrace
 
 
 @dataclass(frozen=True)

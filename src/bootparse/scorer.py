@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import Thresholds, TrainingMeta
 from .decoder import ScoreChart
 from .errors import (
     LengthMismatch,
@@ -48,7 +49,7 @@ from .errors import (
     SingleClassInput,
     UndefinedMccWarning,
     check_int,
-    check_number,
+    json_value,
 )
 from .seeds import (
     CONCAT,
@@ -447,24 +448,6 @@ class FeatureSpace:
         return CsrRows(counts.astype(float), cols, indptr, (n_rows, self.dim))
 
 
-@dataclass(frozen=True)
-class TrainingMeta:
-    """Optimization settings, stored alongside the weights."""
-
-    epochs: int = 30
-    learning_rate: float = 0.5
-    batch_size: int = 64
-    l2: float = 1e-5
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        check_int("epochs", self.epochs, 1)
-        check_int("batch_size", self.batch_size, 1)
-        check_int("rng_seed", self.rng_seed, 0)
-        check_number("learning_rate", self.learning_rate, 0, inclusive=False)
-        check_number("l2", self.l2, 0)
-
-
 @dataclass
 class SpanScorer:
     """A trained logistic model over one view's features.
@@ -746,18 +729,6 @@ def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) ->
     return chart
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Confidence cutoffs; both comparisons are strict."""
-
-    tau_min: float = 0.0005
-    tau_max: float = 0.995
-
-    def __post_init__(self):
-        if not (0.0 <= self.tau_min < self.tau_max <= 1.0):
-            raise ValueError(f"bad thresholds ({self.tau_min}, {self.tau_max})")
-
-
 def confidence_pools(model, corpus, thresholds: Thresholds):
     """Split every multi-token span into confident pools by score.
 
@@ -886,7 +857,7 @@ def load_model(path) -> SpanScorer:
 
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json_value(fh.read(), f"model file {path}", MalformedFile)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise bad(f"not UTF-8 JSON ({exc})") from exc
     if not isinstance(payload, dict):

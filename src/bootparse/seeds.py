@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCorpus, MalformedFile, check_bool, check_int, read_text
+from .config import CONSTITUENT, DISTITUENT, SeedConfig
+from .errors import EmptyCorpus, MalformedFile, read_text
 from .treebank import Sentence, Span, token_runs
 
 INSIDE = "inside"
@@ -32,9 +33,6 @@ CONCAT = "concat"
 # the views in the order of their codes in a LabeledSet
 VIEWS = (INSIDE, OUTSIDE, CONCAT)
 VIEW_CODES = {view: code for code, view in enumerate(VIEWS)}
-
-CONSTITUENT = 1
-DISTITUENT = 0
 
 _LABEL_NAMES = {CONSTITUENT: "constituent", DISTITUENT: "distituent"}
 _LABEL_VALUES = {name: value for value, name in _LABEL_NAMES.items()}
@@ -152,43 +150,6 @@ class LabeledSet(Sequence):
         grown = LabeledSet(both[:, keep])
         grown.rows = self.rows
         return grown
-
-
-@dataclass(frozen=True)
-class SeedConfig:
-    """Controls the seed templates.
-
-    num_slices=None picks the per-branching default (6 slices from the
-    right template, 4 from the left).  random_slices replaces template
-    distituents with uniformly drawn prefixes/suffixes, an intentionally
-    weaker scheme kept for comparison runs.
-    """
-
-    branching: str = "right"
-    num_slices: int | None = None
-    min_span_len: int = 2
-    casing_augmentation: bool = False
-    star_split: bool = False
-    random_slices: bool = False
-    lowercase_copy_label: int = CONSTITUENT
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.branching not in ("right", "left"):
-            raise ValueError(f"branching must be right or left, got {self.branching!r}")
-        if self.num_slices is not None:
-            check_int("num_slices", self.num_slices, 1)
-        check_int("min_span_len", self.min_span_len, 1)
-        check_int("lowercase_copy_label", self.lowercase_copy_label, 0, 1)
-        check_int("rng_seed", self.rng_seed, 0)
-        for name in ("casing_augmentation", "star_split", "random_slices"):
-            check_bool(name, getattr(self, name))
-
-    @property
-    def slices(self) -> int:
-        if self.num_slices is not None:
-            return self.num_slices
-        return 6 if self.branching == "right" else 4
 
 
 def most_common_first_word(corpus) -> str | None:

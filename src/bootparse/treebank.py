@@ -6,9 +6,9 @@ its sentence and its brackets (label, i, j) in pre-order, the root
 first.  Trees are immutable; every transformation returns a new tree.
 
 No tree operation recurses.  A bracketed file is read in one pass over
-one lazy stream of brackets and words, and words between top-level
-trees are skipped; normalize, labeled_spans and serialize are flat
-passes over a tree's brackets, so a tree may nest deeper than the
+one lazy stream of brackets and words, which skips only markup lines
+between top-level trees.  normalize, labeled_spans and serialize are
+flat passes over a tree's brackets, so a tree may nest deeper than the
 interpreter's recursion limit.  GoldTree.codes keeps a tree's labeled
 spans as the integer codes that evaluation counts, i * (n + 1) + j for
 the span (i, j).
@@ -58,6 +58,8 @@ _WORD = re.compile(r"\S+")
 # white space and markup lines (first character other than white space
 # '<', as CTB's <DOC> and <S ID=1>) before a treebank's first tree
 _TREEBANK_HEAD = re.compile(r"(?:\s*<[^\n]*)*\s*")
+# a markup line, matched from the start of the line
+_MARKUP_LINE = re.compile(r"[^\S\n]*<[^\n]*")
 
 
 @dataclass(frozen=True)
@@ -377,8 +379,9 @@ def read_treebank(path) -> list[GoldTree]:
     A treebank opens with '(' once leading markup lines (those whose
     first character other than white space is '<') are skipped, the rule
     by which read_corpus tells one from plain text, so any other word
-    before the first tree is a TreeSyntaxError; words between top-level
-    trees, markup among them, are skipped.  Traces
+    before the first tree is a TreeSyntaxError.  Between top-level trees,
+    markup lines are skipped and any other word is a TreeSyntaxError
+    naming it and the tree before it.  Traces
     are dropped here so yields match raw-text conventions; a tree of
     nothing but traces is skipped with a warning.  Full normalization
     (punctuation, unary chains) is a separate step.  Ids are assigned
@@ -393,13 +396,23 @@ def _read_trees(text: str, path) -> list[GoldTree]:
     # without a trace anywhere, normalize would rebuild each tree unchanged
     traces = TRACE_TAG in text
     trees: list[GoldTree] = []
-    toks = _tokens(text)
+    matches = _SEXPR_TOKEN.finditer(text)
+    # _read_tree takes the words of each tree from the same stream
+    toks = map(itemgetter(0), matches)
     count = 0
+    markup_end = 0  # the end of the last markup line found between trees
     try:
-        for tok in toks:
+        for match in matches:
+            tok = match[0]
             if tok not in "()":  # a word between trees
                 if not count:
                     raise TreeSyntaxError(f"word {tok!r} before the first tree")
+                if match.start() >= markup_end:
+                    line = text.rfind("\n", 0, match.start()) + 1
+                    markup = _MARKUP_LINE.match(text, line)
+                    if not markup:
+                        raise TreeSyntaxError(f"word {tok!r} after the tree")
+                    markup_end = markup.end()
                 continue
             count += 1
             if tok == ")":

@@ -495,6 +495,129 @@ def test_env_override_names(tmp_path, monkeypatch, capsys, key, code):
     assert (key in err) if code else err == ""
 
 
+DEEP_JSON = "[" * 100_000
+
+
+def _deep_config(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(DEEP_JSON)
+    return ["bootstrap", "--config", str(cfg)], f"config error: config file {cfg}"
+
+
+def _deep_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("BOOTPARSE_SEEDS__BRANCHING", DEEP_JSON)
+    argv = ["bootstrap", "--config", str(write_config(tmp_path))]
+    return argv, "config error: BOOTPARSE_SEEDS__BRANCHING"
+
+
+def _deep_grammar(tmp_path, monkeypatch):
+    grammar = tmp_path / "g.json"
+    grammar.write_text(DEEP_JSON)
+    argv = ["synth", "--grammar", str(grammar), "--out", str(tmp_path / "c.txt")]
+    return argv, f"config error: grammar file {grammar}"
+
+
+def _deep_model(tmp_path, monkeypatch):
+    model = tmp_path / "models" / "inside_seed.json"
+    model.parent.mkdir()
+    model.write_text(DEEP_JSON)
+    argv = ["parse", "--config", str(write_config(tmp_path)), "--stage", "seed",
+            "--input", str(tmp_path / "corpus.txt"), "--out", str(tmp_path / "pred.txt")]
+    return argv, f"data error: model file {model}"
+
+
+def _deep_trace(tmp_path, monkeypatch):
+    trace = tmp_path / "models" / "self_trace.jsonl"
+    trace.parent.mkdir()
+    trace.write_text(DEEP_JSON + "\n")
+    argv = ["report", "--config", str(write_config(tmp_path))]
+    return argv, f"data error: trace file {trace}: line 1"
+
+
+def _deep_report(tmp_path, monkeypatch):
+    report = tmp_path / "reports" / "report.json"
+    report.parent.mkdir()
+    report.write_text(DEEP_JSON)
+    argv = ["report", "--config", str(write_config(tmp_path))]
+    return argv, f"data error: report file {report}"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_deep_config, _deep_env, _deep_grammar, _deep_model, _deep_trace, _deep_report],
+    ids=["config", "env", "grammar", "model", "trace", "report"],
+)
+def test_deeply_nested_json_is_the_readers_error(tmp_path, monkeypatch, capsys, case):
+    # JSON nested past the parser's recursion limit is the reader's own
+    # error, exit 1 for settings and 2 for data, not an internal error
+    write_tiny_corpus(tmp_path)
+    argv, named = case(tmp_path, monkeypatch)
+    assert main(argv) == (1 if named.startswith("config error") else 2)
+    err = capsys.readouterr().err
+    assert err.startswith(named) and err.count("\n") == 1, err
+    assert "nests too deeply to read" in err
+
+
+def test_override_on_a_non_object_config_is_exit_1(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1]")
+    for key in ("BOOTPARSE_RNG_SEED", "BOOTPARSE_SEEDS__RNG_SEED"):
+        monkeypatch.setenv(key, "1")
+        assert main(["bootstrap", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "config error: config root must be an object\n"
+
+
+# The bootparse modules each subcommand loads, past cli and errors; the
+# config's heuristics are off, so parse reads no bundled stopwords.
+_TRAIN_MODULES = {"config", "seeds", "treebank", "scorer", "decoder"}
+_LOOP_MODULES = _TRAIN_MODULES | {"loops", "trace"}
+STAGE_MODULES = [
+    (["--help"], set()),
+    (["synth", "--count", "60", "--out", "corpus.txt", "--gold", "gold.txt"], {"synth", "treebank"}),
+    (["bootstrap"], {"config", "seeds", "treebank"}),
+    (["train"], _TRAIN_MODULES),
+    (["selftrain"], _LOOP_MODULES),
+    (["cotrain"], _LOOP_MODULES),
+    (["parse", "--input", "corpus.txt", "--out", "pred.txt"], _TRAIN_MODULES),
+    (["eval", "--pred", "pred.txt", "--baselines", "--oracle"],
+     {"config", "evaluation", "decoder", "seeds", "treebank"}),
+    (["report"], {"config", "trace"}),
+]
+_RUN_STAGE = """
+import json, sys
+from bootparse.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+bootparse = sorted(name for name in sys.modules if name.startswith("bootparse."))
+print(json.dumps([code, bootparse, "numpy" in sys.modules]))
+"""
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
+    # each stage of a small pipeline in a fresh interpreter, in order
+    cfg = write_config(
+        tmp_path,
+        self_train={"K": 1, "c": 0, "d": 50, "tau_min": 0.005, "tau_max": 0.9, "accumulate": True},
+        co_train={"K": 1, "c": 0, "d": 50, "tau_min": 0.1, "tau_max": 0.9},
+        training={"epochs": 2},
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv, modules in STAGE_MODULES:
+        if argv[0] not in ("--help", "synth"):
+            argv = [argv[0], "--config", str(cfg), *argv[1:]]
+        out = subprocess.run(
+            [sys.executable, "-c", _RUN_STAGE, *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+        ).stdout
+        code, loaded, numpy = json.loads(out.splitlines()[-1])
+        assert code == 0, argv
+        assert set(loaded) == {f"bootparse.{name}" for name in {"cli", "errors"} | modules}, argv
+        if argv[0] in ("--help", "report"):
+            assert not numpy, argv
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, bootparse.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -1066,6 +1189,24 @@ def test_corpus_and_gold_on_one_file_follow_one_format_rule(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"data error: {text}: word 'junk' before the first tree\n"
     )
+
+
+def test_words_between_trees_are_exit_2(tmp_path, capsys):
+    # a plain line between two trees is neither skipped nor read as a
+    # sentence: parse and eval both refuse the file, naming the tree and
+    # the word
+    text = tmp_path / "mixed.txt"
+    text.write_text("(X a b)\nthe cat sleeps\n(Y c d)\n")
+    cfg = write_config(tmp_path)
+    want = f"data error: {text}: tree 1: word 'the' after the tree\n"
+    argv = ["parse", "--config", str(cfg), "--input", str(text), "--out", str(tmp_path / "p.txt")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "p.txt").exists()
+    pred = tmp_path / "pred.txt"
+    pred.write_text("(X a b)\n(X c d)\n")
+    assert main(["eval", "--config", str(cfg), "--pred", str(pred), "--gold", str(text)]) == 2
+    assert capsys.readouterr().err == want
 
 
 def test_corpus_and_gold_with_bom_and_markup_read_alike(tmp_path, capsys):

@@ -21,6 +21,7 @@ from bootparse.errors import (
 )
 from bootparse.treebank import (
     _SEXPR_TOKEN,
+    _TREEBANK_HEAD,
     FILL_CELLS,
     PUNCT_TAGS,
     TRACE_TAG,
@@ -402,11 +403,33 @@ def test_both_readers_take_a_treebank_to_open_with_bracket(tmp_path, text):
     with pytest.raises(TreeSyntaxError) as info:
         read_treebank(p)
     assert str(info.value) == f"{p}: word 'junk' before the first tree"
-    # words after the first tree are skipped by both
+    # a word after the first tree, off a markup line, is refused by both
     p.write_text(f"{DOG} junk (S a)")
-    assert [s.tokens for s in read_corpus(p)] == [
-        t.sentence.tokens for t in read_treebank(p)
-    ] == [("the", "dog", "ran"), ("a",)]
+    for reader in (read_corpus, read_treebank):
+        with pytest.raises(TreeSyntaxError) as info:
+            reader(p)
+        assert str(info.value) == f"{p}: tree 1: word 'junk' after the tree"
+
+
+@pytest.mark.parametrize(
+    "text, tree, word",
+    [
+        ("(X a b)\nthe cat sleeps\n(Y c d)\n", 1, "the"),
+        ("(X a b)\n(Y c d)\n  cat <S>\n(Z e)\n", 2, "cat"),
+        ("(X a b) </S>\n(Y c d)\n", 1, "</S>"),
+        ("(X a b)\n(Y c d)\ntail\n", 2, "tail"),
+    ],
+    ids=["line", "word_then_markup", "markup_after_tree", "last"],
+)
+def test_words_between_trees_are_refused(tmp_path, text, tree, word):
+    # only a markup line, whose first character other than white space is
+    # '<', may stand between trees; any other word names the tree before it
+    p = tmp_path / "gold.txt"
+    p.write_text(text)
+    for reader in (read_corpus, read_treebank):
+        with pytest.raises(TreeSyntaxError) as info:
+            reader(p)
+        assert str(info.value) == f"{p}: tree {tree}: word {word!r} after the tree"
 
 
 CTB_HEAD = "<DOC>\n<DOCID> CTB_001 </DOCID>\n  <S ID=1>\n"
@@ -418,9 +441,11 @@ CTB_HEAD = "<DOC>\n<DOCID> CTB_001 </DOCID>\n  <S ID=1>\n"
 )
 def test_both_readers_skip_bom_and_leading_markup(tmp_path, head):
     # a byte order mark and markup lines before the first tree are skipped
-    # by both readers, and markup between trees is skipped as words are
+    # by both readers, and so are markup lines between trees, indented or not
     p = tmp_path / "gold.txt"
-    p.write_text(f"{head}{DOG}\n</S>\n<S ID=2>\n(S a)\n</S>\n</DOC>\n", encoding="utf-8")
+    p.write_text(
+        f"{head}{DOG}\n</S>\n  <S ID=2>\n(S a)\n\t</S>\n</DOC>\n", encoding="utf-8"
+    )
     want = [("the", "dog", "ran"), ("a",)]
     assert [t.sentence.tokens for t in read_treebank(p)] == want
     assert [s.tokens for s in read_corpus(p)] == want
@@ -537,10 +562,16 @@ def _ref_leaves(node):
 
 
 def _ref_split_balanced(text):
+    """The top-level bracketed chunks of text; between them only white
+    space and markup lines (first character other than white space '<')."""
     depth = 0
     start = None
     for pos, ch in enumerate(text):
-        if ch == "(":
+        if depth == 0 and ch not in "()" and not ch.isspace():
+            line = text[text.rfind("\n", 0, pos) + 1 :]
+            if not line.lstrip().startswith("<"):
+                raise TreeSyntaxError(f"word at offset {pos} between trees")
+        elif ch == "(":
             if depth == 0:
                 start = pos
             depth += 1
@@ -706,6 +737,7 @@ _file_item = st.one_of(
     _ptb_tree,
     _ptb_tree.map(lambda text: f"( {text} )"),
     st.sampled_from(["junk", "*", "-NONE-"]),  # bare words between trees
+    st.sampled_from(["\n</S>\n", "\n  <S ID=2>\n"]),  # markup lines
     st.just(")"),  # a stray ')'
     st.just("("),  # an unclosed '(', unless a later ')' closes it
 )
@@ -722,9 +754,10 @@ def test_stream_reader_matches_chunk_reference(tmp_path_factory, items, sep):
     path.write_text(text)
     want = _outcome(_ref_read, text)
     got = _outcome(read_treebank, path)
-    if not text.lstrip().startswith(("(", ")")):
-        # a word first: read_corpus reads the file as plain text, and
-        # read_treebank, which the reference made skip it, refuses it
+    rest = text[_TREEBANK_HEAD.match(text).end() :]
+    if rest and rest[0] not in "()":
+        # a word first, past any markup lines: read_corpus reads the file
+        # as plain text, and read_treebank refuses it
         assert type(got) is TreeSyntaxError
         assert str(got).startswith(f"{path}: word ")
         return
