@@ -3,8 +3,9 @@ parse, eval, report.
 
 Every subcommand is a pure function of its config, input files, and rng
 seed; outputs carry no timestamps, so re-runs are byte-identical.  Exit
-codes: 0 success, 1 usage or config error, 2 data error, 3 internal
-error, 141 (128 + SIGPIPE) when the reader of stdout closed it early.
+codes: 0 success, 1 usage or config error, 2 data error (a DataError or
+an unreadable input file), 3 internal error, 141 (128 + SIGPIPE) when
+the reader of stdout closed it early.
 
 A subcommand loads only the modules it runs, so report and --help start
 without numpy.
@@ -23,13 +24,10 @@ from typing import TYPE_CHECKING
 from .errors import (
     BootparseError,
     ConfigError,
-    EmptyCorpus,
+    DataError,
     ExternalScorerError,
     LengthMismatch,
     MalformedFile,
-    NonterminatingGrammar,
-    SingleClassInput,
-    TreeSyntaxError,
     YieldMismatch,
     check_number,
     json_value,
@@ -55,14 +53,9 @@ CO_TRACE = "co_trace.jsonl"
 # 128 + SIGPIPE, what a shell reports for a writer killed by a closed pipe
 EXIT_STDOUT_CLOSED = 141
 
+# exit 2: every data error of the package, and a file that cannot be read
 _DATA_ERRORS = (
-    TreeSyntaxError,
-    EmptyCorpus,
-    YieldMismatch,
-    LengthMismatch,
-    MalformedFile,
-    NonterminatingGrammar,
-    SingleClassInput,
+    DataError,
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,
@@ -381,7 +374,7 @@ def cmd_parse(args) -> int:
                 chart = score_chart(scorer, sentence, renormalize=cfg.renormalize)
                 charts[b] = apply_heuristics(chart, sentence, heuristics).cells
             for sentence, pos, codes in zip(group, positions, cyk_decode_stack(charts)):
-                brackets = [("X", *divmod(code, n + 1)) for code in codes] or [("X", 0, 0)]
+                brackets = [("X", *divmod(code, n)) for code in codes] or [("X", 0, 0)]
                 lines[pos] = bracketed(sentence.tokens, brackets) + "\n"
         if external:
             scorer.finish()
@@ -415,7 +408,7 @@ def _read_predictions(path):
             # BinaryTree names what is wrong with any other count
             if len(codes) != len(tree.sentence) - 1:
                 binary_from_tree(tree)
-        except (TreeSyntaxError, ValueError) as exc:
+        except (DataError, ValueError) as exc:
             raise MalformedFile(f"{path}:{index + 1}: {exc}") from exc
         preds.append((tree.sentence.tokens, codes))
     return preds

@@ -240,6 +240,19 @@ class Paths:
             if not (isinstance(value, str) or (optional and value is None)):
                 kind = "a string or null" if optional else "a string"
                 raise ValueError(f"{name} must be {kind}, got {value!r}")
+            if value is not None:
+                _check_os_text(name, value)
+
+
+def _check_os_text(name: str, value: str) -> None:
+    """Raise ValueError unless value can be a path or a program argument:
+    no NUL, and no character the file system encoding cannot write."""
+    try:
+        if b"\0" not in os.fsencode(value):
+            return
+    except UnicodeEncodeError:
+        pass
+    raise ValueError(f"{name} cannot be passed to the operating system, got {value!r}")
 
 
 # An external scorer's reply timeout in seconds, at most one day: the
@@ -266,6 +279,8 @@ class ScorerBackend:
                 f"command must be a list of non-empty strings, got {self.command!r}"
             )
         object.__setattr__(self, "command", tuple(self.command))
+        for arg in self.command:
+            _check_os_text("command", arg)
         check_number(
             "timeout", self.timeout, 0, inclusive=False, high=MAX_SCORER_TIMEOUT
         )

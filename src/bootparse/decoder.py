@@ -4,6 +4,8 @@ The decoder picks the binary tree whose spans maximize the sum of chart
 scores.  ``cyk_decode_stack`` decodes a stack of charts of one length
 into span codes in one fill, as parse does one treebank.length_fills
 fill at a time; ``cyk_decode`` decodes one chart as a stack of one.
+A span's code is its chart cell, i * n + j for the span (i, j) of an
+n-token chart, in the fill, scoring, parse's writer and evaluation.
 ``enumerate_trees`` provides the brute-force reference used to test the
 dynamic program; it is exponential (Catalan numbers) and guarded
 accordingly.
@@ -60,15 +62,15 @@ def _fill_plan(n: int) -> tuple:
     """Flat chart offsets for filling span lengths 2..n of an n-token chart.
 
     For span length L, row r holds the cell (r, r + L - 1) at flat index
-    base[r] + L - 1, with base[r] = r * (n + 1), so the cells of one
-    length are the slice cells.  The split of row r after token r + k
-    reads best(r, r + k) at base[r] + left[k] and
+    base[r] + L - 1, with base[r] = r * n + r the cell (r, r), so the
+    cells of one length are the slice cells.  The split of row r after
+    token r + k reads best(r, r + k) at base[r] + left[k] and
     best(r + k + 1, r + L - 1) at base[r] + right[k].  Only these O(n)
     offsets are kept per length, about n^2 ints per chart size in all;
     they are broadcast against the row bases on each call.
     """
     idx = np.arange(n)
-    base = idx * (n + 1)
+    base = idx * n + idx
     plan = []
     for length in range(2, n + 1):
         rows = n - length + 1
@@ -94,7 +96,7 @@ def cyk_decode(chart: ScoreChart, sentence: Sentence | None = None) -> BinaryTre
     if len(sentence) != n:
         raise ValueError(f"sentence has {len(sentence)} tokens, chart has {n}")
     (codes,) = cyk_decode_stack(chart.cells[None])
-    spans = [Span(*divmod(code, n + 1)) for code in codes] if n > 1 else [Span(0, 0)]
+    spans = [Span(*divmod(code, n)) for code in codes] if n > 1 else [Span(0, 0)]
     return BinaryTree(sentence=sentence, spans=spans)
 
 
@@ -125,8 +127,8 @@ def cyk_decode_stack(charts: np.ndarray) -> list[list[int]]:
 
 
 def split_codes(n: int, pick) -> list[int]:
-    """The code i * (n + 1) + j of each span (i, j) of two or more tokens
-    of the binary tree that splits each span after token pick(i, j).
+    """The code i * n + j of each span (i, j) of two or more tokens of
+    the binary tree that splits each span after token pick(i, j).
 
     Spans are visited in pre-order, left subtree first, so a pick that
     draws random numbers draws them in a fixed order.
@@ -135,7 +137,7 @@ def split_codes(n: int, pick) -> list[int]:
     stack = [(0, n - 1)] if n > 1 else []
     while stack:
         i, j = stack.pop()
-        codes.append(i * (n + 1) + j)
+        codes.append(i * n + j)
         k = pick(i, j)
         if k + 1 < j:
             stack.append((k + 1, j))

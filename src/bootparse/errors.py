@@ -10,7 +10,12 @@ class BootparseError(Exception):
     """Base class for errors raised by this package."""
 
 
-class TreeSyntaxError(BootparseError):
+class DataError(BootparseError):
+    """Input data the pipeline cannot use, which the CLI exits 2 on; every
+    data fault of the package derives from it."""
+
+
+class TreeSyntaxError(DataError):
     """Malformed bracketed-tree input."""
 
 
@@ -30,11 +35,11 @@ class AllTokensRemoved(BootparseError):
     """Normalization removed every token of a sentence."""
 
 
-class EmptyCorpus(BootparseError):
+class EmptyCorpus(DataError):
     """No usable sentences were found in an input file."""
 
 
-class SingleClassInput(BootparseError):
+class SingleClassInput(DataError):
     """A training set is empty or contains only one class."""
 
 
@@ -42,15 +47,15 @@ class TooLarge(BootparseError):
     """Exhaustive tree enumeration requested beyond the size guard."""
 
 
-class YieldMismatch(BootparseError):
+class YieldMismatch(DataError):
     """Predicted and gold trees disagree on the token sequence."""
 
 
-class LengthMismatch(BootparseError):
+class LengthMismatch(DataError):
     """Two aligned collections differ in length."""
 
 
-class NonterminatingGrammar(BootparseError):
+class NonterminatingGrammar(DataError):
     """Grammar sampling kept exceeding the derivation depth guard."""
 
 
@@ -58,7 +63,7 @@ class ExternalScorerError(BootparseError):
     """An external scorer process timed out, died, or wrote garbage."""
 
 
-class MalformedFile(BootparseError, ValueError):
+class MalformedFile(DataError, ValueError):
     """An input file is not UTF-8, or a seed set, saved model or
     prediction file is not in its format.
 

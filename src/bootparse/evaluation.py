@@ -7,11 +7,12 @@ whole-sentence spans counted, plus a short-sentence section).  All
 modes ignore single-token spans; a binary prediction cannot produce
 them and preterminal brackets are not constituents here.
 
-Spans are counted as integer codes, i * (n + 1) + j for the span (i, j)
-of an n-token sentence.  A gold tree's codes are made once and shared
-by every score; eval's predictions and the baselines are code sets.
-The binary oracle decodes one gold chart at a time with cyk_decode: no
-other CLI path calls it, and the benchmark's traced run requires it to.
+Spans are counted as integer codes, each its chart cell: i * n + j for
+the span (i, j) of an n-token sentence.  A gold tree's codes are made
+once and shared by every score; eval's predictions and the baselines
+are code sets.  The binary oracle puts 1 at a gold tree's codes in its
+chart and decodes one chart at a time with cyk_decode: no other CLI
+path calls it, and the benchmark's traced run requires it to.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ def _pred_codes(pred, gold: GoldTree):
             f"prediction tokens {pred.sentence.tokens} differ from gold "
             f"{gold.sentence.tokens}"
         )
-    stride = len(gold.sentence) + 1
-    return frozenset(sp.i * stride + sp.j for sp in pred.spans if sp.j > sp.i)
+    n = len(gold.sentence)
+    return frozenset(sp.i * n + sp.j for sp in pred.spans if sp.j > sp.i)
 
 
 def _counts(pred, gold: GoldTree, cfg: EvalConfig) -> tuple[int, int, int]:
@@ -202,7 +203,7 @@ def baseline_codes(
     if which == LEFT:
         return frozenset(range(1, n))  # (0, j)
     if which == RIGHT:
-        return frozenset(range(n - 1, (n - 1) * (n + 1), n + 1))  # (i, n - 1)
+        return frozenset(range(n - 1, n * (n - 1), n))  # (i, n - 1)
     if which == BALANCED:
         return frozenset(split_codes(n, lambda i, j: (i + j) // 2))
     rng = np.random.default_rng((rng_seed, index))
@@ -224,11 +225,9 @@ def trivial_baselines(
 
 def oracle_tree(gold: GoldTree) -> BinaryTree:
     """Best achievable binary bracketing: decode a 0/1 gold-span chart."""
-    n = len(gold.sentence)
-    chart = ScoreChart(n=n)
+    chart = ScoreChart(n=len(gold.sentence))
     # single-token spans add the same to every tree, so they are left out
-    for _, code in gold.codes:
-        chart.cells[divmod(code, n + 1)] = 1.0
+    chart.cells.put([code for _, code in gold.codes], 1.0)
     return cyk_decode(chart, gold.sentence)
 
 

@@ -256,6 +256,15 @@ class CodeRows:
     indptr: np.ndarray
 
 
+def _row_entries(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the entries of rows that hold lengths[r] entries
+    from starts[r] on, row after row, and the bounds of the rows taken."""
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    entry = np.repeat(starts - bounds[:-1], lengths)
+    entry += np.arange(bounds[-1])
+    return entry, bounds
+
+
 def _gather_rows(pieces) -> CodeRows:
     """Rows laid out piece by piece: row r's piece p is
     source[start[r] : start[r] + length[r]] of pieces[p] = (source, start, length)."""
@@ -263,10 +272,8 @@ def _gather_rows(pieces) -> CodeRows:
     ends = np.cumsum(lengths.ravel()).reshape(lengths.shape)
     codes = np.empty(ends[-1, -1], dtype=np.int64)
     for p, (source, start, length) in enumerate(pieces):
-        # position of each code within its piece
-        step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
-        into = np.repeat(ends[:, p] - length, length) + step
-        codes[into] = source[np.repeat(start, length) + step]
+        into, _ = _row_entries(ends[:, p] - length, length)
+        codes[into] = source[_row_entries(start, length)[0]]
     return CodeRows(codes, np.concatenate(([0], ends[:, -1])))
 
 
@@ -326,11 +333,7 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
 
 def _take_rows(rows: CodeRows, order: np.ndarray) -> CodeRows:
     """Rows order[0], order[1], ... of rows."""
-    lengths = np.diff(rows.indptr)[order]
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    # the position in rows.codes of each code taken
-    entry = np.repeat(rows.indptr[order] - indptr[:-1], lengths)
-    entry += np.arange(indptr[-1])
+    entry, indptr = _row_entries(rows.indptr[order], np.diff(rows.indptr)[order])
     return CodeRows(rows.codes[entry], indptr)
 
 
@@ -588,7 +591,6 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     stale = 0
     n, dim = x_train.shape
     step, l2, batch = meta.learning_rate, meta.l2, meta.batch_size
-    row_len = np.diff(x_train.indptr)
     # position of each row within its minibatch, the minibatches' row
     # bounds, and the buffer of each step's weight decay
     batch_pos = np.arange(n) % batch
@@ -603,13 +605,11 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
         # Lay the rows out in this epoch's order, so that each minibatch
         # is one contiguous slice of entries [ptr[lo], ptr[hi]).
         order = rng.permutation(n)
-        counts = row_len[order]
-        ptr = np.concatenate(([0], np.cumsum(counts)))
-        entry = np.repeat(x_train.indptr[order] - ptr[:-1], counts) + np.arange(ptr[-1])
+        entry, ptr = _row_entries(x_train.indptr[order], np.diff(x_train.indptr)[order])
         cols = x_train.indices[entry]
         vals = x_train.data[entry]
         del entry
-        rows = np.repeat(batch_pos, counts)
+        rows = np.repeat(batch_pos, np.diff(ptr))
         y = y_train[order]
         cuts = ptr[edges].tolist()
         for lo, hi, start, end in zip(edges, edges[1:], cuts, cuts[1:]):
@@ -666,13 +666,13 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
 
 @dataclass(frozen=True, eq=False)
 class _Spans:
-    """Spans as read-only index arrays: i, j, and cells, the flat index
-    i * n + j of each span's cell in the chart of an n-token sentence.
+    """Spans as read-only index arrays: i, j, and codes, each span's code
+    i * n + j, which is its cell in the chart of an n-token sentence.
     Iterating builds each Span as it is read, for models that read Spans."""
 
     i: np.ndarray
     j: np.ndarray
-    cells: np.ndarray
+    codes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.i)
@@ -695,7 +695,7 @@ def _all_spans(n: int, min_len: int = 2) -> _Spans:
 def _span_arrays(n: int, min_len: int) -> _Spans:
     i, j = np.triu_indices(n, min_len - 1)
     spans = _Spans(i, j, i * n + j)
-    for arr in (spans.i, spans.j, spans.cells):
+    for arr in (spans.i, spans.j, spans.codes):
         arr.setflags(write=False)
     return spans
 
@@ -705,8 +705,8 @@ def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) ->
 
     Renormalization maps (p1, p2) to p1 p2 / (p1 p2 + (1-p1)(1-p2)),
     which leaves a pair with a constant-1/2 partner unchanged.  The
-    spans scored and the chart cells they fill are the cached arrays of
-    _all_spans(n, 1).
+    spans scored and their codes, the chart cells they fill, are the
+    cached arrays of _all_spans(n, 1).
     """
     n = len(sentence)
     spans = _all_spans(n, min_len=1)
@@ -725,7 +725,7 @@ def score_chart(model_or_pair, sentence: Sentence, renormalize: bool = False) ->
     else:
         probs = np.asarray(model_or_pair.score_spans(sentence, spans))
     chart = ScoreChart(n=n)
-    chart.cells.put(spans.cells, probs)
+    chart.cells.put(spans.codes, probs)
     return chart
 
 

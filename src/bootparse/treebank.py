@@ -7,11 +7,12 @@ first.  Trees are immutable; every transformation returns a new tree.
 
 No tree operation recurses.  A bracketed file is read in one pass over
 one lazy stream of brackets and words, which skips only markup lines
-between top-level trees.  normalize, labeled_spans and serialize are
-flat passes over a tree's brackets, so a tree may nest deeper than the
-interpreter's recursion limit.  GoldTree.codes keeps a tree's labeled
-spans as the integer codes that evaluation counts, i * (n + 1) + j for
-the span (i, j).
+(first and last characters other than white space '<' and '>') before
+and between top-level trees.  normalize, labeled_spans and serialize
+are flat passes over a tree's brackets, so a tree may nest deeper than
+the interpreter's recursion limit.  GoldTree.codes keeps a tree's
+labeled spans as the integer codes that evaluation counts: the code of
+the span (i, j) of an n-token sentence is its chart cell, i * n + j.
 
 One writer, bracketed, puts (label, i, j) brackets on a line of tokens
 for serialize, BinaryTree.to_bracketed and parse, which writes each
@@ -55,11 +56,14 @@ _BRACKET_WORD = re.compile(r"[^\s()]+")
 _SEXPR_TOKEN = re.compile(r"[()]|" + _BRACKET_WORD.pattern)
 # a token: one or more characters, none of them white space
 _WORD = re.compile(r"\S+")
-# white space and markup lines (first character other than white space
-# '<', as CTB's <DOC> and <S ID=1>) before a treebank's first tree
-_TREEBANK_HEAD = re.compile(r"(?:\s*<[^\n]*)*\s*")
-# a markup line, matched from the start of the line
-_MARKUP_LINE = re.compile(r"[^\S\n]*<[^\n]*")
+# A markup line's first and last characters other than white space are
+# '<' and '>', as in CTB's <DOC>, <DOCID> CTB_001 </DOCID>, <S ID=1> and
+# </S>, but not in <s> dog runs.  _MARKUP matches one from its '<', and
+# _MARKUP_LINE from the start of the line.
+_MARKUP = r"<[^\n]*>[^\S\n]*(?=\n|\Z)"
+_MARKUP_LINE = re.compile(r"[^\S\n]*" + _MARKUP)
+# white space and markup lines before a treebank's first tree
+_TREEBANK_HEAD = re.compile(rf"(?:\s*{_MARKUP})*\s*")
 
 
 @dataclass(frozen=True)
@@ -153,13 +157,12 @@ class GoldTree:
 
     @functools.cached_property
     def codes(self) -> tuple[tuple[str, int], ...]:
-        """(label, i * (n + 1) + j) for each span (i, j) of labeled_spans
-        that covers two or more tokens, in pre-order.  The tree is
-        immutable, so it is read once, however many scores (the parse,
-        each baseline, the oracle) an evaluation computes against it."""
-        stride = len(self.sentence) + 1
-        spans = [(label, sp) for label, sp in labeled_spans(self) if sp.j > sp.i]
-        return tuple((label, sp.i * stride + sp.j) for label, sp in spans)
+        """(label, i * n + j) for each span (i, j) of labeled_spans that
+        covers two or more tokens, in pre-order.  The tree is immutable,
+        so it is read once, however many scores (the parse, each
+        baseline, the oracle) an evaluation computes against it."""
+        n = len(self.sentence)
+        return tuple((label, sp.i * n + sp.j) for label, sp in labeled_spans(self) if sp.j > sp.i)
 
 
 def _tokens(text: str):
@@ -369,7 +372,7 @@ class BinaryTree:
 def binary_from_tree(tree: GoldTree) -> BinaryTree:
     """Interpret a parsed prediction as a binary bracketing."""
     n = len(tree.sentence)
-    spans = {Span(*divmod(code, n + 1)) for _, code in tree.codes} | {Span(0, n - 1)}
+    spans = {Span(*divmod(code, n)) for _, code in tree.codes} | {Span(0, n - 1)}
     return BinaryTree(sentence=tree.sentence, spans=spans)
 
 
@@ -377,11 +380,11 @@ def read_treebank(path) -> list[GoldTree]:
     """Read a file of bracketed trees (trees may span multiple lines).
 
     A treebank opens with '(' once leading markup lines (those whose
-    first character other than white space is '<') are skipped, the rule
-    by which read_corpus tells one from plain text, so any other word
-    before the first tree is a TreeSyntaxError.  Between top-level trees,
-    markup lines are skipped and any other word is a TreeSyntaxError
-    naming it and the tree before it.  Traces
+    first and last characters other than white space are '<' and '>')
+    are skipped, the rule by which read_corpus tells one from plain
+    text, so any other word before the first tree is a TreeSyntaxError.
+    Between top-level trees, markup lines are skipped and any other word
+    is a TreeSyntaxError naming it and the tree before it.  Traces
     are dropped here so yields match raw-text conventions; a tree of
     nothing but traces is skipped with a warning.  Full normalization
     (punctuation, unary chains) is a separate step.  Ids are assigned

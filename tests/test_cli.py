@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bootparse import treebank
+from bootparse import cli, treebank
 from bootparse.cli import main
 from bootparse.config import PipelineConfig, load_config
 from bootparse.decoder import (
@@ -18,6 +20,13 @@ from bootparse.decoder import (
     apply_heuristics,
     cyk_decode,
     heuristics_from_corpus,
+)
+from bootparse.errors import (
+    AllTokensRemoved,
+    ConfigError,
+    DataError,
+    ExternalScorerError,
+    TooLarge,
 )
 from bootparse.loops import IterationRecord, LoopTrace
 from bootparse.scorer import load_model, score_chart
@@ -1209,6 +1218,24 @@ def test_words_between_trees_are_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err == want
 
 
+def test_plain_first_line_opening_with_angle_is_text(tmp_path, capsys):
+    # '<s> dog runs' does not end with '>', so it is no markup line: the
+    # file is plain text, whose token '(X' parse refuses, and bootstrap
+    # reads both lines of a plain file that opens with it
+    text = tmp_path / "in.txt"
+    text.write_text("<s> dog runs\n(X a b)\n")
+    cfg = write_config(tmp_path)
+    out = tmp_path / "pred.txt"
+    assert main(["parse", "--config", str(cfg), "--input", str(text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {text}: sentence 1: token '(X' ")
+    assert not out.exists()
+    (tmp_path / "corpus.txt").write_text("<s> dog runs\nthe cat sleeps\n")
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    rows = (tmp_path / "models" / "seeds.tsv").read_text().splitlines()
+    assert {row.split("\t")[0] for row in rows} == {"0", "1"}
+
+
 def test_corpus_and_gold_with_bom_and_markup_read_alike(tmp_path, capsys):
     # a byte order mark and CTB-style markup lines before and between the
     # trees: one file serves as corpus and gold, and eval scores against it
@@ -1517,3 +1544,192 @@ def test_closed_stdout_is_not_an_internal_error(tmp_path, buffered):
     assert proc.wait(timeout=60) == 141
     assert err == ""
     assert len((tmp_path / "c.txt").read_text().splitlines()) == 5
+
+
+# ------------------------------------------------------------ exit codes
+
+
+class _NewDataError(DataError):
+    """A data error that no list in the CLI names."""
+
+
+def _data_errors(cls=DataError) -> list[type]:
+    """DataError and every class derived from it, however deep."""
+    return [cls, *(sub for direct in cls.__subclasses__() for sub in _data_errors(direct))]
+
+
+_EXIT_CODES = [(error, 2, "data error: ") for error in _data_errors()] + [
+    (ConfigError, 1, "config error: "),
+    (ExternalScorerError, 3, "external scorer failed: "),
+    (AllTokensRemoved, 3, "internal error: "),
+    (TooLarge, 3, "internal error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix", [pytest.param(*case, id=case[0].__name__) for case in _EXIT_CODES]
+)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code, prefix):
+    # every DataError exits 2, one that no list in the CLI names included
+    def fail(args):
+        raise error("bad input")
+
+    monkeypatch.setattr(cli, "_load", fail)
+    assert main(["report", "--config", "cfg.json"]) == code
+    assert capsys.readouterr().err == f"{prefix}bad input\n"
+
+
+# any JSON value, small, with a string that no path can hold among
+# them; json.dumps writes NaN and Infinity, which Python's reader takes
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.just("a\0b"),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# any bytes, and text with brackets, markup, tabs and a byte order mark
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=80),
+    st.text(alphabet="()<>ab01 |=\t\n\ufeff", max_size=40).map(str.encode),
+    st.text(max_size=40).map(str.encode),
+)
+# bracketed trees, markup and words, valid or not
+_TREE_BYTES = st.lists(
+    st.sampled_from(["(", ")", "X", "Y", "a", "b", "-NONE-", "<S>", "\n"]), max_size=12
+).map(lambda toks: " ".join(toks).encode())
+# seed-file rows of five fields, each near or at a valid one
+_SEED_ROWS = st.lists(
+    st.lists(
+        st.sampled_from(
+            ["0", "1", "2", "4", "9", "-1", "+1", "1e3", "", "constituent",
+             "distituent", "inside", "outside", "x"]
+        ),
+        min_size=4,
+        max_size=6,
+    ).map("\t".join),
+    max_size=4,
+).map(lambda rows: "".join(row + "\n" for row in rows).encode())
+
+
+def _json_paths(value, path=()):
+    """The path of value itself and of every value inside it."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, inner in items:
+        yield from _json_paths(inner, (*path, key))
+
+
+def _replaced(value, path, new):
+    """value with the value at path replaced by new."""
+    if not path:
+        return new
+    copy = value.copy()
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def _json_mutants(doc, dump=json.dumps):
+    """The bytes of doc with one value, or the whole, replaced by any JSON value."""
+    return st.sampled_from(list(_json_paths(doc))).flatmap(
+        lambda path: _JSON_VALUES.map(lambda new: dump(_replaced(doc, path, new)).encode())
+    )
+
+
+def _jsonl(value) -> str:
+    """A list as one JSON line per item, any other value as one line."""
+    lines = value if isinstance(value, list) else [value]
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+FUZZ_GRAMMAR = {
+    "start": "S",
+    "rules": {"S": [[0.5, ["A", "S"]], [0.5, ["A", "B"]]]},
+    "lexicon": {"A": ["a", "b"], "B": ["c"]},
+    "max_depth": 10,
+}
+FUZZ_REPORT = {"mode": "macro_sentence", "f1": 0.5, "precision": 0.5, "recall": 0.5}
+
+
+def _fuzz_case(kind: str, pipeline, folder: Path):
+    """(the input file, the argv of the subcommand that reads it, and a
+    strategy of the file's bytes) for one kind of input file."""
+    root, _ = pipeline
+    cfg = write_config(folder)
+    write_tiny_corpus(folder)
+    models, out = folder / "models", str(folder / "out.txt")
+    models.mkdir(exist_ok=True)
+    if kind == "corpus":
+        argv = ["bootstrap", "--config", str(cfg), "--out", out]
+        return folder / "corpus.txt", argv, _FILE_BYTES | _TREE_BYTES
+    if kind == "gold":
+        (folder / "pred.txt").write_text("(X a b)\n")
+        argv = ["eval", "--config", str(cfg), "--pred", str(folder / "pred.txt")]
+        return folder / "gold.txt", argv, _FILE_BYTES | _TREE_BYTES
+    if kind == "config":
+        doc = json.loads(cfg.read_text())
+        argv = ["bootstrap", "--config", str(cfg), "--out", out]
+        return cfg, argv, _FILE_BYTES | _json_mutants(doc)
+    if kind == "grammar":
+        grammar = folder / "grammar.json"
+        argv = ["synth", "--grammar", str(grammar), "--out", out, "--count", "2", "--max-len", "8"]
+        return grammar, argv, _FILE_BYTES | _json_mutants(FUZZ_GRAMMAR)
+    if kind == "seeds":
+        seeds = folder / "seeds.tsv"
+        argv = ["train", "--config", str(cfg), "--seeds", str(seeds)]
+        return seeds, argv, _FILE_BYTES | _SEED_ROWS
+    if kind == "model":
+        doc = json.loads((root / "models" / "inside_seed.json").read_text())
+        argv = ["parse", "--config", str(cfg), "--stage", "seed",
+                "--input", str(folder / "corpus.txt"), "--out", out]
+        return models / "inside_seed.json", argv, _FILE_BYTES | _json_mutants(doc)
+    argv = ["report", "--config", str(cfg)]
+    if kind == "trace":
+        lines = (root / "models" / "self_trace.jsonl").read_text().splitlines()
+        doc = [json.loads(line) for line in lines]
+        return models / "self_trace.jsonl", argv, _FILE_BYTES | _json_mutants(doc, _jsonl)
+    (folder / "reports").mkdir(exist_ok=True)
+    return folder / "reports" / "report.json", argv, _FILE_BYTES | _json_mutants(FUZZ_REPORT)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("paths", "corpus", "a\0b"), ("paths", "model_dir", "\ud800"),
+     ("scorer", "command", ["a\0b"]), ("scorer", "command", ["\ud800"])],
+)
+def test_config_text_the_os_cannot_take_is_exit_1(tmp_path, capsys, section, key, value):
+    # a path or a scorer argument with a NUL or a lone surrogate is a
+    # config error, not an internal error when the file is opened
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path, scorer={"backend": "external", "command": ["true"]})
+    raw = json.loads(cfg.read_text())
+    raw[section][key] = value
+    cfg.write_text(json.dumps(raw))
+    argv = ["parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+            "--out", str(tmp_path / "pred.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad {section} section: {key} cannot be passed")
+
+
+@pytest.mark.parametrize(
+    "kind", ["corpus", "gold", "config", "grammar", "seeds", "model", "trace", "report"]
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_input_file_is_exit_0_1_or_2(pipeline, tmp_path_factory, kind, data):
+    # whatever an input file holds, the subcommand that reads it succeeds
+    # or refuses it as bad settings or bad data, never as an internal error
+    folder = tmp_path_factory.getbasetemp() / f"fuzz_{kind}"
+    folder.mkdir(exist_ok=True)
+    path, argv, contents = _fuzz_case(kind, pipeline, folder)
+    path.write_bytes(data.draw(contents, label=path.name))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()

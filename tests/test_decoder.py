@@ -308,7 +308,7 @@ def test_cyk_stack_matches_loop_reference(n, count):
             # tolerance 0: the same codes in the same order
             assert codes == _codes_in_split_order(_cyk_loop_reference(cells), n)
             spans = cyk_decode(chart_from(cells)).spans - {Span(0, 0)}
-            assert sorted(codes) == sorted(sp.i * (n + 1) + sp.j for sp in spans)
+            assert sorted(codes) == sorted(sp.i * n + sp.j for sp in spans)
 
 
 def test_cyk_stack_checks_its_input():

@@ -301,7 +301,7 @@ def test_baseline_span_builders():
 
 
 def _codes(spans, n):
-    return frozenset(sp.i * (n + 1) + sp.j for sp in spans if sp.length >= 2)
+    return frozenset(sp.i * n + sp.j for sp in spans if sp.length >= 2)
 
 
 def test_baseline_codes_equal_span_builders():

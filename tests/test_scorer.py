@@ -712,8 +712,8 @@ def test_score_spans_span_tuple_matches_span_list(view):
             table = _all_spans(len(s), min_len)
             assert table.i.tolist() == [sp.i for sp in table]
             assert table.j.tolist() == [sp.j for sp in table]
-            assert table.cells.tolist() == [sp.i * len(s) + sp.j for sp in table]
-            assert not table.i.flags.writeable and not table.cells.flags.writeable
+            assert table.codes.tolist() == [sp.i * len(s) + sp.j for sp in table]
+            assert not table.i.flags.writeable and not table.codes.flags.writeable
             got = model.score_spans(s, table)
             want = model.score_spans(s, list(table))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -728,8 +728,8 @@ def test_all_spans_one_cache_entry_per_table():
             table = _all_spans(n, min_len)
             assert len(table) == len(want)
             assert list(zip(table.i.tolist(), table.j.tolist())) == want
-            assert table.cells.tolist() == [i * n + j for i, j in want]
-            assert not any(arr.flags.writeable for arr in (table.i, table.j, table.cells))
+            assert table.codes.tolist() == [i * n + j for i, j in want]
+            assert not any(arr.flags.writeable for arr in (table.i, table.j, table.codes))
             assert list(table) == [Span(i, j) for i, j in want]
 
 

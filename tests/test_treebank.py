@@ -432,6 +432,35 @@ def test_words_between_trees_are_refused(tmp_path, text, tree, word):
         assert str(info.value) == f"{p}: tree {tree}: word {word!r} after the tree"
 
 
+@pytest.mark.parametrize(
+    "line, markup",
+    [("<DOC>", True), ("<DOCID> CTB_001 </DOCID>", True), ("  <S ID=1> ", True),
+     ("</S>", True), ("<s> dog runs", False), ("<s>", True), ("dog <s>", False)],
+)
+def test_markup_line_opens_with_angle_and_closes_with_angle(tmp_path, line, markup):
+    # a markup line's first and last characters other than white space
+    # are '<' and '>'; both readers skip it before and between trees, and
+    # take any other line that opens with '<' as words
+    p = tmp_path / "in.txt"
+    p.write_text(f"{line}\n(X a b)\n")
+    if markup:
+        assert [s.tokens for s in read_corpus(p)] == [("a", "b")]
+        assert [t.sentence.tokens for t in read_treebank(p)] == [("a", "b")]
+    else:
+        assert [s.tokens for s in read_corpus(p)] == [tuple(line.split()), ("(X", "a", "b)")]
+        with pytest.raises(TreeSyntaxError) as info:
+            read_treebank(p)
+        assert str(info.value) == f"{p}: word {line.split()[0]!r} before the first tree"
+    p.write_text(f"(X a b)\n{line}\n(Y c)\n")
+    for reader in (read_corpus, read_treebank):
+        if markup:
+            assert len(reader(p)) == 2
+        else:
+            with pytest.raises(TreeSyntaxError) as info:
+                reader(p)
+            assert str(info.value) == f"{p}: tree 1: word {line.split()[0]!r} after the tree"
+
+
 CTB_HEAD = "<DOC>\n<DOCID> CTB_001 </DOCID>\n  <S ID=1>\n"
 
 
