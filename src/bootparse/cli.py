@@ -482,6 +482,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .config import EVAL_MODES
     from .trace import LoopTrace
 
     cfg = _load(args)
@@ -516,6 +517,8 @@ def cmd_report(args) -> int:
             raw = json_value(text, "the report")
             for key in ("f1", "precision", "recall"):
                 check_number(key, raw[key])
+            if raw["mode"] not in EVAL_MODES:
+                raise ValueError(f"unknown mode {raw['mode']!r}")
             sections.append(
                 f"evaluation ({raw['mode']}): F1 {raw['f1']:.4f} "
                 f"P {raw['precision']:.4f} R {raw['recall']:.4f}"

@@ -41,7 +41,7 @@ DISTITUENT = 0
 MACRO_SENTENCE = "macro_sentence"
 MICRO_CORPUS = "micro_corpus"
 EVALB_STYLE = "evalb_style"
-_MODES = (MACRO_SENTENCE, MICRO_CORPUS, EVALB_STYLE)
+EVAL_MODES = (MACRO_SENTENCE, MICRO_CORPUS, EVALB_STYLE)
 
 
 # ------------------------------------------------------ stage settings
@@ -210,7 +210,7 @@ class EvalConfig:
     bucket_width: int = 5
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if self.mode not in EVAL_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.max_len is not None:
             check_int("max_len", self.max_len, 1)

@@ -10,11 +10,9 @@ between the views, accumulating both labeled sets.
 
 A labeled set is a LabeledSet, integer columns with no object per
 example, and LabeledSet.union adds new examples to it by comparing
-columns.  A set keeps the feature-code rows training built for it, and
-a grown set keeps those of the set it grew from, so each example's row
-is built once per loop run: train builds the rows of the examples it
-has not seen and picks each retrain's training and validation rows
-from them.
+columns.  A set holds its columns alone: each retrain builds the
+feature rows of its whole set once, in its shuffled order, and keeps
+none of them.
 
 The loop settings (LoopConfig, SelfTrainConfig) live in config and the
 trace records (IterationRecord, LoopTrace) in trace; both can be

@@ -13,21 +13,20 @@ position bucket or sentinel flag; _name and _codes are the only places
 a name is built or read.  featurize turns a fill of same-length
 sentences (treebank.length_fills) into stacked tables of codes, one
 column per token position, and keeps nothing: each reader builds the
-tables it reads.  Training gathers the example rows from those tables
-(example_rows), once per example of a labeled set, which keeps them
-(_labeled_rows), picks each training run's rows from them by its
-shuffled order, and numbers the columns by the names of the codes
-(FeatureSpace), so the columns, the saved names and the weights never
-depend on the ids; train runs minibatch gradient steps with numpy
-alone.  Scoring builds no name: the model is linear over indicators, so
-one core (_group_scores) takes the stacked tables of a fill, looks each
-weight up by code once per token position, the pair's once per span,
-and sums them per span with numpy.  confidence_pools scores each fill
-in one call and hands back the bounds of its confident spans, which
-harvest samples; score_spans, which parse's charts call, is a group of
-one.  The spans of a sentence length are index arrays, built once
-(_all_spans); a Span is built, as it is read, only for a model that
-reads Spans.
+tables it reads.  Each train call gathers the rows of its examples
+from those tables once, in its shuffled order (example_rows, where an
+example meets its sentence), keeps none of them, and numbers the
+columns by the names of the codes (FeatureSpace), so the columns, the
+saved names and the weights never depend on the ids; train runs
+minibatch gradient steps with numpy alone.  Scoring builds no name: the
+model is linear over indicators, so one core (_group_scores) takes the
+stacked tables of a fill, looks each weight up by code once per token
+position, the pair's once per span, and sums them per span with numpy.
+confidence_pools scores each fill in one call and hands back the bounds
+of its confident spans, which harvest samples; score_spans, which
+parse's charts call, is a group of one.  The spans of a sentence length
+are index arrays, built once (_all_spans); a Span is built, as it is
+read, only for a model that reads Spans.
 """
 
 from __future__ import annotations
@@ -280,17 +279,22 @@ def _gather_rows(pieces) -> CodeRows:
 def example_rows(examples, by_id, view: str) -> CodeRows:
     """The feature-code rows of labeled examples under one view, in order.
 
-    examples is a LabeledSet or any LabeledSpanExamples; by_id maps each
-    example's sentence id to its sentence.
+    examples is a LabeledSet or any LabeledSpanExamples; by_id maps
+    sentence ids to sentences, and an example whose id it lacks is a
+    ValueError.
     """
     if view not in (INSIDE, OUTSIDE, CONCAT):
         raise ValueError(f"unknown view {view!r}")
     sid, i, j = LabeledSet.of(examples).columns[:3]
     if not len(sid):
         return CodeRows(np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
-    # each example's sentence as a slot in ids
+    # each example's sentence as a slot in ids, which are sorted
     ids, slot = np.unique(sid, return_inverse=True)
-    sents = [by_id[key] for key in ids.tolist()]
+    ids = ids.tolist()
+    missing = [key for key in ids if key not in by_id]
+    if missing:
+        raise ValueError(f"examples reference unknown sentences {missing[:5]}")
+    sents = [by_id[key] for key in ids]
     beyond = np.flatnonzero(j >= np.array([len(sent) for sent in sents])[slot])
     if len(beyond):
         k = beyond[0]
@@ -329,35 +333,6 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
             (table[_EOS], last, (table[_EOS, last] >= 0).astype(np.intp)),
         ]
     return _gather_rows(pieces)
-
-
-def _take_rows(rows: CodeRows, order: np.ndarray) -> CodeRows:
-    """Rows order[0], order[1], ... of rows."""
-    entry, indptr = _row_entries(rows.indptr[order], np.diff(rows.indptr)[order])
-    return CodeRows(rows.codes[entry], indptr)
-
-
-def _labeled_rows(labeled: LabeledSet, by_id, view: str) -> CodeRows:
-    """The code rows of every example of a labeled set, all of one view.
-
-    A row depends only on its sentence's tokens and its span, so the
-    rows the set keeps from an earlier call over the same sentences
-    stand, and example_rows builds those of the examples after them.
-    The set then keeps them all.
-    """
-    kept = labeled.rows
-    rows = kept[1] if kept is not None and kept[0] == by_id else None
-    done = 0 if rows is None else len(rows.indptr) - 1
-    if rows is None or done < len(labeled):
-        new = example_rows(labeled[done:], by_id, view)
-        if rows is not None:
-            new = CodeRows(
-                np.concatenate((rows.codes, new.codes)),
-                np.concatenate((rows.indptr, new.indptr[1:] + rows.indptr[-1])),
-            )
-        rows = new
-        labeled.rows = (by_id, rows)
-    return rows
 
 
 @dataclass(frozen=True)
@@ -554,7 +529,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     if meta is None:
         meta = TrainingMeta()
     labeled = LabeledSet.of(examples)
-    sid, _, _, label, views = labeled.columns
+    label, views = labeled.columns[3:]
     labels = set(np.unique(label).tolist())
     if labels != {CONSTITUENT, DISTITUENT}:
         raise SingleClassInput(
@@ -564,26 +539,23 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     if len(wrong):
         raise ValueError(f"example has view {VIEWS[views[wrong[0]]]!r}, expected {view!r}")
 
-    by_id = {sent.id: sent for sent in corpus}
-    missing = set(sid.tolist()) - by_id.keys()
-    if missing:
-        raise ValueError(f"examples reference unknown sentences {sorted(missing)[:5]}")
-    rows = _labeled_rows(labeled, by_id, view)
-
     rng = np.random.default_rng(meta.rng_seed)
     perm = rng.permutation(len(labeled))
     n_val = len(labeled) // 5
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    y_val, y_train = np.split(label[perm].astype(float), [n_val])
 
-    y_train = label[train_idx].astype(float)
-    y_val = label[val_idx].astype(float)
-
-    # each split's rows gathered in turn, and freed once transformed
-    train_codes = _take_rows(rows, train_idx)
+    # the rows in shuffled order, the first n_val held out: both splits
+    # are views of one build, freed once both are transformed
+    by_id = {sent.id: sent for sent in corpus}
+    rows = example_rows(LabeledSet(labeled.columns[:, perm]), by_id, view)
+    cut = rows.indptr[n_val]
+    train_codes = CodeRows(rows.codes[cut:], rows.indptr[n_val:] - cut)
+    val_codes = CodeRows(rows.codes[:cut], rows.indptr[: n_val + 1])
+    del rows
     space = FeatureSpace().fit(train_codes)
     x_train = space.transform(train_codes)
-    del train_codes
-    x_val = space.transform(_take_rows(rows, val_idx))
+    x_val = space.transform(val_codes)
+    del train_codes, val_codes
 
     w = np.zeros(space.dim)
     b = 0.0

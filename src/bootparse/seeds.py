@@ -5,11 +5,12 @@ constituent, and progressively shorter slices from one end are almost
 always distituents.  Optional augmentations add capitalized runs and
 text fragments delimited by '*' marks as extra constituents.
 
-A set of labeled examples is held as integer columns (LabeledSet): the
-loops grow their sets and training reads them without an object per
-example, and seed files are read and written a column at a time.
-generate_seeds emits its seeds as integer rows, and LabeledSet.union,
-the one rule by which the loops grow their sets, drops its duplicates.
+A set of labeled examples is held as integer columns (LabeledSet) and
+nothing else: the loops grow their sets and training reads them without
+an object per example, and seed files are read and written a column at
+a time.  generate_seeds emits its seeds as integer rows, and
+LabeledSet.union, the one rule by which the loops grow their sets,
+drops its duplicates.
 """
 
 from __future__ import annotations
@@ -75,16 +76,12 @@ class LabeledSet(Sequence):
     VIEWS.  The array is int64, or holds Python ints when a value does
     not fit in 64 bits, as one in a seed file may.  The set reads as a
     sequence of LabeledSpanExamples, each built when it is read, and
-    equals any sequence of the same examples in the same order.
-
-    rows is for scorer.train alone: the feature-code rows of the set's
-    first examples and the sentences they were built from, kept so that
-    a set that grows builds the rows of its new examples only.
+    equals any sequence of the same examples in the same order.  It
+    holds nothing but its columns.
     """
 
     def __init__(self, columns: np.ndarray):
         self.columns = columns
-        self.rows = None
 
     @classmethod
     def of(cls, examples) -> "LabeledSet":
@@ -137,8 +134,7 @@ class LabeledSet(Sequence):
         """This set as it is, then each example of new, in order, that
         neither this set nor an earlier example of new holds.
 
-        An example is its five columns, label and view included.  The
-        grown set keeps the rows this set kept for training.
+        An example is its five columns, label and view included.
         """
         both = np.concatenate((self.columns, new.columns), axis=1)
         # a stable sort puts equal examples together in the order they come
@@ -147,9 +143,7 @@ class LabeledSet(Sequence):
         keep = np.ones(len(order), dtype=bool)
         keep[order[1:]] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
         keep[: len(self)] = True
-        grown = LabeledSet(both[:, keep])
-        grown.rows = self.rows
-        return grown
+        return LabeledSet(both[:, keep])
 
 
 def most_common_first_word(corpus) -> str | None:
@@ -203,7 +197,8 @@ def _slice_distituents(sentence: Sentence, cfg: SeedConfig) -> list[tuple[int, i
         lo, hi = cfg.min_span_len, n - 1
         lengths = [int(rng.integers(lo, hi + 1)) for _ in range(cfg.slices)] if lo <= hi else []
     else:
-        lengths = [n - k for k in range(1, cfg.slices + 1) if n - k >= cfg.min_span_len]
+        # the slices of length n - 1 down to min_span_len, at most slices of them
+        lengths = [n - k for k in range(1, min(cfg.slices, n - cfg.min_span_len) + 1)]
     return [(0, m - 1) if cfg.branching == "right" else (n - m, n - 1) for m in lengths]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonterminatingGrammar
+from .errors import NonterminatingGrammar, check_int
 from .treebank import GoldTree, Sentence, check_bracket_words
 
 _PROB_TOL = 1e-9
@@ -64,8 +64,7 @@ class SyntheticGrammar:
             if not words:
                 raise ValueError(f"empty lexicon entry for {pre!r}")
             check_bracket_words(words, f"word under {pre!r}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        check_int("max_depth", self.max_depth, 1)
 
     @functools.cached_property
     def cdfs(self) -> dict[str, np.ndarray]:

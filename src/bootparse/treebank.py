@@ -52,6 +52,8 @@ TRACE_TAG = "-NONE-"
 # read back: one or more characters, none of them white space or a
 # bracket.  re's \s matches exactly the characters str.isspace accepts.
 _BRACKET_WORD = re.compile(r"[^\s()]+")
+# a UTF-16 surrogate code point, U+D800 to U+DFFF, alone in a str
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 # A bracket, or a bracket word.
 _SEXPR_TOKEN = re.compile(r"[()]|" + _BRACKET_WORD.pattern)
 # a token: one or more characters, none of them white space
@@ -239,13 +241,16 @@ def bracketed(tokens, brackets) -> str:
 def check_bracket_words(words, what: str) -> None:
     """Raise ValueError, naming what and the word, at the first of words
     that is empty or holds white space, '(' or ')', which no bracketed
-    line can hold as one word."""
+    line can hold as one word, or a lone surrogate, which no UTF-8 file
+    can hold."""
     for word in words:
         if not _BRACKET_WORD.fullmatch(word):
             raise ValueError(
                 f"{what} {word!r} cannot be bracketed: it is empty or holds "
                 "white space, '(' or ')'"
             )
+        if _SURROGATE.search(word):
+            raise ValueError(f"{what} {word!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
 def serialize(tree: GoldTree) -> str:

@@ -210,12 +210,16 @@ def test_bad_grammar_file_is_exit_1(tmp_path, capsys, case):
         ({"N": ["dog)"], "V": ["runs"]}, "word under 'N' 'dog)'"),
         ({"N": ["(dog"], "V": ["runs"]}, "word under 'N' '(dog'"),
         ({"N P": ["dog"], "V": ["runs"]}, "symbol 'N P'"),
+        ({"N": ["\ud800"], "V": ["runs"]}, "word under 'N' '\\ud800'"),
+        ({"N\udfff": ["dog"], "V": ["runs"]}, "symbol 'N\\udfff'"),
     ],
-    ids=["empty_word", "spaced_word", "closing_word", "opening_word", "spaced_symbol"],
+    ids=["empty_word", "spaced_word", "closing_word", "opening_word", "spaced_symbol",
+         "surrogate_word", "surrogate_symbol"],
 )
 def test_unbracketable_grammar_is_exit_1(tmp_path, capsys, lexicon, named):
     # a word or symbol that no bracketed line can hold would write a gold
-    # file that does not read back as the corpus
+    # file that does not read back as the corpus, and one with a lone
+    # surrogate a file that UTF-8 cannot encode
     pre = next(iter(lexicon))
     grammar = {"start": "S", "rules": {"S": [[1.0, [pre, "V"]]]}, "lexicon": lexicon}
     (tmp_path / "g.json").write_text(json.dumps(grammar))
@@ -226,6 +230,21 @@ def test_unbracketable_grammar_is_exit_1(tmp_path, capsys, lexicon, named):
     err = capsys.readouterr().err
     assert f"config error: bad grammar file {tmp_path / 'g.json'}: {named} " in err
     assert not (tmp_path / "c.txt").exists() and not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("max_depth", ["NaN", "Infinity", "-Infinity", "true", "2.5", "0"])
+def test_grammar_max_depth_not_a_positive_integer_is_exit_1(tmp_path, capsys, max_depth):
+    # NaN and Infinity would switch the depth guard off, so a grammar
+    # whose derivations may not end would hang synth
+    text = json.dumps({**FUZZ_GRAMMAR, "max_depth": 0})
+    (tmp_path / "g.json").write_text(text.replace('"max_depth": 0', f'"max_depth": {max_depth}'))
+    assert main([
+        "synth", "--out", str(tmp_path / "c.txt"), "--grammar", str(tmp_path / "g.json"),
+        "--count", "2", "--max-len", "8",
+    ]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: bad grammar file {tmp_path / 'g.json'}: max_depth must be" in err
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_missing_config_file_is_exit_1(tmp_path):
@@ -1447,6 +1466,10 @@ def test_parse_resolves_config_stats_like_train(tmp_path):
         ("co_trace.jsonl", '{"x": 1}\n', "line 1"),
         ("report.json", "{}", "KeyError"),
         ("report.json", "nope", "JSONDecodeError"),
+        # a mode that is none of the eval modes, a lone surrogate among
+        # them, is bad data, not a failure to print it
+        *(("report.json", '{"mode": ' + mode + ', "f1": 0.5, "precision": 0.5, "recall": 0.5}',
+           "unknown mode") for mode in ('"\\ud800"', '"micro"', "null", '["macro_sentence"]')),
     ],
 )
 def test_report_bad_input_file_is_exit_2(tmp_path, capsys, name, text, where):
@@ -1579,11 +1602,12 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error, code, 
     assert capsys.readouterr().err == f"{prefix}bad input\n"
 
 
-# any JSON value, small, with a string that no path can hold among
-# them; json.dumps writes NaN and Infinity, which Python's reader takes
+# any JSON value, small, with a string that no path can hold and a lone
+# surrogate, which UTF-8 cannot encode, among them; json.dumps writes
+# NaN and Infinity, which Python's reader takes
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-    | st.just("a\0b"),
+    | st.just("a\0b") | st.just("\ud800"),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,

@@ -483,7 +483,6 @@ def test_grow_matches_list_grow_over_duplicate_heavy_harvests(model_view, view, 
     ]
     for start in (old, []):  # accumulating, and replace mode's empty set
         want, got = start, LabeledSet.of(start)
-        got.rows = kept = object()
         for k in range(3):
             cfg = LoopConfig(K=1, c=c, d=d, rng_seed=k)
             with warnings.catch_warnings():
@@ -493,7 +492,6 @@ def test_grow_matches_list_grow_over_duplicate_heavy_harvests(model_view, view, 
             assert isinstance(got, LabeledSet)
             assert list(got) == want
             assert (pools, selected) == (want_pools, want_selected)
-            assert got.rows is kept
         assert len(want) > len(start)
 
 
@@ -524,28 +522,30 @@ def test_train_on_grown_set_matches_train_on_list():
     meta = TrainingMeta(epochs=8, rng_seed=3)
     sets = grown_twice(corpus, meta)
     assert len(sets[0]) < len(sets[1]) < len(sets[2])
-    by_id = {s.id: s for s in corpus}
     for labeled in sets:
-        # the set keeps the rows of every example it was trained on
-        assert labeled.rows[0] == by_id
-        assert len(labeled.rows[1].indptr) == len(labeled) + 1
         assert_same_model(
             train(labeled, corpus, INSIDE, meta), train(list(labeled), corpus, INSIDE, meta)
         )
-    # rows kept over one corpus are not read over another with the same ids
+    # a set trained over one corpus trains over another with the same ids
     other = [Sentence(s.id, tuple(reversed(s.tokens))) for s in corpus]
     assert_same_model(
         train(sets[2], other, INSIDE, meta), train(list(sets[2]), other, INSIDE, meta)
     )
 
 
-def test_co_train_builds_each_row_once(monkeypatch):
-    built = []
+def test_each_train_call_builds_the_rows_of_its_whole_set_once(monkeypatch):
+    # no rows are kept between calls: each retrain of a growing set
+    # builds the rows of every example it trains on, in one call
+    built, trained = [], []
     example_rows = scorer.example_rows
 
     def counting(examples, by_id, view):
         built.append(len(examples))
         return example_rows(examples, by_id, view)
+
+    def counting_train(examples, *args):
+        trained.append(len(examples))
+        return train(examples, *args)
 
     monkeypatch.setattr(scorer, "example_rows", counting)
     corpus = word_corpus()
@@ -554,8 +554,10 @@ def test_co_train_builds_each_row_once(monkeypatch):
     cfg = LoopConfig(K=3, c=5, d=10, tau_min=0.3, tau_max=0.7, rng_seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PoolExhaustedWarning)
-        result = co_train(seeds, outside, corpus, cfg, meta=TrainingMeta(epochs=5))
+        result = co_train(seeds, outside, corpus, cfg, meta=TrainingMeta(epochs=5),
+                          trainer=counting_train)
     assert len(result.inside_examples) > len(seeds)
     assert len(result.outside_examples) > len(seeds)
-    assert sum(built) == len(result.inside_examples) + len(result.outside_examples)
-    assert len(built) <= 1 + 2 * cfg.K
+    assert len(trained) == 1 + 2 * cfg.K
+    assert built == trained
+    assert trained[-2:] == [len(result.inside_examples), len(result.outside_examples)]

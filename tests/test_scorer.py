@@ -44,7 +44,15 @@ from bootparse.scorer import (
     sigmoid,
     train,
 )
-from bootparse.seeds import CONSTITUENT, DISTITUENT, INSIDE, OUTSIDE, LabeledSpanExample
+from bootparse.seeds import (
+    CONSTITUENT,
+    DISTITUENT,
+    INSIDE,
+    OUTSIDE,
+    VIEW_CODES,
+    LabeledSet,
+    LabeledSpanExample,
+)
 from bootparse.treebank import FILL_CELLS, Sentence, Span
 
 
@@ -973,6 +981,42 @@ def test_example_rows_reject_span_beyond_sentence():
     s = sent(0, "a b")
     with pytest.raises(ValueError, match="outside sentence 0"):
         example_rows([LabeledSpanExample(0, Span(1, 2), CONSTITUENT, INSIDE)], {0: s}, INSIDE)
+
+
+def test_example_rows_and_train_reject_unknown_sentences():
+    corpus = [sent(0, "a b c")]
+    examples = [LabeledSpanExample(k, Span(0, 1), k % 2, INSIDE) for k in (9, 0, 3, 0)]
+    match = r"examples reference unknown sentences \[3, 9\]$"
+    with pytest.raises(ValueError, match=match):
+        example_rows(examples, {0: corpus[0]}, INSIDE)
+    with pytest.raises(ValueError, match=match):
+        train(examples, corpus, INSIDE, TrainingMeta(epochs=1))
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_rows_of_a_reordered_set_are_its_rows_reordered(view):
+    # train builds its rows in its shuffled order: they are the rows of
+    # the set in set order, taken row by row in that order (tolerance 0),
+    # here over 40-token sentences that span two fills
+    rng = np.random.default_rng(7)
+    corpus = [Sentence(k, tuple(f"w{t}" for t in range(k, k + 40))) for k in range(45)]
+    corpus += [
+        Sentence(45 + k, tuple(f"v{t}" for t in rng.integers(0, 9, n)))
+        for k, n in enumerate([1, 2, 5, 5, 12])
+    ]
+    assert sum(n == 40 for n, _ in treebank.length_fills(corpus)) == 2
+    by_id = {s.id: s for s in corpus}
+    labeled = LabeledSet.from_rows(
+        (s.id, *sorted(rng.integers(0, len(s), 2).tolist()), int(rng.integers(2)),
+         VIEW_CODES[view])
+        for s in corpus for _ in range(3)
+    )
+    order = rng.permutation(len(labeled))
+    rows = example_rows(labeled, by_id, view)
+    want = [rows.codes[rows.indptr[k] : rows.indptr[k + 1]] for k in order.tolist()]
+    got = example_rows(LabeledSet(labeled.columns[:, order]), by_id, view)
+    assert np.array_equal(got.indptr, np.cumsum([0] + [len(row) for row in want]))
+    assert np.array_equal(got.codes, np.concatenate(want))
 
 
 # Trains a model per view, interns an unrelated corpus (featurizing it

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,19 @@ def test_no_duplicates_and_corpus_order():
     assert len(keys) == len(set(keys))
     assert [ex.sentence_id for ex in examples] == sorted(ex.sentence_id for ex in examples)
     assert examples == generate_seeds(corpus, SeedConfig())
+
+
+@pytest.mark.parametrize("branching", ["right", "left"])
+@pytest.mark.parametrize("min_span_len", [1, 2, 3])
+def test_num_slices_past_the_sentence_sets_no_work(branching, min_span_len):
+    # a slice count past every sentence's length writes the seeds of a
+    # count that just reaches it, and takes no longer
+    corpus = [sent(0, "a b c"), sent(1, "d e f g")]
+    cfg = SeedConfig(branching=branching, min_span_len=min_span_len)
+    reach = generate_seeds(corpus, replace(cfg, num_slices=4))
+    assert generate_seeds(corpus, replace(cfg, num_slices=10**12)) == reach
+    _, dist = spans_by_label(reach)
+    assert {span.length for span in dist} == set(range(min_span_len, 4))
 
 
 def test_random_slices_stay_proper():
