@@ -260,23 +260,21 @@ def apply_heuristics(
         raise ValueError("sentence does not match chart size")
     out = chart.copy()
     toks = sentence.tokens
-    n = chart.n
 
     if cfg.comma_successor_word is not None:
-        w = cfg.comma_successor_word
-        for i in range(n):
-            for j in range(i, n):
-                if toks[i] == w or toks[j] == w:
-                    out.cells[i, j] = 0.0
+        # the cells (i, j), i <= j, of a row or column of the word
+        hit = np.array([tok == cfg.comma_successor_word for tok in toks])
+        out.cells[np.triu(hit[:, None] | hit)] = 0.0
 
-    if cfg.common_start_word is not None and n >= 2:
+    if cfg.common_start_word is not None and chart.n >= 2:
         if toks[0] == cfg.common_start_word and toks[1] not in cfg.stopword_set:
             out.cells[0, 1] = 1.0
 
     for run in rare_cased_runs(sentence, cfg.top_frequency_set):
-        for i in range(run.i, run.j + 1):
-            for j in range(i + 1, run.j + 1):
-                if (i, j) != (run.i, run.j):
-                    out.cells[i, j] = 0.0
+        # the run's block above its diagonal, but for the whole run's cell
+        block = out.cells[run.i : run.j + 1, run.i : run.j + 1]
+        whole = block[0, -1]
+        block[np.triu_indices(len(block), 1)] = 0.0
+        block[0, -1] = whole
 
     return out

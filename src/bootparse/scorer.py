@@ -17,7 +17,9 @@ tables it reads.  Each train call gathers the rows of its examples
 from those tables once, in its shuffled order (example_rows, where an
 example meets its sentence), keeps none of them, and numbers the
 columns by the names of the codes (FeatureSpace), so the columns, the
-saved names and the weights never depend on the ids; train runs
+saved names and the weights never depend on the ids.  A space is its
+names: a trained space and the same space read back by load_model build
+their code index from the names alike, on first use.  train runs
 minibatch gradient steps with numpy alone.  Scoring builds no name: the
 model is linear over indicators, so one core (_group_scores) takes the
 stacked tables of a fill, looks each weight up by code once per token
@@ -42,6 +44,7 @@ import numpy as np
 from .config import Thresholds, TrainingMeta
 from .decoder import ScoreChart
 from .errors import (
+    ConfigError,
     LengthMismatch,
     MalformedFile,
     PoolExhaustedWarning,
@@ -168,11 +171,6 @@ def _name(code: int) -> str:
     if template in (_BIGRAM, _PAIR):
         return f"{_PREFIXES[template]}{_TOKENS[first]}|{_TOKENS[second]}"
     return _PREFIXES[template] + _TOKENS[second]
-
-
-def _many_codes(name: str) -> bool:
-    """Whether a name has more than one code: a bigram or pair key with two "|" or more."""
-    return name.startswith(("b=", "lr=")) and name.count("|") > 1
 
 
 def _codes(name: str) -> list[int]:
@@ -350,35 +348,23 @@ class CsrRows:
     shape: tuple[int, int]
 
 
-def _code_pairs(named_columns) -> np.ndarray:
-    """(code, column) rows for every code of each (name, column)."""
-    return np.fromiter(
-        ((code, column) for name, column in named_columns for code in _codes(name)),
-        dtype=np.dtype((np.int64, 2)),
-    ).reshape(-1, 2)
-
-
-def _code_index(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """FeatureSpace._by_code of (code, column) rows, a code perhaps repeated."""
-    keys, at = np.unique(pairs[:, 0], return_index=True)
-    return np.append(keys, np.iinfo(np.int64).max), np.append(pairs[at, 1], -1)
-
-
 @dataclass
 class FeatureSpace:
     """Maps features to column indices.
 
-    fit, of an empty space only, numbers the features in order of first
-    occurrence, naming each distinct code of its rows once; transform
-    drops the features without a column.  Columns are named, and
-    features with one name share a column, so a space depends only on
-    the names and order of the rows it was fit on, never on token ids.
+    A space is its names: column k is names[k], and every code of that
+    name (_codes) reads column k.  fit, of an empty space only, names
+    each distinct code of its rows once, in order of first occurrence;
+    transform drops the features without a column.  Features with one
+    name share a column, so a space depends only on the names and order
+    of the rows it was fit on, never on token ids.  Fitted or loaded, a
+    space builds its code index from its names on first use, so it must
+    not change after it has read a code.
     """
 
     names: list[str] = field(default_factory=list)
     # the names' codes, sorted, then a sentinel above every code, and the
-    # column of each (-1 for the sentinel).  fit builds it from the codes
-    # it saw; a space given its names builds it from them on first use.
+    # column of each (-1 for the sentinel); built by columns
     _by_code: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -389,26 +375,21 @@ class FeatureSpace:
         if self.names:
             raise ValueError("only an empty feature space is fit")
         seen, first = np.unique(rows.codes, return_index=True)
-        seen = seen[np.argsort(first)]
-        fresh = list(map(_name, seen.tolist()))
-        column = {name: k for k, name in enumerate(dict.fromkeys(fresh))}
-        self.names = list(column)
-        # the codes just seen, and those of the names that have more
-        self._by_code = _code_index(np.concatenate((
-            np.column_stack((seen, np.array([column[name] for name in fresh], np.int64))),
-            _code_pairs((name, k) for name, k in column.items() if _many_codes(name)),
-        )))
+        self.names = list(dict.fromkeys(map(_name, seen[np.argsort(first)].tolist())))
+        # an index built while the space was empty names no column
+        self._by_code = None
         return self
-
-    def code_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """_by_code, built on first use for a space given its names."""
-        if self._by_code is None:
-            self._by_code = _code_index(_code_pairs(zip(self.names, range(self.dim))))
-        return self._by_code
 
     def columns(self, codes: np.ndarray) -> np.ndarray:
         """The column of each feature code, -1 for a code that is no column."""
-        keys, columns = self.code_index()
+        if self._by_code is None:
+            pairs = np.fromiter(
+                ((code, k) for k, name in enumerate(self.names) for code in _codes(name)),
+                dtype=np.dtype((np.int64, 2)),
+            ).reshape(-1, 2)
+            keys, at = np.unique(pairs[:, 0], return_index=True)
+            self._by_code = (np.append(keys, np.iinfo(np.int64).max), np.append(pairs[at, 1], -1))
+        keys, columns = self._by_code
         at = keys.searchsorted(codes)
         return np.where(keys[at] == codes, columns[at], -1)
 
@@ -525,6 +506,8 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     log loss with mini-batch gradient steps, and stops early once the
     validation loss has failed to improve twice in a row, restoring the
     best checkpoint.  Bit-for-bit reproducible for a fixed rng_seed.
+    Weights that are not finite after the restore, a step too large for
+    the data, are a ConfigError.
     """
     if meta is None:
         meta = TrainingMeta()
@@ -562,7 +545,8 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     best = (np.inf, w.copy(), b)
     stale = 0
     n, dim = x_train.shape
-    step, l2, batch = meta.learning_rate, meta.l2, meta.batch_size
+    # a batch of n rows or more is the one batch of n rows
+    step, l2, batch = meta.learning_rate, meta.l2, min(meta.batch_size, n)
     # position of each row within its minibatch, the minibatches' row
     # bounds, and the buffer of each step's weight decay
     batch_pos = np.arange(n) % batch
@@ -618,6 +602,11 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
 
     if n_val > 0 and np.isfinite(best[0]):
         _, w, b = best
+    if not (np.isfinite(w).all() and math.isfinite(b)):
+        raise ConfigError(
+            "training diverged to non-finite weights; "
+            "lower training.learning_rate or training.l2"
+        )
 
     metrics: dict[str, float] = {}
     if n_val > 0:
@@ -810,9 +799,10 @@ def save_model(model: SpanScorer, path) -> None:
         "meta": {**asdict(model.meta), "example_count": model.example_count},
         "val_metrics": model.val_metrics,
     }
+    # a weight that is not finite is a ValueError before the file is opened
+    text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> SpanScorer:

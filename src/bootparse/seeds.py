@@ -193,9 +193,14 @@ def _slice_distituents(sentence: Sentence, cfg: SeedConfig) -> list[tuple[int, i
     n = len(sentence)
     if cfg.random_slices:
         rng = np.random.default_rng((cfg.rng_seed, sentence.id))
-        # slice lengths strictly below the sentence length
+        # slice lengths strictly below the sentence length, drawn until
+        # each has been: a later draw repeats a length, and generate_seeds
+        # drops the repeated row
         lo, hi = cfg.min_span_len, n - 1
-        lengths = [int(rng.integers(lo, hi + 1)) for _ in range(cfg.slices)] if lo <= hi else []
+        lengths, drawn = [], set()
+        while len(lengths) < cfg.slices and len(drawn) <= hi - lo:
+            lengths.append(int(rng.integers(lo, hi + 1)))
+            drawn.add(lengths[-1])
     else:
         # the slices of length n - 1 down to min_span_len, at most slices of them
         lengths = [n - k for k in range(1, min(cfg.slices, n - cfg.min_span_len) + 1)]

@@ -939,6 +939,34 @@ START_WORD_CORPUS = (
 )
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("stage", ["train", "selftrain"])
+def test_training_that_diverges_is_exit_1(tmp_path, capsys, stage):
+    # weights that are not finite are a config error, and no model is written
+    write_tiny_corpus(tmp_path)
+    cfg = write_config(tmp_path, training={"learning_rate": 1e300, "batch_size": 1})
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    assert main([stage, "--config", str(cfg)]) == 1
+    assert "training.learning_rate or training.l2" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "models").iterdir()) == ["seeds.tsv"]
+
+
+def test_random_slices_stop_once_every_length_is_drawn(tmp_path):
+    # a subprocess with a timeout, so drawing 10^12 slices fails the test
+    (tmp_path / "corpus.txt").write_text("the dog runs\na cat sees bob\n")
+    cfg = write_config(tmp_path, seeds={"random_slices": True})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for count in (100_000, 10**12):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bootparse.cli", "bootstrap", "--config", str(cfg),
+             "--out", f"{count}.tsv"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**env, "BOOTPARSE_SEEDS__NUM_SLICES": str(count)},
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "100000.tsv").read_text() == (tmp_path / f"{10**12}.tsv").read_text()
+
+
 def _train_seed_model(tmp_path, corpus: str, **overrides) -> None:
     (tmp_path / "corpus.txt").write_text(corpus)
     cfg = write_config(tmp_path, **overrides)

@@ -199,6 +199,63 @@ def test_heuristics_do_not_touch_unmatched_cells():
     assert np.array_equal(out.cells, chart.cells)
 
 
+def _heuristics_loop_reference(chart: ScoreChart, sentence: Sentence, cfg) -> np.ndarray:
+    """The cell-by-cell rules that apply_heuristics' masks replaced."""
+    cells = chart.cells.copy()
+    toks = sentence.tokens
+    n = chart.n
+    if cfg.comma_successor_word is not None:
+        w = cfg.comma_successor_word
+        for i in range(n):
+            for j in range(i, n):
+                if toks[i] == w or toks[j] == w:
+                    cells[i, j] = 0.0
+    if cfg.common_start_word is not None and n >= 2:
+        if toks[0] == cfg.common_start_word and toks[1] not in cfg.stopword_set:
+            cells[0, 1] = 1.0
+    for run in rare_cased_runs(sentence, cfg.top_frequency_set):
+        for i in range(run.i, run.j + 1):
+            for j in range(i + 1, run.j + 1):
+                if (i, j) != (run.i, run.j):
+                    cells[i, j] = 0.0
+    return cells
+
+
+def test_heuristics_match_loop_reference():
+    # tolerance 0, over sentences that hold the comma successor, the
+    # start word and rare capitalized runs, with every rule on and each
+    # rule alone; the full chart, so cells below the diagonal are
+    # checked to stay as they were
+    rng = np.random.default_rng(31)
+    vocab = ["the", ",", "and", "of", "Big", "Apple", "Co.", "The", "runs", "fast"]
+    full = HeuristicConfig(
+        enabled=True,
+        comma_successor_word="and",
+        common_start_word="the",
+        top_frequency_set=frozenset({"the", "and", "of", "The"}),
+        stopword_set=frozenset({"of"}),
+    )
+    cfgs = [
+        full,
+        HeuristicConfig(enabled=True, comma_successor_word="Big"),
+        HeuristicConfig(enabled=True, common_start_word="Big"),
+        HeuristicConfig(enabled=True, top_frequency_set=frozenset({"Co."})),
+    ]
+    fired = set()
+    for n in list(range(1, 30)) + [60, 100]:
+        for _ in range(4):
+            tokens = tuple(str(rng.choice(vocab)) for _ in range(n))
+            sent = Sentence(id=n, tokens=tokens)
+            chart = chart_from(rng.uniform(size=(n, n)))
+            for k, cfg in enumerate(cfgs):
+                got = apply_heuristics(chart, sent, cfg).cells
+                want = _heuristics_loop_reference(chart, sent, cfg)
+                assert np.array_equal(got, want)
+                if not np.array_equal(got, chart.cells):
+                    fired.add(k)
+    assert fired == {0, 1, 2, 3}
+
+
 def test_top_frequency_cap():
     with pytest.raises(ValueError):
         HeuristicConfig(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from scipy.special import expit
 
 from bootparse import scorer, treebank
 from bootparse.errors import (
+    ConfigError,
     ExternalScorerError,
     LengthMismatch,
     PoolExhaustedWarning,
@@ -249,13 +251,21 @@ def test_feature_space_vocab():
     assert csr(space.transform(code_rows(["b=a|b|c"]))).toarray().tolist() == [[0.0, 2.0]]
 
 
+def test_fit_drops_an_index_built_before_it():
+    space = FeatureSpace()
+    rows = code_rows(["u=a", "b=a|b|c"])
+    assert space.columns(rows.codes).tolist() == [-1, -1, -1]
+    space.fit(rows)
+    assert space.columns(rows.codes).tolist() == [0, 1, 1]
+
+
 @pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
 def test_fit_code_index_matches_index_of_names(view):
-    # A fit of an empty space indexes the codes it saw and the unseen
-    # codes of names with several; tolerance 0 against the index built
-    # from _codes of every name, as for a loaded space.  The rows see
-    # one of the two bigrams of b=a|b|c and a length of every bin, and
-    # hold literal <s> and </s> tokens.
+    # A fitted space reads every code of its rows and the unseen codes
+    # of names with several as the space of its names alone does, as
+    # for a loaded space; tolerance 0.  The rows see one of the two
+    # bigrams of b=a|b|c and a length of every bin, and hold literal
+    # <s> and </s> tokens.
     corpus = [
         Sentence(0, ("a|b", "c", BOS, "x|y|z", "y", EOS)),
         Sentence(1, tuple(f"w{k % 4}" for k in range(15))),
@@ -269,19 +279,19 @@ def test_fit_code_index_matches_index_of_names(view):
         for i in range(len(s) - length + 1)
     ]
     by_id = {s.id: s for s in corpus}
-    space = FeatureSpace().fit(example_rows(examples, by_id, view))
+    rows = example_rows(examples, by_id, view)
+    space = FeatureSpace().fit(rows)
     names = set(space.names)
     if view != OUTSIDE:
         assert {"b=a|b|c", "len=6-8", "len=9-12", "len=13+", "u=<s>"} <= names
         assert {f"len={k}" for k in range(1, 6)} <= names
     else:
         assert {"lr=c|x|y|z", "left=<s>", "right=</s>", "bos", "eos"} <= names
-    reference = FeatureSpace(names=list(space.names))
-    reference.columns(np.empty(0, dtype=np.int64))
-    for got, want in zip(space._by_code, reference._by_code):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
     unseen = scorer._codes("b=a|b|c")
+    codes = np.concatenate((rows.codes, unseen))
+    got = space.columns(codes)
+    assert np.array_equal(got, FeatureSpace(names=space.names).columns(codes))
+    assert (got[: len(rows.codes)] >= 0).all()
     if view != OUTSIDE:
         assert len(unseen) == 2
         assert (space.columns(np.array(unseen)) >= 0).all()
@@ -517,6 +527,16 @@ def test_save_model_stable_bytes(tmp_path):
     save_model(train(examples, corpus, INSIDE), p1)
     save_model(train(examples, corpus, INSIDE), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_model_refuses_non_finite_values(tmp_path):
+    corpus, examples = make_toy_examples()
+    model = train(examples, corpus, INSIDE)
+    path = tmp_path / "model.json"
+    for broken in (replace(model, bias=math.nan), replace(model, weights=model.weights * math.inf)):
+        with pytest.raises(ValueError):
+            save_model(broken, path)
+        assert not path.exists()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1218,6 +1238,26 @@ def test_train_matches_sparse_minibatch_loop_when_exp_overflows(monkeypatch, vie
     assert np.all(np.isfinite(w))
     assert np.array_equal(model.weights.view(np.int64), w.view(np.int64))
     assert model.bias == b
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("overrides", [{"learning_rate": 1e300}, {"l2": 1e6}])
+def test_train_that_diverges_is_a_config_error(overrides):
+    corpus, examples = repetitive_examples(INSIDE, 150)
+    meta = TrainingMeta(batch_size=1, **overrides)
+    with pytest.raises(ConfigError, match=r"training\.learning_rate or training\.l2"):
+        train(examples, corpus, INSIDE, meta)
+
+
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
+def test_batch_of_the_rows_or_more_is_one_batch(view):
+    corpus, examples = repetitive_examples(view, 150)
+    rows = len(examples) - len(examples) // 5
+    want = train(examples, corpus, view, TrainingMeta(batch_size=rows))
+    for batch_size in (rows + 1, 2**63, 2**80):
+        got = train(examples, corpus, view, TrainingMeta(batch_size=batch_size))
+        assert np.array_equal(got.weights.view(np.int64), want.weights.view(np.int64))
+        assert (got.bias, got.val_metrics) == (want.bias, want.val_metrics)
 
 
 @pytest.mark.parametrize(
