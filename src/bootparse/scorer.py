@@ -19,8 +19,9 @@ example meets its sentence), keeps none of them, and numbers the
 columns by the names of the codes (FeatureSpace), so the columns, the
 saved names and the weights never depend on the ids.  A space is its
 names: a trained space and the same space read back by load_model build
-their code index from the names alike, on first use.  train runs
-minibatch gradient steps with numpy alone.  Scoring builds no name: the
+their code index from the names alike, on first use.  train runs each
+minibatch step as a few numpy calls on the columns of the rows' feature
+occurrences, the bias a column of every row.  Scoring builds no name: the
 model is linear over indicators, so one core (_group_scores) takes the
 stacked tables of a fill, looks each weight up by code once per token
 position, the pair's once per span, and sums them per span with numpy.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -75,28 +75,14 @@ PROB_EPS = 1e-12
 MODEL_FORMAT_VERSION = 1
 
 
-def _exp_or_inf(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """The logistic function 1 / (1 + exp(-z)) of a 1-d array.
+    """The logistic function 1 / (1 + exp(-z)) of an array, with numpy's exp.
 
-    exp comes from math.exp, the C library's, so the results are the
-    same bits as scipy.special.expit's; numpy's vectorized exp differs
-    from it in the last place on about 2% of inputs.  Where exp(-z)
-    overflows (z below about -709.78) the result is 0.
+    Where exp(-z) overflows (z below about -709.78) the result is 0, and
+    no warning is given.
     """
-    neg = (-z).tolist()
-    try:
-        e = np.fromiter(map(math.exp, neg), dtype=float, count=len(neg))
-    except OverflowError:
-        e = np.fromiter(map(_exp_or_inf, neg), dtype=float, count=len(neg))
-    e += 1.0
-    return np.divide(1.0, e, out=e)
+    with np.errstate(over="ignore"):
+        return 1 / (1 + np.exp(-z))
 
 
 # the len= bins, each by its first length; a bin runs up to the next
@@ -508,6 +494,13 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     best checkpoint.  Bit-for-bit reproducible for a fixed rng_seed.
     Weights that are not finite after the restore, a step too large for
     the data, are a ConfigError.
+
+    A training row is the column of each of its feature occurrences, in
+    example_rows' order, then column dim, which carries the bias.  A
+    step of a minibatch of size rows is, with decay 1 - step * l2 (1 for
+    the bias), w = w * decay - (step / size) * X^T (sigmoid(X w) - y),
+    where np.bincount forms X w and X^T r, adding each row's entries and
+    each column's rows in order.
     """
     if meta is None:
         meta = TrainingMeta()
@@ -528,7 +521,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     y_val, y_train = np.split(label[perm].astype(float), [n_val])
 
     # the rows in shuffled order, the first n_val held out: both splits
-    # are views of one build, freed once both are transformed
+    # are views of one build, freed once both are read
     by_id = {sent.id: sent for sent in corpus}
     rows = example_rows(LabeledSet(labeled.columns[:, perm]), by_id, view)
     cut = rows.indptr[n_val]
@@ -536,73 +529,70 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     val_codes = CodeRows(rows.codes[:cut], rows.indptr[: n_val + 1])
     del rows
     space = FeatureSpace().fit(train_codes)
-    x_train = space.transform(train_codes)
+    dim = space.dim
+    n = len(y_train)
+    # each training row's columns, then the bias's
+    cols = np.insert(space.columns(train_codes.codes), train_codes.indptr[1:], dim)
+    indptr = train_codes.indptr + np.arange(n + 1)
     x_val = space.transform(val_codes)
     del train_codes, val_codes
 
-    w = np.zeros(space.dim)
-    b = 0.0
-    best = (np.inf, w.copy(), b)
+    # the weights, then the bias
+    w = np.zeros(dim + 1)
+    best = (np.inf, w.copy())
     stale = 0
-    n, dim = x_train.shape
     # a batch of n rows or more is the one batch of n rows
-    step, l2, batch = meta.learning_rate, meta.l2, min(meta.batch_size, n)
-    # position of each row within its minibatch, the minibatches' row
-    # bounds, and the buffer of each step's weight decay
+    step, batch = meta.learning_rate, min(meta.batch_size, n)
+    decay = np.full(dim + 1, 1.0 - step * meta.l2)
+    decay[dim] = 1.0
+    # position of each row within its minibatch, and the minibatches'
+    # row bounds
     batch_pos = np.arange(n) % batch
     edges = [*range(0, n, batch), n]
-    decay = np.empty(dim)
     val_rows = np.repeat(np.arange(n_val), np.diff(x_val.indptr))
 
-    def val_probs(w, b):
-        return sigmoid(np.bincount(val_rows, x_val.data * w[x_val.indices], minlength=n_val) + b)
+    def val_probs(w):
+        z = np.bincount(val_rows, x_val.data * w[x_val.indices], minlength=n_val)
+        return sigmoid(z + w[dim])
 
-    for _ in range(meta.epochs):
-        # Lay the rows out in this epoch's order, so that each minibatch
-        # is one contiguous slice of entries [ptr[lo], ptr[hi]).
-        order = rng.permutation(n)
-        entry, ptr = _row_entries(x_train.indptr[order], np.diff(x_train.indptr)[order])
-        cols = x_train.indices[entry]
-        vals = x_train.data[entry]
-        del entry
-        rows = np.repeat(batch_pos, np.diff(ptr))
-        y = y_train[order]
-        cuts = ptr[edges].tolist()
-        for lo, hi, start, end in zip(edges, edges[1:], cuts, cuts[1:]):
-            c, v, r = cols[start:end], vals[start:end], rows[start:end]
-            # Row sums and column sums with np.bincount, which adds its
-            # weights one at a time in input order: within a row in stored
-            # order, and into each column row by row, as a CSR product
-            # does, so the weights are the same bits as scipy's.  Each
-            # in-place step is an operation of w -= step * (g / size + l2 * w).
-            z = np.bincount(r, v * w[c], minlength=hi - lo)
-            z += b
-            resid = sigmoid(z)
-            resid -= y[lo:hi]
-            grad = np.bincount(c, v * resid[r], minlength=dim)
-            grad /= hi - lo
-            grad += np.multiply(l2, w, out=decay)
-            grad *= step
-            w -= grad
-            # np.mean's bits, without its dispatch cost
-            b -= step * (float(resid.sum()) / (hi - lo))
-        # free this epoch's layout, its last slices too, before the next
-        # is laid out, so that two layouts are never held at once
-        del cols, vals, rows, c, v, r
-        if n_val == 0:
-            continue
-        val_loss = _log_loss(val_probs(w, b), y_val)
-        if val_loss < best[0]:
-            best = (val_loss, w.copy(), b)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 2:
-                break
+    # a step too large for the data overflows to non-finite weights, which
+    # the check after the loop reports, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(meta.epochs):
+            # Lay the rows out in this epoch's order, so that each minibatch
+            # is one contiguous slice of entries [ptr[lo], ptr[hi]).
+            order = rng.permutation(n)
+            entry, ptr = _row_entries(indptr[order], np.diff(indptr)[order])
+            epoch_cols = cols[entry]
+            del entry
+            rows = np.repeat(batch_pos, np.diff(ptr))
+            y = y_train[order]
+            cuts = ptr[edges].tolist()
+            for lo, hi, start, end in zip(edges, edges[1:], cuts, cuts[1:]):
+                c, r = epoch_cols[start:end], rows[start:end]
+                z = np.bincount(r, w.take(c), minlength=hi - lo)
+                z = 1 / (1 + np.exp(-z)) - y[lo:hi]
+                g = np.bincount(c, z.take(r), minlength=dim + 1)
+                w *= decay
+                g *= step / (hi - lo)
+                w -= g
+            # free this epoch's layout, its last slices too, before the next
+            # is laid out, so that two layouts are never held at once
+            del epoch_cols, rows, c, r
+            if n_val == 0:
+                continue
+            val_loss = _log_loss(val_probs(w), y_val)
+            if val_loss < best[0]:
+                best = (val_loss, w.copy())
+                stale = 0
+            else:
+                stale += 1
+                if stale >= 2:
+                    break
 
     if n_val > 0 and np.isfinite(best[0]):
-        _, w, b = best
-    if not (np.isfinite(w).all() and math.isfinite(b)):
+        _, w = best
+    if not np.isfinite(w).all():
         raise ConfigError(
             "training diverged to non-finite weights; "
             "lower training.learning_rate or training.l2"
@@ -610,7 +600,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
 
     metrics: dict[str, float] = {}
     if n_val > 0:
-        p_val = np.clip(val_probs(w, b), PROB_EPS, 1.0 - PROB_EPS)
+        p_val = np.clip(val_probs(w), PROB_EPS, 1.0 - PROB_EPS)
         pred = (p_val >= 0.5).astype(int)
         yv = y_val.astype(int)
         metrics["val_loss"] = _log_loss(p_val, y_val)
@@ -622,7 +612,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
             warnings.simplefilter("ignore", UndefinedMccWarning)
             metrics["val_mcc"] = compute_mcc(pred, yv)
 
-    return SpanScorer(view, space, w, float(b), meta, len(labeled), metrics)
+    return SpanScorer(view, space, w[:dim], float(w[dim]), meta, len(labeled), metrics)
 
 
 @dataclass(frozen=True, eq=False)

@@ -951,6 +951,29 @@ def test_training_that_diverges_is_exit_1(tmp_path, capsys, stage):
     assert sorted(p.name for p in (tmp_path / "models").iterdir()) == ["seeds.tsv"]
 
 
+@pytest.mark.parametrize(
+    "override", [("LEARNING_RATE", "1e300"), ("L2", "1e6")], ids=["learning_rate", "l2"]
+)
+def test_training_that_diverges_prints_only_the_error(tmp_path, override):
+    # a fresh process, as a user runs it: numpy's overflow warnings, with
+    # their source lines, stay off stderr
+    cfg = write_config(tmp_path, training={"batch_size": 1})
+    assert main(["synth", "--out", str(tmp_path / "corpus.txt"), "--count", "50"]) == 0
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    key, value = override
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           f"BOOTPARSE_TRAINING__{key}": value}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bootparse.cli", "train", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "config error: training diverged to non-finite weights; "
+        "lower training.learning_rate or training.l2\n"
+    )
+
+
 def test_random_slices_stop_once_every_length_is_drawn(tmp_path):
     # a subprocess with a timeout, so drawing 10^12 slices fails the test
     (tmp_path / "corpus.txt").write_text("the dog runs\na cat sees bob\n")

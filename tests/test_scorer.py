@@ -1,19 +1,19 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
-from scipy.special import expit
 
 from bootparse import scorer, treebank
 from bootparse.errors import (
@@ -31,6 +31,7 @@ from bootparse.scorer import (
     EOS,
     PROB_EPS,
     CodeRows,
+    CsrRows,
     FeatureSpace,
     SpanScorer,
     Thresholds,
@@ -75,6 +76,25 @@ class ConstantScorer:
 
 def score_span(model, sentence, span):
     return float(model.score_spans(sentence, [span])[0])
+
+
+def expit(z):
+    """The logistic function one value at a time: 1 / (1 + exp(-x)) with
+    numpy's exp of each value of z, 0 where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return np.array([1 / (1 + np.exp(-x)) for x in np.ravel(z)]).reshape(np.shape(z))
+
+
+def libm_expit(z):
+    """The logistic function with the C library's exp, math.exp, as
+    sigmoid computed it before it used numpy's; 0 where exp(-x) overflows."""
+    out = []
+    for x in np.ravel(z).tolist():
+        try:
+            out.append(1 / (1 + math.exp(-x)))
+        except OverflowError:
+            out.append(0.0)
+    return np.array(out).reshape(np.shape(z))
 
 
 # --- the per-span feature dicts, the reference for the id path ---
@@ -146,7 +166,7 @@ class DictFeatureSpace:
         return self
 
     def transform(self, feature_dicts):
-        """The rows as a scipy CSR matrix, columns sorted within each row."""
+        """The rows as CSR arrays, columns sorted within each row."""
         data, indices, indptr = [], [], [0]
         for feats in feature_dicts:
             cols = {}
@@ -158,10 +178,9 @@ class DictFeatureSpace:
                 indices.append(col)
                 data.append(cols[col])
             indptr.append(len(indices))
-        return sparse.csr_matrix(
-            (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int64),
-             np.asarray(indptr, dtype=np.int64)),
-            shape=(len(indptr) - 1, len(self.names)),
+        return CsrRows(
+            np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int64),
+            np.asarray(indptr, dtype=np.int64), (len(indptr) - 1, len(self.names)),
         )
 
 
@@ -220,9 +239,11 @@ def test_concat_features_union():
     assert "u=a" in feats and "left=<s>" in feats
 
 
-def csr(rows):
-    """FeatureSpace.transform's CSR arrays as a scipy matrix."""
-    return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
+def dense(rows):
+    """CSR arrays as a dense matrix."""
+    matrix = np.zeros(rows.shape)
+    matrix[np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)), rows.indices] = rows.data
+    return matrix
 
 
 def code_rows(*rows):
@@ -238,9 +259,8 @@ def test_feature_space_vocab():
     # columns by first occurrence over the rows, repeats counted
     space = FeatureSpace().fit(code_rows(["u=a", "len=2"], ["u=b", "u=b", "u=a"]))
     assert space.names == ["u=a", "len=2", "u=b"]
-    m = csr(space.transform(code_rows(["u=b", "u=unseen", "u=b"], [], ["len=2"])))
-    assert m.shape == (3, 3)
-    assert m.toarray().tolist() == [[0.0, 0.0, 2.0], [0.0] * 3, [0.0, 1.0, 0.0]]
+    m = dense(space.transform(code_rows(["u=b", "u=unseen", "u=b"], [], ["len=2"])))
+    assert m.tolist() == [[0.0, 0.0, 2.0], [0.0] * 3, [0.0, 1.0, 0.0]]
     # only an empty space is fit
     with pytest.raises(ValueError):
         space.fit(code_rows(["u=c", "u=a"]))
@@ -248,7 +268,7 @@ def test_feature_space_vocab():
     # the two codes of one name, bigrams (a|b, c) and (a, b|c), share a column
     space = FeatureSpace().fit(code_rows(["u=a"], ["b=a|b|c"]))
     assert space.names == ["u=a", "b=a|b|c"]
-    assert csr(space.transform(code_rows(["b=a|b|c"]))).toarray().tolist() == [[0.0, 2.0]]
+    assert dense(space.transform(code_rows(["b=a|b|c"]))).tolist() == [[0.0, 2.0]]
 
 
 def test_fit_drops_an_index_built_before_it():
@@ -344,13 +364,21 @@ def test_train_deterministic():
 
 @pytest.mark.parametrize("scale", [1, 10, 100, 400])
 def test_sigmoid_matches_expit_bits(scale):
+    # the array form against the same expression one value at a time, to
+    # the bit, and within 1e-15 relative of the C library's exp where the
+    # result is a normal number
     z = np.random.default_rng(scale).normal(scale=scale, size=200_000)
-    assert np.array_equal(sigmoid(z).view(np.int64), expit(z).view(np.int64))
+    got = sigmoid(z)
+    assert np.array_equal(got.view(np.int64), expit(z).view(np.int64))
+    normal = z > -700
+    assert np.max(np.abs(got[normal] / libm_expit(z[normal]) - 1)) <= 1e-15
 
 
 def test_sigmoid_matches_expit_at_edges():
     z = np.array([-1000, -745.2, -709.79, -709.78, -0.0, 0.0, 37, 38, 1000])
-    got = sigmoid(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(z)
     assert np.array_equal(got.view(np.int64), expit(z).view(np.int64))
     assert got[0] == 0.0 and 0.0 < got[3] < 1e-300 and got[-1] == 1.0
     assert sigmoid(np.empty(0)).shape == (0,)
@@ -564,9 +592,9 @@ PARITY_VOCAB = ["a", "b", "c", "a|b", "b|c", "|", "=", "x=y", BOS, EOS]
 
 
 def reference_scores(model, sentence, spans):
-    """The per-span path: featurize -> sparse row -> dot product."""
+    """The per-span path: featurize -> feature row -> dot product."""
     feats = [featurize(sentence, sp, model.view) for sp in spans]
-    z = DictFeatureSpace(model.space.names).transform(feats) @ model.weights + model.bias
+    z = dense(DictFeatureSpace(model.space.names).transform(feats)) @ model.weights + model.bias
     return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -1115,14 +1143,64 @@ def test_scores_unchanged_when_interner_grows(view):
         assert np.array_equal(model.score_spans(s, _all_spans(len(s), 1)), want)
 
 
-# --- minibatch SGD against the sparse-matrix loop ---
+def number_tokens_anew(monkeypatch):
+    """Give the process an empty token table, sentinels only, and an empty
+    cache of the last sentence's table; both come back after the test."""
+    monkeypatch.setattr(scorer, "_TOKEN_IDS", {BOS: 0, EOS: 1})
+    monkeypatch.setattr(scorer, "_TOKENS", [BOS, EOS])
+    table = functools.lru_cache(maxsize=1)(lambda tokens: scorer.featurize([tokens]))
+    monkeypatch.setattr(scorer, "_last_table", table)
 
 
-def reference_train(examples, corpus, view, meta):
-    """train() with its minibatches cut by scipy row indexing.
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
+def test_training_and_scores_unchanged_when_token_ids_shift(monkeypatch, view):
+    # Train a set and score its sentences; then number the tokens anew,
+    # featurizing a corpus of new tokens with the set's own in reverse
+    # order, so that every id of the set moves and their order flips, and
+    # train and score again.  The names, the weights and bias to the bit,
+    # and the charts must not move.
+    corpus, examples = repetitive_examples(view, 150)
+    number_tokens_anew(monkeypatch)
+    first = train(examples, corpus, view)
+    charts = [score_chart(first, s).cells for s in corpus]
+    # the set's tokens by id
+    vocab = sorted("abc", key=scorer._TOKEN_IDS.get)
+    ids = [scorer._TOKEN_IDS[tok] for tok in vocab]
+    number_tokens_anew(monkeypatch)
+    scorer.featurize([("shift0", vocab[2], "shift1", vocab[1], "shift2", vocab[0])])
+    shifted = [scorer._TOKEN_IDS[tok] for tok in vocab]
+    assert sorted(shifted, reverse=True) == shifted
+    assert all(old != new for old, new in zip(ids, shifted))
+    again = train(examples, corpus, view)
+    assert again.space.names == first.space.names
+    assert np.array_equal(again.weights.view(np.int64), first.weights.view(np.int64))
+    assert again.bias == first.bias
+    for s, want in zip(corpus, charts):
+        assert np.array_equal(score_chart(again, s).cells, want)
 
-    Returns the weights, the bias and the training matrix.
-    """
+
+# --- minibatch SGD against a per-row loop ---
+
+
+def occurrences(sentence, span, view):
+    """A span's feature names in the order of its training row, a name
+    once per occurrence: unigrams and bigrams in token order, then the
+    rest of featurize's inside features, then its outside ones."""
+    names = []
+    if view != OUTSIDE:
+        toks = sentence.tokens[span.i : span.j + 1]
+        names += [f"u={tok}" for tok in toks] + [f"b={a}|{b}" for a, b in zip(toks, toks[1:])]
+        names += [k for k in featurize(sentence, span, INSIDE) if not k.startswith(("u=", "b="))]
+    if view != INSIDE:
+        names += list(featurize(sentence, span, OUTSIDE))
+    return names
+
+
+def reference_split(examples, corpus, view, meta):
+    """train()'s shuffle and split: its rng after the split, the feature
+    space of the training rows, each training row as the columns of its
+    feature occurrences, the validation rows as CSR counts, and the
+    labels of both."""
     by_id = {s.id: s for s in corpus}
     rng = np.random.default_rng(meta.rng_seed)
     perm = rng.permutation(len(examples))
@@ -1130,40 +1208,109 @@ def reference_train(examples, corpus, view, meta):
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     def build(idx):
-        dicts = [
-            featurize(by_id[examples[k].sentence_id], examples[k].span, view)
-            for k in idx
-        ]
-        return dicts, np.array([float(examples[k].label) for k in idx])
+        rows = [occurrences(by_id[examples[k].sentence_id], examples[k].span, view) for k in idx]
+        return rows, np.array([float(examples[k].label) for k in idx])
 
-    train_dicts, y_train = build(train_idx)
-    val_dicts, y_val = build(val_idx)
-    space = DictFeatureSpace().fit(train_dicts)
-    x_train = space.transform(train_dicts)
-    x_val = space.transform(val_dicts)
+    train_rows, y_train = build(train_idx)
+    val_rows, y_val = build(val_idx)
+    space = DictFeatureSpace().fit(train_rows)
+    train_cols = [[space.index[name] for name in row] for row in train_rows]
+    x_val = space.transform([Counter(row) for row in val_rows])
+    return rng, space, train_cols, x_val, y_train, y_val
 
+
+def reference_val_loss(x_val, y_val, w, b):
+    """The validation log loss, each row's counts times weights summed in
+    column order, then the bias."""
+    z = []
+    for k in range(x_val.shape[0]):
+        logit = 0.0
+        for at in range(x_val.indptr[k], x_val.indptr[k + 1]):
+            logit += x_val.data[at] * w[x_val.indices[at]]
+        z.append(logit + b)
+    p_val = np.clip(expit(np.array(z)), PROB_EPS, 1.0 - PROB_EPS)
+    return float(-np.mean(y_val * np.log(p_val) + (1.0 - y_val) * np.log(1.0 - p_val)))
+
+
+def reference_train(examples, corpus, view, meta):
+    """train() as a plain loop over the rows of each minibatch.
+
+    A training row lists the column of each of its feature occurrences,
+    then column dim, the bias's.  Each step sums each row's weights in
+    row order into its logit, takes the logistic function of each logit,
+    adds each residual into the columns of its row, row by row, then
+    decays the weights but not the bias, scales the sums by
+    step / size and subtracts them.  Returns the weights, the bias, the
+    training rows and the lowest logit of any step.
+    """
+    rng, space, train_cols, x_val, y_train, y_val = reference_split(examples, corpus, view, meta)
+    dim = len(space.names)
+    train_cols = [row + [dim] for row in train_cols]
+    step = meta.learning_rate
+    decay = 1 - step * meta.l2
+    w = np.zeros(dim + 1)
+    best = (np.inf, w.copy())
+    stale, lowest = 0, np.inf
+    n, n_val = len(train_cols), len(y_val)
+    for _ in range(meta.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, meta.batch_size):
+            rows = order[lo : lo + meta.batch_size]
+            logits = []
+            for k in rows:
+                logit = 0.0
+                for col in train_cols[k]:
+                    logit += w[col]
+                logits.append(logit)
+            lowest = min(lowest, *logits)
+            resid = expit(np.array(logits)) - y_train[rows]
+            g = np.zeros(dim + 1)
+            for k, r in zip(rows, resid):
+                for col in train_cols[k]:
+                    g[col] += r
+            w[:dim] *= decay
+            g *= step / len(rows)
+            w -= g
+        if n_val == 0:
+            continue
+        val_loss = reference_val_loss(x_val, y_val, w, w[dim])
+        if val_loss < best[0]:
+            best = (val_loss, w.copy())
+            stale = 0
+        else:
+            stale += 1
+            if stale >= 2:
+                break
+    if n_val > 0 and np.isfinite(best[0]):
+        _, w = best
+    return w[:dim], w[dim], train_cols, lowest
+
+
+def old_rule_train(examples, corpus, view, meta):
+    """The update rule train() ran before its bias became a column: rows
+    of per-column counts, w -= step * (X^T r / size + l2 * w) and
+    b -= step * mean(r), with the C library's exp.  Dense, in numpy's
+    summation order, so it bounds train() and does not match its bits."""
+    rng, space, train_cols, x_val, y_train, y_val = reference_split(examples, corpus, view, meta)
+    x_train = np.zeros((len(train_cols), len(space.names)))
+    for k, row in enumerate(train_cols):
+        np.add.at(x_train[k], row, 1.0)
     w = np.zeros(len(space.names))
     b = 0.0
     best = (np.inf, w.copy(), b)
     stale = 0
-    n = x_train.shape[0]
+    n, n_val = x_train.shape[0], len(y_val)
     for _ in range(meta.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, meta.batch_size):
             rows = order[lo : lo + meta.batch_size]
             xb = x_train[rows]
-            p = expit(xb @ w + b)
-            resid = p - y_train[rows]
-            grad_w = xb.T @ resid / len(rows) + meta.l2 * w
-            grad_b = float(np.mean(resid))
-            w -= meta.learning_rate * grad_w
-            b -= meta.learning_rate * grad_b
+            resid = libm_expit(xb @ w + b) - y_train[rows]
+            w -= meta.learning_rate * (xb.T @ resid / len(rows) + meta.l2 * w)
+            b -= meta.learning_rate * float(np.mean(resid))
         if n_val == 0:
             continue
-        p_val = np.clip(expit(x_val @ w + b), PROB_EPS, 1.0 - PROB_EPS)
-        val_loss = float(
-            -np.mean(y_val * np.log(p_val) + (1.0 - y_val) * np.log(1.0 - p_val))
-        )
+        val_loss = reference_val_loss(x_val, y_val, w, b)
         if val_loss < best[0]:
             best = (val_loss, w.copy(), b)
             stale = 0
@@ -1173,7 +1320,15 @@ def reference_train(examples, corpus, view, meta):
                 break
     if n_val > 0 and np.isfinite(best[0]):
         _, w, b = best
-    return w, b, x_train
+    return w, b
+
+
+def assert_near_old_rule(model, examples, corpus, view, meta):
+    """train()'s weights and bias within 1e-9 of the old update rule's,
+    relative to the largest of them."""
+    w, b = old_rule_train(examples, corpus, view, meta)
+    scale = np.max(np.abs(np.append(w, b)))
+    assert np.max(np.abs(np.append(model.weights - w, model.bias - b))) <= 1e-9 * scale
 
 
 def repetitive_examples(view, count, seed=0):
@@ -1200,11 +1355,12 @@ def test_train_matches_sparse_minibatch_loop(view, batch_size):
     corpus, examples = repetitive_examples(view, 150)
     meta = TrainingMeta(batch_size=batch_size, rng_seed=2)
     model = train(examples, corpus, view, meta)
-    w, b, x_train = reference_train(examples, corpus, view, meta)
+    w, b, rows, _ = reference_train(examples, corpus, view, meta)
     assert np.array_equal(model.weights, w)
     assert model.bias == b
     if view == INSIDE:
-        assert {2.0, 3.0} <= set(x_train.data.tolist())
+        assert {2, 3} <= {count for row in rows for count in Counter(row).values()}
+    assert_near_old_rule(model, examples, corpus, view, meta)
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 64])
@@ -1214,30 +1370,27 @@ def test_train_matches_sparse_minibatch_loop_without_validation(view, batch_size
     meta = TrainingMeta(batch_size=batch_size, epochs=7)
     model = train(examples, corpus, view, meta)
     assert model.val_metrics == {}
-    w, b, _ = reference_train(examples, corpus, view, meta)
+    w, b, _, _ = reference_train(examples, corpus, view, meta)
     assert np.array_equal(model.weights, w)
     assert model.bias == b
 
 
 @pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
-def test_train_matches_sparse_minibatch_loop_when_exp_overflows(monkeypatch, view):
+def test_train_matches_sparse_minibatch_loop_when_exp_overflows(view):
     # a large learning rate drives logits below -709.78, where exp(-z)
-    # overflows and sigmoid reads 0, as expit does
-    lowest = []
-
-    def watched(z):
-        lowest.append(float(np.min(z, initial=np.inf)))
-        return sigmoid(z)
-
-    monkeypatch.setattr(scorer, "sigmoid", watched)
+    # overflows and the logistic function reads 0; train's logits are the
+    # reference's, since its weights are, to the bit
     corpus, examples = repetitive_examples(view, 150)
     meta = TrainingMeta(batch_size=7, learning_rate=400.0, rng_seed=2)
-    model = train(examples, corpus, view, meta)
-    assert min(lowest) < -710
-    w, b, _ = reference_train(examples, corpus, view, meta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train(examples, corpus, view, meta)
+    w, b, _, lowest = reference_train(examples, corpus, view, meta)
+    assert lowest < -710
     assert np.all(np.isfinite(w))
     assert np.array_equal(model.weights.view(np.int64), w.view(np.int64))
     assert model.bias == b
+    assert_near_old_rule(model, examples, corpus, view, meta)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
