@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -66,6 +67,12 @@ _DATA_ERRORS = (
 
 class UsageError(Exception):
     pass
+
+
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one line of its category and message, without the
+    source file and line, which differ from one install to the next."""
+    return f"{category.__name__}: {message}\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -596,6 +603,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         code = args.fn(args)
         # flushed here, so a closed stdout is handled below, not at exit
@@ -624,6 +632,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # anything unforeseen is an internal error
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -3,8 +3,11 @@ import hashlib
 import io
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from bootparse.decoder import (
     apply_heuristics,
     cyk_decode,
     heuristics_from_corpus,
+    load_stopwords,
 )
 from bootparse.errors import (
     AllTokensRemoved,
@@ -140,9 +144,10 @@ def test_synth_custom_grammar(tmp_path):
     assert (tmp_path / "c.txt").read_text() == "left right\n" * 5
 
 
-def test_synth_derives_deeper_than_the_recursion_limit(tmp_path):
+def test_synth_derives_deeper_than_the_recursion_limit(tmp_path, capsys):
     # derivations 600 to 1,000 symbols deep are drawn, checked and written
-    # without recursion, and the gold file reads back as the corpus
+    # without recursion, the gold file reads back as the corpus and scores
+    # F1 1 against itself, and a rerun writes the same bytes
     grammar = {
         "start": "S",
         "max_depth": 5000,
@@ -150,15 +155,24 @@ def test_synth_derives_deeper_than_the_recursion_limit(tmp_path):
         "lexicon": {"A": ["a"]},
     }
     (tmp_path / "g.json").write_text(json.dumps(grammar))
-    assert main([
-        "synth", "--out", str(tmp_path / "c.txt"), "--gold", str(tmp_path / "g.txt"),
-        "--grammar", str(tmp_path / "g.json"), "--count", "2",
-        "--min-len", "600", "--max-len", "1000",
-    ]) == 0
+    for run in ("", "2"):
+        assert main([
+            "synth", "--out", str(tmp_path / f"c{run}.txt"),
+            "--gold", str(tmp_path / f"g{run}.txt"),
+            "--grammar", str(tmp_path / "g.json"), "--count", "2",
+            "--min-len", "600", "--max-len", "1000",
+        ]) == 0
     sentences = read_corpus(tmp_path / "c.txt")
     assert [t.sentence for t in read_treebank(tmp_path / "g.txt")] == sentences
     assert len(sentences) == 2
     assert all(600 <= len(s) <= 1000 for s in sentences)
+    for name in ("c.txt", "g.txt"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace(".", "2.")).read_bytes()
+    capsys.readouterr()
+    cfg = write_config(tmp_path)
+    gold = str(tmp_path / "g.txt")
+    assert main(["eval", "--config", str(cfg), "--pred", gold, "--gold", gold]) == 0
+    assert re.search(r"^f1 +1\.0000$", capsys.readouterr().out, re.M)
 
 
 @pytest.mark.parametrize("flag, value", [("--count", "0"), ("--rng-seed", "-1")])
@@ -232,18 +246,32 @@ def test_unbracketable_grammar_is_exit_1(tmp_path, capsys, lexicon, named):
     assert not (tmp_path / "c.txt").exists() and not (tmp_path / "g.txt").exists()
 
 
-@pytest.mark.parametrize("max_depth", ["NaN", "Infinity", "-Infinity", "true", "2.5", "0"])
-def test_grammar_max_depth_not_a_positive_integer_is_exit_1(tmp_path, capsys, max_depth):
+@pytest.mark.parametrize(
+    "max_depth, unending",
+    [*(pytest.param(value, False, id=value)
+       for value in ["NaN", "Infinity", "-Infinity", "true", "2.5", "0"]),
+     pytest.param("NaN", True, id="NaN_unending")],
+)
+def test_grammar_max_depth_not_a_positive_integer_is_exit_1(tmp_path, max_depth, unending):
     # NaN and Infinity would switch the depth guard off, so a grammar
-    # whose derivations may not end would hang synth
-    text = json.dumps({**FUZZ_GRAMMAR, "max_depth": 0})
+    # whose derivations may not end would hang synth: a subprocess with a
+    # timeout, so a hang fails the test
+    grammar = {**FUZZ_GRAMMAR, "max_depth": 0}
+    if unending:
+        # S -> S S with probability 0.7: a derivation may never end
+        grammar.update(rules={"S": [[0.7, ["S", "S"]], [0.3, ["A"]]]}, lexicon={"A": ["a"]})
+    text = json.dumps(grammar)
     (tmp_path / "g.json").write_text(text.replace('"max_depth": 0', f'"max_depth": {max_depth}'))
-    assert main([
-        "synth", "--out", str(tmp_path / "c.txt"), "--grammar", str(tmp_path / "g.json"),
-        "--count", "2", "--max-len", "8",
-    ]) == 1
-    err = capsys.readouterr().err
-    assert f"config error: bad grammar file {tmp_path / 'g.json'}: max_depth must be" in err
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bootparse.cli", "synth", "--out", "c.txt", "--grammar", "g.json",
+         "--count", "2", "--max-len", "8"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "config error: bad grammar file g.json: max_depth must be an integer >= 1, got "
+    )
     assert not (tmp_path / "c.txt").exists()
 
 
@@ -490,9 +518,17 @@ for line in sys.stdin:
 @pytest.mark.parametrize("timeout, code", [(1e300, 1), (86400.5, 1), (86400, 0)])
 def test_scorer_timeout_bound(tmp_path, monkeypatch, capsys, timeout, code):
     # a timeout the reply selector cannot take is a config error, found
-    # before any scorer process starts
+    # before any scorer process starts; with one it can take, parse
+    # decodes by sentence length, and line k of the output holds the
+    # words of input line k
     monkeypatch.chdir(tmp_path)
     write_tiny_corpus(tmp_path)
+    # lengths out of order, repeats and one-token lines among them
+    lines = (tmp_path / "corpus.txt").read_text().splitlines() + [
+        "the dog saw a cat", "alice", "bob runs", "the cat sat on the mat",
+        "alice", "carol sees bob", "bob runs", "dog",
+    ]
+    (tmp_path / "in.txt").write_text("".join(line + "\n" for line in lines))
     scorer = {
         "backend": "external",
         "command": [sys.executable, "-c", MARKED_HALF_SCORER],
@@ -500,7 +536,7 @@ def test_scorer_timeout_bound(tmp_path, monkeypatch, capsys, timeout, code):
     }
     cfg = write_config(tmp_path, scorer=scorer)
     assert main([
-        "parse", "--config", str(cfg), "--input", str(tmp_path / "corpus.txt"),
+        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
         "--out", str(tmp_path / "p.txt"),
     ]) == code
     err = capsys.readouterr().err
@@ -508,6 +544,10 @@ def test_scorer_timeout_bound(tmp_path, monkeypatch, capsys, timeout, code):
     assert (tmp_path / "p.txt").exists() == (code == 0)
     if code:
         assert "timeout" in err and "86400" in err and "internal error" not in err
+    else:
+        written = (tmp_path / "p.txt").read_text().splitlines()
+        assert [" ".join(parse_bracketed(line, k).sentence.tokens)
+                for k, line in enumerate(written)] == lines
 
 
 @pytest.mark.parametrize(
@@ -755,16 +795,18 @@ def test_parse_rerun_identical(pipeline):
 
 def test_parse_refuses_unbracketable_tokens(tmp_path, capsys):
     # refused before any model is read: the model directory does not exist
-    (tmp_path / "in.txt").write_text("alice runs\nthe dog)\n")
     cfg = write_config(tmp_path)
     out = tmp_path / "pred.txt"
-    assert main([
-        "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
-        "--out", str(out),
-    ]) == 2
-    err = capsys.readouterr().err
-    assert f"data error: {tmp_path / 'in.txt'}: sentence 1: token 'dog)' " in err
-    assert not out.exists()
+    for text, named in [("alice runs\nthe dog)\n", "sentence 1: token 'dog)'"),
+                        ("alice ( sees\n", "sentence 0: token '('")]:
+        (tmp_path / "in.txt").write_text(text)
+        assert main([
+            "parse", "--config", str(cfg), "--input", str(tmp_path / "in.txt"),
+            "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'in.txt'}: {named} " in err
+        assert not out.exists()
 
 
 @settings(max_examples=50, deadline=None)
@@ -854,7 +896,7 @@ def test_parse_by_length_group_matches_one_by_one(
     assert out.read_text() == _parse_one_by_one(cfg, stage, tmp_path / "in.txt")
 
 
-def test_eval_writes_reports(pipeline, capsys):
+def test_eval_writes_reports(pipeline, tmp_path, monkeypatch, capsys):
     root, cfg = pipeline
     pred = root / "pred_co.txt"
     if not pred.exists():
@@ -876,6 +918,40 @@ def test_eval_writes_reports(pipeline, capsys):
         assert (reports / name).exists(), name
     raw = json.loads((reports / "report.json").read_text())
     assert 0.0 <= raw["f1"] <= 1.0
+    # The two pooled modes: report.json names the mode that was set, and
+    # every binary tree has the same span count, so the oracle F1 is at
+    # least the parse's and every baseline's; evalb_style prints its
+    # short-sentence line.
+    monkeypatch.setenv("BOOTPARSE_PATHS__REPORT_DIR", str(tmp_path))
+    for mode in ("micro_corpus", "evalb_style"):
+        monkeypatch.setenv("BOOTPARSE_EVAL__MODE", mode)
+        assert main([
+            "eval", "--config", str(cfg), "--pred", str(pred), "--baselines", "--oracle",
+        ]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["mode"] == mode
+        text = (tmp_path / "report.txt").read_text()
+        f1 = float(re.search(r"^f1 +(\S+)$", text, re.M).group(1))
+        baselines = [float(f) for f in re.findall(r"^baseline \S+ +F1 (\S+)$", text, re.M)]
+        oracle = float(re.search(r"^oracle binary +F1 (\S+)$", text, re.M).group(1))
+        assert len(baselines) == 4, text
+        assert oracle >= max(f1, *baselines), text
+        assert bool(re.search(r"^len<=10 ", text, re.M)) == (mode == "evalb_style"), text
+    monkeypatch.delenv("BOOTPARSE_EVAL__MODE")
+    # eval.max_len drops the longer sentences, and each per_sentence.tsv
+    # row keeps its input position
+    monkeypatch.setenv("BOOTPARSE_EVAL__MAX_LEN", "6")
+    assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 0
+    lines = pred.read_text().splitlines()
+    rows = (tmp_path / "per_sentence.tsv").read_text().splitlines()[1:]
+    assert rows and len(rows) < len(lines)
+    for row in rows:
+        index, length = map(int, row.split("\t")[:2])
+        assert length == len(parse_bracketed(lines[index], index).sentence.tokens) <= 6, row
+    monkeypatch.delenv("BOOTPARSE_EVAL__MAX_LEN")
+    # a parse, written by the shared bracket writer, reads back as its own gold
+    capsys.readouterr()
+    assert main(["eval", "--config", str(cfg), "--pred", str(pred), "--gold", str(pred)]) == 0
+    assert re.search(r"^f1 +1\.0000$", capsys.readouterr().out, re.M)
 
 
 def test_eval_count_mismatch_is_exit_2(pipeline, capsys):
@@ -952,17 +1028,19 @@ def test_training_that_diverges_is_exit_1(tmp_path, capsys, stage):
 
 
 @pytest.mark.parametrize(
-    "override", [("LEARNING_RATE", "1e300"), ("L2", "1e6")], ids=["learning_rate", "l2"]
+    "overrides",
+    [{"LEARNING_RATE": "1e300"}, {"L2": "1e6"},
+     {"LEARNING_RATE": "1e300", "BATCH_SIZE": "64"}],
+    ids=["learning_rate", "l2", "learning_rate_batch_64"],
 )
-def test_training_that_diverges_prints_only_the_error(tmp_path, override):
+def test_training_that_diverges_prints_only_the_error(tmp_path, overrides):
     # a fresh process, as a user runs it: numpy's overflow warnings, with
-    # their source lines, stay off stderr
+    # their source lines, stay off stderr, and no model is written
     cfg = write_config(tmp_path, training={"batch_size": 1})
     assert main(["synth", "--out", str(tmp_path / "corpus.txt"), "--count", "50"]) == 0
     assert main(["bootstrap", "--config", str(cfg)]) == 0
-    key, value = override
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
-           f"BOOTPARSE_TRAINING__{key}": value}
+           **{f"BOOTPARSE_TRAINING__{key}": value for key, value in overrides.items()}}
     proc = subprocess.run(
         [sys.executable, "-m", "bootparse.cli", "train", "--config", str(cfg)],
         capture_output=True, text=True, timeout=120, env=env,
@@ -972,22 +1050,61 @@ def test_training_that_diverges_prints_only_the_error(tmp_path, override):
         "config error: training diverged to non-finite weights; "
         "lower training.learning_rate or training.l2\n"
     )
+    assert sorted(p.name for p in (tmp_path / "models").iterdir()) == ["seeds.tsv"]
+
+
+def test_batch_size_past_a_machine_integer_trains(tmp_path):
+    # one batch of every row; a subprocess with a timeout, so a hang fails
+    cfg = write_config(tmp_path)
+    assert main(["synth", "--out", str(tmp_path / "corpus.txt"), "--count", "50"]) == 0
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "BOOTPARSE_TRAINING__BATCH_SIZE": str(2**63)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bootparse.cli", "train", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_model(tmp_path / "models" / "inside_seed.json").meta.batch_size == 2**63
+
+
+def test_warning_prints_as_one_line(tmp_path):
+    # a fresh process, as a user runs it: the warning's category and
+    # message, without the source file and line of the install
+    cfg = write_config(tmp_path, self_train={
+        "K": 1, "c": 0, "d": 50, "tau_min": 0.0, "accumulate": True,
+    })
+    assert main(["synth", "--out", str(tmp_path / "corpus.txt"), "--count", "50"]) == 0
+    assert main(["bootstrap", "--config", str(cfg)]) == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bootparse.cli", "selftrain", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "PoolExhaustedWarning: distituent pool has 0 spans, wanted 50\n"
 
 
 def test_random_slices_stop_once_every_length_is_drawn(tmp_path):
-    # a subprocess with a timeout, so drawing 10^12 slices fails the test
+    # a subprocess with a timeout, so drawing 10^12 slices fails the test;
+    # fixed slices stop at the sentence's length, so 10^12 of them write
+    # the seeds of 6
     (tmp_path / "corpus.txt").write_text("the dog runs\na cat sees bob\n")
-    cfg = write_config(tmp_path, seeds={"random_slices": True})
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    for count in (100_000, 10**12):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bootparse.cli", "bootstrap", "--config", str(cfg),
-             "--out", f"{count}.tsv"],
-            cwd=tmp_path, capture_output=True, text=True, timeout=60,
-            env={**env, "BOOTPARSE_SEEDS__NUM_SLICES": str(count)},
+    for random_slices, reach in ((True, 100_000), (False, 6)):
+        cfg = write_config(tmp_path, seeds={"random_slices": random_slices})
+        for count in (reach, 10**12):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bootparse.cli", "bootstrap", "--config", str(cfg),
+                 "--out", f"{random_slices}_{count}.tsv"],
+                cwd=tmp_path, capture_output=True, text=True, timeout=60,
+                env={**env, "BOOTPARSE_SEEDS__NUM_SLICES": str(count)},
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert (
+            (tmp_path / f"{random_slices}_{reach}.tsv").read_text()
+            == (tmp_path / f"{random_slices}_{10**12}.tsv").read_text()
         )
-        assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "100000.tsv").read_text() == (tmp_path / f"{10**12}.tsv").read_text()
 
 
 def _train_seed_model(tmp_path, corpus: str, **overrides) -> None:
@@ -1062,6 +1179,173 @@ def test_selftrain_model_hash_stable(tmp_path):
             .hexdigest()
         )
     assert digests[0] == digests[1]
+
+
+# small pools, so that every stage runs in a second or two
+RERUN_LOOPS = {
+    "self_train": {"K": 1, "c": 0, "d": 200, "tau_min": 0.005, "tau_max": 0.9, "accumulate": True},
+    "co_train": {"K": 1, "c": 0, "d": 200, "tau_min": 0.1, "tau_max": 0.9},
+}
+
+
+def _synth_lines(tmp_path, *argv) -> list[str]:
+    out = tmp_path / "plain.txt"
+    assert main(["synth", "--out", str(out), *argv]) == 0
+    return out.read_text().splitlines()
+
+
+def _plain_corpus(tmp_path, monkeypatch):
+    return _synth_lines(tmp_path, "--count", "50"), RERUN_LOOPS
+
+
+def _feature_syntax_corpus(tmp_path, monkeypatch):
+    # tokens that read like feature names ("|", "=") or sentinels, so saved
+    # bigram and pair names split at each "|" when they load
+    text = "\n".join(_synth_lines(tmp_path, "--count", "50"))
+    for word, token in [("bob", "a|b"), ("carol", "b|c|d"), ("the", "x=y"),
+                        ("dog", "lr=a|b"), ("horse", "<s>"), ("fish", "</s>")]:
+        text = re.sub(rf"\b{word}\b", token, text)
+    assert {"a|b", "b|c|d", "x=y", "lr=a|b", "<s>", "</s>"} <= set(text.split())
+    return text.splitlines(), RERUN_LOOPS
+
+
+def _mixed_lengths_corpus(tmp_path, monkeypatch):
+    # The loops featurize and score one length_fills fill at a time:
+    # one-token lines, a length that occurs once, lengths out of order and
+    # a 60-token line.  A fill holds at most 40 charts of 40 tokens, so
+    # the 45 distinct 40-token lines make one length group span two fills
+    # in the pools, the training rows and parse.
+    lines = [
+        "alice", "bob runs", "dog", *_synth_lines(tmp_path, "--count", "50", "--rng-seed", "3"),
+        " ".join(f"w{k}" for k in range(1, 61)),
+        *(" ".join(f"w{k}" for k in range(first, first + 40)) for first in range(1, 46)),
+        "carol", "the cat sat on the mat",
+    ]
+    lengths = Counter(len(line.split()) for line in lines)
+    assert lengths[1] >= 3 and lengths[60] == 1
+    assert len({line for line in lines if len(line.split()) == 40}) == 45 > FILL_CELLS // 40**2
+    return lines, RERUN_LOOPS
+
+
+def _casing_corpus(tmp_path, monkeypatch):
+    # "The" opens most lines, and runs of capitalized words, so bootstrap
+    # writes examples on lower-cased carrier sentences after the corpus,
+    # and training builds tables for sentences outside it.  The
+    # environment turns casing augmentation on and accumulation off, so
+    # self-training replaces its labeled set each iteration.
+    monkeypatch.setenv("BOOTPARSE_SEEDS__CASING_AUGMENTATION", "true")
+    monkeypatch.setenv("BOOTPARSE_SELF_TRAIN__ACCUMULATE", "false")
+    plain = _synth_lines(tmp_path, "--count", "60", "--rng-seed", "5")
+    lines = [
+        line if k % 4 == 0 else f"{'The Green Bay' if k % 3 else 'The New York Times'} {line}"
+        for k, line in enumerate(plain, 1)
+    ]
+    lines += ["The", "The Big Apple", "The " + " ".join(f"w{k}" for k in range(1, 41))]
+    assert Counter(line.split()[0] for line in lines).most_common(1)[0][0] == "The"
+    loops = {
+        "self_train": {"K": 2, "c": 20, "d": 100, "tau_min": 0.15, "tau_max": 0.6,
+                       "accumulate": True},
+        "co_train": {"K": 1, "c": 20, "d": 100, "tau_min": 0.15, "tau_max": 0.6},
+    }
+    return lines, loops
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_plain_corpus, _feature_syntax_corpus, _mixed_lengths_corpus, _casing_corpus],
+    ids=["plain", "feature_syntax", "mixed_lengths", "casing"],
+)
+def test_loop_reruns_are_byte_identical(tmp_path, monkeypatch, case):
+    # Every stage runs, and parse writes a line for each corpus line.
+    # Then selftrain and cotrain run again from the bootstrap and train
+    # outputs into a second model directory, each in a fresh process, so
+    # with other string hashes and token ids: every file must match.
+    lines, loops = case(tmp_path, monkeypatch)
+    (tmp_path / "corpus.txt").write_text("".join(line + "\n" for line in lines))
+    cfg = write_config(tmp_path, heuristics={}, **loops)
+    models = tmp_path / "models"
+    for stage in ("bootstrap", "train", "selftrain", "cotrain"):
+        assert main([stage, "--config", str(cfg)]) == 0, stage
+    # carrier sentences, numbered after the corpus, come with casing only
+    seeds = (models / "seeds.tsv").read_text().splitlines()
+    carriers = any(int(row.split("\t")[0]) >= len(lines) for row in seeds)
+    assert carriers == (case is _casing_corpus)
+    for stage in ("seed", "self", "co"):
+        out = tmp_path / f"pred_{stage}.txt"
+        assert main([
+            "parse", "--config", str(cfg), "--stage", stage,
+            "--input", str(tmp_path / "corpus.txt"), "--out", str(out),
+        ]) == 0, stage
+        assert len(out.read_text().splitlines()) == len(lines)
+    rerun = tmp_path / "rerun"
+    rerun.mkdir()
+    for name in ("seeds.tsv", "inside_seed.json", "train_log.json"):
+        shutil.copy(models / name, rerun / name)
+    raw = json.loads(cfg.read_text())
+    raw["paths"]["model_dir"] = str(rerun)
+    (tmp_path / "rerun.json").write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for stage in ("selftrain", "cotrain"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bootparse.cli", stage, "--config", str(tmp_path / "rerun.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(path.name for path in models.iterdir())
+    assert sorted(path.name for path in rerun.iterdir()) == names
+    for name in names:
+        assert (rerun / name).read_bytes() == (models / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("heuristics", [False, True])
+def test_pipeline_is_unchanged_when_tokens_are_renamed(tmp_path, heuristics):
+    # Columns, saved names and weights never depend on token ids.  Every
+    # token but "," and the stopwords takes a suffix that opens with "!",
+    # below every character of the corpus, so the renaming keeps case,
+    # the stopwords and the lexicographic order of tokens, by which the
+    # heuristics break count ties.  The renamed run comes second in this
+    # process, so its new tokens are numbered after every old one while
+    # "," and the stopwords keep their ids: the ids fall in another order.
+    stopwords = load_stopwords()
+    plain = _synth_lines(tmp_path, "--count", "150", "--rng-seed", "4")
+    # a comma in every fifth line, for the comma rule
+    plain = [line.replace(" ", " , ", 1) if k % 5 == 0 else line for k, line in enumerate(plain)]
+    assert min("".join(plain).replace(" ", "")) > "!"
+
+    def renamed(line):
+        return " ".join(
+            tok if tok == "," or tok.lower() in stopwords else tok + "!" for tok in line.split()
+        )
+
+    runs = []
+    for lines in (plain, [renamed(line) for line in plain]):
+        root = tmp_path / f"run{len(runs)}"
+        root.mkdir()
+        (root / "corpus.txt").write_text("".join(line + "\n" for line in lines))
+        cfg = write_config(
+            root, seeds={"casing_augmentation": True}, heuristics={"enabled": heuristics},
+            training={"epochs": 10}, **RERUN_LOOPS,
+        )
+        for stage in ("bootstrap", "train", "selftrain", "cotrain"):
+            assert main([stage, "--config", str(cfg)]) == 0, stage
+        assert main([
+            "parse", "--config", str(cfg), "--input", str(root / "corpus.txt"),
+            "--out", str(root / "pred.txt"),
+        ]) == 0
+        runs.append(root)
+    first, second = (root / "models" for root in runs)
+    for name in ("seeds.tsv", "self_inside.tsv", "self_outside.tsv",
+                 "self_trace.jsonl", "co_trace.jsonl"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    for name in ("inside_seed.json", "self_in.json", "self_out.json", "co_in.json", "co_out.json"):
+        models = [json.loads((folder / name).read_text()) for folder in (first, second)]
+        names = [model["feature_space"].pop("names") for model in models]
+        assert names[1] != names[0], name
+        assert [feature.replace("!", "") for feature in names[1]] == names[0], name
+        # the weights, the bias and the metrics, as written
+        assert json.dumps(models[1]) == json.dumps(models[0]), name
+    pred = (runs[1] / "pred.txt").read_text()
+    assert pred.replace("!", "") == (runs[0] / "pred.txt").read_text()
 
 
 def _break_model(payload: dict, case: str):
@@ -1341,7 +1625,7 @@ def test_train_seed_outside_corpus_is_exit_2(tmp_path, capsys, bad_line):
     assert main(["train", "--config", str(cfg), "--seeds", str(seeds)]) == 2
     err = capsys.readouterr().err
     sid, i, j = bad_line.split("\t")[:3]
-    assert str(seeds) in err and f"({i}, {j})" in err and f"sentence {sid}" in err
+    assert f"{seeds}: span ({i}, {j}) of sentence {sid} is outside the corpus" in err
 
 
 @pytest.mark.filterwarnings("ignore::bootparse.errors.PoolExhaustedWarning")
@@ -1417,7 +1701,8 @@ def test_parse_model_of_wrong_view_is_exit_2(pipeline, tmp_path, capsys, stage, 
         "--out", str(tmp_path / "out.txt"), "--stage", stage,
     ]) == 2
     err = capsys.readouterr().err
-    assert f"model file {models / name}: view {view!r}, expected" in err
+    expected = "outside" if name == "co_out.json" else "inside"
+    assert f"model file {models / name}: view {view!r}, expected {expected!r}" in err
     assert not (tmp_path / "out.txt").exists()
 
 
@@ -1523,15 +1808,24 @@ def test_parse_resolves_config_stats_like_train(tmp_path):
            "unknown mode") for mode in ('"\\ud800"', '"micro"', "null", '["macro_sentence"]')),
     ],
 )
-def test_report_bad_input_file_is_exit_2(tmp_path, capsys, name, text, where):
+def test_report_bad_input_file_is_exit_2(tmp_path, name, text, where):
+    # a subprocess with a timeout, so a report that hangs fails the test
     cfg = write_config(tmp_path)
     folder = tmp_path / ("models" if name.endswith(".jsonl") else "reports")
     folder.mkdir()
     (folder / name).write_text(text)
-    assert main(["report", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert str(folder / name) in err and where in err
-    assert "internal error" not in err
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bootparse.cli", "report", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert str(folder / name) in proc.stderr and where in proc.stderr
+    assert "internal error" not in proc.stderr
+    if where == "unknown mode":
+        # the mode as Python writes it, a lone surrogate escaped
+        mode = json.loads(text)["mode"]
+        assert f"{folder / name}: {ValueError(f'unknown mode {mode!r}')!r}" in proc.stderr
 
 
 def test_report_shows_pools_and_flags_empty_harvests(tmp_path, capsys):
