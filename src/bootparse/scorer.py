@@ -19,9 +19,11 @@ example meets its sentence), keeps none of them, and numbers the
 columns by the names of the codes (FeatureSpace), so the columns, the
 saved names and the weights never depend on the ids.  A space is its
 names: a trained space and the same space read back by load_model build
-their code index from the names alike, on first use.  train runs each
-minibatch step as a few numpy calls on the columns of the rows' feature
-occurrences, the bias a column of every row.  Scoring builds no name: the
+their code index from the names alike, on first use.  Its transform
+makes training and validation rows alike the columns of their feature
+occurrences, the bias a column of every row, and train runs each
+minibatch step and validation pass as a few numpy calls on them.
+Scoring builds no name: the
 model is linear over indicators, so one core (_group_scores) takes the
 stacked tables of a fill, looks each weight up by code once per token
 position, the pair's once per span, and sums them per span with numpy.
@@ -228,15 +230,19 @@ _last_table = functools.lru_cache(maxsize=1)(lambda tokens: featurize([tokens]))
 
 @dataclass(frozen=True)
 class CodeRows:
-    """Feature rows as feature codes, before any column numbering.
-
-    Row r lists the codes codes[indptr[r]:indptr[r+1]] in featurize's
-    order (unigrams, bigrams, first, last, length, position, then left,
-    right, pair, bos, eos), a code once per occurrence.
+    """Feature rows: row r lists codes[indptr[r]:indptr[r+1]] in
+    featurize's order (unigrams, bigrams, first, last, length, position,
+    then left, right, pair, bos, eos), a code once per occurrence; or,
+    from FeatureSpace.transform, their columns and then the bias's.
     """
 
     codes: np.ndarray
     indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int]:
+        """(rows,), as the shape of an array of the rows."""
+        return (len(self.indptr) - 1,)
 
 
 def _row_entries(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,21 +325,6 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
     return _gather_rows(pieces)
 
 
-@dataclass(frozen=True)
-class CsrRows:
-    """Feature rows in compressed sparse row form.
-
-    Row r holds the values data[indptr[r]:indptr[r+1]] in the columns
-    indices[indptr[r]:indptr[r+1]], in increasing column order; shape is
-    (rows, columns).
-    """
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    shape: tuple[int, int]
-
-
 @dataclass
 class FeatureSpace:
     """Maps features to column indices.
@@ -379,18 +370,16 @@ class FeatureSpace:
         at = keys.searchsorted(codes)
         return np.where(keys[at] == codes, columns[at], -1)
 
-    def transform(self, rows: CodeRows) -> CsrRows:
-        """Each row's count of each column, in column order."""
-        n_rows = len(rows.indptr) - 1
-        stride = max(self.dim, 1)
-        # each code's cell, row * stride + column, built in place
-        cells = self.columns(rows.codes)
-        keep = cells >= 0
-        cells += np.repeat(np.arange(0, n_rows * stride, stride), np.diff(rows.indptr))
-        cells, counts = np.unique(cells[keep], return_counts=True)
-        row, cols = np.divmod(cells, stride)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_rows))))
-        return CsrRows(counts.astype(float), cols, indptr, (n_rows, self.dim))
+    def transform(self, rows: CodeRows) -> CodeRows:
+        """The rows as the SGD step reads them: each row's column of each
+        of its codes, in the row's order, with the codes that are no
+        column dropped, then column dim, which carries the bias."""
+        cols = self.columns(rows.codes)
+        dropped = np.flatnonzero(cols < 0)
+        # each row bound less the entries dropped before it
+        bounds = rows.indptr - dropped.searchsorted(rows.indptr)
+        cols = np.insert(np.delete(cols, dropped), bounds[1:], self.dim)
+        return CodeRows(cols, bounds + np.arange(len(bounds)))
 
 
 @dataclass
@@ -492,18 +481,25 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     log loss with mini-batch gradient steps, and stops early once the
     validation loss has failed to improve twice in a row, restoring the
     best checkpoint.  Bit-for-bit reproducible for a fixed rng_seed.
-    Weights that are not finite after the restore, a step too large for
-    the data, are a ConfigError.
+    A decay 1 - learning_rate * l2 of 0 or below, refused before any row
+    is built, and weights that are not finite after the restore, a step
+    too large for the data, are a ConfigError.
 
-    A training row is the column of each of its feature occurrences, in
-    example_rows' order, then column dim, which carries the bias.  A
+    A training or validation row (FeatureSpace.transform) is the column
+    of each of its feature occurrences, then column dim, the bias's.  A
     step of a minibatch of size rows is, with decay 1 - step * l2 (1 for
     the bias), w = w * decay - (step / size) * X^T (sigmoid(X w) - y),
     where np.bincount forms X w and X^T r, adding each row's entries and
-    each column's rows in order.
+    each column's rows in order; X w of the validation rows likewise.
     """
     if meta is None:
         meta = TrainingMeta()
+    if meta.learning_rate * meta.l2 >= 1:
+        raise ConfigError(
+            f"training.learning_rate * training.l2 is {meta.learning_rate * meta.l2:g}, "
+            "so the weight decay 1 - learning_rate * l2 is not above 0; "
+            "lower training.learning_rate or training.l2"
+        )
     labeled = LabeledSet.of(examples)
     label, views = labeled.columns[3:]
     labels = set(np.unique(label).tolist())
@@ -521,7 +517,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     y_val, y_train = np.split(label[perm].astype(float), [n_val])
 
     # the rows in shuffled order, the first n_val held out: both splits
-    # are views of one build, freed once both are read
+    # are views of one build, freed once both are transformed
     by_id = {sent.id: sent for sent in corpus}
     rows = example_rows(LabeledSet(labeled.columns[:, perm]), by_id, view)
     cut = rows.indptr[n_val]
@@ -531,11 +527,11 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     space = FeatureSpace().fit(train_codes)
     dim = space.dim
     n = len(y_train)
-    # each training row's columns, then the bias's
-    cols = np.insert(space.columns(train_codes.codes), train_codes.indptr[1:], dim)
-    indptr = train_codes.indptr + np.arange(n + 1)
-    x_val = space.transform(val_codes)
+    x_train, x_val = space.transform(train_codes), space.transform(val_codes)
     del train_codes, val_codes
+    cols, indptr = x_train.codes, x_train.indptr
+    # each validation entry's row, for the step's own forward pass
+    val_rows = np.repeat(np.arange(n_val), np.diff(x_val.indptr))
 
     # the weights, then the bias
     w = np.zeros(dim + 1)
@@ -549,11 +545,9 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     # row bounds
     batch_pos = np.arange(n) % batch
     edges = [*range(0, n, batch), n]
-    val_rows = np.repeat(np.arange(n_val), np.diff(x_val.indptr))
 
     def val_probs(w):
-        z = np.bincount(val_rows, x_val.data * w[x_val.indices], minlength=n_val)
-        return sigmoid(z + w[dim])
+        return sigmoid(np.bincount(val_rows, w.take(x_val.codes), minlength=n_val))
 
     # a step too large for the data overflows to non-finite weights, which
     # the check after the loop reports, without numpy's warnings
@@ -600,7 +594,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
 
     metrics: dict[str, float] = {}
     if n_val > 0:
-        p_val = np.clip(val_probs(w), PROB_EPS, 1.0 - PROB_EPS)
+        p_val = val_probs(w)
         pred = (p_val >= 0.5).astype(int)
         yv = y_val.astype(int)
         metrics["val_loss"] = _log_loss(p_val, y_val)

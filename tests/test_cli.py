@@ -1018,7 +1018,8 @@ START_WORD_CORPUS = (
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("stage", ["train", "selftrain"])
 def test_training_that_diverges_is_exit_1(tmp_path, capsys, stage):
-    # weights that are not finite are a config error, and no model is written
+    # a learning rate too large for the data is a config error, and no
+    # model is written
     write_tiny_corpus(tmp_path)
     cfg = write_config(tmp_path, training={"learning_rate": 1e300, "batch_size": 1})
     assert main(["bootstrap", "--config", str(cfg)]) == 0
@@ -1027,15 +1028,27 @@ def test_training_that_diverges_is_exit_1(tmp_path, capsys, stage):
     assert sorted(p.name for p in (tmp_path / "models").iterdir()) == ["seeds.tsv"]
 
 
+def decay_error(product):
+    """The config error of a learning_rate * l2 of 1 or more."""
+    return (
+        f"config error: training.learning_rate * training.l2 is {product}, so the weight "
+        "decay 1 - learning_rate * l2 is not above 0; lower training.learning_rate or training.l2\n"
+    )
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [{"LEARNING_RATE": "1e300"}, {"L2": "1e6"},
-     {"LEARNING_RATE": "1e300", "BATCH_SIZE": "64"}],
+    "overrides, error",
+    [({"LEARNING_RATE": "1e308", "L2": "0"},
+      "config error: training diverged to non-finite weights; "
+      "lower training.learning_rate or training.l2\n"),
+     ({"L2": "1e6"}, decay_error("500000")),
+     ({"LEARNING_RATE": "1e300", "BATCH_SIZE": "64"}, decay_error("1e+295"))],
     ids=["learning_rate", "l2", "learning_rate_batch_64"],
 )
-def test_training_that_diverges_prints_only_the_error(tmp_path, overrides):
+def test_training_that_diverges_prints_only_the_error(tmp_path, overrides, error):
     # a fresh process, as a user runs it: numpy's overflow warnings, with
-    # their source lines, stay off stderr, and no model is written
+    # their source lines, stay off stderr, and no model is written; a
+    # decay of 0 or below is refused before any step
     cfg = write_config(tmp_path, training={"batch_size": 1})
     assert main(["synth", "--out", str(tmp_path / "corpus.txt"), "--count", "50"]) == 0
     assert main(["bootstrap", "--config", str(cfg)]) == 0
@@ -1046,11 +1059,31 @@ def test_training_that_diverges_prints_only_the_error(tmp_path, overrides):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 1
-    assert proc.stderr == (
-        "config error: training diverged to non-finite weights; "
-        "lower training.learning_rate or training.l2\n"
-    )
+    assert proc.stderr == error
     assert sorted(p.name for p in (tmp_path / "models").iterdir()) == ["seeds.tsv"]
+
+
+def test_weight_decay_of_zero_is_exit_1(pipeline, tmp_path, capsys):
+    # a learning_rate * l2 of exactly 1 zeroes every weight at each step:
+    # each training stage refuses it and writes no model; just below 1
+    # trains
+    root, _ = pipeline
+    shutil.copy(root / "corpus.txt", tmp_path)
+    (tmp_path / "models").mkdir()
+    for name in ("seeds.tsv", "self_inside.tsv", "self_outside.tsv"):
+        shutil.copy(root / "models" / name, tmp_path / "models")
+
+    def config(l2):
+        seeds = {"casing_augmentation": True}
+        return str(write_config(tmp_path, seeds=seeds, training={"learning_rate": 0.5, "l2": l2}))
+
+    for stage in ("train", "selftrain", "cotrain"):
+        assert main([stage, "--config", config(2.0)]) == 1
+        assert capsys.readouterr().err == decay_error("1")
+        assert len(list((tmp_path / "models").iterdir())) == 3
+    below = float(np.nextafter(2.0, 0))
+    assert main(["train", "--config", config(below)]) == 0
+    assert load_model(tmp_path / "models" / "inside_seed.json").meta.l2 == below
 
 
 def test_batch_size_past_a_machine_integer_trains(tmp_path):

@@ -31,7 +31,6 @@ from bootparse.scorer import (
     EOS,
     PROB_EPS,
     CodeRows,
-    CsrRows,
     FeatureSpace,
     SpanScorer,
     Thresholds,
@@ -149,39 +148,46 @@ def featurize(sentence, span, view):
     return feats
 
 
+def occurrences(sentence, span, view):
+    """A span's feature names in the order of its training row, a name
+    once per occurrence: unigrams and bigrams in token order, then the
+    rest of featurize's inside features, then its outside ones."""
+    names = []
+    if view != OUTSIDE:
+        toks = sentence.tokens[span.i : span.j + 1]
+        names += [f"u={tok}" for tok in toks] + [f"b={a}|{b}" for a, b in zip(toks, toks[1:])]
+        names += [k for k in featurize(sentence, span, INSIDE) if not k.startswith(("u=", "b="))]
+    if view != INSIDE:
+        names += list(featurize(sentence, span, OUTSIDE))
+    return names
+
+
 class DictFeatureSpace:
-    """Maps feature dicts to columns: numbered in order of first
+    """Maps rows of feature names to columns: numbered in order of first
     occurrence, unseen features dropped."""
 
     def __init__(self, names=()):
         self.names = list(names)
         self.index = {name: k for k, name in enumerate(self.names)}
 
-    def fit(self, feature_dicts):
-        for feats in feature_dicts:
-            for name in feats:
+    def fit(self, rows):
+        for row in rows:
+            for name in row:
                 if name not in self.index:
                     self.index[name] = len(self.names)
                     self.names.append(name)
         return self
 
-    def transform(self, feature_dicts):
-        """The rows as CSR arrays, columns sorted within each row."""
-        data, indices, indptr = [], [], [0]
-        for feats in feature_dicts:
-            cols = {}
-            for name, value in feats.items():
-                col = self.index.get(name)
-                if col is not None:
-                    cols[col] = cols.get(col, 0.0) + value
-            for col in sorted(cols):
-                indices.append(col)
-                data.append(cols[col])
-            indptr.append(len(indices))
-        return CsrRows(
-            np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64), (len(indptr) - 1, len(self.names)),
-        )
+    def transform(self, rows):
+        """Rows of names, a name once per occurrence, as CodeRows of
+        columns, one row at a time: each known name's column in the
+        row's order, then the bias column, len(names)."""
+        cols, indptr = [], [0]
+        for row in rows:
+            cols += [self.index[name] for name in row if name in self.index]
+            cols.append(len(self.names))
+            indptr.append(len(cols))
+        return CodeRows(np.array(cols, dtype=np.int64), np.array(indptr, dtype=np.int64))
 
 
 def test_inside_string_and_outside_triple():
@@ -239,10 +245,10 @@ def test_concat_features_union():
     assert "u=a" in feats and "left=<s>" in feats
 
 
-def dense(rows):
-    """CSR arrays as a dense matrix."""
-    matrix = np.zeros(rows.shape)
-    matrix[np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)), rows.indices] = rows.data
+def dense(rows, width):
+    """Rows of columns as a dense matrix of counts, width columns wide."""
+    matrix = np.zeros((rows.shape[0], width))
+    np.add.at(matrix, (np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)), rows.codes), 1.0)
     return matrix
 
 
@@ -259,8 +265,14 @@ def test_feature_space_vocab():
     # columns by first occurrence over the rows, repeats counted
     space = FeatureSpace().fit(code_rows(["u=a", "len=2"], ["u=b", "u=b", "u=a"]))
     assert space.names == ["u=a", "len=2", "u=b"]
-    m = dense(space.transform(code_rows(["u=b", "u=unseen", "u=b"], [], ["len=2"])))
-    assert m.tolist() == [[0.0, 0.0, 2.0], [0.0] * 3, [0.0, 1.0, 0.0]]
+    # each occurrence's column, in row order, then the bias column 3;
+    # unseen codes dropped, also from a row that holds nothing else
+    rows = space.transform(
+        code_rows(["u=b", "u=unseen", "u=b"], [], ["len=2", "u=a"], ["b=un|seen", "u=unseen"])
+    )
+    assert rows.shape == (4,)
+    assert rows.codes.tolist() == [2, 2, 3, 3, 1, 0, 3, 3]
+    assert rows.indptr.tolist() == [0, 3, 4, 7, 8]
     # only an empty space is fit
     with pytest.raises(ValueError):
         space.fit(code_rows(["u=c", "u=a"]))
@@ -268,7 +280,7 @@ def test_feature_space_vocab():
     # the two codes of one name, bigrams (a|b, c) and (a, b|c), share a column
     space = FeatureSpace().fit(code_rows(["u=a"], ["b=a|b|c"]))
     assert space.names == ["u=a", "b=a|b|c"]
-    assert dense(space.transform(code_rows(["b=a|b|c"]))).tolist() == [[0.0, 2.0]]
+    assert space.transform(code_rows(["b=a|b|c"])).codes.tolist() == [1, 1, 2]
 
 
 def test_fit_drops_an_index_built_before_it():
@@ -592,9 +604,10 @@ PARITY_VOCAB = ["a", "b", "c", "a|b", "b|c", "|", "=", "x=y", BOS, EOS]
 
 
 def reference_scores(model, sentence, spans):
-    """The per-span path: featurize -> feature row -> dot product."""
-    feats = [featurize(sentence, sp, model.view) for sp in spans]
-    z = dense(DictFeatureSpace(model.space.names).transform(feats)) @ model.weights + model.bias
+    """The per-span path: feature names -> feature row -> dot product."""
+    rows = [occurrences(sentence, sp, model.view) for sp in spans]
+    x = dense(DictFeatureSpace(model.space.names).transform(rows), model.space.dim + 1)
+    z = x @ np.append(model.weights, model.bias)
     return np.clip(expit(z), PROB_EPS, 1.0 - PROB_EPS)
 
 
@@ -1005,24 +1018,34 @@ def test_example_rows_match_feature_dicts(view):
     corpus, train_ex, val_ex = parity_examples(view)
     by_id = {s.id: s for s in corpus}
 
-    def dicts(examples):
-        return [featurize(by_id[ex.sentence_id], ex.span, view) for ex in examples]
+    def names(examples):
+        return [occurrences(by_id[ex.sentence_id], ex.span, view) for ex in examples]
 
-    reference = DictFeatureSpace().fit(dicts(train_ex))
+    reference = DictFeatureSpace().fit(names(train_ex))
     train_rows = example_rows(train_ex, by_id, view)
     space = FeatureSpace().fit(train_rows)
     assert space.names == reference.names
-    assert any(name not in reference.index for feats in dicts(val_ex) for name in feats)
-    for examples, rows in ((train_ex, train_rows), (val_ex, example_rows(val_ex, by_id, view))):
+    assert any(name not in reference.index for row in names(val_ex) for name in row)
+    # the validation rows, then one whose codes are all unseen
+    unseen = ["u=never", "b=never|seen", "left=never", "lr=never|seen"]
+    assert not set(unseen) & set(space.names)
+    val_rows, last = example_rows(val_ex, by_id, view), code_rows(unseen)
+    val_rows = CodeRows(
+        np.concatenate((val_rows.codes, last.codes)),
+        np.append(val_rows.indptr, val_rows.indptr[-1] + len(last.codes)),
+    )
+    for rows, want in ((train_rows, names(train_ex)), (val_rows, names(val_ex) + [unseen])):
         got = space.transform(rows)
-        want = reference.transform(dicts(examples))
+        want = reference.transform(want)
         assert got.shape == want.shape
-        assert np.array_equal(got.data, want.data)
-        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.codes, want.codes)
         assert np.array_equal(got.indptr, want.indptr)
     if view != OUTSIDE:
         assert featurize(Sentence(0, AMBIGUOUS), Span(0, 3), INSIDE)["b=a|b|c"] == 2.0
-        assert 2.0 in space.transform(train_rows).data
+        # the two codes of b=a|b|c in one row read its column twice
+        rows = space.transform(train_rows)
+        k = space.names.index("b=a|b|c")
+        assert 2 in {np.count_nonzero(row == k) for row in np.split(rows.codes, rows.indptr[1:-1])}
 
 
 def test_example_rows_reject_span_beyond_sentence():
@@ -1182,25 +1205,11 @@ def test_training_and_scores_unchanged_when_token_ids_shift(monkeypatch, view):
 # --- minibatch SGD against a per-row loop ---
 
 
-def occurrences(sentence, span, view):
-    """A span's feature names in the order of its training row, a name
-    once per occurrence: unigrams and bigrams in token order, then the
-    rest of featurize's inside features, then its outside ones."""
-    names = []
-    if view != OUTSIDE:
-        toks = sentence.tokens[span.i : span.j + 1]
-        names += [f"u={tok}" for tok in toks] + [f"b={a}|{b}" for a, b in zip(toks, toks[1:])]
-        names += [k for k in featurize(sentence, span, INSIDE) if not k.startswith(("u=", "b="))]
-    if view != INSIDE:
-        names += list(featurize(sentence, span, OUTSIDE))
-    return names
-
-
 def reference_split(examples, corpus, view, meta):
     """train()'s shuffle and split: its rng after the split, the feature
     space of the training rows, each training row as the columns of its
-    feature occurrences, the validation rows as CSR counts, and the
-    labels of both."""
+    feature occurrences, the validation rows as CodeRows of columns, the
+    bias's last, and the labels of both."""
     by_id = {s.id: s for s in corpus}
     rng = np.random.default_rng(meta.rng_seed)
     perm = rng.permutation(len(examples))
@@ -1215,19 +1224,19 @@ def reference_split(examples, corpus, view, meta):
     val_rows, y_val = build(val_idx)
     space = DictFeatureSpace().fit(train_rows)
     train_cols = [[space.index[name] for name in row] for row in train_rows]
-    x_val = space.transform([Counter(row) for row in val_rows])
+    x_val = space.transform(val_rows)
     return rng, space, train_cols, x_val, y_train, y_val
 
 
-def reference_val_loss(x_val, y_val, w, b):
-    """The validation log loss, each row's counts times weights summed in
-    column order, then the bias."""
+def reference_val_loss(x_val, y_val, w):
+    """The validation log loss, each row's logit the weights of its
+    columns summed in row order, the bias last; w ends with the bias."""
     z = []
     for k in range(x_val.shape[0]):
         logit = 0.0
-        for at in range(x_val.indptr[k], x_val.indptr[k + 1]):
-            logit += x_val.data[at] * w[x_val.indices[at]]
-        z.append(logit + b)
+        for col in x_val.codes[x_val.indptr[k] : x_val.indptr[k + 1]]:
+            logit += w[col]
+        z.append(logit)
     p_val = np.clip(expit(np.array(z)), PROB_EPS, 1.0 - PROB_EPS)
     return float(-np.mean(y_val * np.log(p_val) + (1.0 - y_val) * np.log(1.0 - p_val)))
 
@@ -1273,7 +1282,7 @@ def reference_train(examples, corpus, view, meta):
             w -= g
         if n_val == 0:
             continue
-        val_loss = reference_val_loss(x_val, y_val, w, w[dim])
+        val_loss = reference_val_loss(x_val, y_val, w)
         if val_loss < best[0]:
             best = (val_loss, w.copy())
             stale = 0
@@ -1310,7 +1319,7 @@ def old_rule_train(examples, corpus, view, meta):
             b -= meta.learning_rate * float(np.mean(resid))
         if n_val == 0:
             continue
-        val_loss = reference_val_loss(x_val, y_val, w, b)
+        val_loss = reference_val_loss(x_val, y_val, np.append(w, b))
         if val_loss < best[0]:
             best = (val_loss, w.copy(), b)
             stale = 0
@@ -1375,6 +1384,33 @@ def test_train_matches_sparse_minibatch_loop_without_validation(view, batch_size
     assert model.bias == b
 
 
+@pytest.mark.parametrize("view", [INSIDE, OUTSIDE, CONCAT])
+def test_val_loss_matches_row_order_loss(view):
+    # tolerance 0: the loss of the trained weights and bias over the
+    # validation rows, summed in row order with the bias last, where
+    # some validation rows hold features that no training row holds
+    rng = np.random.default_rng(4)
+    corpus = [Sentence(k, random_tokens(rng, PARITY_VOCAB, rng.integers(2, 12))) for k in range(80)]
+    label = [CONSTITUENT, DISTITUENT]
+    spans = [Span(*sorted(rng.integers(0, len(s), 2).tolist())) for s in corpus]
+    examples = [
+        LabeledSpanExample(s.id, sp, label[k % 2], view)
+        for k, (s, sp) in enumerate(zip(corpus, spans))
+    ]
+    meta = TrainingMeta(batch_size=8, rng_seed=3)
+    model = train(examples, corpus, view, meta)
+    _, space, _, x_val, _, y_val = reference_split(examples, corpus, view, meta)
+    assert model.space.names == space.names
+    by_id = {s.id: s for s in corpus}
+    assert any(
+        name not in space.index
+        for ex in examples
+        for name in occurrences(by_id[ex.sentence_id], ex.span, view)
+    )
+    want = reference_val_loss(x_val, y_val, np.append(model.weights, model.bias))
+    assert model.val_metrics["val_loss"] == want
+
+
 @pytest.mark.parametrize("view", [INSIDE, OUTSIDE])
 def test_train_matches_sparse_minibatch_loop_when_exp_overflows(view):
     # a large learning rate drives logits below -709.78, where exp(-z)
@@ -1394,11 +1430,15 @@ def test_train_matches_sparse_minibatch_loop_when_exp_overflows(view):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-@pytest.mark.parametrize("overrides", [{"learning_rate": 1e300}, {"l2": 1e6}])
+@pytest.mark.parametrize("overrides", [{"learning_rate": 1e308, "l2": 0}, {"l2": 1e6}])
 def test_train_that_diverges_is_a_config_error(overrides):
+    # a step too large for the data overflows the weights; a decay
+    # 1 - learning_rate * l2 of 0 or below is refused before any step
     corpus, examples = repetitive_examples(INSIDE, 150)
     meta = TrainingMeta(batch_size=1, **overrides)
-    with pytest.raises(ConfigError, match=r"training\.learning_rate or training\.l2"):
+    why = "diverged to non-finite weights" if meta.l2 == 0 else r"\* training\.l2 is 500000,"
+    end = r".*; lower training\.learning_rate or training\.l2$"
+    with pytest.raises(ConfigError, match=why + end):
         train(examples, corpus, INSIDE, meta)
 
 
