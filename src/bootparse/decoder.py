@@ -3,7 +3,9 @@
 The decoder picks the binary tree whose spans maximize the sum of chart
 scores.  ``cyk_decode_stack`` decodes a stack of charts of one length
 into span codes in one fill, as parse does one treebank.length_fills
-fill at a time; ``cyk_decode`` decodes one chart as a stack of one.
+fill at a time, reading the halves of every split as strided views of
+the chart and caching nothing; ``cyk_decode`` decodes one chart as a
+stack of one.
 A span's code is its chart cell, i * n + j for the span (i, j) of an
 n-token chart, in the fill, scoring, parse's writer and evaluation.
 ``enumerate_trees`` provides the brute-force reference used to test the
@@ -13,7 +15,6 @@ accordingly.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -57,31 +58,6 @@ def _placeholder_sentence(n: int) -> Sentence:
     return Sentence(id=-1, tokens=tuple(f"w{k}" for k in range(n)))
 
 
-@functools.lru_cache(maxsize=256)
-def _fill_plan(n: int) -> tuple:
-    """Flat chart offsets for filling span lengths 2..n of an n-token chart.
-
-    For span length L, row r holds the cell (r, r + L - 1) at flat index
-    base[r] + L - 1, with base[r] = r * n + r the cell (r, r), so the
-    cells of one length are the slice cells.  The split of row r after
-    token r + k reads best(r, r + k) at base[r] + left[k] and
-    best(r + k + 1, r + L - 1) at base[r] + right[k].  Only these O(n)
-    offsets are kept per length, about n^2 ints per chart size in all;
-    they are broadcast against the row bases on each call.
-    """
-    idx = np.arange(n)
-    base = idx * n + idx
-    plan = []
-    for length in range(2, n + 1):
-        rows = n - length + 1
-        left = idx[: length - 1]
-        entry = (base[:rows, None], left, (left + 1) * n + length - 1, idx[:rows, None])
-        for arr in entry:
-            arr.setflags(write=False)
-        plan.append((*entry, slice(length - 1, length - 1 + rows * (n + 1), n + 1)))
-    return tuple(plan)
-
-
 def cyk_decode(chart: ScoreChart, sentence: Sentence | None = None) -> BinaryTree:
     """Best binary tree under the span-score sum, ties to the smallest split.
 
@@ -104,11 +80,13 @@ def cyk_decode_stack(charts: np.ndarray) -> list[list[int]]:
     """The best tree of every chart of a (B, n, n) stack, in one fill, as
     the split_codes of its spans of two or more tokens, in pre-order.
 
-    Each step of the fill takes one span length of all B charts at once.
-    Each cell still takes the same two additions, best(i, k) +
-    best(k+1, j) and then s(i, j) + that candidate, and argmax keeps the
-    first (smallest k) of tied candidates, so each chart and tree are
-    those of a cell-by-cell loop over that chart alone.
+    Each step of the fill takes one span length of all B charts at once,
+    with best(i, k) and best(k+1, j) for every span and split as two
+    strided views of best, which numpy checks against its buffer.  Each
+    cell still takes the same two additions, best(i, k) + best(k+1, j)
+    and then s(i, j) + that candidate, and argmax keeps the first
+    (smallest k) of tied candidates, so each chart and tree are those of
+    a cell-by-cell loop over that chart alone.
     """
     count, n, _ = charts.shape
     # one row per chart cell, one column per chart; cells of length >= 2
@@ -117,13 +95,20 @@ def cyk_decode_stack(charts: np.ndarray) -> list[list[int]]:
     if not np.all(np.isfinite(best)):
         raise ValueError("chart contains non-finite scores")
     split = np.zeros((n * n, count), dtype=np.intp)
-    for base, left, right, rows, cells in _fill_plan(n):
-        cand = best.take(base + left, axis=0)
-        cand += best.take(base + right, axis=0)
-        split[cells] = rows + cand.argmax(axis=1)
+    row, col = best.strides
+    step = (n + 1) * row  # from the cell (i, j) to the cell (i + 1, j + 1)
+    for length in range(2, n + 1):
+        # [i, k] views best(i, i + k) and best(i + k + 1, i + length - 1),
+        # the halves of the span (i, i + length - 1) split after token i + k
+        shape = (n - length + 1, length - 1, count)
+        left = np.ndarray(shape, float, best, 0, (step, row, col))
+        right = np.ndarray(shape, float, best, (n + length - 1) * row, (step, n * row, col))
+        cand = left + right
+        cells = slice(length - 1, length - 1 + shape[0] * (n + 1), n + 1)
+        split[cells] = cand.argmax(axis=1)
         best[cells] += cand.max(axis=1)
-    # span (i, j) splits after picks[i * n + j]
-    return [split_codes(n, lambda i, j: picks[i * n + j]) for picks in split.T.tolist()]
+    # span (i, j) splits after token i + picks[i * n + j]
+    return [split_codes(n, lambda i, j: i + picks[i * n + j]) for picks in split.T.tolist()]
 
 
 def split_codes(n: int, pick) -> list[int]:

@@ -285,22 +285,20 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
     if missing:
         raise ValueError(f"examples reference unknown sentences {missing[:5]}")
     sents = [by_id[key] for key in ids]
-    beyond = np.flatnonzero(j >= np.array([len(sent) for sent in sents])[slot])
+    lengths = np.array([len(sent) for sent in sents])
+    beyond = np.flatnonzero(j >= lengths[slot])
     if len(beyond):
         k = beyond[0]
         raise ValueError(f"span {Span(int(i[k]), int(j[k]))} outside sentence {sents[slot[k]].id}")
     i, j = i.astype(np.intp), j.astype(np.intp)
 
-    # the tables of each fill side by side, one sentence's columns after
-    # another's: sentence slot's start at offsets[slot]
-    offsets = np.empty(len(sents), dtype=np.intp)
-    tables, width = [], 0
+    # one table, the columns of sentence slot from offsets[slot] on
+    offsets = np.cumsum(lengths) - lengths
+    table = np.empty((_AFTER + 1, lengths.sum()), dtype=np.int64)
     for n, fill in length_fills(sents):
+        columns = (offsets[fill, None] + np.arange(n)).ravel()
         stacked = featurize([sents[s].tokens for s in fill])
-        tables.append(stacked.transpose(1, 0, 2).reshape(_AFTER + 1, -1))
-        offsets[fill] = width + n * np.arange(len(fill))
-        width += n * len(fill)
-    table = np.concatenate(tables, axis=1)
+        table[:, columns] = stacked.transpose(1, 0, 2).reshape(_AFTER + 1, -1)
     offsets = offsets[slot]
     first, last = offsets + i, offsets + j
     one = np.ones_like(i)

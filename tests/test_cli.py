@@ -730,6 +730,7 @@ def pipeline(tmp_path_factory):
         "training": {"epochs": 30, "l2": 1e-6},
     }
     cfg = write_config(root, **profile)
+    written = cfg.read_text()
     steps = [
         ["synth", "--out", str(root / "corpus.txt"),
          "--gold", str(root / "gold.txt"), "--count", "500"],
@@ -740,7 +741,10 @@ def pipeline(tmp_path_factory):
     ]
     for argv in steps:
         assert main(argv) == 0, argv
-    return root, cfg
+    yield root, cfg
+    # the shared config still holds the profile: a test that needs its
+    # own config writes it elsewhere
+    assert cfg.read_text() == written
 
 
 def test_pipeline_artifacts_exist(pipeline):
@@ -877,14 +881,14 @@ def test_parse_by_length_group_matches_one_by_one(
     # (from 100 one-token charts to one chart of 10 tokens or more),
     # written in input order, are those of decoding each sentence alone.
     monkeypatch.setattr(treebank, "FILL_CELLS", cells)
-    root, _ = pipeline
+    root, pipeline_cfg = pipeline
     rng = np.random.default_rng(3)
     lines = (root / "corpus.txt").read_text().splitlines()[:150]
     lines += ["alice", "the", "alice", "bob"] + lines[:20] + lines[5:8]
     lines = [lines[k] for k in rng.permutation(len(lines))]
     assert len({len(line.split()) for line in lines[:40]}) > 5
     (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
-    raw = json.loads(write_config(root).read_text())
+    raw = json.loads(pipeline_cfg.read_text())
     raw.update(renormalize=renormalize, heuristics={"enabled": heuristics})
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(raw))

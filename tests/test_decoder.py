@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bootparse import decoder
 from bootparse.decoder import (
     HeuristicConfig,
     ScoreChart,
@@ -21,6 +22,23 @@ from bootparse.treebank import Sentence, Span
 def chart_from(array) -> ScoreChart:
     cells = np.asarray(array, dtype=float)
     return ScoreChart(n=cells.shape[0], cells=cells)
+
+
+@pytest.fixture(autouse=True)
+def bounded_picks(monkeypatch):
+    """Make the decoder's tree walk fail on a split outside its span: the
+    walk would never end on one, so in these tests a wrong pick is an
+    assertion, not a hang."""
+
+    def checked_split_codes(n, pick):
+        def checked(i, j):
+            k = pick(i, j)
+            assert i <= k < j, f"span ({i}, {j}) split after token {k}"
+            return k
+
+        return split_codes(n, checked)
+
+    monkeypatch.setattr(decoder, "split_codes", checked_split_codes)
 
 
 def test_catalan_counts():
@@ -357,6 +375,13 @@ def test_cyk_stack_matches_loop_reference(n, count):
             [rng.normal(size=(n, n)), np.ones((n, n)), np.zeros((n, n))][b % 3]
             for b in range(count)
         ]),
+        # different random and 0/1 charts in turn: each split's halves are
+        # strided views of the whole stack's cells, so a view one row off
+        # reads a neighbouring cell
+        np.stack([
+            rng.normal(size=(n, n)) if b % 2 else rng.integers(0, 2, size=(n, n)).astype(float)
+            for b in range(count)
+        ]),
     ]
     for charts in stacks:
         trees = cyk_decode_stack(charts)
@@ -366,6 +391,13 @@ def test_cyk_stack_matches_loop_reference(n, count):
             assert codes == _codes_in_split_order(_cyk_loop_reference(cells), n)
             spans = cyk_decode(chart_from(cells)).spans - {Span(0, 0)}
             assert sorted(codes) == sorted(sp.i * n + sp.j for sp in spans)
+
+
+def test_decoder_caches_nothing_per_length():
+    # the fill views the chart in place: no table grows with the number
+    # of distinct sentence lengths decoded
+    cached = [name for name, value in vars(decoder).items() if hasattr(value, "cache_info")]
+    assert cached == []
 
 
 def test_cyk_stack_checks_its_input():
