@@ -29,6 +29,7 @@ from .errors import (
     ExternalScorerError,
     LengthMismatch,
     MalformedFile,
+    PoolExhaustedWarning,
     YieldMismatch,
     check_number,
     json_value,
@@ -605,7 +606,10 @@ def main(argv=None) -> int:
         return 1
     formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
-        code = args.fn(args)
+        with warnings.catch_warnings():
+            # every short pool prints, the same one again too; -W still wins
+            warnings.filterwarnings("always", category=PoolExhaustedWarning, append=True)
+            code = args.fn(args)
         # flushed here, so a closed stdout is handled below, not at exit
         sys.stdout.flush()
         return code

@@ -116,7 +116,8 @@ def split_codes(n: int, pick) -> list[int]:
     the binary tree that splits each span after token pick(i, j).
 
     Spans are visited in pre-order, left subtree first, so a pick that
-    draws random numbers draws them in a fixed order.
+    draws random numbers draws them in a fixed order.  A pick outside
+    [i, j), on which the walk would never end, is a ValueError.
     """
     codes = []
     stack = [(0, n - 1)] if n > 1 else []
@@ -124,6 +125,8 @@ def split_codes(n: int, pick) -> list[int]:
         i, j = stack.pop()
         codes.append(i * n + j)
         k = pick(i, j)
+        if not i <= k < j:
+            raise ValueError(f"span ({i}, {j}) split after token {k}, outside it")
         if k + 1 < j:
             stack.append((k + 1, j))
         if k > i:

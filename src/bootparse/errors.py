@@ -137,7 +137,3 @@ def check_bool(name: str, value) -> None:
 
 class PoolExhaustedWarning(UserWarning):
     """A confidence pool held fewer spans than were requested from it."""
-
-
-class UndefinedMccWarning(UserWarning):
-    """A confusion-matrix marginal is zero; MCC is reported as 0."""

@@ -34,20 +34,14 @@ from .trace import IterationRecord, LoopTrace
 
 @dataclass(frozen=True)
 class LoopResult:
-    """Models, per-iteration trace, and the final labeled sets.
-
-    Unpacks as (m_in, m_out, trace); the labeled sets ride along so a
-    later co-training stage can pick up where this loop stopped.
-    """
+    """Models, per-iteration trace, and the final labeled sets, from which
+    a later co-training stage picks up where this loop stopped."""
 
     m_in: object
     m_out: object
     trace: LoopTrace
     inside_examples: LabeledSet
     outside_examples: LabeledSet
-
-    def __iter__(self):
-        return iter((self.m_in, self.m_out, self.trace))
 
 
 def _loop_sentences(unlabeled, lookup, cfg: LoopConfig, loop: str):

@@ -17,21 +17,21 @@ tables it reads.  Each train call gathers the rows of its examples
 from those tables once, in its shuffled order (example_rows, where an
 example meets its sentence), keeps none of them, and numbers the
 columns by the names of the codes (FeatureSpace), so the columns, the
-saved names and the weights never depend on the ids.  A space is its
-names: a trained space and the same space read back by load_model build
-their code index from the names alike, on first use.  Its transform
-makes training and validation rows alike the columns of their feature
-occurrences, the bias a column of every row, and train runs each
-minibatch step and validation pass as a few numpy calls on them.
-Scoring builds no name: the
-model is linear over indicators, so one core (_group_scores) takes the
-stacked tables of a fill, looks each weight up by code once per token
-position, the pair's once per span, and sums them per span with numpy.
-confidence_pools scores each fill in one call and hands back the bounds
-of its confident spans, which harvest samples; score_spans, which
-parse's charts call, is a group of one.  The spans of a sentence length
-are index arrays, built once (_all_spans); a Span is built, as it is
-read, only for a model that reads Spans.
+saved names and the weights never depend on the ids.  A space is a
+value, its names: fit returns a new space, and a trained space and the
+same space read back by load_model build their code index from the
+names alike, on first use.  train transforms the rows of all its
+examples once, each row the columns of its feature occurrences and the
+bias's, splits the validation rows off, and runs each minibatch step
+and validation pass as a few numpy calls on them.  Scoring builds no
+name: the model is linear over indicators, so one core (_group_scores)
+takes the stacked tables of a fill, looks each weight up by code once
+per token position, the pair's once per span, and sums them per span
+with numpy.  confidence_pools scores each fill in one call and hands
+back the bounds of its confident spans, which harvest samples;
+score_spans, which parse's charts call, is a group of one.  The spans
+of a sentence length are index arrays, built once (_all_spans); a Span
+is built, as it is read, only for a model that reads Spans.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import (
     MalformedFile,
     PoolExhaustedWarning,
     SingleClassInput,
-    UndefinedMccWarning,
     check_int,
     json_value,
 )
@@ -323,24 +322,21 @@ def example_rows(examples, by_id, view: str) -> CodeRows:
     return _gather_rows(pieces)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpace:
     """Maps features to column indices.
 
     A space is its names: column k is names[k], and every code of that
-    name (_codes) reads column k.  fit, of an empty space only, names
-    each distinct code of its rows once, in order of first occurrence;
-    transform drops the features without a column.  Features with one
-    name share a column, so a space depends only on the names and order
-    of the rows it was fit on, never on token ids.  Fitted or loaded, a
-    space builds its code index from its names on first use, so it must
-    not change after it has read a code.
+    name (_codes) reads column k.  fit, of an empty space only, returns
+    the space that names each distinct code of its rows once, in order
+    of first occurrence; transform drops the features without a column.
+    Features with one name share a column, so a space depends only on
+    the names and order of the rows it was fit on, never on token ids.
+    Fitted or loaded, a space builds its code index from its names on
+    first use.
     """
 
     names: list[str] = field(default_factory=list)
-    # the names' codes, sorted, then a sentinel above every code, and the
-    # column of each (-1 for the sentinel); built by columns
-    _by_code: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -350,23 +346,29 @@ class FeatureSpace:
         if self.names:
             raise ValueError("only an empty feature space is fit")
         seen, first = np.unique(rows.codes, return_index=True)
-        self.names = list(dict.fromkeys(map(_name, seen[np.argsort(first)].tolist())))
-        # an index built while the space was empty names no column
-        self._by_code = None
-        return self
+        return FeatureSpace(list(dict.fromkeys(map(_name, seen[np.argsort(first)].tolist()))))
+
+    @functools.cached_property
+    def _by_code(self) -> tuple[np.ndarray, np.ndarray]:
+        """The names' codes, sorted, then a sentinel above every code, and
+        the column of each (-1 for the sentinel)."""
+        pairs = np.fromiter(
+            ((code, k) for k, name in enumerate(self.names) for code in _codes(name)),
+            dtype=np.dtype((np.int64, 2)),
+        ).reshape(-1, 2)
+        keys, at = np.unique(pairs[:, 0], return_index=True)
+        return np.append(keys, np.iinfo(np.int64).max), np.append(pairs[at, 1], -1)
 
     def columns(self, codes: np.ndarray) -> np.ndarray:
         """The column of each feature code, -1 for a code that is no column."""
-        if self._by_code is None:
-            pairs = np.fromiter(
-                ((code, k) for k, name in enumerate(self.names) for code in _codes(name)),
-                dtype=np.dtype((np.int64, 2)),
-            ).reshape(-1, 2)
-            keys, at = np.unique(pairs[:, 0], return_index=True)
-            self._by_code = (np.append(keys, np.iinfo(np.int64).max), np.append(pairs[at, 1], -1))
         keys, columns = self._by_code
+        # no more than two arrays of codes' size at once beside codes:
+        # train transforms all its rows in one call
         at = keys.searchsorted(codes)
-        return np.where(keys[at] == codes, columns[at], -1)
+        miss = keys[at] != codes
+        cols = columns[at]
+        cols[miss] = -1
+        return cols
 
     def transform(self, rows: CodeRows) -> CodeRows:
         """The rows as the SGD step reads them: each row's column of each
@@ -376,17 +378,15 @@ class FeatureSpace:
         dropped = np.flatnonzero(cols < 0)
         # each row bound less the entries dropped before it
         bounds = rows.indptr - dropped.searchsorted(rows.indptr)
-        cols = np.insert(np.delete(cols, dropped), bounds[1:], self.dim)
+        # a step at a time, so that each array is freed as the next is made
+        cols = np.delete(cols, dropped)
+        cols = np.insert(cols, bounds[1:], self.dim)
         return CodeRows(cols, bounds + np.arange(len(bounds)))
 
 
 @dataclass
 class SpanScorer:
-    """A trained logistic model over one view's features.
-
-    Scoring reads the space's code index, built on first use, so the
-    space must not change after a model has scored.
-    """
+    """A trained logistic model over one view's features."""
 
     view: str
     space: FeatureSpace
@@ -514,22 +514,21 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     n_val = len(labeled) // 5
     y_val, y_train = np.split(label[perm].astype(float), [n_val])
 
-    # the rows in shuffled order, the first n_val held out: both splits
-    # are views of one build, freed once both are transformed
+    # the rows in shuffled order, the first n_val held out: the space is
+    # fit on the others, and all are transformed at once
     by_id = {sent.id: sent for sent in corpus}
     rows = example_rows(LabeledSet(labeled.columns[:, perm]), by_id, view)
     cut = rows.indptr[n_val]
-    train_codes = CodeRows(rows.codes[cut:], rows.indptr[n_val:] - cut)
-    val_codes = CodeRows(rows.codes[:cut], rows.indptr[: n_val + 1])
-    del rows
-    space = FeatureSpace().fit(train_codes)
+    space = FeatureSpace().fit(CodeRows(rows.codes[cut:], rows.indptr[n_val:] - cut))
     dim = space.dim
     n = len(y_train)
-    x_train, x_val = space.transform(train_codes), space.transform(val_codes)
-    del train_codes, val_codes
-    cols, indptr = x_train.codes, x_train.indptr
-    # each validation entry's row, for the step's own forward pass
-    val_rows = np.repeat(np.arange(n_val), np.diff(x_val.indptr))
+    rows = space.transform(rows)
+    cols, indptr = rows.codes, rows.indptr[n_val:]
+    # the validation entries and each one's row, for the step's own
+    # forward pass
+    val_cols = cols[: indptr[0]]
+    val_rows = np.repeat(np.arange(n_val), np.diff(rows.indptr[: n_val + 1]))
+    del rows
 
     # the weights, then the bias
     w = np.zeros(dim + 1)
@@ -545,7 +544,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
     edges = [*range(0, n, batch), n]
 
     def val_probs(w):
-        return sigmoid(np.bincount(val_rows, w.take(x_val.codes), minlength=n_val))
+        return sigmoid(np.bincount(val_rows, w.take(val_cols), minlength=n_val))
 
     # a step too large for the data overflows to non-finite weights, which
     # the check after the loop reports, without numpy's warnings
@@ -600,9 +599,7 @@ def train(examples, corpus, view: str, meta: TrainingMeta | None = None) -> Span
         # 2 tp / (2 tp + fp + fn), the predicted and the true positives
         tp = int(np.sum((pred == 1) & (yv == 1)))
         metrics["val_f1"] = 2 * tp / int(pred.sum() + yv.sum()) if tp else 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UndefinedMccWarning)
-            metrics["val_mcc"] = compute_mcc(pred, yv)
+        metrics["val_mcc"] = compute_mcc(pred, yv)
 
     return SpanScorer(view, space, w[:dim], float(w[dim]), meta, len(labeled), metrics)
 
@@ -624,19 +621,15 @@ class _Spans:
         return map(Span, self.i.tolist(), self.j.tolist())
 
 
-def _all_spans(n: int, min_len: int = 2) -> _Spans:
-    """Spans of at least min_len tokens in row-major order (by i, then j).
-
-    Cached per length and minimum, one entry for all spellings of the
-    same minimum: the arrays are read-only, so every sentence of that
-    length can share them.
-    """
-    return _span_arrays(n, max(1, min_len))
-
-
 @functools.lru_cache(maxsize=256)
-def _span_arrays(n: int, min_len: int) -> _Spans:
-    i, j = np.triu_indices(n, min_len - 1)
+def _all_spans(n: int, min_len: int = 2) -> _Spans:
+    """Spans of at least min_len tokens, every span for a min_len below 1,
+    in row-major order (by i, then j).
+
+    Cached per call's arguments: the arrays are read-only, so every
+    sentence of that length can share them.
+    """
+    i, j = np.triu_indices(n, max(0, min_len - 1))
     spans = _Spans(i, j, i * n + j)
     for arr in (spans.i, spans.j, spans.codes):
         arr.setflags(write=False)
@@ -747,8 +740,7 @@ def select_confident(
 def compute_mcc(predictions, labels) -> float:
     """Matthews correlation of binary predictions against labels.
 
-    Returns 0 (with UndefinedMccWarning) when a marginal is zero and the
-    coefficient is undefined.
+    Returns 0 when a marginal is zero and the coefficient is undefined.
     """
     p = np.asarray(predictions)
     y = np.asarray(labels)
@@ -759,7 +751,6 @@ def compute_mcc(predictions, labels) -> float:
     )
     denom_sq = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
     if denom_sq == 0:
-        warnings.warn("MCC undefined: a marginal is zero", UndefinedMccWarning)
         return 0.0
     return (tp * tn - fp * fn) / float(np.sqrt(denom_sq))
 

@@ -1107,9 +1107,10 @@ def test_batch_size_past_a_machine_integer_trains(tmp_path):
 
 def test_warning_prints_as_one_line(tmp_path):
     # a fresh process, as a user runs it: the warning's category and
-    # message, without the source file and line of the install
+    # message, without the source file and line of the install, once for
+    # each of the K iterations' empty pools, the same line again too
     cfg = write_config(tmp_path, self_train={
-        "K": 1, "c": 0, "d": 50, "tau_min": 0.0, "accumulate": True,
+        "K": 2, "c": 0, "d": 50, "tau_min": 0.0, "accumulate": True,
     })
     assert main(["synth", "--out", str(tmp_path / "corpus.txt"), "--count", "50"]) == 0
     assert main(["bootstrap", "--config", str(cfg)]) == 0
@@ -1119,7 +1120,7 @@ def test_warning_prints_as_one_line(tmp_path):
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
-    assert proc.stderr == "PoolExhaustedWarning: distituent pool has 0 spans, wanted 50\n"
+    assert proc.stderr == "PoolExhaustedWarning: distituent pool has 0 spans, wanted 50\n" * 2
 
 
 def test_random_slices_stop_once_every_length_is_drawn(tmp_path):
@@ -1383,6 +1384,88 @@ def test_pipeline_is_unchanged_when_tokens_are_renamed(tmp_path, heuristics):
         assert json.dumps(models[1]) == json.dumps(models[0]), name
     pred = (runs[1] / "pred.txt").read_text()
     assert pred.replace("!", "") == (runs[0] / "pred.txt").read_text()
+
+
+# Runs the stages given as JSON in argv[1] through cli.main in its working
+# directory, after writing the numpy SIMD targets it dispatches to.
+_SIMD_CHILD = """
+import json, sys
+from pathlib import Path
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+from bootparse.cli import main
+targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+Path("simd.txt").write_text(" ".join(targets) or "baseline only")
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_pipeline_outputs_are_the_same_on_every_simd_path(tmp_path):
+    # numpy picks exp's SIMD path at import, and its AVX-512 exp differs
+    # from libm in the last bit, so model weights and val_loss may differ
+    # between machines; the seeds, every labeled set, pool and
+    # prediction may not.  One run with numpy's AVX-512 targets switched
+    # off in its process only; on a CPU without AVX-512 both runs take
+    # one path.
+    assert main(["synth", "--out", str(tmp_path / "corpus.txt"),
+                 "--gold", str(tmp_path / "gold.txt"), "--count", "300"]) == 0
+    stages = [
+        ["bootstrap", "--config", "config.json"],
+        ["train", "--config", "config.json"],
+        ["selftrain", "--config", "config.json"],
+        ["cotrain", "--config", "config.json"],
+        ["parse", "--config", "config.json", "--input", "corpus.txt", "--out", "pred.txt"],
+        ["eval", "--config", "config.json", "--pred", "pred.txt", "--baselines", "--oracle"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for disabled in (None, "AVX512_SPR AVX512_ICL X86_V4"):
+        root = tmp_path / f"run{len(runs)}"
+        root.mkdir()
+        for name in ("corpus.txt", "gold.txt"):
+            shutil.copy(tmp_path / name, root / name)
+        (root / "config.json").write_text(json.dumps({
+            "paths": {"corpus": "corpus.txt", "gold": "gold.txt",
+                      "model_dir": "models", "report_dir": "reports"},
+            "seeds": {"casing_augmentation": True},
+            "self_train": {"K": 2, "c": 0, "d": 200, "tau_min": 0.005, "tau_max": 0.9,
+                           "accumulate": True},
+            "co_train": {"K": 2, "c": 0, "d": 400, "tau_min": 0.1, "tau_max": 0.9},
+            "training": {"epochs": 30, "l2": 1e-6},
+            "heuristics": {"enabled": False},
+        }))
+        child_env = env if disabled is None else {**env, "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIMD_CHILD, json.dumps(stages)],
+            cwd=root, capture_output=True, text=True, timeout=120, env=child_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        print(f"NPY_DISABLE_CPU_FEATURES={disabled}: {(root / 'simd.txt').read_text()}")
+        runs.append((root, proc.stdout))
+    (first, first_out), (second, second_out) = runs
+    # every stage's stdout, the eval table among them
+    assert second_out == first_out
+    for name in ("pred.txt", "models/seeds.tsv", "models/self_inside.tsv",
+                 "models/self_outside.tsv", *sorted(
+                     str(path.relative_to(first)) for path in (first / "reports").iterdir())):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
+    for name in ("self_trace.jsonl", "co_trace.jsonl"):
+        traces = [
+            [{key: record[key] for key in ("inside_size", "outside_size", "pools", "selected")}
+             for record in map(json.loads, (root / "models" / name).read_text().splitlines())]
+            for root in (first, second)
+        ]
+        assert traces[1] == traces[0], name
+    for name in ("inside_seed.json", "self_in.json", "self_out.json", "co_in.json", "co_out.json"):
+        models = [json.loads((root / "models" / name).read_text()) for root in (first, second)]
+        assert models[1]["feature_space"] == models[0]["feature_space"], name
+        weights = [np.array([*model["weights"], model["bias"]]) for model in models]
+        assert np.abs(weights[1] - weights[0]).max() <= 1e-9, name
 
 
 def _break_model(payload: dict, case: str):

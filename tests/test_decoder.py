@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -391,6 +395,31 @@ def test_cyk_stack_matches_loop_reference(n, count):
             assert codes == _codes_in_split_order(_cyk_loop_reference(cells), n)
             spans = cyk_decode(chart_from(cells)).spans - {Span(0, 0)}
             assert sorted(codes) == sorted(sp.i * n + sp.j for sp in spans)
+
+
+def test_split_codes_refuses_a_pick_outside_the_span():
+    # a child process under a timeout and a 1 GiB address-space cap, so
+    # a walk that never ends fails here fast instead of growing without
+    # bound; bounded_picks patches only this process
+    child = "\n".join([
+        "import resource",
+        "from bootparse.decoder import split_codes",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+        "for pick in (lambda i, j: i - 1, lambda i, j: j):",
+        "    try:",
+        "        split_codes(6, pick)",
+        "    except ValueError as exc:",
+        "        print(exc)",
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "span (0, 5) split after token -1, outside it",
+        "span (0, 5) split after token 5, outside it",
+    ]
 
 
 def test_decoder_caches_nothing_per_length():

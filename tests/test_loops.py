@@ -155,19 +155,17 @@ def test_self_train_outside_derived_from_final_inside():
     assert trainer.calls[-1][0] == OUTSIDE
 
 
-def test_self_train_unpacks_as_triple():
+def test_self_train_returns_both_models_and_trace():
     corpus = tiny_corpus()
     seeds = [
         LabeledSpanExample(0, Span(0, 4), CONSTITUENT, INSIDE),
         LabeledSpanExample(0, Span(0, 3), DISTITUENT, INSIDE),
     ]
     trainer = scripted_trainer(whole_vs_pair)
-    m_in, m_out, trace = self_train(
-        seeds, corpus, SelfTrainConfig(K=1, c=2, d=2), trainer=trainer
-    )
-    assert m_in.view == INSIDE
-    assert m_out.view == OUTSIDE
-    assert isinstance(trace, LoopTrace)
+    result = self_train(seeds, corpus, SelfTrainConfig(K=1, c=2, d=2), trainer=trainer)
+    assert result.m_in.view == INSIDE
+    assert result.m_out.view == OUTSIDE
+    assert isinstance(result.trace, LoopTrace)
 
 
 def test_self_train_degenerate_config_raises():
