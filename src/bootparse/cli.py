@@ -44,7 +44,6 @@ SEED_FILE = "seeds.tsv"
 INSIDE_SEED_MODEL = "inside_seed.json"
 TRAIN_LOG = "train_log.json"
 SELF_IN_MODEL = "self_in.json"
-SELF_OUT_MODEL = "self_out.json"
 SELF_TRACE = "self_trace.jsonl"
 SELF_INSIDE_SET = "self_inside.tsv"
 SELF_OUTSIDE_SET = "self_outside.tsv"
@@ -153,6 +152,8 @@ def cmd_synth(args) -> int:
     grammar = (
         _grammar_from_file(args.grammar) if args.grammar else builtin_grammar()
     )
+    for path in filter(None, (args.out, args.gold)):
+        _output_dir(Path(path).parent)
     golds = generate_corpus(
         grammar,
         args.count,
@@ -178,8 +179,9 @@ def cmd_bootstrap(args) -> int:
 
     cfg = _load(args)
     corpus = _corpus(cfg)
+    out = Path(args.out) if args.out else Path(cfg.paths.model_dir) / SEED_FILE
+    _output_dir(out.parent)
     examples = generate_seeds(corpus, cfg.seeds)
-    out = Path(args.out) if args.out else _output_dir(cfg.paths.model_dir) / SEED_FILE
     write_seed_file(examples, out)
     print(f"wrote {len(examples)} seed examples to {out}")
     return 0
@@ -252,16 +254,9 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------- selftrain etc.
 
 
-def _save_loop(result, model_dir: Path, in_model, out_model, trace) -> None:
-    from .scorer import save_model
-
-    save_model(result.m_in, model_dir / in_model)
-    save_model(result.m_out, model_dir / out_model)
-    (model_dir / trace).write_text(result.trace.to_jsonl(), encoding="utf-8")
-
-
 def cmd_selftrain(args) -> int:
     from .loops import self_train
+    from .scorer import save_model
     from .seeds import INSIDE, write_seed_file
 
     cfg, corpus, carriers, model_dir = _training_inputs(args)
@@ -270,7 +265,8 @@ def cmd_selftrain(args) -> int:
     result = self_train(
         examples, corpus, cfg.self_train, lookup=carriers, meta=cfg.training
     )
-    _save_loop(result, model_dir, SELF_IN_MODEL, SELF_OUT_MODEL, SELF_TRACE)
+    save_model(result.m_in, model_dir / SELF_IN_MODEL)
+    (model_dir / SELF_TRACE).write_text(result.trace.to_jsonl(), encoding="utf-8")
     write_seed_file(result.inside_examples, model_dir / SELF_INSIDE_SET)
     write_seed_file(result.outside_examples, model_dir / SELF_OUTSIDE_SET)
     print(f"self-training done: K={cfg.self_train.K}, "
@@ -280,6 +276,7 @@ def cmd_selftrain(args) -> int:
 
 def cmd_cotrain(args) -> int:
     from .loops import co_train
+    from .scorer import save_model
     from .seeds import INSIDE, OUTSIDE
 
     cfg, corpus, carriers, model_dir = _training_inputs(args)
@@ -288,7 +285,9 @@ def cmd_cotrain(args) -> int:
     result = co_train(
         inside, outside, corpus, cfg.co_train, lookup=carriers, meta=cfg.training
     )
-    _save_loop(result, model_dir, CO_IN_MODEL, CO_OUT_MODEL, CO_TRACE)
+    save_model(result.m_in, model_dir / CO_IN_MODEL)
+    save_model(result.m_out, model_dir / CO_OUT_MODEL)
+    (model_dir / CO_TRACE).write_text(result.trace.to_jsonl(), encoding="utf-8")
     print(f"co-training done: K={cfg.co_train.K}, "
           f"|I|={len(result.inside_examples)}, "
           f"|O|={len(result.outside_examples)} -> {model_dir / CO_IN_MODEL}")
@@ -370,6 +369,7 @@ def cmd_parse(args) -> int:
             check_bracket_words(sentence.tokens, "token")
         except ValueError as exc:
             raise MalformedFile(f"{args.input}: sentence {sentence.id}: {exc}") from exc
+    _output_dir(Path(args.out).parent)
     heuristics = _heuristic_stats(cfg)
     scorer = _parse_scorer(cfg, args.stage, Path(cfg.paths.model_dir))
     lines = [""] * len(sentences)

@@ -4,9 +4,9 @@ Both loops alternate between training a classifier and harvesting
 confidently-scored spans from an unlabeled corpus as new pseudo-labels,
 through one step: _grow samples the confident extremes with
 scorer.harvest and adds the new examples to a labeled set.
-Self-training grows the inside view alone and derives the outside view
-once at the end; co-training passes confident spans back and forth
-between the views, accumulating both labeled sets.
+Self-training grows the inside view alone; co-training trains the first
+outside model on self-training's last set and passes confident spans
+back and forth between the views, accumulating both labeled sets.
 
 A labeled set is a LabeledSet, integer columns with no object per
 example, and LabeledSet.union adds new examples to it by comparing
@@ -34,11 +34,11 @@ from .trace import IterationRecord, LoopTrace
 
 @dataclass(frozen=True)
 class LoopResult:
-    """Models, per-iteration trace, and the final labeled sets, from which
-    a later co-training stage picks up where this loop stopped."""
+    """Models (self_train's m_out is None), trace and final labeled sets,
+    from which a co-training stage picks up where this loop stopped."""
 
     m_in: object
-    m_out: object
+    m_out: object | None
     trace: LoopTrace
     inside_examples: LabeledSet
     outside_examples: LabeledSet
@@ -93,9 +93,9 @@ def self_train(
     Each iteration trains on the current labeled set, harvests c
     confident constituents and d confident distituents from the corpus
     with the RNG stream (rng_seed, 1, iteration), and replaces the
-    labeled set with the harvest.  After the last
-    iteration the surviving examples are converted to the outside view
-    and the outside classifier is trained on them once.
+    labeled set with the harvest.  The last set is returned in both views,
+    and no outside model is trained on it (m_out is None): co_train trains
+    the first one.
 
     The replacement update means seed examples are gone after one
     iteration; a SelfTrainConfig with accumulate=True keeps them.  A
@@ -132,14 +132,12 @@ def self_train(
             )
         )
 
-    outside = current.in_view(OUTSIDE)
-    m_out = trainer(outside, sentences, OUTSIDE, meta)
     return LoopResult(
         m_in=m_in,
-        m_out=m_out,
+        m_out=None,
         trace=LoopTrace(records=tuple(records)),
         inside_examples=current,
-        outside_examples=outside,
+        outside_examples=current.in_view(OUTSIDE),
     )
 
 

@@ -747,16 +747,23 @@ def pipeline(tmp_path_factory):
     assert cfg.read_text() == written
 
 
-def test_pipeline_artifacts_exist(pipeline):
-    root, _ = pipeline
-    models = root / "models"
-    for name in (
-        "seeds.tsv", "inside_seed.json", "train_log.json",
-        "self_in.json", "self_out.json", "self_trace.jsonl",
-        "self_inside.tsv", "self_outside.tsv",
-        "co_in.json", "co_out.json", "co_trace.jsonl",
-    ):
-        assert (models / name).exists(), name
+def test_pipeline_artifacts_exist(pipeline, tmp_path, monkeypatch):
+    # exactly the files a later stage or the reader takes: a model that
+    # no stage reads would show here
+    root, cfg = pipeline
+    monkeypatch.setenv("BOOTPARSE_PATHS__REPORT_DIR", str(tmp_path / "reports"))
+    pred = tmp_path / "pred.txt"
+    assert main(["parse", "--config", str(cfg), "--input", str(root / "corpus.txt"),
+                 "--out", str(pred)]) == 0
+    assert main(["eval", "--config", str(cfg), "--pred", str(pred)]) == 0
+    assert sorted(path.name for path in (root / "models").iterdir()) == [
+        "co_in.json", "co_out.json", "co_trace.jsonl", "inside_seed.json",
+        "seeds.tsv", "self_in.json", "self_inside.tsv", "self_outside.tsv",
+        "self_trace.jsonl", "train_log.json",
+    ]
+    assert sorted(path.name for path in (tmp_path / "reports").iterdir()) == [
+        "length_buckets.tsv", "per_sentence.tsv", "report.json", "report.txt",
+    ]
 
 
 def test_parse_each_stage(pipeline):
@@ -1375,7 +1382,7 @@ def test_pipeline_is_unchanged_when_tokens_are_renamed(tmp_path, heuristics):
     for name in ("seeds.tsv", "self_inside.tsv", "self_outside.tsv",
                  "self_trace.jsonl", "co_trace.jsonl"):
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
-    for name in ("inside_seed.json", "self_in.json", "self_out.json", "co_in.json", "co_out.json"):
+    for name in ("inside_seed.json", "self_in.json", "co_in.json", "co_out.json"):
         models = [json.loads((folder / name).read_text()) for folder in (first, second)]
         names = [model["feature_space"].pop("names") for model in models]
         assert names[1] != names[0], name
@@ -1461,7 +1468,7 @@ def test_pipeline_outputs_are_the_same_on_every_simd_path(tmp_path):
             for root in (first, second)
         ]
         assert traces[1] == traces[0], name
-    for name in ("inside_seed.json", "self_in.json", "self_out.json", "co_in.json", "co_out.json"):
+    for name in ("inside_seed.json", "self_in.json", "co_in.json", "co_out.json"):
         models = [json.loads((root / "models" / name).read_text()) for root in (first, second)]
         assert models[1]["feature_space"] == models[0]["feature_space"], name
         weights = [np.array([*model["weights"], model["bias"]]) for model in models]
@@ -1827,25 +1834,53 @@ def test_parse_model_of_wrong_view_is_exit_2(pipeline, tmp_path, capsys, stage, 
 
 
 @pytest.mark.parametrize("where", ["file", "under_file"])
-@pytest.mark.parametrize("key", ["model_dir", "report_dir"])
+@pytest.mark.parametrize(
+    "key", ["model_dir", "report_dir", "synth_out", "synth_gold", "bootstrap_out", "parse_out"]
+)
 def test_output_dir_that_cannot_be_made_is_exit_1(pipeline, tmp_path, capsys, key, where):
+    # a config directory or the directory of an output file, checked
+    # before the stage does any work: parse loads no model, and synth
+    # writes neither file
     root, root_cfg = pipeline
     (tmp_path / "taken").write_text("a file\n")
     path = tmp_path / "taken" / ("sub" if where == "under_file" else "")
-    paths = {"corpus": str(root / "corpus.txt"), "gold": str(root / "gold.txt"),
-             key: str(path)}
+    out = str(path / "out.txt")
+    paths = {"corpus": str(root / "corpus.txt"), "gold": str(root / "gold.txt")}
+    if key.endswith("_dir"):
+        paths[key] = str(path)
     cfg = write_config(tmp_path, paths=paths)
     pred = tmp_path / "pred.txt"
-    if key == "model_dir":
-        argv = ["bootstrap", "--config", str(cfg)]
-    else:
+    if key == "report_dir":
         assert main(["parse", "--config", str(root_cfg), "--input",
                      str(root / "corpus.txt"), "--out", str(pred), "--stage", "seed"]) == 0
-        argv = ["eval", "--config", str(cfg), "--pred", str(pred)]
+    argv = {
+        "model_dir": ["bootstrap", "--config", str(cfg)],
+        "report_dir": ["eval", "--config", str(cfg), "--pred", str(pred)],
+        "synth_out": ["synth", "--out", out, "--count", "5"],
+        "synth_gold": ["synth", "--out", str(pred), "--gold", out, "--count", "5"],
+        "bootstrap_out": ["bootstrap", "--config", str(cfg), "--out", out],
+        # no model in this config's model_dir: loading one would exit 2
+        "parse_out": ["parse", "--config", str(cfg), "--input", str(root / "corpus.txt"),
+                      "--out", out, "--stage", "seed"],
+    }[key]
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot make output directory {path}: ")
+    if key == "synth_gold":
+        assert not pred.exists()
+
+
+def test_missing_output_file_directories_are_made(pipeline, tmp_path):
+    root, cfg = pipeline
+    corpus, gold = tmp_path / "a" / "corpus.txt", tmp_path / "b" / "gold.txt"
+    seeds, pred = tmp_path / "c" / "d" / "seeds.tsv", tmp_path / "e" / "pred.txt"
+    assert main(["synth", "--out", str(corpus), "--gold", str(gold), "--count", "5"]) == 0
+    assert main(["bootstrap", "--config", str(cfg), "--out", str(seeds)]) == 0
+    assert main(["parse", "--config", str(cfg), "--input", str(corpus),
+                 "--out", str(pred), "--stage", "seed"]) == 0
+    for path in (corpus, gold, seeds, pred):
+        assert path.stat().st_size > 0, path
 
 
 def test_parse_makes_no_model_dir(tmp_path, capsys):
